@@ -1,47 +1,49 @@
 """Channel evaluation and fidelity engines.
 
-Entanglement fidelity is computed by two independent routes: the
-discrimination-sum formula over POVM elements, and a direct Choi-state
-evaluation of the reduced single-clone channel. Their agreement is the
-module's main cross-check.
+`protocol_fidelity` evaluates the discrimination-sum formula sector by
+sector: every operator it needs is block-diagonal in the weight sectors of
+`weight_sectors`, so it never forms a full-dimension matrix. The dense POVM
+routes below are the independent cross-checks: the same formula over dense
+POVM elements, and a direct Choi-state evaluation of the reduced
+single-clone channel.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from portclone.cloning import clone_map, optimal_clone_fidelity
-from portclone.measurements import Povm, clone_mpbt_povm, complete, pgm, std_pbtc_povm
+from portclone.cloning import clone_map, cloned_signal_entries, optimal_clone_fidelity
+from portclone.measurements import Povm
 from portclone.states import (
     input_label,
     max_entangled,
     maximally_mixed,
-    mpbt_ensemble,
-    mpbt_signal,
-    pbt_signal,
-    pbtc_signal,
+    mpbt_layout,
+    mpbt_signal_entries,
     pbt_layout,
+    pbt_signal,
+    pbt_signal_entries,
+    pbtc_signal_entries,
 )
-from portclone.symmetry import PortSet, enumerate_unordered, port_label
+from portclone.symmetry import PortSet, enumerate_ordered, enumerate_unordered, port_label
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
     identity,
     kron_compose,
     partial_trace,
+    psd_inv_sqrt_blocks,
+    weight_sectors,
 )
 
 OUTPUT_LABEL = "B"
 REFERENCE_LABEL = "Xref"
 
 F_CONSISTENCY_TOL = 1e-12
-
-# beyond this total dimension the generic POVM machinery is skipped in favor
-# of the permutation-covariant single-outcome evaluation
-FAST_PATH_DIM = 1024
 
 PROTOCOLS = ("std-pbtc", "clone-mpbt", "std-pbt", "mpbt", "clone")
 
@@ -64,6 +66,8 @@ class FidelityReport:
     delta_contribution: float
     runtime_ms: float
     input_dim: int = 0  # dimension entering the F <-> f conversion; d unless multi-slot
+    n_blocks: int = 0  # diagonal blocks the evaluation split its operators into
+    max_block_dim: int = 0  # dimension of the largest of them
 
     def __post_init__(self):
         dim = self.input_dim if self.input_dim else self.d
@@ -83,6 +87,8 @@ class FidelityReport:
             "per_clone_f": list(self.per_clone_f),
             "delta_contribution": self.delta_contribution,
             "runtime_ms": self.runtime_ms,
+            "n_blocks": self.n_blocks,
+            "max_block_dim": self.max_block_dim,
         }
 
 
@@ -104,14 +110,11 @@ def _teleport_resource(b: int, N: int, d: int) -> LabeledOperator:
     return kron_compose(factors).permute_subsystems(order)
 
 
-def single_clone_output(
-    povm: Povm,
-    input_state: LabeledOperator,
-    N: int,
-    d: int,
-    clone_slot: int = 1,
+def _clone_channel(
+    povm: Povm, state: LabeledOperator, N: int, d: int, clone_slot: int
 ) -> LabeledOperator:
-    """Output of one retained clone slot.
+    """The reduced single-clone channel applied to the X slot of `state`;
+    its other slots pass through, in front of the output slot B.
 
     For each outcome I the receiving port is the clone_slot-th smallest
     element of I; all other receiver ports are already traced out of the
@@ -122,20 +125,30 @@ def single_clone_output(
         raise ValueError(
             f"POVM layout {povm.layout.labels} does not match canonical {expected}"
         )
+    passed = [l for l in state.layout.labels if l != input_label()] + [OUTPUT_LABEL]
+    order = list(expected) + passed
+    pass_identity = identity(SubsystemLayout(passed, [d] * len(passed)))
+    out = None
+    for I, element in povm.outcomes.items():
+        resource = _teleport_resource(I.elements[clone_slot - 1], N, d)
+        omega = kron_compose([state, resource]).permute_subsystems(order)
+        big_e = kron_compose([element, pass_identity])
+        term = partial_trace(big_e @ omega, expected)
+        out = term if out is None else out + term
+    return out
+
+
+def single_clone_output(
+    povm: Povm,
+    input_state: LabeledOperator,
+    N: int,
+    d: int,
+    clone_slot: int = 1,
+) -> LabeledOperator:
+    """Output of one retained clone slot for an input state on X."""
     if input_state.layout.labels != (input_label(),) or input_state.layout.dims != (d,):
         raise ValueError("input must live on the single slot X with dimension d")
-    full_order = list(expected) + [OUTPUT_LABEL]
-    out = np.zeros((d, d), dtype=complex)
-    for I, element in povm.outcomes.items():
-        b = I.elements[clone_slot - 1]
-        omega = kron_compose([input_state, _teleport_resource(b, N, d)])
-        omega = omega.permute_subsystems(full_order)
-        big_e = kron_compose(
-            [element, identity(SubsystemLayout([OUTPUT_LABEL], [d]))]
-        )
-        term = partial_trace(big_e @ omega, expected)
-        out += term.entries
-    return LabeledOperator(SubsystemLayout([OUTPUT_LABEL], [d]), out)
+    return _clone_channel(povm, input_state, N, d, clone_slot)
 
 
 def entanglement_fidelity_formula(
@@ -147,9 +160,7 @@ def entanglement_fidelity_formula(
     for I, element in povm.outcomes.items():
         if I not in signal_for_outcome:
             raise KeyError(f"no signal state supplied for outcome {I}")
-        total += float(
-            np.real(np.trace(element.entries @ signal_for_outcome[I].entries))
-        )
+        total += float(np.real(np.sum(element.entries * signal_for_outcome[I].entries.T)))
     return total / d**2
 
 
@@ -162,7 +173,7 @@ def formula_delta_contribution(
     d = povm.layout.dims[0]
     delta = povm.completion_element.entries
     total = sum(
-        float(np.real(np.trace(delta @ signal_for_outcome[I].entries)))
+        float(np.real(np.sum(delta * signal_for_outcome[I].entries.T)))
         for I in povm.outcomes
     )
     return total / d**2
@@ -183,26 +194,10 @@ def entanglement_fidelity_choi(
     """Direct route: feed half of a maximally entangled pair through the
     reduced channel and project the joint output on the maximally entangled
     state. Lives on a d^(N+3)-dimensional space."""
-    expected = pbt_layout(N, d).labels
-    if povm.layout.labels != expected:
-        raise ValueError("POVM layout is not canonical")
     phi_in = max_entangled(d, input_label(), REFERENCE_LABEL)
-    traced = list(expected)  # X and all sender ports
-    order = [input_label(), REFERENCE_LABEL] + [
-        port_label(i) for i in range(1, N + 1)
-    ] + [OUTPUT_LABEL]
-    ref_b_layout = SubsystemLayout([REFERENCE_LABEL, OUTPUT_LABEL], [d, d])
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for I, element in povm.outcomes.items():
-        b = I.elements[clone_slot - 1]
-        omega = kron_compose([phi_in, _teleport_resource(b, N, d)])
-        omega = omega.permute_subsystems(order)
-        big_e = kron_compose([element, identity(ref_b_layout)])
-        big_e = big_e.permute_subsystems(order)
-        term = partial_trace(big_e @ omega, traced)
-        out += term.permute_subsystems([REFERENCE_LABEL, OUTPUT_LABEL]).entries
+    out = _clone_channel(povm, phi_in, N, d, clone_slot)
     phi_out = max_entangled(d, REFERENCE_LABEL, OUTPUT_LABEL)
-    return float(np.real(np.trace(out @ phi_out.entries)))
+    return float(np.real(np.sum(out.entries * phi_out.entries.T)))
 
 
 def haar_average_check(
@@ -233,132 +228,83 @@ def haar_average_check(
     return float(vals.mean()), float(stderr)
 
 
-def _fast_std_pbtc_fidelity(N: int, M: int, d: int) -> tuple[float, list[float], float]:
-    """Permutation-covariant evaluation of the standard protocol fidelity.
+def _engine_inputs(protocol: str, N: int, M: int, d: int):
+    """The protocol as inputs of `_sector_fidelities`: layout, input slots,
+    ensemble members as (outcome, signal builder), target keys per outcome
+    and retained slot, target builders, and the input dimension."""
+    if protocol in ("std-pbt", "std-pbtc"):
+        outcomes = enumerate_unordered(N, M)
+        members = [(I, partial(pbtc_signal_entries, I, N, d)) for I in outcomes]
+        targets = {i: partial(pbt_signal_entries, i, N, d) for i in range(1, N + 1)}
+        slots = {I: I.elements for I in outcomes}
+        return pbt_layout(N, d), [input_label()], members, slots, targets, d
+    layout = mpbt_layout(N, M, d)
+    x_labels = [input_label(k) for k in range(1, M + 1)]
+    ordered = enumerate_ordered(N, M)
+    members = [(J, partial(mpbt_signal_entries, J, N, d)) for J in ordered]
+    if protocol == "mpbt":
+        return layout, x_labels, members, {J: (J,) for J in ordered}, dict(members), d**M
+    # clone-mpbt: ordered outcomes with one underlying set form one outcome
+    members = [(J.as_set(), build) for J, build in members]
+    targets = {i: partial(cloned_signal_entries, i, N, M, d) for i in range(1, N + 1)}
+    slots = {I: I.elements for I in enumerate_unordered(N, M)}
+    return layout, x_labels, members, slots, targets, d
 
-    All outcome terms of the discrimination sum are equal, so only the
-    I = {1..M} term is materialized; the full-ensemble POVM is never built.
-    Used when d^(N+1) exceeds FAST_PATH_DIM.
+
+def _sector_fidelities(layout, x_labels, members, slots, targets, d_in):
+    """Discrimination-sum fidelity of every retained slot k, summed over the
+    weight sectors in which every operator involved is block-diagonal:
+
+        F_k = d_in^-2 [ sum_J Tr(R eta_J R tau_{c(J),k}) / n_J
+                        + sum_c Tr((1 - P) tau_{c,k}) / n_c ]
+
+    over ensemble members J with outcome c(J), and outcomes c. R is the
+    inverse square root of the average signal state and P its support
+    projector; the second sum is the completion element's part.
+
+    Returns the per-slot F, the completion part of F_1, and the sector sizes.
     """
-    outcomes = enumerate_unordered(N, M)
-    n_out = len(outcomes)
-    layout = pbt_layout(N, d)
-    eta_bar = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for I in outcomes:
-        eta_bar += pbtc_signal(I, N, d).entries
-        pbtc_signal.cache_clear()
-        pbt_signal.cache_clear()
-    eta_bar /= n_out
-    # one eigendecomposition serves both the inverse square root and the
-    # support projector; the reconstruction-checked generic routine would
-    # repeat the O(dim^3) work three times over
-    vals, vecs = np.linalg.eigh(eta_bar)
-    lam_max = vals.max()
-    if vals.min() < -1e-10 * lam_max:
-        raise ValueError(f"average state not PSD: eigenvalue {vals.min():.3e}")
-    keep = vals > 1e-10 * lam_max
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / np.sqrt(vals[keep])
-    root = (vecs * inv) @ vecs.conj().T
-    sel = vecs[:, keep]
-    proj = sel @ sel.conj().T
-    del vals, vecs, sel
-    I0 = outcomes[0]
-    eta0 = pbtc_signal(I0, N, d).entries
-    core = root @ (eta0 / n_out) @ root  # pre-completion element for I0
-    per_slot_F = []
-    delta_total = 0.0
-    for k in range(1, M + 1):
-        rho = pbt_signal(I0.elements[k - 1], N, d).entries
-        # Tr[A B] as an elementwise sum; no O(dim^3) product needed
-        main = float(np.real(np.sum(core * rho.T)))
-        delta_term = (1.0 - float(np.real(np.sum(proj * rho.T)))) / n_out
-        per_slot_F.append((n_out * main + n_out * delta_term) / d**2)
-        if k == 1:
-            delta_total = n_out * delta_term / d**2
-    pbtc_signal.cache_clear()
-    pbt_signal.cache_clear()
-    return per_slot_F[0], per_slot_F, delta_total
-
-
-def _std_pbtc_report(N: int, M: int, d: int, protocol_name: str) -> FidelityReport:
-    start = time.perf_counter()
-    if d ** (N + 1) > FAST_PATH_DIM:
-        F, per_slot_F, delta_contribution = _fast_std_pbtc_fidelity(N, M, d)
-    else:
-        povm = std_pbtc_povm(N, M, d)
-        per_slot_F = []
-        for k in range(1, M + 1):
-            signals = slot_signals(povm, N, d, clone_slot=k)
-            per_slot_F.append(entanglement_fidelity_formula(povm, signals))
-        signals = slot_signals(povm, N, d, clone_slot=1)
-        delta_contribution = formula_delta_contribution(povm, signals)
-        F = per_slot_F[0]
-    runtime_ms = (time.perf_counter() - start) * 1e3
-    return FidelityReport(
-        protocol=protocol_name,
-        d=d,
-        N=N,
-        M=M,
-        F=F,
-        f=avg_fidelity(F, d),
-        per_clone_f=tuple(avg_fidelity(Fk, d) for Fk in per_slot_F),
-        delta_contribution=delta_contribution,
-        runtime_ms=runtime_ms,
+    sectors = weight_sectors(layout, x_labels)
+    n_J, n_c = len(members), len(slots)
+    roots, projectors = psd_inv_sqrt_blocks(
+        [sum(build(idx) for _, build in members) / n_J for idx in sectors]
     )
+    K = len(next(iter(slots.values())))
+    main, completion = np.zeros(K), np.zeros(K)
+    for idx, root, proj in zip(sectors, roots, projectors):
+        kernel = np.eye(len(idx)) - proj
+        taus = {key: build(idx) for key, build in targets.items()}
+        pulled = {key: root @ tau @ root for key, tau in taus.items()}
+        for c, build in members:
+            eta = build(idx)
+            for k, key in enumerate(slots[c]):
+                main[k] += np.sum(eta * pulled[key].T)
+        for keys in slots.values():
+            for k, key in enumerate(keys):
+                completion[k] += np.sum(kernel * taus[key].T)
+    per_slot = (main / n_J + completion / n_c) / d_in**2
+    return list(per_slot), completion[0] / n_c / d_in**2, [len(idx) for idx in sectors]
 
 
-def _clone_mpbt_report(N: int, M: int, d: int) -> FidelityReport:
+def _port_report(protocol: str, N: int, M: int, d: int) -> FidelityReport:
     start = time.perf_counter()
-    povm = clone_mpbt_povm(N, M, d)
-    per_slot_F = []
-    for k in range(1, M + 1):
-        signals = slot_signals(povm, N, d, clone_slot=k)
-        per_slot_F.append(entanglement_fidelity_formula(povm, signals))
-    signals = slot_signals(povm, N, d, clone_slot=1)
-    delta_contribution = formula_delta_contribution(povm, signals)
-    F = per_slot_F[0]
-    runtime_ms = (time.perf_counter() - start) * 1e3
+    inputs = _engine_inputs(protocol, N, M, d)
+    d_in = inputs[-1]
+    per_slot_F, delta_contribution, sizes = _sector_fidelities(*inputs)
+    F = float(per_slot_F[0])
     return FidelityReport(
-        protocol="clone-mpbt",
+        protocol=protocol,
         d=d,
         N=N,
         M=M,
         F=F,
-        f=avg_fidelity(F, d),
-        per_clone_f=tuple(avg_fidelity(Fk, d) for Fk in per_slot_F),
-        delta_contribution=delta_contribution,
-        runtime_ms=runtime_ms,
-    )
-
-
-def _mpbt_report(N: int, M: int, d: int) -> FidelityReport:
-    """Entanglement fidelity of the M-qudit multi-port transfer itself
-    (no cloning): (1/d^2M) sum_J Tr[E^J rho^J]."""
-    start = time.perf_counter()
-    povm = complete(pgm(mpbt_ensemble(N, M, d)))
-    D = d**M
-    total = 0.0
-    delta_total = 0.0
-    delta = povm.completion_element.entries
-    for J, element in povm.outcomes.items():
-        rho = mpbt_signal(J, N, d).entries
-        total += float(np.real(np.trace(element.entries @ rho)))
-        delta_total += float(np.real(np.trace(delta @ rho)))
-    F = total / D**2
-    runtime_ms = (time.perf_counter() - start) * 1e3
-    f = avg_fidelity(F, D)
-    return FidelityReport(
-        protocol="mpbt",
-        d=d,
-        N=N,
-        M=M,
-        F=F,
-        f=f,
-        per_clone_f=(f,),
-        delta_contribution=delta_total / D**2,
-        runtime_ms=runtime_ms,
-        input_dim=D,
+        f=avg_fidelity(F, d_in),
+        per_clone_f=tuple(avg_fidelity(float(Fk), d_in) for Fk in per_slot_F),
+        delta_contribution=float(delta_contribution),
+        runtime_ms=(time.perf_counter() - start) * 1e3,
+        input_dim=d_in,
+        n_blocks=len(sizes),
+        max_block_dim=max(sizes),
     )
 
 
@@ -384,6 +330,8 @@ def _clone_report(M: int, d: int) -> FidelityReport:
         per_clone_f=(f,) * M,
         delta_contribution=0.0,
         runtime_ms=runtime_ms,
+        n_blocks=1,
+        max_block_dim=cloned.dim,
     )
 
 
@@ -395,12 +343,6 @@ def protocol_fidelity(protocol: str, d: int, N: int, M: int) -> FidelityReport:
         return _clone_report(M, d)
     if not 1 <= M <= N:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
-    if protocol == "std-pbt":
-        if M != 1:
-            raise ValueError("std-pbt transfers a single state; use M=1")
-        return _std_pbtc_report(N, 1, d, "std-pbt")
-    if protocol == "std-pbtc":
-        return _std_pbtc_report(N, M, d, "std-pbtc")
-    if protocol == "clone-mpbt":
-        return _clone_mpbt_report(N, M, d)
-    return _mpbt_report(N, M, d)
+    if protocol == "std-pbt" and M != 1:
+        raise ValueError("std-pbt transfers a single state; use M=1")
+    return _port_report(protocol, N, M, d)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from portclone.symmetry import sym_dim, symmetric_projector_standalone
+import numpy as np
+
+from portclone.states import mpbt_layout, pairing_pattern
+from portclone.symmetry import sym_dim, symmetrize_slots
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
@@ -44,9 +47,8 @@ def clone_map(
     if M > K:
         extra = SubsystemLayout(out_labels[K:], [d] * (M - K))
         work = kron_compose([work, identity(extra)])
-    pi = symmetric_projector_standalone(out_labels, d)
-    scale = sym_dim(d, K) / sym_dim(d, M)
-    return scale * (pi @ work @ pi)
+    sandwiched = symmetrize_slots(work.entries, work.layout, range(M), None)
+    return LabeledOperator(work.layout, sym_dim(d, K) / sym_dim(d, M) * sandwiched)
 
 
 def clone_adjoint_on_input(
@@ -59,15 +61,25 @@ def clone_adjoint_on_input(
     The surviving slot is renamed `out_label`.
     """
     M = len(x_labels)
-    for l in x_labels:
-        if l not in op.layout.labels:
-            raise KeyError(f"label {l!r} not in operator layout")
-    pi = symmetric_projector_standalone(list(x_labels), d)
-    rest = [l for l in op.layout.labels if l not in set(x_labels)]
-    if rest:
-        pi = kron_compose([pi, identity(op.layout.restricted(rest))])
-    pi = pi.permute_subsystems(op.layout.labels)
-    sandwiched = pi @ op @ pi
-    reduced = partial_trace(sandwiched, x_labels[1:])
+    slots = [op.layout.index(l) for l in x_labels]
+    sandwiched = symmetrize_slots(op.entries, op.layout, slots, None)
+    reduced = partial_trace(LabeledOperator(op.layout, sandwiched), x_labels[1:])
     scale = d / sym_dim(d, M)
     return (scale * reduced).relabel({x_labels[0]: out_label})
+
+
+def cloned_signal_entries(
+    i: int, N: int, M: int, d: int, idx: np.ndarray | None = None
+) -> np.ndarray:
+    """1 -> M optimal cloning applied to the X slot of the teleportation signal
+    rho^i, on the basis indices `idx` of [X1..XM, A1..AN] (all by default).
+
+    This is the target of the adjoint identity Tr[C^dag(E) rho] = Tr[E C(rho)],
+    which evaluates the pullback POVM without forming it.
+    """
+    if not 1 <= i <= N:
+        raise ValueError(f"port index {i} out of range 1..{N}")
+    layout = mpbt_layout(N, M, d)
+    # rho^i on (X1, A) tensored with the identity on X2..XM, then Pi_M on X1..XM
+    pattern = pairing_pattern(layout, [(0, M + i - 1)], idx)
+    return d / sym_dim(d, M) / d**N * symmetrize_slots(pattern, layout, range(M), idx)

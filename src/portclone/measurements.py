@@ -108,17 +108,12 @@ def clone_mpbt_povm(N: int, M: int, d: int) -> Povm:
     """
     base = pgm(mpbt_ensemble(N, M, d))
     x_labels = [input_label(k) for k in range(1, M + 1)]
-    target_labels = pbt_layout(N, d).labels
+    layout = pbt_layout(N, d)
     merged: dict[PortSet, np.ndarray] = {}
     for J, element in base.outcomes.items():
         pulled = clone_adjoint_on_input(element, x_labels, d, input_label())
-        pulled = pulled.permute_subsystems(target_labels)
-        key = J.as_set()
-        if key in merged:
-            merged[key] = merged[key] + pulled.entries
-        else:
-            merged[key] = pulled.entries
-    layout = SubsystemLayout(target_labels, [d] * len(target_labels))
+        pulled = pulled.permute_subsystems(layout.labels)
+        merged[J.as_set()] = merged.get(J.as_set(), 0) + pulled.entries
     outcomes = {
         I: LabeledOperator(layout, merged[I]) for I in enumerate_unordered(N, M)
     }

@@ -14,15 +14,9 @@ from portclone.symmetry import (
     PortSet,
     port_label,
     sym_dim,
-    symmetric_projector,
+    symmetrize_slots,
 )
-from portclone.tensor_core import (
-    LabeledOperator,
-    SubsystemLayout,
-    hermitian_eig,
-    identity,
-    kron_compose,
-)
+from portclone.tensor_core import LabeledOperator, SubsystemLayout, hermitian_eig
 
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -62,37 +56,34 @@ def maximally_mixed(labels: Sequence[str], d: int) -> LabeledOperator:
     return LabeledOperator(layout, np.eye(layout.dim) / layout.dim)
 
 
-@lru_cache(maxsize=None)
-def pbt_signal(i: int, N: int, d: int) -> LabeledOperator:
-    """Signal state for outcome i: Phi+ on (X, A_i), maximally mixed elsewhere."""
+def pairing_pattern(
+    layout: SubsystemLayout, pairs: Sequence[tuple[int, int]], idx: np.ndarray | None
+) -> np.ndarray:
+    """Entries on the basis indices `idx` (all if None) of the product over slot
+    pairs (a, b) of sum_jk |jj><kk|_ab, times the identity on every other slot:
+    1 where both basis states agree within every pair and match on the other
+    slots, else 0."""
+    idx = np.arange(layout.dim) if idx is None else idx
+    digits = np.array(np.unravel_index(idx, layout.dims))
+    paired = np.all([digits[a] == digits[b] for a, b in pairs], axis=0)
+    digits[[s for pair in pairs for s in pair]] = 0
+    group = np.where(paired, np.ravel_multi_index(tuple(digits), layout.dims), -1)
+    return ((group[:, None] == group[None, :]) & paired[:, None]).astype(float)
+
+
+def pbt_signal_entries(i: int, N: int, d: int, idx: np.ndarray | None = None) -> np.ndarray:
+    """Signal state for outcome i on the basis indices `idx` of [X, A1..AN]
+    (all of them by default): Phi+ on (X, A_i), maximally mixed elsewhere."""
     if not 1 <= i <= N:
         raise ValueError(f"port index {i} out of range 1..{N}")
-    factors = [max_entangled(d, input_label(), port_label(i))]
-    rest = [port_label(j) for j in range(1, N + 1) if j != i]
-    if rest:
-        factors.append(maximally_mixed(rest, d))
-    return kron_compose(factors).permute_subsystems(pbt_layout(N, d).labels)
+    return pairing_pattern(pbt_layout(N, d), [(0, i)], idx) / d**N
 
 
-@lru_cache(maxsize=None)
-def mpbt_signal(J: OrderedPorts, N: int, d: int) -> LabeledOperator:
-    """Signal state for ordered outcome J: Phi+ on each (X_k, A_{j_k})."""
-    if J.N != N:
-        raise ValueError(f"port tuple defined for N={J.N}, expected {N}")
-    M = J.M
-    factors = [
-        max_entangled(d, input_label(k), port_label(j))
-        for k, j in enumerate(J, start=1)
-    ]
-    rest = [port_label(i) for i in range(1, N + 1) if i not in set(J.elements)]
-    if rest:
-        factors.append(maximally_mixed(rest, d))
-    return kron_compose(factors).permute_subsystems(mpbt_layout(N, M, d).labels)
-
-
-@lru_cache(maxsize=None)
-def pbtc_signal(I: PortSet, N: int, d: int, representative: int | None = None) -> LabeledOperator:
-    """Partially symmetrized signal state (d^M / d[M]) Pi_I rho^{i1} Pi_I.
+def pbtc_signal_entries(
+    I: PortSet, N: int, d: int, idx: np.ndarray | None = None, representative: int | None = None
+) -> np.ndarray:
+    """Partially symmetrized signal state (d^M / d[M]) Pi_I rho^{i1} Pi_I on the
+    basis indices `idx` of [X, A1..AN] (all of them by default).
 
     The result does not depend on which element of I is used as the
     representative; `representative` exists so tests can verify that.
@@ -102,12 +93,39 @@ def pbtc_signal(I: PortSet, N: int, d: int, representative: int | None = None) -
     i1 = I.smallest if representative is None else representative
     if i1 not in I:
         raise ValueError(f"representative {i1} not in port set {I.elements}")
-    rho = pbt_signal(i1, N, d)
+    rho = pbt_signal_entries(i1, N, d, idx)
     if I.M == 1:
         return rho  # projector is the identity and the prefactor is 1
-    pi = symmetric_projector(I, d, rho.layout)
-    scale = d**I.M / sym_dim(d, I.M)
-    return scale * (pi @ rho @ pi)
+    return d**I.M / sym_dim(d, I.M) * symmetrize_slots(rho, pbt_layout(N, d), I.elements, idx)
+
+
+def mpbt_signal_entries(
+    J: OrderedPorts, N: int, d: int, idx: np.ndarray | None = None
+) -> np.ndarray:
+    """Signal state for ordered outcome J on the basis indices `idx` of
+    [X1..XM, A1..AN] (all of them by default): Phi+ on each (X_k, A_{j_k})."""
+    if J.N != N:
+        raise ValueError(f"port tuple defined for N={J.N}, expected {N}")
+    pairs = [(k, J.M + j - 1) for k, j in enumerate(J)]
+    return pairing_pattern(mpbt_layout(N, J.M, d), pairs, idx) / d**N
+
+
+@lru_cache(maxsize=None)
+def pbt_signal(i: int, N: int, d: int) -> LabeledOperator:
+    """Dense signal state for outcome i; see `pbt_signal_entries`."""
+    return LabeledOperator(pbt_layout(N, d), pbt_signal_entries(i, N, d))
+
+
+@lru_cache(maxsize=None)
+def mpbt_signal(J: OrderedPorts, N: int, d: int) -> LabeledOperator:
+    """Dense signal state for ordered outcome J; see `mpbt_signal_entries`."""
+    return LabeledOperator(mpbt_layout(N, J.M, d), mpbt_signal_entries(J, N, d))
+
+
+@lru_cache(maxsize=None)
+def pbtc_signal(I: PortSet, N: int, d: int, representative: int | None = None) -> LabeledOperator:
+    """Dense partially symmetrized signal state; see `pbtc_signal_entries`."""
+    return LabeledOperator(pbt_layout(N, d), pbtc_signal_entries(I, N, d, None, representative))
 
 
 @dataclass(frozen=True)

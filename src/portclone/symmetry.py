@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, factorial
+from functools import cached_property, lru_cache
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -102,7 +102,7 @@ def enumerate_ordered(N: int, M: int) -> list[OrderedPorts]:
 
 
 class Permutation:
-    """A bijection on {1..N} with its cycle decomposition cached."""
+    """A bijection on {1..N}; its cycle decomposition is computed on first use."""
 
     def __init__(self, images: Sequence[int]):
         images = tuple(int(x) for x in images)
@@ -111,9 +111,9 @@ class Permutation:
             raise ValueError(f"not a bijection on 1..{n}: {images}")
         self.images = images
         self.n = n
-        self.cycles = self._decompose()
 
-    def _decompose(self) -> tuple[tuple[int, ...], ...]:
+    @cached_property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * (self.n + 1)
         cycles = []
         for start in range(1, self.n + 1):
@@ -165,16 +165,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
 
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[a - 1], images[b - 1] = b, a
-        return cls(images)
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
-        return cls((rng.permutation(n) + 1).tolist())
-
 
 def subgroup_fixing_complement(I: PortSet) -> list[Permutation]:
     """All permutations of 1..N that permute I and fix everything else."""
@@ -204,37 +194,57 @@ def permutation_unitary(p: Permutation, d: int, slots: Sequence[str]) -> Labeled
     return LabeledOperator(layout, entries)
 
 
-@lru_cache(maxsize=None)
-def _sym_projector_matrix(d: int, M: int) -> np.ndarray:
-    """Projector onto the totally symmetric subspace of M qudits."""
-    slots = [f"s{k}" for k in range(M)]
-    total = np.zeros((d**M, d**M), dtype=complex)
-    for images in itertools.permutations(range(1, M + 1)):
-        total += permutation_unitary(Permutation(images), d, slots).entries
-    return total / factorial(M)
+def _slot_gathers(
+    layout: SubsystemLayout, slots: Sequence[int], idx: np.ndarray | None
+) -> list[np.ndarray]:
+    """For each permutation of the slot positions `slots`, the position in
+    `idx` (ascending; all basis indices if None) of every basis state of `idx`
+    with those slots permuted."""
+    idx = np.arange(layout.dim) if idx is None else idx
+    digits = np.array(np.unravel_index(idx, layout.dims))
+    slots = list(slots)
+    gathers = []
+    for images in itertools.permutations(slots):
+        permuted = digits.copy()
+        permuted[slots] = digits[list(images)]
+        target = np.ravel_multi_index(tuple(permuted), layout.dims)
+        pos = np.searchsorted(idx, target)
+        if not np.array_equal(idx[np.minimum(pos, len(idx) - 1)], target):
+            raise ValueError("index set is not closed under the slot permutations")
+        gathers.append(pos)
+    return gathers
+
+
+def symmetrize_slots(
+    block: np.ndarray, layout: SubsystemLayout, slots: Sequence[int], idx: np.ndarray | None
+) -> np.ndarray:
+    """Pi A Pi on the basis indices `idx` (ascending; all if None), where A is
+    given by its entries `block` on those indices and Pi symmetrizes the slot
+    positions `slots`. `idx` must be closed under permuting those slots.
+
+    Pi is the average of the slot permutations, each of which maps basis
+    states to basis states, so both products are averages of row or column
+    gathers of `block`.
+    """
+    gathers = _slot_gathers(layout, slots, idx)
+    rows = sum(block[g] for g in gathers) / len(gathers)
+    return sum(rows[:, g] for g in gathers) / len(gathers)
+
+
+def _slot_projector(layout: SubsystemLayout, slots: Sequence[int]) -> LabeledOperator:
+    return LabeledOperator(layout, symmetrize_slots(np.eye(layout.dim), layout, slots, None))
 
 
 def symmetric_projector_standalone(labels: Sequence[str], d: int) -> LabeledOperator:
     """Symmetric-subspace projector on exactly the given slots."""
-    M = len(labels)
-    layout = SubsystemLayout(labels, [d] * M)
-    return LabeledOperator(layout, _sym_projector_matrix(d, M))
+    return _slot_projector(SubsystemLayout(labels, [d] * len(labels)), range(len(labels)))
 
 
 def symmetric_projector(
     I: PortSet, d: int, full_layout: SubsystemLayout
 ) -> LabeledOperator:
     """Symmetric projector on ports I, acting as identity on the other subsystems."""
-    port_labels = I.labels()
-    for l in port_labels:
-        if l not in full_layout.labels:
-            raise KeyError(f"label {l!r} not in layout {list(full_layout.labels)}")
-    pi = symmetric_projector_standalone(port_labels, d)
-    rest = [l for l in full_layout.labels if l not in set(port_labels)]
-    if rest:
-        rest_layout = full_layout.restricted(rest)
-        pi = kron_compose([pi, identity(rest_layout)])
-    return pi.permute_subsystems(full_layout.labels)
+    return _slot_projector(full_layout, [full_layout.index(l) for l in I.labels()])
 
 
 def embedded_permutation_unitary(

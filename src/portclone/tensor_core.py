@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ class SubsystemLayout:
 
     labels: tuple[str, ...]
     dims: tuple[int, ...]
+    dim: int = field(compare=False)
 
     def __init__(self, labels: Sequence[str], dims: Sequence[int], cap: int | None = None):
         labels = tuple(labels)
@@ -56,10 +57,7 @@ class SubsystemLayout:
             )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
+        object.__setattr__(self, "dim", total)
 
     @property
     def n_subsystems(self) -> int:
@@ -71,14 +69,11 @@ class SubsystemLayout:
         except ValueError:
             raise KeyError(f"unknown subsystem label {label!r}; have {list(self.labels)}")
 
-    def dim_of(self, label: str) -> int:
-        return self.dims[self.index(label)]
-
     def restricted(self, keep: Sequence[str]) -> "SubsystemLayout":
         """Sub-layout of `keep` labels in this layout's relative order."""
         keep_set = set(keep)
         labels = [l for l in self.labels if l in keep_set]
-        dims = [self.dim_of(l) for l in labels]
+        dims = [self.dims[self.index(l)] for l in labels]
         return SubsystemLayout(labels, dims)
 
 
@@ -89,12 +84,11 @@ class LabeledOperator:
     """
 
     def __init__(self, layout: SubsystemLayout, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=complex)
+        entries = np.array(entries, dtype=complex)  # converts and copies in one pass
         if entries.shape != (layout.dim, layout.dim):
             raise ValueError(
                 f"entries shape {entries.shape} does not match layout dimension {layout.dim}"
             )
-        entries = entries.copy()
         entries.setflags(write=False)
         self.layout = layout
         self.entries = entries
@@ -112,11 +106,6 @@ class LabeledOperator:
     def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
         scale = max(np.abs(self.entries).max(), 1e-300)
         return np.abs(self.entries - self.entries.conj().T).max() <= rtol * scale
-
-    def require_hermitian(self, rtol: float = HERMITIAN_RTOL) -> None:
-        if not self.is_hermitian(rtol):
-            dev = np.abs(self.entries - self.entries.conj().T).max()
-            raise ValueError(f"operator is not Hermitian (max |A - A^dag| = {dev:.3e})")
 
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
         if self.layout.labels != other.layout.labels:
@@ -223,23 +212,42 @@ def partial_trace(op: LabeledOperator, drop: Iterable[str]) -> LabeledOperator:
     return LabeledOperator(keep_layout, tensor.reshape(d, d))
 
 
-def trace_all(op: LabeledOperator) -> complex:
-    """Full trace as a scalar; the all-labels partial trace."""
-    return op.trace()
+def weight_sectors(layout: SubsystemLayout, conj_labels: Sequence[str]) -> list[np.ndarray]:
+    """Basis indices grouped by weight, each group ascending.
+
+    The weight of a basis state is its per-level count over the slots not in
+    `conj_labels` minus its per-level count over `conj_labels`. Operators that
+    commute with conj(T) on `conj_labels` and T on the other slots, for every
+    diagonal unitary T, are block-diagonal in these groups.
+    """
+    conj = {layout.index(l) for l in conj_labels}
+    sign = np.array([-1 if s in conj else 1 for s in range(layout.n_subsystems)])
+    digits = np.array(np.unravel_index(np.arange(layout.dim), layout.dims))
+    levels = range(max(layout.dims))
+    weights = [((digits == level) * sign[:, None]).sum(axis=0) for level in levels]
+    _, sector = np.unique(np.stack(weights, axis=1), axis=0, return_inverse=True)
+    order = np.argsort(sector, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(sector))[:-1])
+
+
+def _checked_eigh(a: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of one Hermitian block, with the Hermitian and reconstruction
+    checks taken relative to `scale`, the largest |entry| of the whole operator."""
+    dev = np.abs(a - a.conj().T).max()
+    if dev > HERMITIAN_RTOL * max(scale, 1e-300):
+        raise ValueError(f"operator is not Hermitian (max |A - A^dag| = {dev:.3e})")
+    vals, vecs = np.linalg.eigh(a)
+    recon = (vecs * vals) @ vecs.conj().T
+    if np.abs(recon - a).max() > EIG_RECON_TOL * max(1.0, scale):
+        raise ArithmeticError("eigendecomposition failed reconstruction check")
+    return vals, vecs
 
 
 def hermitian_eig(op: LabeledOperator) -> Spectrum:
     """Eigendecomposition with descending eigenvalues; rejects non-Hermitian input."""
-    op.require_hermitian()
-    vals, vecs = np.linalg.eigh(op.entries)
+    vals, vecs = _checked_eigh(op.entries, np.abs(op.entries).max())
     order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    recon = (vecs * vals) @ vecs.conj().T
-    scale = max(1.0, np.abs(op.entries).max())
-    if np.abs(recon - op.entries).max() > EIG_RECON_TOL * scale:
-        raise ArithmeticError("eigendecomposition failed reconstruction check")
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    return Spectrum(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
 def support_rank(op: LabeledOperator, rel_tol: float = PINV_CUTOFF) -> int:
@@ -251,31 +259,45 @@ def support_rank(op: LabeledOperator, rel_tol: float = PINV_CUTOFF) -> int:
     return int(np.sum(np.abs(vals) > rel_tol * scale))
 
 
+def psd_inv_sqrt_blocks(
+    blocks: Sequence[np.ndarray], rel_tol: float = PINV_CUTOFF
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Inverse square root on the support, and the support projector, of a
+    block-diagonal PSD operator given as its diagonal blocks; one eigh per block.
+
+    Eigenvalues below rel_tol * lambda_max are treated as zero, and the PSD
+    check is relative to lambda_max too. lambda_max is taken over all blocks,
+    so a block lying wholly below the cutoff is dropped.
+    """
+    scale = max(np.abs(b).max() for b in blocks)
+    spectra = [_checked_eigh(b, scale) for b in blocks]
+    lam_max = max(vals.max() for vals, _ in spectra)
+    if lam_max <= 0:
+        raise ValueError("operator has no positive part")
+    lam_min = min(vals.min() for vals, _ in spectra)
+    if lam_min < -PSD_NEG_RTOL * lam_max:
+        raise ValueError(f"operator is not PSD: eigenvalue {lam_min:.6e}")
+    roots, projectors = [], []
+    for vals, vecs in spectra:
+        keep = vals > rel_tol * lam_max
+        kept, dropped = vecs[:, keep], vecs[:, ~keep]
+        roots.append((kept / np.sqrt(vals[keep])) @ kept.conj().T)
+        # built from the discarded eigenvectors, so it is exactly the identity
+        # on a block of full rank
+        projectors.append(np.eye(len(vals)) - dropped @ dropped.conj().T)
+    return roots, projectors
+
+
 def psd_inv_sqrt(op: LabeledOperator, rel_tol: float = PINV_CUTOFF) -> LabeledOperator:
     """Inverse square root on the support of a PSD operator.
 
     Eigenvalues below rel_tol * lambda_max are treated as zero, so
     B @ op @ B is the support projector rather than the identity.
     """
-    spec = hermitian_eig(op)
-    vals = spec.eigenvalues
-    lam_max = vals.max() if vals.size else 0.0
-    if lam_max <= 0:
-        raise ValueError("operator has no positive part")
-    lam_min = vals.min()
-    if lam_min < -PSD_NEG_RTOL * lam_max:
-        raise ValueError(f"operator is not PSD: eigenvalue {lam_min:.6e}")
-    keep = vals > rel_tol * lam_max
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / np.sqrt(vals[keep])
-    entries = (spec.eigenvectors * inv) @ spec.eigenvectors.conj().T
-    return LabeledOperator(op.layout, entries)
+    roots, _ = psd_inv_sqrt_blocks([op.entries], rel_tol)
+    return LabeledOperator(op.layout, roots[0])
 
 
 def support_projector(op: LabeledOperator, rel_tol: float = PINV_CUTOFF) -> LabeledOperator:
-    spec = hermitian_eig(op)
-    vals = spec.eigenvalues
-    lam_max = np.abs(vals).max()
-    keep = vals > rel_tol * lam_max if lam_max > 0 else np.zeros_like(vals, dtype=bool)
-    sel = spec.eigenvectors[:, keep]
-    return LabeledOperator(op.layout, sel @ sel.conj().T)
+    _, projectors = psd_inv_sqrt_blocks([op.entries], rel_tol)
+    return LabeledOperator(op.layout, projectors[0])

@@ -119,13 +119,13 @@ def combinatorial_disjoint_overlap(d: int, M: int, N: int) -> float:
 def dense_overlap(I: PortSet, J: PortSet, N: int, d: int) -> float:
     a = pbtc_signal(I, N, d).entries
     b = pbtc_signal(J, N, d).entries
-    return float(np.real(np.trace(a @ b)))
+    return float(np.real(np.sum(a * b.T)))
 
 
 def eta_bar_purity(N: int, M: int, d: int) -> float:
     """Tr[eta_bar^2] for the uniform signal-state average."""
     avg = ensemble_average(pbtc_ensemble(N, M, d))
-    return float(np.real(np.trace(avg.entries @ avg.entries)))
+    return float(np.real(np.sum(avg.entries * avg.entries.T)))
 
 
 def purity_upper_bound(N: int, M: int, d: int) -> float:
@@ -156,13 +156,14 @@ def _check_subgroup_conjugation(d, N, M, tol, params):
 
 def _check_projector_conjugation(d, N, M, tol, params):
     layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
+    projectors = {I: symmetric_projector(I, d, layout) for I in enumerate_unordered(N, M)}
     worst = 0.0
     for images in itertools.permutations(range(1, N + 1)):
         sigma = Permutation(images)
         v = embedded_permutation_unitary(sigma, d, layout)
-        for I in enumerate_unordered(N, M):
-            lhs = v @ symmetric_projector(I, d, layout) @ v.dagger()
-            rhs = symmetric_projector(sigma.apply_set(I), d, layout)
+        for I, pi in projectors.items():
+            lhs = v @ pi @ v.dagger()
+            rhs = projectors[sigma.apply_set(I)]
             worst = max(worst, np.abs(lhs.entries - rhs.entries).max())
     return _result("b-projector-conjugation", params, worst, tol)
 

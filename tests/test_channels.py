@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-import portclone.channels as channels
 from portclone.channels import (
     FidelityReport,
     avg_fidelity,
     entanglement_fidelity_choi,
     entanglement_fidelity_formula,
+    formula_delta_contribution,
     haar_average_check,
     protocol_fidelity,
     single_clone_output,
     slot_signals,
 )
 from portclone.cloning import optimal_clone_fidelity
-from portclone.measurements import clone_mpbt_povm, std_pbtc_povm
-from portclone.states import input_label
-from portclone.tensor_core import LabeledOperator, SubsystemLayout
+from portclone.measurements import clone_mpbt_povm, complete, pgm, std_pbtc_povm
+from portclone.states import input_label, mpbt_ensemble, mpbt_signal
+from portclone.tensor_core import DimensionCapError, LabeledOperator, SubsystemLayout
 
 
 class TestAvgFidelity:
@@ -109,18 +111,83 @@ class TestProtocolDispatch:
             assert 0.0 <= r.delta_contribution <= r.F + 1e-12
 
 
-class TestFastPath:
-    def test_matches_generic(self, monkeypatch):
-        # force the covariant single-outcome path at a size where the generic
-        # POVM evaluation is still cheap, then compare
-        generic = protocol_fidelity("std-pbtc", 2, 4, 2)
-        monkeypatch.setattr(channels, "FAST_PATH_DIM", 1)
-        fast = protocol_fidelity("std-pbtc", 2, 4, 2)
-        assert abs(generic.F - fast.F) < 1e-12
-        assert abs(generic.delta_contribution - fast.delta_contribution) < 1e-12
-        assert np.abs(
-            np.array(generic.per_clone_f) - np.array(fast.per_clone_f)
-        ).max() < 1e-12
+def dense_formula_route(protocol, N, M, d):
+    """Per-slot F and the completion part of F_1 from the dense POVMs."""
+    if protocol == "mpbt":
+        povm = complete(pgm(mpbt_ensemble(N, M, d)))
+        signals = [{J: mpbt_signal(J, N, d) for J in povm.outcomes}]
+        rescale = d**2 / d ** (2 * M)  # the formula divides by d^2, mpbt by d^(2M)
+    else:
+        builder = clone_mpbt_povm if protocol == "clone-mpbt" else std_pbtc_povm
+        povm = builder(N, M, d)
+        signals = [slot_signals(povm, N, d, k) for k in range(1, M + 1)]
+        rescale = 1.0
+    per_slot = [rescale * entanglement_fidelity_formula(povm, s) for s in signals]
+    return per_slot, rescale * formula_delta_contribution(povm, signals[0])
+
+
+def assert_blocked_matches_dense(protocol, d, N, M):
+    report = protocol_fidelity(protocol, d, N, M)
+    per_slot, delta = dense_formula_route(protocol, N, M, d)
+    d_in = d**M if protocol == "mpbt" else d
+    assert abs(report.F - per_slot[0]) <= 1e-12
+    assert abs(report.delta_contribution - delta) <= 1e-12
+    assert len(report.per_clone_f) == len(per_slot)
+    for f, F in zip(report.per_clone_f, per_slot):
+        assert abs(f - avg_fidelity(F, d_in)) <= 1e-12
+
+
+BLOCKED_POINTS = (
+    [("std-pbt", 2, N, 1) for N in range(1, 7)]
+    + [(p, 2, N, 1) for p in ("std-pbtc", "clone-mpbt") for N in range(1, 7)]
+    + [(p, 2, N, 2) for p in ("std-pbtc", "clone-mpbt") for N in range(2, 7)]
+    + [(p, 2, N, 3) for p in ("std-pbtc", "clone-mpbt") for N in range(3, 6)]
+    + [(p, 3, N, 2) for p in ("std-pbtc", "clone-mpbt") for N in (3, 4)]
+    + [("mpbt", 2, N, 2) for N in range(2, 6)]
+)
+
+
+@st.composite
+def small_points(draw):
+    protocol = draw(st.sampled_from(["std-pbtc", "clone-mpbt", "mpbt"]))
+    d = draw(st.integers(2, 3))
+    N = draw(st.integers(1, 5))
+    M = draw(st.integers(1, N))
+    # keep the dense reference cheap
+    assume(d ** (N + (1 if protocol == "std-pbtc" else M)) <= 256)
+    return protocol, d, N, M
+
+
+class TestBlockedEngine:
+    @pytest.mark.parametrize(
+        "protocol,d,N,M", BLOCKED_POINTS,
+        ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in BLOCKED_POINTS],
+    )
+    def test_matches_dense_formula_route(self, protocol, d, N, M):
+        assert_blocked_matches_dense(protocol, d, N, M)
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(small_points())
+    def test_matches_dense_formula_route_property(self, point):
+        assert_blocked_matches_dense(*point)
+
+    def test_reports_its_blocks(self):
+        # [X, A1..A4] at d=2 splits into blocks of size C(5, k)
+        r = protocol_fidelity("std-pbtc", 2, 4, 2)
+        assert (r.n_blocks, r.max_block_dim) == (6, 10)
+
+    @pytest.mark.parametrize("protocol,N,M,layout_dim", [
+        ("std-pbt", 3, 1, 16), ("std-pbtc", 3, 2, 16),
+        ("clone-mpbt", 3, 2, 32), ("mpbt", 3, 2, 32),
+    ])
+    def test_dimension_cap_refuses_at_layout_dimension(
+        self, monkeypatch, protocol, N, M, layout_dim
+    ):
+        monkeypatch.setenv("PORTCLONE_DIM_CAP", str(layout_dim - 1))
+        with pytest.raises(DimensionCapError):
+            protocol_fidelity(protocol, 2, N, M)
+        monkeypatch.setenv("PORTCLONE_DIM_CAP", str(layout_dim))
+        protocol_fidelity(protocol, 2, N, M)
 
 
 class TestHaarCheck:

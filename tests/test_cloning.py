@@ -4,10 +4,11 @@ import pytest
 from portclone.cloning import (
     clone_adjoint_on_input,
     clone_map,
+    cloned_signal_entries,
     optimal_clone_fidelity,
     shrinking_factor,
 )
-from portclone.states import maximally_mixed
+from portclone.states import input_label, maximally_mixed, mpbt_layout, pbt_signal
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
@@ -119,3 +120,22 @@ class TestFormulas:
         assert optimal_clone_fidelity(1, 2) == 1.0
         # M -> infinity limit is 2/(d+1), the measure-and-prepare value
         assert abs(optimal_clone_fidelity(10**6, 2) - 2 / 3) < 1e-5
+
+
+class TestClonedSignal:
+    @pytest.mark.parametrize("N,M,d", [(2, 2, 2), (3, 2, 2), (3, 3, 2), (2, 2, 3)])
+    def test_adjoint_identity(self, N, M, d):
+        # Tr[E C(rho^i)] = Tr[C^dag(E) rho^i], the dense pullback on the right
+        rng = np.random.default_rng(29)
+        layout = mpbt_layout(N, M, d)
+        a = rng.normal(size=(layout.dim, layout.dim))
+        e = LabeledOperator(layout, a + a.T)
+        x_labels = [input_label(k) for k in range(1, M + 1)]
+        pulled = clone_adjoint_on_input(e, x_labels, d, input_label())
+        pulled = pulled.permute_subsystems(pbt_signal(1, N, d).layout.labels)
+        for i in range(1, N + 1):
+            tau = cloned_signal_entries(i, N, M, d)
+            lhs = np.sum(e.entries * tau.T)
+            rhs = np.sum(pulled.entries * pbt_signal(i, N, d).entries.T)
+            assert abs(lhs - rhs) < 1e-12
+            assert abs(np.trace(tau) - 1) < 1e-12

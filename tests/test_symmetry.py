@@ -18,8 +18,9 @@ from portclone.symmetry import (
     sym_dim,
     symmetric_projector,
     symmetric_projector_standalone,
+    symmetrize_slots,
 )
-from portclone.tensor_core import SubsystemLayout
+from portclone.tensor_core import SubsystemLayout, weight_sectors
 
 
 class TestPortSets:
@@ -71,7 +72,7 @@ class TestPermutation:
     def test_inverse(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            p = Permutation.random(5, rng)
+            p = Permutation((rng.permutation(5) + 1).tolist())
             assert p.compose(p.inverse()) == Permutation.identity(5)
 
     def test_cycle_count(self):
@@ -111,6 +112,35 @@ class TestSymmetricProjector:
         sigma = Permutation((2, 3, 1))
         image = conjugate_projector(sigma, PortSet((1, 2), 3), 2, layout)
         assert image == PortSet((2, 3), 3)
+
+
+class TestSymmetrizeSlots:
+    @pytest.mark.parametrize("d,M", [(2, 2), (2, 3), (3, 2)])
+    def test_projector_is_average_of_permutation_unitaries(self, d, M):
+        slots = [f"s{k}" for k in range(M)]
+        dense = sum(
+            permutation_unitary(Permutation(images), d, slots).entries
+            for images in itertools.permutations(range(1, M + 1))
+        ) / factorial(M)
+        pi = symmetric_projector_standalone(slots, d)
+        assert np.abs(pi.entries - dense).max() < 1e-15
+
+    def test_matches_dense_sandwich_on_every_sector(self):
+        rng = np.random.default_rng(21)
+        layout = SubsystemLayout(["X", "A1", "A2", "A3"], [2] * 4)
+        a = rng.normal(size=(16, 16))
+        pi = symmetric_projector(PortSet((1, 3), 3), 2, layout).entries
+        full = symmetrize_slots(a, layout, [1, 3], np.arange(16))
+        assert np.abs(full - pi @ a @ pi).max() < 1e-14
+        # Pi is block-diagonal, so a diagonal block of Pi A Pi needs only that block of A
+        for idx in weight_sectors(layout, ["X"]):
+            block = symmetrize_slots(a[np.ix_(idx, idx)], layout, [1, 3], idx)
+            assert np.abs(block - full[np.ix_(idx, idx)]).max() < 1e-14
+
+    def test_rejects_index_set_not_closed(self):
+        layout = SubsystemLayout(["A1", "A2"], [2, 2])
+        with pytest.raises(ValueError, match="closed"):
+            symmetrize_slots(np.eye(1), layout, [0, 1], np.array([1]))
 
 
 class TestStirling:

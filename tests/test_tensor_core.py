@@ -1,9 +1,27 @@
+from math import comb
+
 import numpy as np
 import pytest
 
-from portclone.states import max_entangled, maximally_mixed
-from portclone.symmetry import symmetric_projector_standalone
+from portclone.measurements import clone_mpbt_povm, std_pbtc_povm
+from portclone.states import (
+    ensemble_average,
+    input_label,
+    max_entangled,
+    maximally_mixed,
+    mpbt_ensemble,
+    mpbt_layout,
+    pbt_layout,
+    pbt_signal,
+    pbtc_ensemble,
+)
+from portclone.symmetry import (
+    enumerate_unordered,
+    symmetric_projector,
+    symmetric_projector_standalone,
+)
 from portclone.tensor_core import (
+    PINV_CUTOFF,
     DimensionCapError,
     LabeledOperator,
     SubsystemLayout,
@@ -12,7 +30,9 @@ from portclone.tensor_core import (
     kron_compose,
     partial_trace,
     psd_inv_sqrt,
+    psd_inv_sqrt_blocks,
     support_projector,
+    weight_sectors,
 )
 
 
@@ -187,3 +207,97 @@ class TestPsdInvSqrt:
             b = psd_inv_sqrt(hop)
             comm = b.entries @ h - h @ b.entries
             assert np.abs(comm).max() < 1e-9 * np.abs(h).max()
+
+
+def off_sector_mask(layout, conj_labels):
+    sector = np.empty(layout.dim, dtype=int)
+    for k, idx in enumerate(weight_sectors(layout, conj_labels)):
+        sector[idx] = k
+    return sector[:, None] != sector[None, :]
+
+
+class TestWeightSectors:
+    @pytest.mark.parametrize("N", range(1, 8))
+    def test_qubit_block_sizes_are_binomial(self, N):
+        layout = pbt_layout(N, 2)
+        sectors = weight_sectors(layout, ["X"])
+        sizes = sorted(len(idx) for idx in sectors)
+        assert sum(sizes) == layout.dim
+        assert sizes == sorted(comb(N + 1, k) for k in range(N + 2))
+        assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(layout.dim))
+        assert all(np.all(np.diff(idx) > 0) for idx in sectors)
+
+    @pytest.mark.parametrize("N,M,d", [(3, 2, 2), (2, 2, 3), (4, 3, 2)])
+    def test_multi_slot_layout_is_partitioned(self, N, M, d):
+        layout = mpbt_layout(N, M, d)
+        sectors = weight_sectors(layout, [input_label(k) for k in range(1, M + 1)])
+        assert sum(len(idx) for idx in sectors) == layout.dim
+        assert len(np.unique(np.concatenate(sectors))) == layout.dim
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(KeyError):
+            weight_sectors(pbt_layout(2, 2), ["Y"])
+
+    @pytest.mark.parametrize("N,M,d", [(3, 2, 2), (4, 2, 2), (3, 2, 3)])
+    def test_pipeline_operators_vanish_off_the_sectors(self, N, M, d):
+        layout = pbt_layout(N, d)
+        off = off_sector_mask(layout, [input_label()])
+        exact = [pbt_signal(i, N, d) for i in range(1, N + 1)]
+        exact += [symmetric_projector(I, d, layout) for I in enumerate_unordered(N, M)]
+        exact += [p for _, p in pbtc_ensemble(N, M, d).items]
+        exact.append(ensemble_average(pbtc_ensemble(N, M, d)))
+        for op in exact:
+            assert np.all(op.entries[off] == 0)
+        # dense PGM and completion elements come from one eigh of the whole
+        # average state, which mixes degenerate eigenvectors of different
+        # sectors, so they carry rounding (not structure) off the sectors
+        for povm in (std_pbtc_povm(N, M, d), clone_mpbt_povm(N, M, d)):
+            for el in list(povm.outcomes.values()) + [povm.completion_element]:
+                assert np.abs(el.entries[off]).max() <= 1e-14 * np.abs(el.entries).max()
+
+    def test_multi_slot_signals_vanish_off_the_sectors(self):
+        N, M, d = 3, 2, 2
+        layout = mpbt_layout(N, M, d)
+        off = off_sector_mask(layout, [input_label(1), input_label(2)])
+        ensemble = mpbt_ensemble(N, M, d)
+        for _, state in ensemble.items:
+            assert np.all(state.entries[off] == 0)
+        assert np.all(ensemble_average(ensemble).entries[off] == 0)
+
+
+class TestBlockedInvSqrt:
+    def test_single_block_is_dense_routine(self):
+        eta_bar = ensemble_average(pbtc_ensemble(3, 2, 2))
+        roots, projectors = psd_inv_sqrt_blocks([eta_bar.entries])
+        assert np.abs(roots[0] - psd_inv_sqrt(eta_bar).entries).max() < 1e-14
+        assert np.abs(projectors[0] - support_projector(eta_bar).entries).max() < 1e-14
+
+    def test_blocks_match_dense_on_average_state(self):
+        N, M, d = 4, 2, 2
+        eta_bar = ensemble_average(pbtc_ensemble(N, M, d)).entries
+        sectors = weight_sectors(pbt_layout(N, d), [input_label()])
+        roots, projectors = psd_inv_sqrt_blocks([eta_bar[np.ix_(i, i)] for i in sectors])
+        dense_root, dense_proj = psd_inv_sqrt_blocks([eta_bar])
+        for idx, root, proj in zip(sectors, roots, projectors):
+            assert np.abs(root - dense_root[0][np.ix_(idx, idx)]).max() < 1e-12
+            assert np.abs(proj - dense_proj[0][np.ix_(idx, idx)]).max() < 1e-12
+
+    def test_block_below_global_cutoff_is_dropped(self):
+        big = np.diag([1.0, 0.5])
+        small = 0.1 * PINV_CUTOFF * np.array([[2.0, 1.0], [1.0, 2.0]])
+        roots, projectors = psd_inv_sqrt_blocks([big, small])
+        assert np.allclose(roots[0], np.diag([1.0, 2**0.5]))
+        assert np.all(roots[1] == 0)
+        assert np.abs(projectors[1]).max() < 1e-15
+        # on its own the small block is well above its own cutoff and is kept
+        alone, _ = psd_inv_sqrt_blocks([small])
+        assert np.abs(alone).max() > 0
+
+    def test_psd_check_uses_global_maximum(self):
+        # -1e-3 is far below -1e-10 times the largest eigenvalue of all blocks
+        with pytest.raises(ValueError, match="not PSD"):
+            psd_inv_sqrt_blocks([np.diag([1.0]), np.diag([-1e-3])])
+
+    def test_every_block_is_checked_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            psd_inv_sqrt_blocks([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
