@@ -211,19 +211,25 @@ def haar_average_check(
     """Monte Carlo estimate of the average pure-input fidelity.
 
     Returns (estimate, standard error). Haar sampling draws normalized
-    complex Gaussian vectors with a fixed-seed generator.
+    complex Gaussian vectors with a fixed-seed generator. The channel is
+    linear, so it is evaluated once on the matrix units |i><j|, and each
+    sample's output is sum_ij psi_i conj(psi_j) Lambda(|i><j|).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    vals = np.empty(samples)
-    x_layout = SubsystemLayout([input_label()], [d])
+    vecs = np.empty((samples, d), dtype=complex)
     for s in range(samples):
         vec = rng.normal(size=d) + 1j * rng.normal(size=d)
-        vec /= np.linalg.norm(vec)
-        state = LabeledOperator(x_layout, np.outer(vec, vec.conj()))
-        out = single_clone_output(povm, state, N, d, clone_slot=clone_slot)
-        vals[s] = np.real(vec.conj() @ out.entries @ vec)
+        vecs[s] = vec / np.linalg.norm(vec)
+    x_layout = SubsystemLayout([input_label()], [d])
+    units = np.array([
+        single_clone_output(povm, LabeledOperator(x_layout, unit), N, d, clone_slot).entries
+        for unit in np.eye(d * d).reshape(d * d, d, d)
+    ])  # Lambda(|i><j|) at position i * d + j
+    rhos = np.einsum("si,sj->sij", vecs, vecs.conj()).reshape(samples, d * d)
+    outs = np.tensordot(rhos, units, axes=1)
+    vals = np.real(np.einsum("si,sij,sj->s", vecs.conj(), outs, vecs))
     stderr = vals.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
     return float(vals.mean()), float(stderr)
 

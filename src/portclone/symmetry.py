@@ -11,12 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from portclone.tensor_core import (
-    LabeledOperator,
-    SubsystemLayout,
-    identity,
-    kron_compose,
-)
+from portclone.tensor_core import LabeledOperator, SubsystemLayout
 
 
 def port_label(i: int) -> str:
@@ -177,20 +172,22 @@ def subgroup_fixing_complement(I: PortSet) -> list[Permutation]:
     return members
 
 
+def permuted_basis_indices(p: Permutation, d: int) -> np.ndarray:
+    """Where V_p sends each basis state of N qudits: V_p |c> = |rows[c]>,
+    with V_p |k_1 ... k_N> = |k_{p^-1(1)} ... k_{p^-1(N)}>."""
+    dims = [d] * p.n
+    digits = np.array(np.unravel_index(np.arange(d**p.n), dims))  # digit j of each index
+    inv = p.inverse()
+    return np.ravel_multi_index(tuple(digits[[inv(i) - 1 for i in range(1, p.n + 1)]]), dims)
+
+
 def permutation_unitary(p: Permutation, d: int, slots: Sequence[str]) -> LabeledOperator:
     """Unitary permuting N qudit slots: V |k_1 ... k_N> = |k_{p^-1(1)} ... k_{p^-1(N)}>."""
     if len(slots) != p.n:
         raise ValueError(f"permutation acts on {p.n} slots but {len(slots)} labels given")
     layout = SubsystemLayout(slots, [d] * p.n)
-    D = layout.dim
-    inv = p.inverse()
-    digits = np.array(
-        np.unravel_index(np.arange(D), layout.dims)
-    )  # shape (N, D), digit j of each column index
-    row_digits = digits[[inv(i) - 1 for i in range(1, p.n + 1)], :]
-    rows = np.ravel_multi_index(tuple(row_digits), layout.dims)
-    entries = np.zeros((D, D), dtype=complex)
-    entries[rows, np.arange(D)] = 1.0
+    entries = np.zeros((layout.dim, layout.dim), dtype=complex)
+    entries[permuted_basis_indices(p, d), np.arange(layout.dim)] = 1.0
     return LabeledOperator(layout, entries)
 
 
@@ -245,34 +242,6 @@ def symmetric_projector(
 ) -> LabeledOperator:
     """Symmetric projector on ports I, acting as identity on the other subsystems."""
     return _slot_projector(full_layout, [full_layout.index(l) for l in I.labels()])
-
-
-def embedded_permutation_unitary(
-    p: Permutation, d: int, full_layout: SubsystemLayout
-) -> LabeledOperator:
-    """V_sigma on the N port slots A1..AN, identity on any other subsystems."""
-    port_labels = [port_label(i) for i in range(1, p.n + 1)]
-    v = permutation_unitary(p, d, port_labels)
-    rest = [l for l in full_layout.labels if l not in set(port_labels)]
-    if rest:
-        v = kron_compose([v, identity(full_layout.restricted(rest))])
-    return v.permute_subsystems(full_layout.labels)
-
-
-def conjugate_projector(
-    p: Permutation, I: PortSet, d: int, full_layout: SubsystemLayout, tol: float = 1e-12
-) -> PortSet:
-    """Check V_sigma Pi_I V_sigma^dag = Pi_{sigma(I)} densely and return sigma(I)."""
-    image = p.apply_set(I)
-    v = embedded_permutation_unitary(p, d, full_layout)
-    lhs = v @ symmetric_projector(I, d, full_layout) @ v.dagger()
-    rhs = symmetric_projector(image, d, full_layout)
-    dev = np.abs(lhs.entries - rhs.entries).max()
-    if dev > tol:
-        raise AssertionError(
-            f"projector conjugation identity violated: deviation {dev:.3e} > {tol:.1e}"
-        )
-    return image
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Any
 
@@ -19,12 +20,12 @@ from portclone.symmetry import (
     Permutation,
     PortSet,
     enumerate_unordered,
+    permuted_basis_indices,
+    port_label,
     stirling_first,
     subgroup_fixing_complement,
     sym_dim,
     symmetric_projector,
-    embedded_permutation_unitary,
-    port_label,
 )
 from portclone.tensor_core import (
     DimensionCapError,
@@ -139,32 +140,48 @@ def purity_upper_bound(N: int, M: int, d: int) -> float:
     )
 
 
+def _permuted_outcomes(N, outcomes):
+    """Every sigma in S_N as a 0-based image array, with the position in
+    `outcomes` of sigma(I) for each outcome I."""
+    ports = np.array([I.elements for I in outcomes]) - 1
+    position = np.zeros(2**N, dtype=int)  # outcome position by bit mask of its ports
+    position[(1 << ports).sum(axis=1)] = np.arange(len(outcomes))
+    for images in itertools.permutations(range(N)):
+        s = np.array(images)
+        yield s, position[(1 << s[ports]).sum(axis=1)]
+
+
 def _check_subgroup_conjugation(d, N, M, tol, params):
+    outcomes = enumerate_unordered(N, M)
+    subgroups = [
+        np.array([p.images for p in subgroup_fixing_complement(I)]) - 1 for I in outcomes
+    ]
+    expected = [set(map(tuple, g.tolist())) for g in subgroups]
     worst = 0
-    for images in itertools.permutations(range(1, N + 1)):
-        sigma = Permutation(images)
-        sigma_inv = sigma.inverse()
-        for I in enumerate_unordered(N, M):
-            conjugated = {
-                sigma.compose(pi).compose(sigma_inv)
-                for pi in subgroup_fixing_complement(I)
-            }
-            expected = set(subgroup_fixing_complement(sigma.apply_set(I)))
-            worst = max(worst, len(conjugated ^ expected))
+    for s, image in _permuted_outcomes(N, outcomes):
+        s_inv = np.argsort(s)
+        for g, k in zip(subgroups, image):
+            # row r of s[g[:, s_inv]] is sigma pi_r sigma^-1
+            conjugated = set(map(tuple, s[g[:, s_inv]].tolist()))
+            worst = max(worst, len(conjugated ^ expected[k]))
     return _result("a-subgroup-conjugation", params, worst, 0, "set comparison, exact")
 
 
 def _check_projector_conjugation(d, N, M, tol, params):
     layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
-    projectors = {I: symmetric_projector(I, d, layout) for I in enumerate_unordered(N, M)}
+    outcomes = enumerate_unordered(N, M)
+    D = layout.dim
+    stack = np.array([symmetric_projector(I, d, layout).entries.ravel() for I in outcomes])
     worst = 0.0
-    for images in itertools.permutations(range(1, N + 1)):
-        sigma = Permutation(images)
-        v = embedded_permutation_unitary(sigma, d, layout)
-        for I, pi in projectors.items():
-            lhs = v @ pi @ v.dagger()
-            rhs = projectors[sigma.apply_set(I)]
-            worst = max(worst, np.abs(lhs.entries - rhs.entries).max())
+    for s, image in _permuted_outcomes(N, outcomes):
+        # V_sigma is a 0/1 permutation matrix, so V_sigma Pi V_sigma^dag is Pi
+        # with rows and columns gathered by the basis map of sigma^-1
+        g = permuted_basis_indices(Permutation(s + 1).inverse(), d)
+        flat = (g[:, None] * D + g).ravel()
+        # one outcome at a time: temporaries of the whole stack cost more in
+        # fresh pages than the comparison itself
+        for pi, k in zip(stack, image):
+            worst = max(worst, np.abs(pi.take(flat) - stack[k]).max())
     return _result("b-projector-conjugation", params, worst, tol)
 
 
@@ -184,8 +201,8 @@ def _pre_completion_pgm(d, N, M, inject_fault=False):
     return povm
 
 
-def _check_pgm_support_invariance(d, N, M, tol, params, inject_fault=False):
-    povm = _pre_completion_pgm(d, N, M, inject_fault)
+def _check_pgm_support_invariance(d, N, M, tol, params, get_povm):
+    povm = get_povm()
     worst = 0.0
     for I, element in povm.outcomes.items():
         pi = symmetric_projector(I, d, povm.layout)
@@ -194,10 +211,9 @@ def _check_pgm_support_invariance(d, N, M, tol, params, inject_fault=False):
     return _result("c-pgm-support-invariance", params, worst, tol)
 
 
-def _check_pgm_completeness(d, N, M, tol, params, inject_fault=False):
-    povm = _pre_completion_pgm(d, N, M, inject_fault)
-    eta_bar = ensemble_average(pbtc_ensemble(N, M, d))
-    proj = support_projector(eta_bar)
+def _check_pgm_completeness(d, N, M, tol, params, get_povm, get_eta_bar):
+    povm = get_povm()
+    proj = support_projector(get_eta_bar())
     dev_support = np.abs(povm.element_sum().entries - proj.entries).max()
     try:
         completed = complete(povm)
@@ -212,8 +228,8 @@ def _check_pgm_completeness(d, N, M, tol, params, inject_fault=False):
     )
 
 
-def _check_commutation(d, N, M, tol, params):
-    eta_bar = ensemble_average(pbtc_ensemble(N, M, d))
+def _check_commutation(d, N, M, tol, params, get_eta_bar):
+    eta_bar = get_eta_bar()
     worst = 0.0
     for I in enumerate_unordered(N, M):
         pi = symmetric_projector(I, d, eta_bar.layout)
@@ -315,12 +331,16 @@ def run_suite(
     if not 1 <= M <= N:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
     params = {"d": d, "N": N, "M": M}
+    # built on first use and shared; a build the dimension cap refuses raises
+    # again in every check that asks for it, so each of them is skipped
+    get_povm = cache(lambda: _pre_completion_pgm(d, N, M, inject_fault))
+    get_eta_bar = cache(lambda: ensemble_average(pbtc_ensemble(N, M, d)))
     checks = [
         ("a", _check_subgroup_conjugation, {}),
         ("b", _check_projector_conjugation, {}),
-        ("c", _check_pgm_support_invariance, {"inject_fault": inject_fault}),
-        ("c2", _check_pgm_completeness, {"inject_fault": inject_fault}),
-        ("c3", _check_commutation, {}),
+        ("c", _check_pgm_support_invariance, {"get_povm": get_povm}),
+        ("c2", _check_pgm_completeness, {"get_povm": get_povm, "get_eta_bar": get_eta_bar}),
+        ("c3", _check_commutation, {"get_eta_bar": get_eta_bar}),
         ("d", _check_rank_formula, {}),
         ("e", _check_overlap_classes, {}),
         ("f", _check_cauchy_schwarz, {}),

@@ -15,8 +15,9 @@ from portclone.channels import (
     slot_signals,
 )
 from portclone.cloning import optimal_clone_fidelity
-from portclone.measurements import clone_mpbt_povm, complete, pgm, std_pbtc_povm
-from portclone.states import input_label, mpbt_ensemble, mpbt_signal
+from portclone.measurements import Povm, clone_mpbt_povm, complete, pgm, std_pbtc_povm
+from portclone.states import input_label, mpbt_ensemble, mpbt_signal, pbt_layout
+from portclone.symmetry import enumerate_unordered
 from portclone.tensor_core import DimensionCapError, LabeledOperator, SubsystemLayout
 
 
@@ -205,3 +206,43 @@ class TestHaarCheck:
         # the channel is covariant, so every pure input gives the same
         # fidelity and the spread collapses; allow a small absolute floor
         assert abs(est - exact) <= 3 * se + 1e-10
+
+    @staticmethod
+    def _per_sample(povm, clone_slot, samples, seed, N, d):
+        """Reference: the channel applied to every sample's state, same draws."""
+        rng = np.random.default_rng(seed)
+        vals = np.empty(samples)
+        x_layout = SubsystemLayout([input_label()], [d])
+        for s in range(samples):
+            vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+            vec /= np.linalg.norm(vec)
+            state = LabeledOperator(x_layout, np.outer(vec, vec.conj()))
+            out = single_clone_output(povm, state, N, d, clone_slot=clone_slot)
+            vals[s] = np.real(vec.conj() @ out.entries @ vec)
+        return vals.mean(), vals.std(ddof=1) / np.sqrt(samples)
+
+    @pytest.mark.parametrize("build", [std_pbtc_povm, clone_mpbt_povm])
+    def test_matrix_units_match_per_sample_channel(self, build):
+        povm = build(3, 2, 2)
+        for seed in range(8):
+            est, se = haar_average_check(povm, 1, samples=40, seed=seed, N=3, d=2)
+            ref_est, ref_se = self._per_sample(povm, 1, 40, seed, 3, 2)
+            assert abs(est - ref_est) <= 1e-12
+            assert abs(se - ref_se) <= 1e-12
+
+    def test_matrix_units_match_on_non_covariant_family(self):
+        # a covariant channel gives every input the same fidelity, so only a
+        # family without that symmetry shows a wrong mix of matrix units
+        rng = np.random.default_rng(17)
+        layout = pbt_layout(3, 2)
+        outcomes = {}
+        for I in enumerate_unordered(3, 2):
+            g = rng.normal(size=(layout.dim,) * 2) + 1j * rng.normal(size=(layout.dim,) * 2)
+            outcomes[I] = LabeledOperator(layout, g @ g.conj().T / layout.dim**2)
+        povm = Povm(outcomes=outcomes, layout=layout)
+        for clone_slot in (1, 2):
+            est, se = haar_average_check(povm, clone_slot, samples=200, seed=3, N=3, d=2)
+            ref_est, ref_se = self._per_sample(povm, clone_slot, 200, 3, 3, 2)
+            assert se > 1e-4
+            assert abs(est - ref_est) <= 1e-12
+            assert abs(se - ref_se) <= 1e-12

@@ -8,10 +8,10 @@ from portclone.symmetry import (
     OrderedPorts,
     Permutation,
     PortSet,
-    conjugate_projector,
     enumerate_ordered,
     enumerate_unordered,
     permutation_unitary,
+    permuted_basis_indices,
     port_label,
     stirling_first,
     subgroup_fixing_complement,
@@ -108,10 +108,25 @@ class TestSymmetricProjector:
         assert round(pi.trace().real) == sym_dim(2, 2) * 2
 
     def test_conjugation_identity(self):
-        layout = SubsystemLayout(["A1", "A2", "A3"], [2, 2, 2])
-        sigma = Permutation((2, 3, 1))
-        image = conjugate_projector(sigma, PortSet((1, 2), 3), 2, layout)
-        assert image == PortSet((2, 3), 3)
+        # V_sigma Pi_I V_sigma^dag = Pi_sigma(I) for every sigma and I, with the
+        # dense product as the reference for the index gather the suite uses
+        assert Permutation((2, 3, 1)).apply_set(PortSet((1, 2), 3)) == PortSet((2, 3), 3)
+        for d, N, M in [(2, 3, 2), (2, 4, 2), (2, 4, 3), (3, 3, 2)]:
+            labels = [port_label(i) for i in range(1, N + 1)]
+            layout = SubsystemLayout(labels, [d] * N)
+            D = layout.dim
+            projectors = {
+                I: symmetric_projector(I, d, layout).entries for I in enumerate_unordered(N, M)
+            }
+            for images in itertools.permutations(range(1, N + 1)):
+                sigma = Permutation(images)
+                v = permutation_unitary(sigma, d, labels).entries
+                g = permuted_basis_indices(sigma.inverse(), d)
+                flat = (g[:, None] * D + g).ravel()
+                for I, pi in projectors.items():
+                    dense = v @ pi @ v.conj().T
+                    assert np.array_equal(dense, pi.ravel().take(flat).reshape(D, D))
+                    assert np.array_equal(dense, projectors[sigma.apply_set(I)])
 
 
 class TestSymmetrizeSlots:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from portclone import verification
+from portclone.tensor_core import LabeledOperator
 from portclone.verification import (
     combinatorial_disjoint_overlap,
     cycle_sum_by_enumeration,
@@ -102,3 +104,47 @@ class TestSuite:
         doc = run_suite(2, 3, 2)[0].to_json_dict()
         for key in ("name", "params", "deviation", "threshold", "pass", "notes"):
             assert key in doc
+
+
+class TestConjugationChecksDetectFaults:
+    """Checks a and b at a point where S_N is not tiny: a corrupted input
+    must fail them, so neither can be comparing an array with itself."""
+
+    d, N, M = 2, 4, 2
+    target = PortSet((1, 3), 4)
+
+    def _results(self):
+        return {r.name: r for r in run_suite(self.d, self.N, self.M)}
+
+    def test_clean_point_passes(self):
+        results = self._results()
+        assert results["a-subgroup-conjugation"].deviation == 0
+        assert results["b-projector-conjugation"].deviation == 0
+
+    def test_moved_projector_entry_fails_check_b(self, monkeypatch):
+        original = verification.symmetric_projector
+
+        def moved(I, d, layout):
+            pi = original(I, d, layout)
+            if I != self.target:
+                return pi
+            entries = pi.entries.copy()
+            entries[1, 2] += 1e-8
+            return LabeledOperator(layout, entries)
+
+        monkeypatch.setattr(verification, "symmetric_projector", moved)
+        b = self._results()["b-projector-conjugation"]
+        assert not b.passed
+        assert b.deviation == pytest.approx(1e-8, rel=1e-6)
+
+    def test_dropped_subgroup_member_fails_check_a(self, monkeypatch):
+        original = verification.subgroup_fixing_complement
+
+        def dropped(I):
+            members = original(I)
+            return members[1:] if I == self.target else members
+
+        monkeypatch.setattr(verification, "subgroup_fixing_complement", dropped)
+        a = self._results()["a-subgroup-conjugation"]
+        assert not a.passed
+        assert a.deviation >= 1
