@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from portclone.cloning import clone_map, cloned_signal_entries, optimal_clone_fidelity
+from portclone.cloning import clone_map, cloned_signal_entries
 from portclone.measurements import Povm
 from portclone.states import (
     input_label,
@@ -268,6 +268,10 @@ def _sector_fidelities(layout, x_labels, members, slots, targets, d_in):
     inverse square root of the average signal state and P its support
     projector; the second sum is the completion element's part.
 
+    Only the first outcome c0 is evaluated, n_c times over: a port permutation
+    maps it onto any outcome c with members and targets in order, keeps every
+    sector and commutes with the average of all members, hence with R and P.
+
     Returns the per-slot F, the completion part of F_1, and the sector sizes.
     """
     sectors = weight_sectors(layout, x_labels)
@@ -275,21 +279,18 @@ def _sector_fidelities(layout, x_labels, members, slots, targets, d_in):
     roots, projectors = psd_inv_sqrt_blocks(
         [sum(build(idx) for _, build in members) / n_J for idx in sectors]
     )
-    K = len(next(iter(slots.values())))
-    main, completion = np.zeros(K), np.zeros(K)
+    c0 = next(iter(slots))
+    own = [build for c, build in members if c == c0]
+    main, completion = np.zeros(len(slots[c0])), np.zeros(len(slots[c0]))
     for idx, root, proj in zip(sectors, roots, projectors):
         kernel = np.eye(len(idx)) - proj
-        taus = {key: build(idx) for key, build in targets.items()}
-        pulled = {key: root @ tau @ root for key, tau in taus.items()}
-        for c, build in members:
-            eta = build(idx)
-            for k, key in enumerate(slots[c]):
-                main[k] += np.sum(eta * pulled[key].T)
-        for keys in slots.values():
-            for k, key in enumerate(keys):
-                completion[k] += np.sum(kernel * taus[key].T)
-    per_slot = (main / n_J + completion / n_c) / d_in**2
-    return list(per_slot), completion[0] / n_c / d_in**2, [len(idx) for idx in sectors]
+        eta = sum(build(idx) for build in own)
+        for k, key in enumerate(slots[c0]):
+            tau = targets[key](idx)
+            main[k] += np.sum(eta * (root @ tau @ root).T)
+            completion[k] += np.sum(kernel * tau.T)
+    per_slot = (n_c * main / n_J + completion) / d_in**2
+    return list(per_slot), completion[0] / d_in**2, [len(idx) for idx in sectors]
 
 
 def _port_report(protocol: str, N: int, M: int, d: int) -> FidelityReport:

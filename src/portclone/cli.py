@@ -10,11 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import click
 
-from portclone.channels import (
-    FidelityReport,
-    optimal_clone_fidelity,
-    protocol_fidelity,
-)
+from portclone.channels import FidelityReport, protocol_fidelity
+from portclone.cloning import optimal_clone_fidelity
 from portclone.measurements import clone_mpbt_povm, povm_to_json_dict, std_pbtc_povm
 from portclone.tensor_core import DimensionCapError
 from portclone.verification import run_suite, suite_passed

@@ -12,6 +12,8 @@ import numpy as np
 from portclone.symmetry import (
     OrderedPorts,
     PortSet,
+    enumerate_ordered,
+    enumerate_unordered,
     port_label,
     sym_dim,
     symmetrize_slots,
@@ -185,21 +187,14 @@ def ensemble_average(e: Ensemble) -> LabeledOperator:
 
 
 def pbt_ensemble(N: int, d: int) -> Ensemble:
-    return uniform_ensemble(
-        [pbt_signal(i, N, d) for i in range(1, N + 1)],
-        keys=[PortSet((i,), N) for i in range(1, N + 1)],
-    )
+    return pbtc_ensemble(N, 1, d)  # a one-port set needs no symmetrization
 
 
 def pbtc_ensemble(N: int, M: int, d: int) -> Ensemble:
-    from portclone.symmetry import enumerate_unordered
-
     outcomes = enumerate_unordered(N, M)
     return uniform_ensemble([pbtc_signal(I, N, d) for I in outcomes], keys=outcomes)
 
 
 def mpbt_ensemble(N: int, M: int, d: int) -> Ensemble:
-    from portclone.symmetry import enumerate_ordered
-
     outcomes = enumerate_ordered(N, M)
     return uniform_ensemble([mpbt_signal(J, N, d) for J in outcomes], keys=outcomes)

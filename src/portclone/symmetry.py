@@ -42,9 +42,6 @@ class PortSet:
     def smallest(self) -> int:
         return self.elements[0]
 
-    def labels(self) -> list[str]:
-        return [port_label(i) for i in self.elements]
-
     def complement(self) -> tuple[int, ...]:
         inside = set(self.elements)
         return tuple(i for i in range(1, self.N + 1) if i not in inside)
@@ -241,7 +238,7 @@ def symmetric_projector(
     I: PortSet, d: int, full_layout: SubsystemLayout
 ) -> LabeledOperator:
     """Symmetric projector on ports I, acting as identity on the other subsystems."""
-    return _slot_projector(full_layout, [full_layout.index(l) for l in I.labels()])
+    return _slot_projector(full_layout, [full_layout.index(port_label(i)) for i in I])
 
 
 @lru_cache(maxsize=None)

@@ -100,9 +100,6 @@ class LabeledOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def dagger(self) -> "LabeledOperator":
-        return LabeledOperator(self.layout, self.entries.conj().T)
-
     def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
         scale = max(np.abs(self.entries).max(), 1e-300)
         return np.abs(self.entries - self.entries.conj().T).max() <= rtol * scale
@@ -250,13 +247,17 @@ def hermitian_eig(op: LabeledOperator) -> Spectrum:
     return Spectrum(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
+def support_rank_blocks(blocks: Sequence[np.ndarray], rel_tol: float = PINV_CUTOFF) -> int:
+    """Number of eigenvalues above rel_tol * max|eigenvalue| of a block-diagonal
+    Hermitian operator given as its diagonal blocks; one checked eigh per block."""
+    scale = max(np.abs(b).max() for b in blocks)
+    vals = np.abs(np.concatenate([_checked_eigh(b, scale)[0] for b in blocks]))
+    return int(np.sum(vals > rel_tol * vals.max()))
+
+
 def support_rank(op: LabeledOperator, rel_tol: float = PINV_CUTOFF) -> int:
     """Number of eigenvalues above rel_tol * max|eigenvalue|."""
-    vals = hermitian_eig(op).eigenvalues
-    scale = np.abs(vals).max()
-    if scale == 0:
-        return 0
-    return int(np.sum(np.abs(vals) > rel_tol * scale))
+    return support_rank_blocks([op.entries], rel_tol)
 
 
 def psd_inv_sqrt_blocks(

@@ -16,6 +16,7 @@ import numpy as np
 from portclone.channels import protocol_fidelity
 from portclone.measurements import pgm, complete
 from portclone.states import ensemble_average, pbtc_ensemble, pbtc_signal
+from portclone.states import input_label, pbt_layout, pbtc_signal_entries
 from portclone.symmetry import (
     Permutation,
     PortSet,
@@ -32,7 +33,8 @@ from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
     support_projector,
-    support_rank,
+    support_rank_blocks,
+    weight_sectors,
 )
 
 TREND_NOTE = "trend"
@@ -123,10 +125,14 @@ def dense_overlap(I: PortSet, J: PortSet, N: int, d: int) -> float:
     return float(np.real(np.sum(a * b.T)))
 
 
+def purity(op: LabeledOperator) -> float:
+    """Tr[op^2] of a Hermitian operator, as an elementwise sum."""
+    return float(np.real(np.sum(op.entries * op.entries.T)))
+
+
 def eta_bar_purity(N: int, M: int, d: int) -> float:
     """Tr[eta_bar^2] for the uniform signal-state average."""
-    avg = ensemble_average(pbtc_ensemble(N, M, d))
-    return float(np.real(np.sum(avg.entries * avg.entries.T)))
+    return purity(ensemble_average(pbtc_ensemble(N, M, d)))
 
 
 def purity_upper_bound(N: int, M: int, d: int) -> float:
@@ -240,9 +246,11 @@ def _check_commutation(d, N, M, tol, params, get_eta_bar):
 
 def _check_rank_formula(d, N, M, tol, params):
     expected = sym_dim(d, M - 1) * d ** (N - M)
+    # each signal is block-diagonal in the weight sectors: one eigh per block
+    sectors = weight_sectors(pbt_layout(N, d), [input_label()])
     worst = 0
     for I in enumerate_unordered(N, M):
-        rank = support_rank(pbtc_signal(I, N, d))
+        rank = support_rank_blocks([pbtc_signal_entries(I, N, d, idx) for idx in sectors])
         worst = max(worst, abs(rank - expected))
     return _result("d-rank-formula", params, worst, 0, f"expected rank {expected}")
 
@@ -289,20 +297,20 @@ def _check_disjoint_overlap(d, N, M, tol, params):
     return _result("h-disjoint-overlap-value", params, dev, max(tol, 1e-12))
 
 
-def _check_purity_trend(d, N, M, tol, params):
+def _check_purity_trend(d, N, M, tol, params, get_eta_bar):
     if N - 1 < M:
         return _skipped("i-average-purity-trend", params, "no smaller N to compare")
     prev = abs(d**N * eta_bar_purity(N - 1, M, d) - 1.0)
-    curr = abs(d ** (N + 1) * eta_bar_purity(N, M, d) - 1.0)
+    curr = abs(d ** (N + 1) * purity(get_eta_bar()) - 1.0)
     return _result(
         "i-average-purity-trend", params, max(0.0, curr - prev), 0.0,
         f"{TREND_NOTE}: |excess| {prev:.6g} -> {curr:.6g}",
     )
 
 
-def _check_fidelity_lower_bound(d, N, M, tol, params):
+def _check_fidelity_lower_bound(d, N, M, tol, params, get_eta_bar):
     F = protocol_fidelity("std-pbtc", d, N, M).F
-    bound = ((d + M - 1) / (d * M)) / (d ** (N + 1) * eta_bar_purity(N, M, d))
+    bound = ((d + M - 1) / (d * M)) / (d ** (N + 1) * purity(get_eta_bar()))
     return _result(
         "j-fidelity-lower-bound", params, max(0.0, bound - F), 1e-10,
         f"{TREND_NOTE}: F={F:.8g}, bound={bound:.8g}",
@@ -346,8 +354,8 @@ def run_suite(
         ("f", _check_cauchy_schwarz, {}),
         ("g", _check_purity_bound, {}),
         ("h", _check_disjoint_overlap, {}),
-        ("i", _check_purity_trend, {}),
-        ("j", _check_fidelity_lower_bound, {}),
+        ("i", _check_purity_trend, {"get_eta_bar": get_eta_bar}),
+        ("j", _check_fidelity_lower_bound, {"get_eta_bar": get_eta_bar}),
         ("k", _check_stirling, {}),
     ]
     results = []

@@ -191,6 +191,25 @@ class TestBlockedEngine:
         protocol_fidelity(protocol, 2, N, M)
 
 
+class TestCovariancePremise:
+    """The blocked engine evaluates one representative outcome and counts it
+    n_c times. Independently of it, every outcome I and slot k of the dense
+    POVM must contribute the same Tr[E_I rho_{I,k}]."""
+
+    @pytest.mark.parametrize("builder", [std_pbtc_povm, clone_mpbt_povm])
+    @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (2, 5, 3), (3, 4, 2)])
+    def test_every_outcome_and_slot_contributes_equally(self, builder, d, N, M):
+        povm = builder(N, M, d)
+        signals = [slot_signals(povm, N, d, k) for k in range(1, M + 1)]
+        terms = [
+            np.real(np.sum(element.entries * s[I].entries.T))
+            for I, element in povm.outcomes.items() for s in signals
+        ]
+        assert len(terms) == len(enumerate_unordered(N, M)) * M
+        assert min(terms) > 0
+        assert max(terms) - min(terms) <= 1e-12
+
+
 class TestHaarCheck:
     def test_reproducible(self):
         povm = std_pbtc_povm(3, 2, 2)

@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 
 from portclone import verification
-from portclone.tensor_core import LabeledOperator
+from portclone.states import input_label, pbt_layout, pbtc_signal, pbtc_signal_entries
+from portclone.symmetry import enumerate_unordered
+from portclone.tensor_core import (
+    LabeledOperator,
+    support_rank,
+    support_rank_blocks,
+    weight_sectors,
+)
 from portclone.verification import (
     combinatorial_disjoint_overlap,
     cycle_sum_by_enumeration,
@@ -61,6 +68,16 @@ class TestPurity:
         ]
         assert excesses == sorted(excesses, reverse=True)
         assert excesses[-1] > 0
+
+
+class TestRankCheck:
+    @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (2, 5, 3), (3, 3, 2)])
+    def test_sector_rank_equals_dense_rank(self, d, N, M):
+        # check d ranks each signal block by block; the dense rank must agree
+        sectors = weight_sectors(pbt_layout(N, d), [input_label()])
+        for I in enumerate_unordered(N, M):
+            blocks = [pbtc_signal_entries(I, N, d, idx) for idx in sectors]
+            assert support_rank_blocks(blocks) == support_rank(pbtc_signal(I, N, d))
 
 
 class TestSuite:
