@@ -18,7 +18,6 @@ from portclone.tensor_core import (
 from portclone.symmetry import (
     PortSet,
     OrderedPorts,
-    Permutation,
     enumerate_unordered,
     enumerate_ordered,
     permutation_unitary,
@@ -28,7 +27,6 @@ from portclone.symmetry import (
 )
 from portclone.states import (
     max_entangled,
-    Ensemble,
     pbt_signal,
     mpbt_signal,
     pbtc_signal,
@@ -52,10 +50,10 @@ __version__ = "0.1.0"
 __all__ = [
     "SubsystemLayout", "LabeledOperator", "Spectrum", "kron_compose",
     "partial_trace", "hermitian_eig", "psd_inv_sqrt",
-    "PortSet", "OrderedPorts", "Permutation", "enumerate_unordered",
+    "PortSet", "OrderedPorts", "enumerate_unordered",
     "enumerate_ordered", "permutation_unitary", "symmetric_projector",
     "stirling_first", "sym_dim",
-    "max_entangled", "Ensemble", "pbt_signal", "mpbt_signal", "pbtc_signal",
+    "max_entangled", "pbt_signal", "mpbt_signal", "pbtc_signal",
     "ensemble_average",
     "Povm", "pgm", "complete", "std_pbtc_povm", "clone_mpbt_povm",
     "FidelityReport", "clone", "single_clone_output",

@@ -37,6 +37,7 @@ from portclone.tensor_core import (
     kron_compose,
     partial_trace,
     psd_inv_sqrt_blocks,
+    trace_product,
     weight_sectors,
 )
 
@@ -160,22 +161,7 @@ def entanglement_fidelity_formula(
     for I, element in povm.outcomes.items():
         if I not in signal_for_outcome:
             raise KeyError(f"no signal state supplied for outcome {I}")
-        total += float(np.real(np.sum(element.entries * signal_for_outcome[I].entries.T)))
-    return total / d**2
-
-
-def formula_delta_contribution(
-    povm: Povm, signal_for_outcome: dict[PortSet, LabeledOperator]
-) -> float:
-    """Part of the formula-route fidelity contributed by the completion element."""
-    if povm.completion_element is None:
-        return 0.0
-    d = povm.layout.dims[0]
-    delta = povm.completion_element.entries
-    total = sum(
-        float(np.real(np.sum(delta * signal_for_outcome[I].entries.T)))
-        for I in povm.outcomes
-    )
+        total += trace_product(element.entries, signal_for_outcome[I].entries)
     return total / d**2
 
 
@@ -197,7 +183,7 @@ def entanglement_fidelity_choi(
     phi_in = max_entangled(d, input_label(), REFERENCE_LABEL)
     out = _clone_channel(povm, phi_in, N, d, clone_slot)
     phi_out = max_entangled(d, REFERENCE_LABEL, OUTPUT_LABEL)
-    return float(np.real(np.sum(out.entries * phi_out.entries.T)))
+    return trace_product(out.entries, phi_out.entries)
 
 
 def haar_average_check(
@@ -287,8 +273,8 @@ def _sector_fidelities(layout, x_labels, members, slots, targets, d_in):
         eta = sum(build(idx) for build in own)
         for k, key in enumerate(slots[c0]):
             tau = targets[key](idx)
-            main[k] += np.sum(eta * (root @ tau @ root).T)
-            completion[k] += np.sum(kernel * tau.T)
+            main[k] += trace_product(eta, root @ tau @ root)
+            completion[k] += trace_product(kernel, tau)
     per_slot = (n_c * main / n_J + completion) / d_in**2
     return list(per_slot), completion[0] / d_in**2, [len(idx) for idx in sectors]
 

@@ -152,10 +152,14 @@ def sweep(protocols, d, m, n_range, csv_path, svg_path, jobs, dim_cap):
     """Sweep fidelities over a range of port counts; write CSV and optional SVG."""
     _apply_dim_cap(dim_cap)
     protos = [p.strip() for p in protocols.split(",") if p.strip()]
+    if not protos:
+        raise click.UsageError("--protocols names no protocol")
     for p in protos:
         if p not in SWEEP_PROTOCOLS:
             raise click.UsageError(f"unknown protocol {p!r}")
     n_values = _parse_range(n_range)
+    if not n_values:
+        raise click.UsageError(f"N range {n_range!r} is empty")
     if min(n_values) < m:
         raise click.UsageError(f"N range must start at or above M={m}")
     grid = [(p, n) for p in protos for n in n_values]
@@ -195,7 +199,10 @@ def verify(d, n, m, tol, json_path, inject_fault, dim_cap):
     _apply_dim_cap(dim_cap)
     if m > n:
         raise click.UsageError(f"M={m} exceeds N={n}")
-    results = run_suite(d, n, m, tol=tol, inject_fault=inject_fault)
+    try:
+        results = run_suite(d, n, m, tol=tol, inject_fault=inject_fault)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     name_w = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -17,13 +17,6 @@ from portclone.tensor_core import (
 )
 
 
-def shrinking_factor(K: int, M: int, d: int) -> float:
-    """Weight of the input state in each K -> M optimal clone."""
-    if not 1 <= K <= M:
-        raise ValueError(f"need 1 <= K <= M, got K={K}, M={M}")
-    return (K / M) * (M + d) / (K + d)
-
-
 def optimal_clone_fidelity(M: int, d: int) -> float:
     """Single-clone fidelity of 1 -> M optimal cloning: (d + 2M - 1) / (M (d + 1))."""
     return (d + 2 * M - 1) / (M * (d + 1))

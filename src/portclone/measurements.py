@@ -10,7 +10,6 @@ import numpy as np
 
 from portclone.cloning import clone_adjoint_on_input
 from portclone.states import (
-    Ensemble,
     ensemble_average,
     input_label,
     mpbt_ensemble,
@@ -62,18 +61,17 @@ class Povm:
             raise ValueError(f"POVM elements sum to identity only within {dev:.3e}")
 
 
-def pgm(e: Ensemble) -> Povm:
-    """Square-root measurement of an ensemble; sums to the average state's
-    support projector, so it is generally incomplete until `complete` is applied."""
+def pgm(e: dict[Hashable, LabeledOperator]) -> Povm:
+    """Square-root measurement of the uniform ensemble {outcome: state}; sums to
+    the average state's support projector, so it is generally incomplete until
+    `complete` is applied."""
     avg = ensemble_average(e)
     if np.abs(avg.entries).max() < 1e-300:
         raise ValueError("ensemble average is zero; PGM undefined")
     root = psd_inv_sqrt(avg)
-    keys = e.keys if e.keys is not None else tuple(range(len(e)))
-    outcomes = {
-        key: root @ (p * state) @ root for key, (p, state) in zip(keys, e.items)
-    }
-    return Povm(outcomes=outcomes, layout=e.layout)
+    p = 1.0 / len(e)
+    outcomes = {key: root @ (p * state) @ root for key, state in e.items()}
+    return Povm(outcomes=outcomes, layout=avg.layout)
 
 
 def complete(p: Povm) -> Povm:

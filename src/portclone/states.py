@@ -3,9 +3,8 @@ teleportation signal states, and their partially symmetrized variants."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -18,11 +17,7 @@ from portclone.symmetry import (
     sym_dim,
     symmetrize_slots,
 )
-from portclone.tensor_core import LabeledOperator, SubsystemLayout, hermitian_eig
-
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
-PRIOR_TOL = 1e-12
+from portclone.tensor_core import LabeledOperator, SubsystemLayout
 
 
 def input_label(k: int | None = None) -> str:
@@ -81,21 +76,13 @@ def pbt_signal_entries(i: int, N: int, d: int, idx: np.ndarray | None = None) ->
     return pairing_pattern(pbt_layout(N, d), [(0, i)], idx) / d**N
 
 
-def pbtc_signal_entries(
-    I: PortSet, N: int, d: int, idx: np.ndarray | None = None, representative: int | None = None
-) -> np.ndarray:
+def pbtc_signal_entries(I: PortSet, N: int, d: int, idx: np.ndarray | None = None) -> np.ndarray:
     """Partially symmetrized signal state (d^M / d[M]) Pi_I rho^{i1} Pi_I on the
-    basis indices `idx` of [X, A1..AN] (all of them by default).
-
-    The result does not depend on which element of I is used as the
-    representative; `representative` exists so tests can verify that.
-    """
+    basis indices `idx` of [X, A1..AN] (all of them by default), with i1 the
+    smallest port of I; any other port of I gives the same state."""
     if I.N != N:
         raise ValueError(f"port set defined for N={I.N}, expected {N}")
-    i1 = I.smallest if representative is None else representative
-    if i1 not in I:
-        raise ValueError(f"representative {i1} not in port set {I.elements}")
-    rho = pbt_signal_entries(i1, N, d, idx)
+    rho = pbt_signal_entries(I.smallest, N, d, idx)
     if I.M == 1:
         return rho  # projector is the identity and the prefactor is 1
     return d**I.M / sym_dim(d, I.M) * symmetrize_slots(rho, pbt_layout(N, d), I.elements, idx)
@@ -125,76 +112,28 @@ def mpbt_signal(J: OrderedPorts, N: int, d: int) -> LabeledOperator:
 
 
 @lru_cache(maxsize=None)
-def pbtc_signal(I: PortSet, N: int, d: int, representative: int | None = None) -> LabeledOperator:
+def pbtc_signal(I: PortSet, N: int, d: int) -> LabeledOperator:
     """Dense partially symmetrized signal state; see `pbtc_signal_entries`."""
-    return LabeledOperator(pbt_layout(N, d), pbtc_signal_entries(I, N, d, None, representative))
+    return LabeledOperator(pbt_layout(N, d), pbtc_signal_entries(I, N, d))
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Prior-weighted family of density operators on one shared layout."""
-
-    items: tuple[tuple[float, LabeledOperator], ...]
-    keys: tuple | None = None
-
-    def __post_init__(self):
-        if not self.items:
-            raise ValueError("ensemble must be nonempty")
-        if self.keys is not None and len(self.keys) != len(self.items):
-            raise ValueError("keys/items length mismatch")
-        layout = self.items[0][1].layout
-        total = 0.0
-        for p, state in self.items:
-            if p < 0:
-                raise ValueError(f"negative prior {p}")
-            if state.layout.labels != layout.labels:
-                raise ValueError("ensemble states must share one layout")
-            total += p
-        if abs(total - 1.0) > PRIOR_TOL:
-            raise ValueError(f"priors sum to {total}, not 1")
-
-    @property
-    def layout(self) -> SubsystemLayout:
-        return self.items[0][1].layout
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def validate_states(self, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL):
-        """Eigenvalue-level check that each member is PSD with unit trace."""
-        for p, state in self.items:
-            tr = state.trace()
-            if abs(tr - 1.0) > trace_tol:
-                raise ValueError(f"ensemble state trace {tr} differs from 1")
-            lam_min = hermitian_eig(state).eigenvalues.min()
-            if lam_min < -psd_tol:
-                raise ValueError(f"ensemble state has negative eigenvalue {lam_min:.3e}")
-
-
-def uniform_ensemble(states: Sequence[LabeledOperator], keys: Sequence | None = None) -> Ensemble:
-    p = 1.0 / len(states)
-    return Ensemble(
-        tuple((p, s) for s in states), None if keys is None else tuple(keys)
-    )
-
-
-def ensemble_average(e: Ensemble) -> LabeledOperator:
-    """Prior-weighted average state."""
-    acc = np.zeros((e.layout.dim, e.layout.dim), dtype=complex)
-    for p, state in e.items:
+def ensemble_average(e: dict[Hashable, LabeledOperator]) -> LabeledOperator:
+    """Average state of the uniform ensemble {outcome: state}."""
+    if not e:
+        raise ValueError("ensemble must be nonempty")
+    layout = next(iter(e.values())).layout
+    if any(state.layout.labels != layout.labels for state in e.values()):
+        raise ValueError("ensemble states must share one layout")
+    p = 1.0 / len(e)
+    acc = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for state in e.values():
         acc += p * state.entries
-    return LabeledOperator(e.layout, acc)
+    return LabeledOperator(layout, acc)
 
 
-def pbt_ensemble(N: int, d: int) -> Ensemble:
-    return pbtc_ensemble(N, 1, d)  # a one-port set needs no symmetrization
+def pbtc_ensemble(N: int, M: int, d: int) -> dict[PortSet, LabeledOperator]:
+    return {I: pbtc_signal(I, N, d) for I in enumerate_unordered(N, M)}
 
 
-def pbtc_ensemble(N: int, M: int, d: int) -> Ensemble:
-    outcomes = enumerate_unordered(N, M)
-    return uniform_ensemble([pbtc_signal(I, N, d) for I in outcomes], keys=outcomes)
-
-
-def mpbt_ensemble(N: int, M: int, d: int) -> Ensemble:
-    outcomes = enumerate_ordered(N, M)
-    return uniform_ensemble([mpbt_signal(J, N, d) for J in outcomes], keys=outcomes)
+def mpbt_ensemble(N: int, M: int, d: int) -> dict[OrderedPorts, LabeledOperator]:
+    return {J: mpbt_signal(J, N, d) for J in enumerate_ordered(N, M)}

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 from typing import Sequence
 
 import numpy as np
@@ -41,10 +41,6 @@ class PortSet:
     @property
     def smallest(self) -> int:
         return self.elements[0]
-
-    def complement(self) -> tuple[int, ...]:
-        inside = set(self.elements)
-        return tuple(i for i in range(1, self.N + 1) if i not in inside)
 
     def __contains__(self, i: int) -> bool:
         return i in self.elements
@@ -93,98 +89,49 @@ def enumerate_ordered(N: int, M: int) -> list[OrderedPorts]:
     return [OrderedPorts(p, N) for p in itertools.permutations(range(1, N + 1), M)]
 
 
-class Permutation:
-    """A bijection on {1..N}; its cycle decomposition is computed on first use."""
-
-    def __init__(self, images: Sequence[int]):
-        images = tuple(int(x) for x in images)
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection on 1..{n}: {images}")
-        self.images = images
-        self.n = n
-
-    @cached_property
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * (self.n + 1)
-        cycles = []
-        for start in range(1, self.n + 1):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            nxt = self(start)
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt] = True
-                nxt = self(nxt)
-            cycles.append(tuple(cyc))
-        return tuple(cycles)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation(cycles={self.cycles})"
-
-    @property
-    def n_cycles(self) -> int:
-        """Cycle count including fixed points."""
-        return len(self.cycles)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return Permutation([self(other(i)) for i in range(1, self.n + 1)])
-
-    def apply_set(self, I: PortSet) -> PortSet:
-        return PortSet(tuple(sorted(self(i) for i in I)), I.N)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+def cycle_count(s: Sequence[int]) -> int:
+    """Number of cycles, fixed points included, of the permutation with
+    0-based images s."""
+    seen = [False] * len(s)
+    count = 0
+    for start in range(len(s)):
+        if seen[start]:
+            continue
+        count += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = s[j]
+    return count
 
 
-def subgroup_fixing_complement(I: PortSet) -> list[Permutation]:
-    """All permutations of 1..N that permute I and fix everything else."""
-    members = []
-    for images_of_I in itertools.permutations(I.elements):
-        images = list(range(1, I.N + 1))
-        for src, dst in zip(I.elements, images_of_I):
-            images[src - 1] = dst
-        members.append(Permutation(images))
+def subgroup_fixing_complement(I: PortSet) -> np.ndarray:
+    """All permutations of the ports that permute I and fix everything else,
+    one per row as 0-based images: row s maps port j + 1 to port s[j] + 1."""
+    ports = np.array(I.elements) - 1
+    members = np.tile(np.arange(I.N), (factorial(I.M), 1))
+    members[:, ports] = ports[np.array(list(itertools.permutations(range(I.M))))]
     return members
 
 
-def permuted_basis_indices(p: Permutation, d: int) -> np.ndarray:
-    """Where V_p sends each basis state of N qudits: V_p |c> = |rows[c]>,
-    with V_p |k_1 ... k_N> = |k_{p^-1(1)} ... k_{p^-1(N)}>."""
-    dims = [d] * p.n
-    digits = np.array(np.unravel_index(np.arange(d**p.n), dims))  # digit j of each index
-    inv = p.inverse()
-    return np.ravel_multi_index(tuple(digits[[inv(i) - 1 for i in range(1, p.n + 1)]]), dims)
+def permuted_basis_indices(s: np.ndarray, d: int) -> np.ndarray:
+    """Where V_s sends each basis state of N = len(s) qudits: V_s |c> = |rows[c]>,
+    with V_s |k_1 ... k_N> = |k_{s^-1(1)} ... k_{s^-1(N)}>."""
+    dims = [d] * len(s)
+    digits = np.array(np.unravel_index(np.arange(d ** len(s)), dims))  # digit j of each index
+    return np.ravel_multi_index(tuple(digits[np.argsort(s)]), dims)
 
 
-def permutation_unitary(p: Permutation, d: int, slots: Sequence[str]) -> LabeledOperator:
-    """Unitary permuting N qudit slots: V |k_1 ... k_N> = |k_{p^-1(1)} ... k_{p^-1(N)}>."""
-    if len(slots) != p.n:
-        raise ValueError(f"permutation acts on {p.n} slots but {len(slots)} labels given")
-    layout = SubsystemLayout(slots, [d] * p.n)
+def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledOperator:
+    """Unitary permuting N qudit slots by the 0-based images s:
+    V |k_1 ... k_N> = |k_{s^-1(1)} ... k_{s^-1(N)}>."""
+    if sorted(s) != list(range(len(s))):
+        raise ValueError(f"not a bijection on 0..{len(s) - 1}: {list(s)}")
+    if len(slots) != len(s):
+        raise ValueError(f"permutation acts on {len(s)} slots but {len(slots)} labels given")
+    layout = SubsystemLayout(slots, [d] * len(s))
     entries = np.zeros((layout.dim, layout.dim), dtype=complex)
-    entries[permuted_basis_indices(p, d), np.arange(layout.dim)] = 1.0
+    entries[permuted_basis_indices(s, d), np.arange(layout.dim)] = 1.0
     return LabeledOperator(layout, entries)
 
 
@@ -225,20 +172,14 @@ def symmetrize_slots(
     return sum(rows[:, g] for g in gathers) / len(gathers)
 
 
-def _slot_projector(layout: SubsystemLayout, slots: Sequence[int]) -> LabeledOperator:
-    return LabeledOperator(layout, symmetrize_slots(np.eye(layout.dim), layout, slots, None))
-
-
-def symmetric_projector_standalone(labels: Sequence[str], d: int) -> LabeledOperator:
-    """Symmetric-subspace projector on exactly the given slots."""
-    return _slot_projector(SubsystemLayout(labels, [d] * len(labels)), range(len(labels)))
-
-
 def symmetric_projector(
     I: PortSet, d: int, full_layout: SubsystemLayout
 ) -> LabeledOperator:
     """Symmetric projector on ports I, acting as identity on the other subsystems."""
-    return _slot_projector(full_layout, [full_layout.index(port_label(i)) for i in I])
+    slots = [full_layout.index(port_label(i)) for i in I]
+    return LabeledOperator(
+        full_layout, symmetrize_slots(np.eye(full_layout.dim), full_layout, slots, None)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -100,10 +100,6 @@ class LabeledOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
-        scale = max(np.abs(self.entries).max(), 1e-300)
-        return np.abs(self.entries - self.entries.conj().T).max() <= rtol * scale
-
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
         if self.layout.labels != other.layout.labels:
             raise ValueError(
@@ -209,6 +205,11 @@ def partial_trace(op: LabeledOperator, drop: Iterable[str]) -> LabeledOperator:
     return LabeledOperator(keep_layout, tensor.reshape(d, d))
 
 
+def trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Tr[AB] as an elementwise sum, without forming the product."""
+    return float(np.real(np.sum(a * b.T)))
+
+
 def weight_sectors(layout: SubsystemLayout, conj_labels: Sequence[str]) -> list[np.ndarray]:
     """Basis indices grouped by weight, each group ascending.
 
@@ -253,11 +254,6 @@ def support_rank_blocks(blocks: Sequence[np.ndarray], rel_tol: float = PINV_CUTO
     scale = max(np.abs(b).max() for b in blocks)
     vals = np.abs(np.concatenate([_checked_eigh(b, scale)[0] for b in blocks]))
     return int(np.sum(vals > rel_tol * vals.max()))
-
-
-def support_rank(op: LabeledOperator, rel_tol: float = PINV_CUTOFF) -> int:
-    """Number of eigenvalues above rel_tol * max|eigenvalue|."""
-    return support_rank_blocks([op.entries], rel_tol)
 
 
 def psd_inv_sqrt_blocks(

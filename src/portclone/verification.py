@@ -18,8 +18,8 @@ from portclone.measurements import pgm, complete
 from portclone.states import ensemble_average, pbtc_ensemble, pbtc_signal
 from portclone.states import input_label, pbt_layout, pbtc_signal_entries
 from portclone.symmetry import (
-    Permutation,
     PortSet,
+    cycle_count,
     enumerate_unordered,
     permuted_basis_indices,
     port_label,
@@ -34,6 +34,7 @@ from portclone.tensor_core import (
     SubsystemLayout,
     support_projector,
     support_rank_blocks,
+    trace_product,
     weight_sectors,
 )
 
@@ -81,10 +82,7 @@ def _skipped(name, params, notes) -> CheckResult:
 def cycle_sum_by_enumeration(d: int, M: int) -> int:
     """sum over sigma, tau in S_M of d^(cycles(sigma) + cycles(tau)), by
     explicit cycle decomposition of every group element."""
-    counts = [
-        Permutation(images).n_cycles
-        for images in itertools.permutations(range(1, M + 1))
-    ]
+    counts = [cycle_count(images) for images in itertools.permutations(range(M))]
     one_sided = sum(d**c for c in counts)
     return one_sided * one_sided
 
@@ -120,14 +118,12 @@ def combinatorial_disjoint_overlap(d: int, M: int, N: int) -> float:
 
 
 def dense_overlap(I: PortSet, J: PortSet, N: int, d: int) -> float:
-    a = pbtc_signal(I, N, d).entries
-    b = pbtc_signal(J, N, d).entries
-    return float(np.real(np.sum(a * b.T)))
+    return trace_product(pbtc_signal(I, N, d).entries, pbtc_signal(J, N, d).entries)
 
 
 def purity(op: LabeledOperator) -> float:
     """Tr[op^2] of a Hermitian operator, as an elementwise sum."""
-    return float(np.real(np.sum(op.entries * op.entries.T)))
+    return trace_product(op.entries, op.entries)
 
 
 def eta_bar_purity(N: int, M: int, d: int) -> float:
@@ -159,9 +155,7 @@ def _permuted_outcomes(N, outcomes):
 
 def _check_subgroup_conjugation(d, N, M, tol, params):
     outcomes = enumerate_unordered(N, M)
-    subgroups = [
-        np.array([p.images for p in subgroup_fixing_complement(I)]) - 1 for I in outcomes
-    ]
+    subgroups = [subgroup_fixing_complement(I) for I in outcomes]
     expected = [set(map(tuple, g.tolist())) for g in subgroups]
     worst = 0
     for s, image in _permuted_outcomes(N, outcomes):
@@ -182,7 +176,7 @@ def _check_projector_conjugation(d, N, M, tol, params):
     for s, image in _permuted_outcomes(N, outcomes):
         # V_sigma is a 0/1 permutation matrix, so V_sigma Pi V_sigma^dag is Pi
         # with rows and columns gathered by the basis map of sigma^-1
-        g = permuted_basis_indices(Permutation(s + 1).inverse(), d)
+        g = permuted_basis_indices(np.argsort(s), d)
         flat = (g[:, None] * D + g).ravel()
         # one outcome at a time: temporaries of the whole stack cost more in
         # fresh pages than the comparison itself

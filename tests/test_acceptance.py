@@ -24,7 +24,7 @@ from portclone.channels import (
 )
 from portclone.cloning import optimal_clone_fidelity
 from portclone.measurements import clone_mpbt_povm, complete, pgm, std_pbtc_povm
-from portclone.states import pbt_ensemble
+from portclone.states import pbt_signal
 from portclone.symmetry import PortSet
 from portclone.verification import (
     combinatorial_disjoint_overlap,
@@ -171,7 +171,7 @@ class TestCriterion3LimitConvergence:
 class TestCriterion4SinglePortReduction:
     def test_povm_reduces_to_plain_pgm(self):
         a = std_pbtc_povm(3, 1, 2)
-        b = complete(pgm(pbt_ensemble(3, 2)))
+        b = complete(pgm({I: pbt_signal(I.smallest, 3, 2) for I in a.outcomes}))
         worst = max(
             np.abs(a.outcomes[I].entries - b.outcomes[I].entries).max()
             for I in a.outcomes

@@ -8,7 +8,6 @@ from portclone.channels import (
     avg_fidelity,
     entanglement_fidelity_choi,
     entanglement_fidelity_formula,
-    formula_delta_contribution,
     haar_average_check,
     protocol_fidelity,
     single_clone_output,
@@ -124,7 +123,9 @@ def dense_formula_route(protocol, N, M, d):
         signals = [slot_signals(povm, N, d, k) for k in range(1, M + 1)]
         rescale = 1.0
     per_slot = [rescale * entanglement_fidelity_formula(povm, s) for s in signals]
-    return per_slot, rescale * formula_delta_contribution(povm, signals[0])
+    # the completion part is the same formula with every element replaced by Delta
+    delta = Povm({key: povm.completion_element for key in povm.outcomes}, povm.layout)
+    return per_slot, rescale * entanglement_fidelity_formula(delta, signals[0])
 
 
 def assert_blocked_matches_dense(protocol, d, N, M):

@@ -97,6 +97,21 @@ class TestSweepCommand:
         assert "unknown protocol" in res.output
 
 
+    @pytest.mark.parametrize("args,message", [
+        (["--N-range", "5:3"], "is empty"),
+        (["--protocols", ""], "no protocol"),
+        (["--protocols", " , "], "no protocol"),
+    ])
+    def test_empty_grid_rejected(self, runner, tmp_path, args, message):
+        paths = [tmp_path / "x.csv", tmp_path / "x.svg"]
+        res = runner.invoke(
+            main, ["sweep", "--csv", str(paths[0]), "--svg", str(paths[1])] + args
+        )
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not any(p.exists() for p in paths)
+
+
 class TestVerifyCommand:
     def test_passes_and_prints_lines(self, runner):
         res = runner.invoke(main, ["verify", "--N", "3", "--M", "2"])
@@ -121,6 +136,17 @@ class TestVerifyCommand:
     def test_m_above_n_rejected(self, runner):
         res = runner.invoke(main, ["verify", "--N", "2", "--M", "3"])
         assert res.exit_code != 0
+
+
+    @pytest.mark.parametrize("args,message", [
+        (["--M", "0"], "need 1 <= M <= N"),
+        (["--M", "2", "--d", "1"], "local dimensions must be >= 2"),
+    ])
+    def test_bad_params_reported(self, runner, args, message):
+        res = runner.invoke(main, ["verify", "--N", "3"] + args)
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert f"Error: {message}" in res.output
 
 
 class TestPovmDump:

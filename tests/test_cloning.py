@@ -6,7 +6,6 @@ from portclone.cloning import (
     clone_map,
     cloned_signal_entries,
     optimal_clone_fidelity,
-    shrinking_factor,
 )
 from portclone.states import input_label, maximally_mixed, mpbt_layout, pbt_signal
 from portclone.tensor_core import (
@@ -45,7 +44,7 @@ class TestCloneMap:
         psi = pure_state([1, 1j], "X")
         out_labels = [f"c{k}" for k in range(M)]
         out = clone_map(psi, M, d, out_labels)
-        gamma = shrinking_factor(1, M, d)
+        gamma = (1 / M) * (M + d) / (1 + d)
         expected = gamma * psi.entries + (1 - gamma) * np.eye(d) / d
         for k in range(M):
             keep = out_labels[k]
@@ -112,10 +111,6 @@ class TestCloneAdjoint:
 
 
 class TestFormulas:
-    def test_shrinking_factor_endpoints(self):
-        assert shrinking_factor(2, 2, 3) == 1.0
-        assert abs(shrinking_factor(1, 2, 2) - 2 / 3) < 1e-15
-
     def test_fidelity_limits(self):
         assert optimal_clone_fidelity(1, 2) == 1.0
         # M -> infinity limit is 2/(d+1), the measure-and-prepare value

@@ -11,12 +11,7 @@ from portclone.measurements import (
     povm_to_json_dict,
     std_pbtc_povm,
 )
-from portclone.states import (
-    ensemble_average,
-    pbt_ensemble,
-    pbtc_ensemble,
-    uniform_ensemble,
-)
+from portclone.states import ensemble_average, pbt_signal, pbtc_ensemble
 from portclone.symmetry import PortSet, enumerate_unordered
 from portclone.tensor_core import (
     LabeledOperator,
@@ -43,10 +38,17 @@ class TestPgm:
         layout = SubsystemLayout(["a"], [2])
         s0 = LabeledOperator(layout, np.diag([1.0, 0.0]))
         s1 = LabeledOperator(layout, np.diag([0.0, 1.0]))
-        povm = pgm(uniform_ensemble([s0, s1]))
+        povm = pgm({0: s0, 1: s1})
         els = list(povm.outcomes.values())
         assert np.allclose(els[0].entries, np.diag([1.0, 0.0]))
         assert np.allclose(els[1].entries, np.diag([0.0, 1.0]))
+
+    def test_mixed_layouts_rejected(self):
+        layout = SubsystemLayout(["a"], [2])
+        s0 = LabeledOperator(layout, np.diag([1.0, 0.0]))
+        s1 = LabeledOperator(SubsystemLayout(["b"], [2]), np.diag([0.0, 1.0]))
+        with pytest.raises(ValueError, match="layout"):
+            pgm({0: s0, 1: s1})
 
     def test_keys_carried_through(self):
         povm = pgm(pbtc_ensemble(4, 2, 2))
@@ -92,7 +94,7 @@ class TestStdPbtcPovm:
     def test_m1_matches_single_port_pgm(self):
         # with no symmetrization the builder must reduce to the plain PGM
         a = std_pbtc_povm(3, 1, 2)
-        b = complete(pgm(pbt_ensemble(3, 2)))
+        b = complete(pgm({I: pbt_signal(I.smallest, 3, 2) for I in a.outcomes}))
         for I in a.outcomes:
             assert np.abs(a.outcomes[I].entries - b.outcomes[I].entries).max() < 1e-12
 

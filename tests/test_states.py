@@ -2,24 +2,25 @@ import numpy as np
 import pytest
 
 from portclone.states import (
-    Ensemble,
     ensemble_average,
     max_entangled,
     mpbt_ensemble,
     mpbt_signal,
-    pbt_ensemble,
+    pbt_layout,
     pbt_signal,
+    pbt_signal_entries,
     pbtc_ensemble,
     pbtc_signal,
-    uniform_ensemble,
 )
 from portclone.symmetry import (
     OrderedPorts,
     PortSet,
     enumerate_unordered,
+    sym_dim,
     symmetric_projector,
+    symmetrize_slots,
 )
-from portclone.tensor_core import hermitian_eig, partial_trace, support_rank
+from portclone.tensor_core import hermitian_eig, partial_trace, support_rank_blocks
 
 
 class TestMaxEntangled:
@@ -80,10 +81,13 @@ class TestPbtcSignal:
             assert hermitian_eig(eta).eigenvalues.min() > -1e-12
 
     def test_representative_independence(self):
-        I = PortSet((1, 3), 3)
-        a = pbtc_signal(I, 3, 2, representative=1)
-        b = pbtc_signal(I, 3, 2, representative=3)
-        assert np.abs(a.entries - b.entries).max() < 1e-12
+        # (d^M / d[M]) Pi_I rho^j Pi_I is the same state for every j in I
+        I, N, d = PortSet((1, 3), 3), 3, 2
+        eta = pbtc_signal(I, N, d).entries
+        for j in I:
+            rho = pbt_signal_entries(j, N, d)
+            sym = symmetrize_slots(rho, pbt_layout(N, d), I.elements, None)
+            assert np.abs(d**I.M / sym_dim(d, I.M) * sym - eta).max() < 1e-12
 
     def test_m1_reduces_to_plain_signal(self):
         eta = pbtc_signal(PortSet((2,), 3), 3, 2)
@@ -98,32 +102,29 @@ class TestPbtcSignal:
 
     def test_support_rank(self):
         # rank d[M-1] * d^(N-M): here 2 * 2 = 4
-        assert support_rank(pbtc_signal(PortSet((1, 2), 3), 3, 2)) == 4
+        assert support_rank_blocks([pbtc_signal(PortSet((1, 2), 3), 3, 2).entries]) == 4
 
 
 class TestEnsemble:
-    def test_priors_must_sum_to_one(self):
-        rho = pbt_signal(1, 2, 2)
-        with pytest.raises(ValueError, match="priors"):
-            Ensemble(items=((0.5, rho), (0.4, rho)))
-
-    def test_negative_prior_rejected(self):
-        rho = pbt_signal(1, 2, 2)
-        with pytest.raises(ValueError, match="negative"):
-            Ensemble(items=((1.5, rho), (-0.5, rho)))
-
     def test_mixed_layouts_rejected(self):
         with pytest.raises(ValueError, match="layout"):
-            uniform_ensemble([pbt_signal(1, 2, 2), max_entangled(2, "X", "A1")])
+            ensemble_average({1: pbt_signal(1, 2, 2), 2: max_entangled(2, "X", "A1")})
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            ensemble_average({})
 
     def test_validate_states(self):
-        pbtc_ensemble(3, 2, 2).validate_states()
+        # every member of the ensemble is PSD with unit trace
+        for state in pbtc_ensemble(3, 2, 2).values():
+            assert abs(state.trace() - 1) < 1e-10
+            assert hermitian_eig(state).eigenvalues.min() > -1e-10
 
     def test_average_trace_one(self):
-        for e in (pbt_ensemble(3, 2), pbtc_ensemble(3, 2, 2), mpbt_ensemble(3, 2, 2)):
+        for e in (pbtc_ensemble(3, 1, 2), pbtc_ensemble(3, 2, 2), mpbt_ensemble(3, 2, 2)):
             assert abs(ensemble_average(e).trace() - 1) < 1e-10
 
     def test_keys_align_with_outcomes(self):
         e = pbtc_ensemble(4, 2, 2)
-        assert e.keys == tuple(enumerate_unordered(4, 2))
+        assert tuple(e) == tuple(enumerate_unordered(4, 2))
         assert len(e) == 6

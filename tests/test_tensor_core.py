@@ -15,11 +15,7 @@ from portclone.states import (
     pbt_signal,
     pbtc_ensemble,
 )
-from portclone.symmetry import (
-    enumerate_unordered,
-    symmetric_projector,
-    symmetric_projector_standalone,
-)
+from portclone.symmetry import PortSet, enumerate_unordered, symmetric_projector
 from portclone.tensor_core import (
     PINV_CUTOFF,
     DimensionCapError,
@@ -159,7 +155,7 @@ class TestHermitianEig:
         assert np.allclose(spec.eigenvalues, [1, 0, 0, 0], atol=1e-12)
 
     def test_symmetric_projector_rank(self):
-        pi = symmetric_projector_standalone(["a", "b"], 2)
+        pi = symmetric_projector(PortSet((1, 2), 2), 2, SubsystemLayout(["A1", "A2"], [2, 2]))
         spec = hermitian_eig(pi)
         assert np.allclose(sorted(spec.eigenvalues), [0, 1, 1, 1], atol=1e-12)
 
@@ -244,7 +240,7 @@ class TestWeightSectors:
         off = off_sector_mask(layout, [input_label()])
         exact = [pbt_signal(i, N, d) for i in range(1, N + 1)]
         exact += [symmetric_projector(I, d, layout) for I in enumerate_unordered(N, M)]
-        exact += [p for _, p in pbtc_ensemble(N, M, d).items]
+        exact += list(pbtc_ensemble(N, M, d).values())
         exact.append(ensemble_average(pbtc_ensemble(N, M, d)))
         for op in exact:
             assert np.all(op.entries[off] == 0)
@@ -260,7 +256,7 @@ class TestWeightSectors:
         layout = mpbt_layout(N, M, d)
         off = off_sector_mask(layout, [input_label(1), input_label(2)])
         ensemble = mpbt_ensemble(N, M, d)
-        for _, state in ensemble.items:
+        for state in ensemble.values():
             assert np.all(state.entries[off] == 0)
         assert np.all(ensemble_average(ensemble).entries[off] == 0)
 

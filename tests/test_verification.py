@@ -7,7 +7,6 @@ from portclone.states import input_label, pbt_layout, pbtc_signal, pbtc_signal_e
 from portclone.symmetry import enumerate_unordered
 from portclone.tensor_core import (
     LabeledOperator,
-    support_rank,
     support_rank_blocks,
     weight_sectors,
 )
@@ -77,7 +76,8 @@ class TestRankCheck:
         sectors = weight_sectors(pbt_layout(N, d), [input_label()])
         for I in enumerate_unordered(N, M):
             blocks = [pbtc_signal_entries(I, N, d, idx) for idx in sectors]
-            assert support_rank_blocks(blocks) == support_rank(pbtc_signal(I, N, d))
+            dense = support_rank_blocks([pbtc_signal(I, N, d).entries])
+            assert support_rank_blocks(blocks) == dense
 
 
 class TestSuite:
