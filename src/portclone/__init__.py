@@ -35,7 +35,6 @@ from portclone.states import (
 from portclone.measurements import Povm, pgm, complete, std_pbtc_povm, clone_mpbt_povm
 from portclone.channels import (
     FidelityReport,
-    clone,
     single_clone_output,
     entanglement_fidelity_formula,
     entanglement_fidelity_choi,
@@ -56,7 +55,7 @@ __all__ = [
     "max_entangled", "pbt_signal", "mpbt_signal", "pbtc_signal",
     "ensemble_average",
     "Povm", "pgm", "complete", "std_pbtc_povm", "clone_mpbt_povm",
-    "FidelityReport", "clone", "single_clone_output",
+    "FidelityReport", "single_clone_output",
     "entanglement_fidelity_formula", "entanglement_fidelity_choi",
     "avg_fidelity", "haar_average_check", "protocol_fidelity",
     "CheckResult", "combinatorial_disjoint_overlap", "run_suite",

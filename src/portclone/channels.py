@@ -49,10 +49,6 @@ F_CONSISTENCY_TOL = 1e-12
 PROTOCOLS = ("std-pbtc", "clone-mpbt", "std-pbt", "mpbt", "clone")
 
 
-# re-export: the cloning map is itself a channel evaluated here
-clone = clone_map
-
-
 @dataclass(frozen=True)
 class FidelityReport:
     """Result of one fidelity evaluation."""

@@ -13,7 +13,6 @@ import click
 from portclone.channels import FidelityReport, protocol_fidelity
 from portclone.cloning import optimal_clone_fidelity
 from portclone.measurements import clone_mpbt_povm, povm_to_json_dict, std_pbtc_povm
-from portclone.tensor_core import DimensionCapError
 from portclone.verification import run_suite, suite_passed
 
 SWEEP_PROTOCOLS = ("std-pbtc", "clone-mpbt", "std-pbt", "mpbt")
@@ -47,7 +46,7 @@ def fidelity(protocol, d, n, m, dim_cap):
         raise click.UsageError("--N is required for port-based protocols")
     try:
         report = protocol_fidelity(protocol, d, n if n is not None else 0, m)
-    except (ValueError, DimensionCapError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo(json.dumps(report.to_json_dict(), indent=2))
 
@@ -173,7 +172,7 @@ def sweep(protocols, d, m, n_range, csv_path, svg_path, jobs, dim_cap):
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(point, grid))
-    except (ValueError, DimensionCapError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
     reports.sort(key=lambda r: (r.protocol, r.N))
     try:
@@ -232,7 +231,7 @@ def povm_dump(protocol, d, n, m, out_path, dim_cap):
     try:
         builder = std_pbtc_povm if protocol == "std-pbtc" else clone_mpbt_povm
         povm = builder(n, m, d)
-    except (ValueError, DimensionCapError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
     with open(out_path, "w") as fh:
         json.dump(povm_to_json_dict(povm), fh)

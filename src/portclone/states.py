@@ -3,7 +3,6 @@ teleportation signal states, and their partially symmetrized variants."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -99,19 +98,16 @@ def mpbt_signal_entries(
     return pairing_pattern(mpbt_layout(N, J.M, d), pairs, idx) / d**N
 
 
-@lru_cache(maxsize=None)
 def pbt_signal(i: int, N: int, d: int) -> LabeledOperator:
     """Dense signal state for outcome i; see `pbt_signal_entries`."""
     return LabeledOperator(pbt_layout(N, d), pbt_signal_entries(i, N, d))
 
 
-@lru_cache(maxsize=None)
 def mpbt_signal(J: OrderedPorts, N: int, d: int) -> LabeledOperator:
     """Dense signal state for ordered outcome J; see `mpbt_signal_entries`."""
     return LabeledOperator(mpbt_layout(N, J.M, d), mpbt_signal_entries(J, N, d))
 
 
-@lru_cache(maxsize=None)
 def pbtc_signal(I: PortSet, N: int, d: int) -> LabeledOperator:
     """Dense partially symmetrized signal state; see `pbtc_signal_entries`."""
     return LabeledOperator(pbt_layout(N, d), pbtc_signal_entries(I, N, d))

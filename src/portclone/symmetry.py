@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, prod
 from typing import Sequence
 
 import numpy as np
@@ -105,21 +105,42 @@ def cycle_count(s: Sequence[int]) -> int:
     return count
 
 
+def _slot_permutations(n: int, slots: Sequence[int]) -> np.ndarray:
+    """Every permutation of the positions `slots` among themselves, fixing the
+    other positions of 0..n-1, one per row as 0-based images in the order of
+    `itertools.permutations(slots)`."""
+    members = []
+    for images in itertools.permutations(slots):
+        row = list(range(n))
+        for j, i in zip(slots, images):
+            row[j] = i
+        members.append(row)
+    return np.array(members)
+
+
 def subgroup_fixing_complement(I: PortSet) -> np.ndarray:
     """All permutations of the ports that permute I and fix everything else,
     one per row as 0-based images: row s maps port j + 1 to port s[j] + 1."""
-    ports = np.array(I.elements) - 1
-    members = np.tile(np.arange(I.N), (factorial(I.M), 1))
-    members[:, ports] = ports[np.array(list(itertools.permutations(range(I.M))))]
-    return members
+    return _slot_permutations(I.N, [i - 1 for i in I.elements])
 
 
-def permuted_basis_indices(s: np.ndarray, d: int) -> np.ndarray:
-    """Where V_s sends each basis state of N = len(s) qudits: V_s |c> = |rows[c]>,
-    with V_s |k_1 ... k_N> = |k_{s^-1(1)} ... k_{s^-1(N)}>."""
-    dims = [d] * len(s)
-    digits = np.array(np.unravel_index(np.arange(d ** len(s)), dims))  # digit j of each index
-    return np.ravel_multi_index(tuple(digits[np.argsort(s)]), dims)
+def permuted_basis_indices(
+    s: np.ndarray, dims: Sequence[int], idx: np.ndarray | None = None
+) -> np.ndarray:
+    """Where each basis index c in `idx` (ascending; all of them if None) goes
+    when slot j takes digit s[j] of c: the position in `idx` of V_t |c> for
+    t = s^-1, with V_t as in `permutation_unitary`. `s` holds 0-based images,
+    one permutation or a stack of them with one result row each."""
+    full = idx is None
+    idx = np.arange(prod(dims)) if full else idx
+    digits = np.array(np.unravel_index(idx, dims))  # digit j of each index
+    target = np.ravel_multi_index(tuple(digits[np.asarray(s).T]), dims)
+    if full:
+        return target
+    pos = np.searchsorted(idx, target)
+    if not np.array_equal(idx[np.minimum(pos, len(idx) - 1)], target):
+        raise ValueError("index set is not closed under the slot permutations")
+    return pos
 
 
 def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledOperator:
@@ -131,29 +152,8 @@ def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledO
         raise ValueError(f"permutation acts on {len(s)} slots but {len(slots)} labels given")
     layout = SubsystemLayout(slots, [d] * len(s))
     entries = np.zeros((layout.dim, layout.dim), dtype=complex)
-    entries[permuted_basis_indices(s, d), np.arange(layout.dim)] = 1.0
+    entries[permuted_basis_indices(np.argsort(s), layout.dims), np.arange(layout.dim)] = 1.0
     return LabeledOperator(layout, entries)
-
-
-def _slot_gathers(
-    layout: SubsystemLayout, slots: Sequence[int], idx: np.ndarray | None
-) -> list[np.ndarray]:
-    """For each permutation of the slot positions `slots`, the position in
-    `idx` (ascending; all basis indices if None) of every basis state of `idx`
-    with those slots permuted."""
-    idx = np.arange(layout.dim) if idx is None else idx
-    digits = np.array(np.unravel_index(idx, layout.dims))
-    slots = list(slots)
-    gathers = []
-    for images in itertools.permutations(slots):
-        permuted = digits.copy()
-        permuted[slots] = digits[list(images)]
-        target = np.ravel_multi_index(tuple(permuted), layout.dims)
-        pos = np.searchsorted(idx, target)
-        if not np.array_equal(idx[np.minimum(pos, len(idx) - 1)], target):
-            raise ValueError("index set is not closed under the slot permutations")
-        gathers.append(pos)
-    return gathers
 
 
 def symmetrize_slots(
@@ -167,7 +167,8 @@ def symmetrize_slots(
     states to basis states, so both products are averages of row or column
     gathers of `block`.
     """
-    gathers = _slot_gathers(layout, slots, idx)
+    perms = _slot_permutations(len(layout.dims), slots)
+    gathers = permuted_basis_indices(perms, layout.dims, idx)
     rows = sum(block[g] for g in gathers) / len(gathers)
     return sum(rows[:, g] for g in gathers) / len(gathers)
 

@@ -36,7 +36,7 @@ class SubsystemLayout:
     dims: tuple[int, ...]
     dim: int = field(compare=False)
 
-    def __init__(self, labels: Sequence[str], dims: Sequence[int], cap: int | None = None):
+    def __init__(self, labels: Sequence[str], dims: Sequence[int]):
         labels = tuple(labels)
         dims = tuple(int(d) for d in dims)
         if len(labels) != len(dims):
@@ -49,10 +49,10 @@ class SubsystemLayout:
         total = 1
         for d in dims:
             total *= d
-        effective_cap = dim_cap() if cap is None else cap
-        if total > effective_cap:
+        cap = dim_cap()
+        if total > cap:
             raise DimensionCapError(
-                f"total dimension {total} exceeds cap {effective_cap} "
+                f"total dimension {total} exceeds cap {cap} "
                 f"(set PORTCLONE_DIM_CAP to raise it)"
             )
         object.__setattr__(self, "labels", labels)

@@ -15,7 +15,7 @@ import numpy as np
 
 from portclone.channels import protocol_fidelity
 from portclone.measurements import pgm, complete
-from portclone.states import ensemble_average, pbtc_ensemble, pbtc_signal
+from portclone.states import ensemble_average, pbtc_ensemble
 from portclone.states import input_label, pbt_layout, pbtc_signal_entries
 from portclone.symmetry import (
     PortSet,
@@ -117,8 +117,13 @@ def combinatorial_disjoint_overlap(d: int, M: int, N: int) -> float:
     return float(value)
 
 
-def dense_overlap(I: PortSet, J: PortSet, N: int, d: int) -> float:
-    return trace_product(pbtc_signal(I, N, d).entries, pbtc_signal(J, N, d).entries)
+def _overlap_table(ensemble: dict[PortSet, LabeledOperator]) -> dict[tuple, float]:
+    """Tr[eta^I eta^J] over the outcome pairs I <= J, in the order of
+    `itertools.combinations_with_replacement`."""
+    return {
+        (I, J): trace_product(ensemble[I].entries, ensemble[J].entries)
+        for I, J in itertools.combinations_with_replacement(ensemble, 2)
+    }
 
 
 def purity(op: LabeledOperator) -> float:
@@ -153,8 +158,7 @@ def _permuted_outcomes(N, outcomes):
         yield s, position[(1 << s[ports]).sum(axis=1)]
 
 
-def _check_subgroup_conjugation(d, N, M, tol, params):
-    outcomes = enumerate_unordered(N, M)
+def _check_subgroup_conjugation(d, N, M, tol, params, outcomes):
     subgroups = [subgroup_fixing_complement(I) for I in outcomes]
     expected = [set(map(tuple, g.tolist())) for g in subgroups]
     worst = 0
@@ -167,16 +171,15 @@ def _check_subgroup_conjugation(d, N, M, tol, params):
     return _result("a-subgroup-conjugation", params, worst, 0, "set comparison, exact")
 
 
-def _check_projector_conjugation(d, N, M, tol, params):
+def _check_projector_conjugation(d, N, M, tol, params, outcomes):
     layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
-    outcomes = enumerate_unordered(N, M)
     D = layout.dim
     stack = np.array([symmetric_projector(I, d, layout).entries.ravel() for I in outcomes])
     worst = 0.0
     for s, image in _permuted_outcomes(N, outcomes):
         # V_sigma is a 0/1 permutation matrix, so V_sigma Pi V_sigma^dag is Pi
         # with rows and columns gathered by the basis map of sigma^-1
-        g = permuted_basis_indices(np.argsort(s), d)
+        g = permuted_basis_indices(s, layout.dims)
         flat = (g[:, None] * D + g).ravel()
         # one outcome at a time: temporaries of the whole stack cost more in
         # fresh pages than the comparison itself
@@ -185,13 +188,13 @@ def _check_projector_conjugation(d, N, M, tol, params):
     return _result("b-projector-conjugation", params, worst, tol)
 
 
-def _pre_completion_pgm(d, N, M, inject_fault=False):
-    povm = pgm(pbtc_ensemble(N, M, d))
+def _pre_completion_pgm(ensemble, projectors, inject_fault):
+    povm = pgm(ensemble)
     if inject_fault:
         # scaling alone cannot break the support-invariance identity (it is
         # scale-invariant), so the fault also adds an off-support component
         first = next(iter(povm.outcomes))
-        pi = symmetric_projector(first, d, povm.layout)
+        pi = projectors[first]
         off_support = LabeledOperator(
             povm.layout, np.eye(povm.layout.dim) - pi.entries
         )
@@ -201,11 +204,11 @@ def _pre_completion_pgm(d, N, M, inject_fault=False):
     return povm
 
 
-def _check_pgm_support_invariance(d, N, M, tol, params, get_povm):
-    povm = get_povm()
+def _check_pgm_support_invariance(d, N, M, tol, params, get_povm, get_projectors):
+    povm, projectors = get_povm(), get_projectors()
     worst = 0.0
     for I, element in povm.outcomes.items():
-        pi = symmetric_projector(I, d, povm.layout)
+        pi = projectors[I]
         sandwiched = pi @ element @ pi
         worst = max(worst, np.abs(sandwiched.entries - element.entries).max())
     return _result("c-pgm-support-invariance", params, worst, tol)
@@ -228,64 +231,60 @@ def _check_pgm_completeness(d, N, M, tol, params, get_povm, get_eta_bar):
     )
 
 
-def _check_commutation(d, N, M, tol, params, get_eta_bar):
+def _check_commutation(d, N, M, tol, params, get_eta_bar, get_projectors):
     eta_bar = get_eta_bar()
     worst = 0.0
-    for I in enumerate_unordered(N, M):
-        pi = symmetric_projector(I, d, eta_bar.layout)
+    for pi in get_projectors().values():
         comm = pi @ eta_bar - eta_bar @ pi
         worst = max(worst, np.abs(comm.entries).max())
     return _result("c3-projector-average-commutation", params, worst, tol)
 
 
-def _check_rank_formula(d, N, M, tol, params):
+def _check_rank_formula(d, N, M, tol, params, outcomes):
     expected = sym_dim(d, M - 1) * d ** (N - M)
     # each signal is block-diagonal in the weight sectors: one eigh per block
     sectors = weight_sectors(pbt_layout(N, d), [input_label()])
     worst = 0
-    for I in enumerate_unordered(N, M):
+    for I in outcomes:
         rank = support_rank_blocks([pbtc_signal_entries(I, N, d, idx) for idx in sectors])
         worst = max(worst, abs(rank - expected))
     return _result("d-rank-formula", params, worst, 0, f"expected rank {expected}")
 
 
-def _check_overlap_classes(d, N, M, tol, params):
-    outcomes = enumerate_unordered(N, M)
+def _check_overlap_classes(d, N, M, tol, params, get_overlaps):
     classes: dict[int, list[float]] = {}
-    for I, J in itertools.combinations_with_replacement(outcomes, 2):
+    for (I, J), overlap in get_overlaps().items():
         k = len(set(I.elements) & set(J.elements))
-        classes.setdefault(k, []).append(dense_overlap(I, J, N, d))
+        classes.setdefault(k, []).append(overlap)
     worst = max(max(v) - min(v) for v in classes.values())
     return _result("e-overlap-class-equality", params, worst, tol)
 
 
-def _check_cauchy_schwarz(d, N, M, tol, params):
-    outcomes = enumerate_unordered(N, M)
-    self_overlap = dense_overlap(outcomes[0], outcomes[0], N, d)
+def _check_cauchy_schwarz(d, N, M, tol, params, get_overlaps):
+    overlaps = get_overlaps()
+    self_overlap = next(iter(overlaps.values()))  # the first outcome with itself
     worst = 0.0
-    for I, J in itertools.combinations(outcomes, 2):
-        worst = max(worst, dense_overlap(I, J, N, d) - self_overlap)
+    for (I, J), overlap in overlaps.items():
+        if I != J:
+            worst = max(worst, overlap - self_overlap)
     return _result("f-cauchy-schwarz-dominance", params, max(0.0, worst), tol)
 
 
-def _check_purity_bound(d, N, M, tol, params):
+def _check_purity_bound(d, N, M, tol, params, get_overlaps):
     bound = purity_upper_bound(N, M, d)
-    outcomes = enumerate_unordered(N, M)
-    worst = max(
-        dense_overlap(I, I, N, d) - bound for I in outcomes
-    )
+    worst = max(overlap - bound for (I, J), overlap in get_overlaps().items() if I == J)
     return _result(
         "g-purity-upper-bound", params, max(0.0, worst), tol, f"bound {bound:.6g}"
     )
 
 
-def _check_disjoint_overlap(d, N, M, tol, params):
+def _check_disjoint_overlap(d, N, M, tol, params, get_overlaps):
     if 2 * M > N:
         return _skipped("h-disjoint-overlap-value", params, "no disjoint pair for these N, M")
     combinatorial = combinatorial_disjoint_overlap(d, M, N)
     I = PortSet(tuple(range(1, M + 1)), N)
     J = PortSet(tuple(range(M + 1, 2 * M + 1)), N)
-    dense = dense_overlap(I, J, N, d)
+    dense = get_overlaps()[I, J]
     target = 1.0 / d ** (N + 1)
     dev = max(abs(dense - target), abs(combinatorial - target))
     return _result("h-disjoint-overlap-value", params, dev, max(tol, 1e-12))
@@ -332,28 +331,36 @@ def run_suite(
     """
     if not 1 <= M <= N:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
+    if d < 2:
+        raise ValueError(f"local dimensions must be >= 2, got d={d}")
     params = {"d": d, "N": N, "M": M}
+    outcomes = enumerate_unordered(N, M)
     # built on first use and shared; a build the dimension cap refuses raises
     # again in every check that asks for it, so each of them is skipped
-    get_povm = cache(lambda: _pre_completion_pgm(d, N, M, inject_fault))
-    get_eta_bar = cache(lambda: ensemble_average(pbtc_ensemble(N, M, d)))
+    get_ensemble = cache(lambda: pbtc_ensemble(N, M, d))
+    get_projectors = cache(
+        lambda: {I: symmetric_projector(I, d, pbt_layout(N, d)) for I in outcomes}
+    )
+    get_povm = cache(lambda: _pre_completion_pgm(get_ensemble(), get_projectors(), inject_fault))
+    get_eta_bar = cache(lambda: ensemble_average(get_ensemble()))
+    get_overlaps = cache(lambda: _overlap_table(get_ensemble()))
     checks = [
-        ("a", _check_subgroup_conjugation, {}),
-        ("b", _check_projector_conjugation, {}),
-        ("c", _check_pgm_support_invariance, {"get_povm": get_povm}),
-        ("c2", _check_pgm_completeness, {"get_povm": get_povm, "get_eta_bar": get_eta_bar}),
-        ("c3", _check_commutation, {"get_eta_bar": get_eta_bar}),
-        ("d", _check_rank_formula, {}),
-        ("e", _check_overlap_classes, {}),
-        ("f", _check_cauchy_schwarz, {}),
-        ("g", _check_purity_bound, {}),
-        ("h", _check_disjoint_overlap, {}),
-        ("i", _check_purity_trend, {"get_eta_bar": get_eta_bar}),
-        ("j", _check_fidelity_lower_bound, {"get_eta_bar": get_eta_bar}),
-        ("k", _check_stirling, {}),
+        (_check_subgroup_conjugation, {"outcomes": outcomes}),
+        (_check_projector_conjugation, {"outcomes": outcomes}),
+        (_check_pgm_support_invariance, {"get_povm": get_povm, "get_projectors": get_projectors}),
+        (_check_pgm_completeness, {"get_povm": get_povm, "get_eta_bar": get_eta_bar}),
+        (_check_commutation, {"get_eta_bar": get_eta_bar, "get_projectors": get_projectors}),
+        (_check_rank_formula, {"outcomes": outcomes}),
+        (_check_overlap_classes, {"get_overlaps": get_overlaps}),
+        (_check_cauchy_schwarz, {"get_overlaps": get_overlaps}),
+        (_check_purity_bound, {"get_overlaps": get_overlaps}),
+        (_check_disjoint_overlap, {"get_overlaps": get_overlaps}),
+        (_check_purity_trend, {"get_eta_bar": get_eta_bar}),
+        (_check_fidelity_lower_bound, {"get_eta_bar": get_eta_bar}),
+        (_check_stirling, {}),
     ]
     results = []
-    for _, fn, extra in checks:
+    for fn, extra in checks:
         try:
             results.append(fn(d, N, M, tol, params, **extra))
         except DimensionCapError as exc:

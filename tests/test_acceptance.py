@@ -24,11 +24,11 @@ from portclone.channels import (
 )
 from portclone.cloning import optimal_clone_fidelity
 from portclone.measurements import clone_mpbt_povm, complete, pgm, std_pbtc_povm
-from portclone.states import pbt_signal
+from portclone.states import pbt_signal, pbtc_signal
 from portclone.symmetry import PortSet
+from portclone.tensor_core import trace_product
 from portclone.verification import (
     combinatorial_disjoint_overlap,
-    dense_overlap,
     eta_bar_purity,
     run_suite,
 )
@@ -220,7 +220,10 @@ class TestCriterion5CertificationSuite:
     def test_disjoint_overlap_both_routes(self):
         d, m, n = 2, 2, 4
         exact = combinatorial_disjoint_overlap(d, m, n)
-        dense = dense_overlap(PortSet((1, 2), n), PortSet((3, 4), n), n, d)
+        dense = trace_product(
+            pbtc_signal(PortSet((1, 2), n), n, d).entries,
+            pbtc_signal(PortSet((3, 4), n), n, d).entries,
+        )
         target = float(Fraction(1, d ** (n + 1)))
         dev = max(abs(exact - target), abs(dense - target))
         _report("5", dev <= 1e-12, f"disjoint overlap 1/d^(N+1): dev {dev:.3e}")

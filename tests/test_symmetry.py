@@ -135,7 +135,7 @@ class TestSymmetricProjector:
             }
             for s in map(np.array, itertools.permutations(range(N))):
                 v = permutation_unitary(s, d, labels).entries
-                g = permuted_basis_indices(np.argsort(s), d)
+                g = permuted_basis_indices(s, layout.dims)
                 flat = (g[:, None] * D + g).ravel()
                 for I, pi in projectors.items():
                     dense = v @ pi @ v.conj().T

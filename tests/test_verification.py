@@ -8,13 +8,13 @@ from portclone.symmetry import enumerate_unordered
 from portclone.tensor_core import (
     LabeledOperator,
     support_rank_blocks,
+    trace_product,
     weight_sectors,
 )
 from portclone.verification import (
     combinatorial_disjoint_overlap,
     cycle_sum_by_enumeration,
     cycle_sum_by_stirling,
-    dense_overlap,
     eta_bar_purity,
     purity_upper_bound,
     run_suite,
@@ -42,8 +42,9 @@ class TestDisjointOverlap:
 
     def test_dense_agrees(self):
         d, M, N = 2, 2, 4
-        dense = dense_overlap(
-            PortSet((1, 2), N), PortSet((3, 4), N), N, d
+        dense = trace_product(
+            pbtc_signal(PortSet((1, 2), N), N, d).entries,
+            pbtc_signal(PortSet((3, 4), N), N, d).entries,
         )
         assert abs(dense - combinatorial_disjoint_overlap(d, M, N)) < 1e-12
 
@@ -57,7 +58,8 @@ class TestPurity:
         d, N, M = 2, 4, 2
         bound = purity_upper_bound(N, M, d)
         for elems in ((1, 2), (2, 4)):
-            assert dense_overlap(PortSet(elems, N), PortSet(elems, N), N, d) <= bound + 1e-12
+            signal = pbtc_signal(PortSet(elems, N), N, d).entries
+            assert trace_product(signal, signal) <= bound + 1e-12
 
     def test_average_purity_approaches_mixed(self):
         # d^(N+1) Tr[eta_bar^2] -> 1 from above as N grows
@@ -116,6 +118,37 @@ class TestSuite:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             run_suite(2, 2, 3)
+
+    def test_bad_dimension_rejected_before_any_check(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("check a ran before d was validated")
+
+        monkeypatch.setattr(verification, "_check_subgroup_conjugation", must_not_run)
+        with pytest.raises(ValueError, match="local dimensions must be >= 2"):
+            run_suite(1, 8, 2)
+
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_shared_objects_built_once(self, monkeypatch, fault):
+        # one ensemble at N (PGM, average, overlaps) and one at N - 1 (check i);
+        # C(4, 2) projectors on [A1..A4] for check b and C(4, 2) on [X, A1..A4]
+        ensembles, projectors = [], []
+        build_ensemble = verification.pbtc_ensemble
+        build_projector = verification.symmetric_projector
+
+        def counted_ensemble(N, M, d):
+            ensembles.append(N)
+            return build_ensemble(N, M, d)
+
+        def counted_projector(*args):
+            projectors.append(args)
+            return build_projector(*args)
+
+        monkeypatch.setattr(verification, "pbtc_ensemble", counted_ensemble)
+        monkeypatch.setattr(verification, "symmetric_projector", counted_projector)
+        results = run_suite(2, 4, 2, inject_fault=fault)
+        assert suite_passed(results) != fault
+        assert ensembles == [4, 3]
+        assert len(projectors) <= 12
 
     def test_json_shape(self):
         doc = run_suite(2, 3, 2)[0].to_json_dict()
