@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
+from math import factorial, prod
 
 import numpy as np
 
@@ -22,11 +23,13 @@ from portclone.states import (
     input_label,
     max_entangled,
     maximally_mixed,
+    mpbt_average_entries,
     mpbt_layout,
     mpbt_signal_entries,
     pbt_layout,
     pbt_signal,
     pbt_signal_entries,
+    pbtc_average_entries,
     pbtc_signal_entries,
 )
 from portclone.symmetry import PortSet, enumerate_ordered, enumerate_unordered, port_label
@@ -65,6 +68,7 @@ class FidelityReport:
     input_dim: int = 0  # dimension entering the F <-> f conversion; d unless multi-slot
     n_blocks: int = 0  # diagonal blocks the evaluation split its operators into
     max_block_dim: int = 0  # dimension of the largest of them
+    n_orbits: int = 0  # blocks actually decomposed, one per level-permutation orbit
 
     def __post_init__(self):
         dim = self.input_dim if self.input_dim else self.d
@@ -86,6 +90,7 @@ class FidelityReport:
             "runtime_ms": self.runtime_ms,
             "n_blocks": self.n_blocks,
             "max_block_dim": self.max_block_dim,
+            "n_orbits": self.n_orbits,
         }
 
 
@@ -107,6 +112,12 @@ def _teleport_resource(b: int, N: int, d: int) -> LabeledOperator:
     return kron_compose(factors).permute_subsystems(order)
 
 
+def _check_clone_slot(povm: Povm, clone_slot: int) -> None:
+    M = len(next(iter(povm.outcomes)).elements)
+    if not 1 <= clone_slot <= M:
+        raise ValueError(f"clone slot {clone_slot} out of range 1..{M}")
+
+
 def _clone_channel(
     povm: Povm, state: LabeledOperator, N: int, d: int, clone_slot: int
 ) -> LabeledOperator:
@@ -122,6 +133,7 @@ def _clone_channel(
         raise ValueError(
             f"POVM layout {povm.layout.labels} does not match canonical {expected}"
         )
+    _check_clone_slot(povm, clone_slot)
     passed = [l for l in state.layout.labels if l != input_label()] + [OUTPUT_LABEL]
     order = list(expected) + passed
     pass_identity = identity(SubsystemLayout(passed, [d] * len(passed)))
@@ -165,6 +177,7 @@ def slot_signals(
     povm: Povm, N: int, d: int, clone_slot: int = 1
 ) -> dict[PortSet, LabeledOperator]:
     """Teleportation signal states matched to each outcome's receiving port."""
+    _check_clone_slot(povm, clone_slot)
     return {
         I: pbt_signal(I.elements[clone_slot - 1], N, d) for I in povm.outcomes
     }
@@ -218,28 +231,38 @@ def haar_average_check(
 
 def _engine_inputs(protocol: str, N: int, M: int, d: int):
     """The protocol as inputs of `_sector_fidelities`: layout, input slots,
-    ensemble members as (outcome, signal builder), target keys per outcome
-    and retained slot, target builders, and the input dimension."""
+    ensemble members as (outcome, signal builder), the builder of the average
+    of all members, target keys per outcome and retained slot, target
+    builders, and the input dimension."""
     if protocol in ("std-pbt", "std-pbtc"):
         outcomes = enumerate_unordered(N, M)
         members = [(I, partial(pbtc_signal_entries, I, N, d)) for I in outcomes]
+        average = partial(pbtc_average_entries, N, M, d)
         targets = {i: partial(pbt_signal_entries, i, N, d) for i in range(1, N + 1)}
         slots = {I: I.elements for I in outcomes}
-        return pbt_layout(N, d), [input_label()], members, slots, targets, d
+        return pbt_layout(N, d), [input_label()], members, average, slots, targets, d
     layout = mpbt_layout(N, M, d)
     x_labels = [input_label(k) for k in range(1, M + 1)]
     ordered = enumerate_ordered(N, M)
     members = [(J, partial(mpbt_signal_entries, J, N, d)) for J in ordered]
+    average = partial(mpbt_average_entries, N, M, d)
     if protocol == "mpbt":
-        return layout, x_labels, members, {J: (J,) for J in ordered}, dict(members), d**M
+        slots = {J: (J,) for J in ordered}
+        return layout, x_labels, members, average, slots, dict(members), d**M
     # clone-mpbt: ordered outcomes with one underlying set form one outcome
     members = [(J.as_set(), build) for J, build in members]
     targets = {i: partial(cloned_signal_entries, i, N, M, d) for i in range(1, N + 1)}
     slots = {I: I.elements for I in enumerate_unordered(N, M)}
-    return layout, x_labels, members, slots, targets, d
+    return layout, x_labels, members, average, slots, targets, d
 
 
-def _sector_fidelities(layout, x_labels, members, slots, targets, d_in):
+def _orbit_size(w: np.ndarray) -> int:
+    """Number of distinct permutations of the weight vector w."""
+    _, counts = np.unique(w, return_counts=True)
+    return factorial(len(w)) // prod(factorial(int(m)) for m in counts)
+
+
+def _sector_fidelities(layout, x_labels, members, average, slots, targets, d_in):
     """Discrimination-sum fidelity of every retained slot k, summed over the
     weight sectors in which every operator involved is block-diagonal:
 
@@ -254,32 +277,42 @@ def _sector_fidelities(layout, x_labels, members, slots, targets, d_in):
     maps it onto any outcome c with members and targets in order, keeps every
     sector and commutes with the average of all members, hence with R and P.
 
-    Returns the per-slot F, the completion part of F_1, and the sector sizes.
+    Only one sector per level-permutation orbit is evaluated too, the one
+    whose weight vector w is non-increasing, counted once per distinct
+    permutation of w. A level permutation applied to every slot is a real
+    permutation matrix, so it commutes with every signal and target and maps
+    the sector of w onto the sector of the permuted w. Blocks of one orbit
+    are permutation-similar, so lambda_max, the cutoff and the PSD check of
+    `psd_inv_sqrt_blocks` are those of all blocks.
+
+    Returns the per-slot F, the completion part of F_1, the sizes of all
+    sectors, and the number of sectors evaluated.
     """
-    sectors = weight_sectors(layout, x_labels)
-    n_J, n_c = len(members), len(slots)
-    roots, projectors = psd_inv_sqrt_blocks(
-        [sum(build(idx) for _, build in members) / n_J for idx in sectors]
-    )
+    weights, sectors = weight_sectors(layout, x_labels)
+    orbits = [
+        (idx, _orbit_size(w)) for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)
+    ]
+    roots, projectors = psd_inv_sqrt_blocks([average(idx) for idx, _ in orbits])
     c0 = next(iter(slots))
     own = [build for c, build in members if c == c0]
     main, completion = np.zeros(len(slots[c0])), np.zeros(len(slots[c0]))
-    for idx, root, proj in zip(sectors, roots, projectors):
+    for (idx, size), root, proj in zip(orbits, roots, projectors):
         kernel = np.eye(len(idx)) - proj
         eta = sum(build(idx) for build in own)
         for k, key in enumerate(slots[c0]):
             tau = targets[key](idx)
-            main[k] += trace_product(eta, root @ tau @ root)
-            completion[k] += trace_product(kernel, tau)
-    per_slot = (n_c * main / n_J + completion) / d_in**2
-    return list(per_slot), completion[0] / d_in**2, [len(idx) for idx in sectors]
+            main[k] += size * trace_product(eta, root @ tau @ root)
+            completion[k] += size * trace_product(kernel, tau)
+    per_slot = (len(slots) * main / len(members) + completion) / d_in**2
+    sizes = [len(idx) for idx in sectors]
+    return list(per_slot), completion[0] / d_in**2, sizes, len(orbits)
 
 
 def _port_report(protocol: str, N: int, M: int, d: int) -> FidelityReport:
     start = time.perf_counter()
     inputs = _engine_inputs(protocol, N, M, d)
     d_in = inputs[-1]
-    per_slot_F, delta_contribution, sizes = _sector_fidelities(*inputs)
+    per_slot_F, delta_contribution, sizes, n_orbits = _sector_fidelities(*inputs)
     F = float(per_slot_F[0])
     return FidelityReport(
         protocol=protocol,
@@ -294,6 +327,7 @@ def _port_report(protocol: str, N: int, M: int, d: int) -> FidelityReport:
         input_dim=d_in,
         n_blocks=len(sizes),
         max_block_dim=max(sizes),
+        n_orbits=n_orbits,
     )
 
 
@@ -321,6 +355,7 @@ def _clone_report(M: int, d: int) -> FidelityReport:
         runtime_ms=runtime_ms,
         n_blocks=1,
         max_block_dim=cloned.dim,
+        n_orbits=1,
     )
 
 

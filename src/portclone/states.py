@@ -3,6 +3,8 @@ teleportation signal states, and their partially symmetrized variants."""
 
 from __future__ import annotations
 
+import itertools
+from math import factorial, prod
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -16,7 +18,7 @@ from portclone.symmetry import (
     sym_dim,
     symmetrize_slots,
 )
-from portclone.tensor_core import LabeledOperator, SubsystemLayout
+from portclone.tensor_core import LabeledOperator, SubsystemLayout, positions_in
 
 
 def input_label(k: int | None = None) -> str:
@@ -96,6 +98,69 @@ def mpbt_signal_entries(
         raise ValueError(f"port tuple defined for N={J.N}, expected {N}")
     pairs = [(k, J.M + j - 1) for k, j in enumerate(J)]
     return pairing_pattern(mpbt_layout(N, J.M, d), pairs, idx) / d**N
+
+
+def _pattern_nonzeros(
+    layout: SubsystemLayout, pairs: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzeros of `pairing_pattern(layout, P, idx)` for every pair list P in
+    `pairs`, an (n, p, 2) array of slot positions of one dimension d, as
+    three arrays: member number, row position and column position in `idx`.
+    Every pair must join an input slot to a port, so that each nonzero
+    column stays in the weight sector `idx`.
+
+    A row is nonzero when its digits agree within every pair. Its d^p nonzero
+    columns set each pair to a common level and keep the other slots.
+    """
+    d = layout.dims[pairs[0, 0, 0]]
+    levels = np.array(list(itertools.product(range(d), repeat=pairs.shape[1])))
+    strides = np.array([prod(layout.dims[s + 1:]) for s in range(layout.n_subsystems)])
+    digits = np.array(np.unravel_index(idx, layout.dims))
+    a, b = pairs[..., 0], pairs[..., 1]
+    member, row = np.nonzero(np.all(digits[a] == digits[b], axis=1))
+    step = (strides[a] + strides[b])[member]  # raises both slots of a pair by one level
+    base = idx[row] - (digits[a[member], row[:, None]] * step).sum(axis=1)
+    cols = positions_in(idx, base[:, None] + step @ levels.T)
+    return np.repeat(member, len(levels)), np.repeat(row, len(levels)), cols.ravel()
+
+
+def pbtc_average_entries(N: int, M: int, d: int, idx: np.ndarray) -> np.ndarray:
+    """Average of `pbtc_signal_entries(I, N, d, idx)` over all C(N, M) port
+    sets I, on the ascending basis indices `idx` of one weight sector of
+    [X, A1..AN], counted into the block from integer positions.
+
+    Pi_I rho^{i1} Pi_I = (1/M) sum_{j in I} rho^j Pi_I, because the
+    permutations of I map rho^{i1} onto every rho^j and leave Pi_I fixed. So
+    a member is M pairing patterns whose columns are gathered by every
+    permutation of the digits on I; one scatter per permutation of M slots
+    covers all members.
+    """
+    layout = pbt_layout(N, d)
+    ports = np.array(list(itertools.combinations(range(1, N + 1), M)))  # port j is slot j
+    pairs = np.stack([np.zeros_like(ports), ports], axis=-1).reshape(-1, 1, 2)
+    member, rows, cols = _pattern_nonzeros(layout, pairs, idx)
+    outcome = member // M
+    digits = np.array(np.unravel_index(idx, layout.dims))[ports]  # (outcome, slot of I, index)
+    strides = (d ** (N - ports))[..., None]
+    k = len(idx)
+    counts = np.zeros(k * k)
+    for s in itertools.permutations(range(M)):
+        moved = positions_in(idx, idx + ((digits[:, s] - digits) * strides).sum(axis=1))
+        counts += np.bincount(rows * k + moved[outcome, cols], minlength=k * k)
+    scale = d**M / sym_dim(d, M) / (M * factorial(M) * len(ports) * d**N)
+    return scale * counts.reshape(k, k)
+
+
+def mpbt_average_entries(N: int, M: int, d: int, idx: np.ndarray) -> np.ndarray:
+    """Average of `mpbt_signal_entries(J, N, d, idx)` over all N!/(N-M)!
+    ordered outcomes J, on the ascending basis indices `idx` of one weight
+    sector of [X1..XM, A1..AN], counted into the block in one scatter."""
+    ports = np.array(list(itertools.permutations(range(M, M + N), M)))  # slots of A1..AN
+    pairs = np.stack([np.broadcast_to(np.arange(M), ports.shape), ports], axis=-1)
+    _, rows, cols = _pattern_nonzeros(mpbt_layout(N, M, d), pairs, idx)
+    k = len(idx)
+    counts = np.bincount(rows * k + cols, minlength=k * k)
+    return counts.reshape(k, k) / (len(ports) * d**N)
 
 
 def pbt_signal(i: int, N: int, d: int) -> LabeledOperator:

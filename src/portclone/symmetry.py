@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from portclone.tensor_core import LabeledOperator, SubsystemLayout
+from portclone.tensor_core import LabeledOperator, SubsystemLayout, positions_in
 
 
 def port_label(i: int) -> str:
@@ -137,10 +137,7 @@ def permuted_basis_indices(
     target = np.ravel_multi_index(tuple(digits[np.asarray(s).T]), dims)
     if full:
         return target
-    pos = np.searchsorted(idx, target)
-    if not np.array_equal(idx[np.minimum(pos, len(idx) - 1)], target):
-        raise ValueError("index set is not closed under the slot permutations")
-    return pos
+    return positions_in(idx, target)
 
 
 def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledOperator:

@@ -210,8 +210,11 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.sum(a * b.T)))
 
 
-def weight_sectors(layout: SubsystemLayout, conj_labels: Sequence[str]) -> list[np.ndarray]:
-    """Basis indices grouped by weight, each group ascending.
+def weight_sectors(
+    layout: SubsystemLayout, conj_labels: Sequence[str]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Basis indices grouped by weight, each group ascending, and the weight
+    vector of each group, one row per group in lexicographic order.
 
     The weight of a basis state is its per-level count over the slots not in
     `conj_labels` minus its per-level count over `conj_labels`. Operators that
@@ -223,9 +226,18 @@ def weight_sectors(layout: SubsystemLayout, conj_labels: Sequence[str]) -> list[
     digits = np.array(np.unravel_index(np.arange(layout.dim), layout.dims))
     levels = range(max(layout.dims))
     weights = [((digits == level) * sign[:, None]).sum(axis=0) for level in levels]
-    _, sector = np.unique(np.stack(weights, axis=1), axis=0, return_inverse=True)
+    vectors, sector = np.unique(np.stack(weights, axis=1), axis=0, return_inverse=True)
     order = np.argsort(sector, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(sector))[:-1])
+    return vectors, np.split(order, np.cumsum(np.bincount(sector))[:-1])
+
+
+def positions_in(idx: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Position in the ascending index set `idx` of every entry of `target`;
+    raises ValueError when an entry is not in `idx`."""
+    pos = np.searchsorted(idx, target)
+    if not np.array_equal(idx[np.minimum(pos, len(idx) - 1)], target):
+        raise ValueError("index set is not closed under the basis map")
+    return pos
 
 
 def _checked_eigh(a: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:

@@ -243,7 +243,7 @@ def _check_commutation(d, N, M, tol, params, get_eta_bar, get_projectors):
 def _check_rank_formula(d, N, M, tol, params, outcomes):
     expected = sym_dim(d, M - 1) * d ** (N - M)
     # each signal is block-diagonal in the weight sectors: one eigh per block
-    sectors = weight_sectors(pbt_layout(N, d), [input_label()])
+    _, sectors = weight_sectors(pbt_layout(N, d), [input_label()])
     worst = 0
     for I in outcomes:
         rank = support_rank_blocks([pbtc_signal_entries(I, N, d, idx) for idx in sectors])

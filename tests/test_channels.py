@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from portclone.channels import (
     FidelityReport,
+    _engine_inputs,
     avg_fidelity,
     entanglement_fidelity_choi,
     entanglement_fidelity_formula,
@@ -15,9 +18,22 @@ from portclone.channels import (
 )
 from portclone.cloning import optimal_clone_fidelity
 from portclone.measurements import Povm, clone_mpbt_povm, complete, pgm, std_pbtc_povm
-from portclone.states import input_label, mpbt_ensemble, mpbt_signal, pbt_layout
+from portclone.states import (
+    ensemble_average,
+    input_label,
+    mpbt_ensemble,
+    mpbt_layout,
+    mpbt_signal,
+    pbt_layout,
+    pbtc_ensemble,
+)
 from portclone.symmetry import enumerate_unordered
-from portclone.tensor_core import DimensionCapError, LabeledOperator, SubsystemLayout
+from portclone.tensor_core import (
+    DimensionCapError,
+    LabeledOperator,
+    SubsystemLayout,
+    weight_sectors,
+)
 
 
 class TestAvgFidelity:
@@ -68,6 +84,22 @@ class TestRouteEquivalence:
         out = single_clone_output(povm, state, N, d)
         assert abs(out.trace() - 1) < 1e-10
         assert out.entries[0, 0].real < 1.0  # cloning is never perfect here
+
+
+class TestCloneSlotRange:
+    @pytest.mark.parametrize("clone_slot", [0, -1, 3])
+    def test_slot_outside_one_to_m_rejected(self, clone_slot):
+        d, N, M = 2, 3, 2
+        povm = std_pbtc_povm(N, M, d)
+        state = LabeledOperator(SubsystemLayout([input_label()], [d]), np.eye(d) / d)
+        with pytest.raises(ValueError, match="clone slot"):
+            entanglement_fidelity_choi(povm, clone_slot, N, M, d)
+        with pytest.raises(ValueError, match="clone slot"):
+            single_clone_output(povm, state, N, d, clone_slot)
+        with pytest.raises(ValueError, match="clone slot"):
+            haar_average_check(povm, clone_slot, 2, 0, N, d)
+        with pytest.raises(ValueError, match="clone slot"):
+            slot_signals(povm, N, d, clone_slot)
 
 
 class TestProtocolDispatch:
@@ -174,9 +206,14 @@ class TestBlockedEngine:
         assert_blocked_matches_dense(*point)
 
     def test_reports_its_blocks(self):
-        # [X, A1..A4] at d=2 splits into blocks of size C(5, k)
+        # [X, A1..A4] at d=2 splits into blocks of size C(5, k); the level swap
+        # pairs weight (w0, w1) with (w1, w0), and no sector maps to itself
         r = protocol_fidelity("std-pbtc", 2, 4, 2)
-        assert (r.n_blocks, r.max_block_dim) == (6, 10)
+        assert (r.n_blocks, r.max_block_dim, r.n_orbits) == (6, 10, 3)
+        assert r.to_json_dict()["n_orbits"] == 3
+        # at N=3 the sector of weight (1, 1) is its own orbit
+        assert protocol_fidelity("std-pbtc", 2, 3, 2).n_orbits == 3
+        assert protocol_fidelity("clone", 2, 0, 2).n_orbits == 1
 
     @pytest.mark.parametrize("protocol,N,M,layout_dim", [
         ("std-pbt", 3, 1, 16), ("std-pbtc", 3, 2, 16),
@@ -209,6 +246,77 @@ class TestCovariancePremise:
         assert len(terms) == len(enumerate_unordered(N, M)) * M
         assert min(terms) > 0
         assert max(terms) - min(terms) <= 1e-12
+
+
+AVERAGE_POINTS = (
+    [("std-pbt", d, N, 1) for d, N in ((2, 5), (3, 3))]
+    + [
+        (p, d, N, M)
+        for p in ("std-pbtc", "clone-mpbt", "mpbt")
+        for d, N in ((2, 5), (3, 3))
+        for M in (1, 2, 3)
+    ]
+)
+
+
+class TestScatterAverage:
+    """The engine builds each sector's average state in one scatter; the
+    member-by-member sum it replaced is the reference."""
+
+    @pytest.mark.parametrize(
+        "protocol,d,N,M", AVERAGE_POINTS,
+        ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in AVERAGE_POINTS],
+    )
+    def test_matches_member_sum_in_every_sector(self, protocol, d, N, M):
+        layout, x_labels, members, average, *_ = _engine_inputs(protocol, N, M, d)
+        _, sectors = weight_sectors(layout, x_labels)
+        for idx in sectors:
+            reference = sum(build(idx) for _, build in members) / len(members)
+            assert np.abs(average(idx) - reference).max() <= 1e-14
+
+
+def level_permutation(pi, layout):
+    """Permutation matrix taking level l to level pi[l] on every slot of `layout`."""
+    digits = np.array(np.unravel_index(np.arange(layout.dim), layout.dims))
+    target = np.ravel_multi_index(tuple(np.asarray(pi)[digits]), layout.dims)
+    u = np.zeros((layout.dim, layout.dim))
+    u[target, np.arange(layout.dim)] = 1.0
+    return u
+
+
+class TestLevelPermutationPremise:
+    """The blocked engine evaluates one weight sector per S_d orbit and counts
+    it once per sector of that orbit. Independently of it, a level
+    permutation on every slot must commute with the dense POVMs, and average
+    blocks of one orbit must have one spectrum."""
+
+    @pytest.mark.parametrize("builder", [std_pbtc_povm, clone_mpbt_povm])
+    @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (3, 3, 2)])
+    def test_commutes_with_every_element(self, builder, d, N, M):
+        povm = builder(N, M, d)
+        elements = [e.entries for e in povm.outcomes.values()]
+        elements.append(povm.completion_element.entries)
+        for pi in itertools.permutations(range(d)):
+            u = level_permutation(pi, povm.layout)
+            for e in elements:
+                assert np.abs(u @ e - e @ u).max() <= 1e-12
+
+    @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (3, 3, 2)])
+    def test_orbit_mates_have_equal_spectra(self, d, N, M):
+        x_labels = [input_label(k) for k in range(1, M + 1)]
+        cases = [
+            (ensemble_average(pbtc_ensemble(N, M, d)).entries, pbt_layout(N, d), ["X"]),
+            (ensemble_average(mpbt_ensemble(N, M, d)).entries, mpbt_layout(N, M, d), x_labels),
+        ]
+        for avg, layout, conj in cases:
+            weights, sectors = weight_sectors(layout, conj)
+            orbits: dict[tuple, list[np.ndarray]] = {}
+            for w, idx in zip(weights, sectors):
+                spectrum = np.linalg.eigvalsh(avg[np.ix_(idx, idx)])
+                orbits.setdefault(tuple(sorted(w)), []).append(spectrum)
+            assert len(orbits) < len(sectors)
+            for spectra in orbits.values():
+                assert all(np.abs(s - spectra[0]).max() <= 1e-12 for s in spectra)
 
 
 class TestHaarCheck:

@@ -20,11 +20,12 @@ class TestFidelityCommand:
         assert 0 < doc["f"] < 1
 
     def test_reports_blocks(self, runner):
-        # [X, A1..A3] at d=2 splits into blocks of size 1, 4, 6, 4, 1
+        # [X, A1..A3] at d=2 splits into blocks of size 1, 4, 6, 4, 1; the
+        # level swap pairs them into 3 orbits
         res = runner.invoke(main, ["fidelity", "--protocol", "std-pbtc", "--N", "3", "--M", "2"])
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
-        assert (doc["n_blocks"], doc["max_block_dim"]) == (5, 6)
+        assert (doc["n_blocks"], doc["max_block_dim"], doc["n_orbits"]) == (5, 6, 3)
 
     def test_missing_n_rejected(self, runner):
         res = runner.invoke(main, ["fidelity", "--protocol", "std-pbtc"])

@@ -162,7 +162,7 @@ class TestSymmetrizeSlots:
         full = symmetrize_slots(a, layout, [1, 3], np.arange(16))
         assert np.abs(full - pi @ a @ pi).max() < 1e-14
         # Pi is block-diagonal, so a diagonal block of Pi A Pi needs only that block of A
-        for idx in weight_sectors(layout, ["X"]):
+        for idx in weight_sectors(layout, ["X"])[1]:
             block = symmetrize_slots(a[np.ix_(idx, idx)], layout, [1, 3], idx)
             assert np.abs(block - full[np.ix_(idx, idx)]).max() < 1e-14
 

@@ -207,7 +207,7 @@ class TestPsdInvSqrt:
 
 def off_sector_mask(layout, conj_labels):
     sector = np.empty(layout.dim, dtype=int)
-    for k, idx in enumerate(weight_sectors(layout, conj_labels)):
+    for k, idx in enumerate(weight_sectors(layout, conj_labels)[1]):
         sector[idx] = k
     return sector[:, None] != sector[None, :]
 
@@ -216,7 +216,7 @@ class TestWeightSectors:
     @pytest.mark.parametrize("N", range(1, 8))
     def test_qubit_block_sizes_are_binomial(self, N):
         layout = pbt_layout(N, 2)
-        sectors = weight_sectors(layout, ["X"])
+        _, sectors = weight_sectors(layout, ["X"])
         sizes = sorted(len(idx) for idx in sectors)
         assert sum(sizes) == layout.dim
         assert sizes == sorted(comb(N + 1, k) for k in range(N + 2))
@@ -226,7 +226,7 @@ class TestWeightSectors:
     @pytest.mark.parametrize("N,M,d", [(3, 2, 2), (2, 2, 3), (4, 3, 2)])
     def test_multi_slot_layout_is_partitioned(self, N, M, d):
         layout = mpbt_layout(N, M, d)
-        sectors = weight_sectors(layout, [input_label(k) for k in range(1, M + 1)])
+        _, sectors = weight_sectors(layout, [input_label(k) for k in range(1, M + 1)])
         assert sum(len(idx) for idx in sectors) == layout.dim
         assert len(np.unique(np.concatenate(sectors))) == layout.dim
 
@@ -271,7 +271,7 @@ class TestBlockedInvSqrt:
     def test_blocks_match_dense_on_average_state(self):
         N, M, d = 4, 2, 2
         eta_bar = ensemble_average(pbtc_ensemble(N, M, d)).entries
-        sectors = weight_sectors(pbt_layout(N, d), [input_label()])
+        _, sectors = weight_sectors(pbt_layout(N, d), [input_label()])
         roots, projectors = psd_inv_sqrt_blocks([eta_bar[np.ix_(i, i)] for i in sectors])
         dense_root, dense_proj = psd_inv_sqrt_blocks([eta_bar])
         for idx, root, proj in zip(sectors, roots, projectors):

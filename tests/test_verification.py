@@ -75,7 +75,7 @@ class TestRankCheck:
     @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (2, 5, 3), (3, 3, 2)])
     def test_sector_rank_equals_dense_rank(self, d, N, M):
         # check d ranks each signal block by block; the dense rank must agree
-        sectors = weight_sectors(pbt_layout(N, d), [input_label()])
+        _, sectors = weight_sectors(pbt_layout(N, d), [input_label()])
         for I in enumerate_unordered(N, M):
             blocks = [pbtc_signal_entries(I, N, d, idx) for idx in sectors]
             dense = support_rank_blocks([pbtc_signal(I, N, d).entries])
