@@ -1,5 +1,6 @@
 """Builders for signal and resource states: maximally entangled pairs,
-teleportation signal states, and their partially symmetrized variants."""
+teleportation signal states, their partially symmetrized variants, and the
+average states of their ensembles."""
 
 from __future__ import annotations
 
