@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import click
 
@@ -22,9 +23,25 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _apply_dim_cap(dim_cap: int | None):
+@contextmanager
+def _dim_cap(dim_cap: int | None):
+    """Set PORTCLONE_DIM_CAP to `dim_cap` (if given) inside the block, and
+    restore its previous value, or its absence, on the way out."""
+    previous = os.environ.get("PORTCLONE_DIM_CAP")
     if dim_cap is not None:
         os.environ["PORTCLONE_DIM_CAP"] = str(dim_cap)
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("PORTCLONE_DIM_CAP", None)
+        else:
+            os.environ["PORTCLONE_DIM_CAP"] = previous
+
+
+def _apply_dim_cap(dim_cap: int | None):
+    """Apply --dim-cap until the current command ends."""
+    click.get_current_context().with_resource(_dim_cap(dim_cap))
 
 
 @click.group()

@@ -68,10 +68,16 @@ def pgm(e: dict[Hashable, LabeledOperator]) -> Povm:
     avg = ensemble_average(e)
     if np.abs(avg.entries).max() < 1e-300:
         raise ValueError("ensemble average is zero; PGM undefined")
-    root = psd_inv_sqrt(avg)
+    return square_root_measurement(e, psd_inv_sqrt(avg))
+
+
+def square_root_measurement(e: dict[Hashable, LabeledOperator], root: LabeledOperator) -> Povm:
+    """PGM elements root (state / n) root of the uniform ensemble {outcome:
+    state} of n states, given `root`, the inverse square root of its average
+    state on the support."""
     p = 1.0 / len(e)
     outcomes = {key: root @ (p * state) @ root for key, state in e.items()}
-    return Povm(outcomes=outcomes, layout=avg.layout)
+    return Povm(outcomes=outcomes, layout=root.layout)
 
 
 def complete(p: Povm) -> Povm:

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from portclone.channels import protocol_fidelity
-from portclone.measurements import pgm, complete
+from portclone.measurements import complete, square_root_measurement
 from portclone.states import ensemble_average, pbtc_ensemble
 from portclone.states import input_label, pbt_layout, pbtc_signal_entries
 from portclone.symmetry import (
@@ -32,7 +32,7 @@ from portclone.tensor_core import (
     DimensionCapError,
     LabeledOperator,
     SubsystemLayout,
-    support_projector,
+    psd_inv_sqrt_blocks,
     support_rank_blocks,
     trace_product,
     weight_sectors,
@@ -148,48 +148,80 @@ def purity_upper_bound(N: int, M: int, d: int) -> float:
 
 
 def _permuted_outcomes(N, outcomes):
-    """Every sigma in S_N as a 0-based image array, with the position in
-    `outcomes` of sigma(I) for each outcome I."""
+    """Every sigma in S_N as a 0-based image array, one per row, and the
+    position in `outcomes` of sigma(I) for each sigma (row) and outcome I
+    (column)."""
+    sigmas = np.array(list(itertools.permutations(range(N))))
     ports = np.array([I.elements for I in outcomes]) - 1
     position = np.zeros(2**N, dtype=int)  # outcome position by bit mask of its ports
     position[(1 << ports).sum(axis=1)] = np.arange(len(outcomes))
-    for images in itertools.permutations(range(N)):
-        s = np.array(images)
-        yield s, position[(1 << s[ports]).sum(axis=1)]
+    # one port of every outcome at a time, so no temporary is larger than the table
+    bits = 1 << sigmas
+    return sigmas, position[sum(bits[:, column] for column in ports.T)]
+
+
+def _batches(n, bytes_per_item):
+    """Consecutive slices of range(n) whose items take about 1 MB together."""
+    size = max(1, 2**20 // bytes_per_item)
+    return [slice(i, i + size) for i in range(0, n, size)]
 
 
 def _check_subgroup_conjugation(d, N, M, tol, params, outcomes):
-    subgroups = [subgroup_fixing_complement(I) for I in outcomes]
-    expected = [set(map(tuple, g.tolist())) for g in subgroups]
+    # each member as one integer whose base-N digits are its images
+    powers = N ** np.arange(N)
+    # duplicate members are dropped, so each subgroup is compared as a set
+    subgroups = [g[np.unique(g @ powers, return_index=True)[1]]
+                 for g in map(subgroup_fixing_complement, outcomes)]
+    sizes = np.array([len(g) for g in subgroups])
+    width = sizes.max()
+    members = np.stack([np.pad(g, ((0, width - len(g)), (0, 0))) for g in subgroups])
+    present = np.arange(width) < sizes[:, None]  # False on the padding rows
+    # padding reads -1, which no member's code takes
+    expected = np.where(present, members @ powers, -1)
+    sigmas, image = _permuted_outcomes(N, outcomes)
     worst = 0
-    for s, image in _permuted_outcomes(N, outcomes):
-        s_inv = np.argsort(s)
-        for g, k in zip(subgroups, image):
-            # row r of s[g[:, s_inv]] is sigma pi_r sigma^-1
-            conjugated = set(map(tuple, s[g[:, s_inv]].tolist()))
-            worst = max(worst, len(conjugated ^ expected[k]))
+    # per sigma, two int64 gathers of every member's images and their indices
+    for batch in _batches(len(sigmas), 32 * members.size):
+        s = sigmas[batch, None, None, :]
+        # member pi becomes s[pi[s_inv]], which is sigma pi sigma^-1
+        gathered = np.take_along_axis(members[None], np.argsort(s, axis=-1), axis=-1)
+        codes = np.where(present, np.take_along_axis(s, gathered, axis=-1) @ powers, -1)
+        # both sides hold distinct codes, so after one sort every member they
+        # share is a pair of equal neighbours
+        merged = np.sort(np.concatenate([codes, expected[image[batch]]], axis=-1), axis=-1)
+        shared = ((merged[..., 1:] == merged[..., :-1]) & (merged[..., 1:] >= 0)).sum(axis=-1)
+        worst = max(worst, (sizes + sizes[image[batch]] - 2 * shared).max())
     return _result("a-subgroup-conjugation", params, worst, 0, "set comparison, exact")
 
 
 def _check_projector_conjugation(d, N, M, tol, params, outcomes):
     layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
-    D = layout.dim
-    stack = np.array([symmetric_projector(I, d, layout).entries.ravel() for I in outcomes])
+    stack = np.array([symmetric_projector(I, d, layout).entries for I in outcomes])
+    # V_sigma is a 0/1 permutation matrix, so V_sigma Pi_I V_sigma^dag is Pi_I
+    # with rows and columns gathered by the basis map g of sigma^-1: entry
+    # (r, c) of Pi_I lands on entry (g^-1[r], g^-1[c]), which Pi_sigma(I) is to
+    # hold. Only nonzero entries are moved. Where Pi_sigma(I) is nonzero but
+    # the conjugate is 0, sigma^-1 moves that entry of Pi_sigma(I) onto the 0
+    # of Pi_I, so the max over all of S_N is the max over every entry.
+    k, r, c = np.nonzero(stack)
+    values = stack[k, r, c]
+    sigmas, image = _permuted_outcomes(N, outcomes)
     worst = 0.0
-    for s, image in _permuted_outcomes(N, outcomes):
-        # V_sigma is a 0/1 permutation matrix, so V_sigma Pi V_sigma^dag is Pi
-        # with rows and columns gathered by the basis map of sigma^-1
-        g = permuted_basis_indices(s, layout.dims)
-        flat = (g[:, None] * D + g).ravel()
-        # one outcome at a time: temporaries of the whole stack cost more in
-        # fresh pages than the comparison itself
-        for pi, k in zip(stack, image):
-            worst = max(worst, np.abs(pi.take(flat) - stack[k]).max())
+    # per sigma and nonzero entry: three int64 indices, the gathered value,
+    # its difference from the entry and the modulus of that
+    for batch in _batches(len(sigmas), 64 * len(k)):
+        g_inv = np.argsort(permuted_basis_indices(sigmas[batch], layout.dims), axis=1)
+        moved = stack[image[batch][:, k], g_inv[:, r], g_inv[:, c]]
+        worst = max(worst, np.abs(moved - values).max())
     return _result("b-projector-conjugation", params, worst, tol)
 
 
-def _pre_completion_pgm(ensemble, projectors, inject_fault):
-    povm = pgm(ensemble)
+def _pre_completion_pgm(ensemble, eta_bar, projectors, inject_fault):
+    """The PGM before completion, and the support projector of the average
+    state `eta_bar`: one decomposition of it gives both."""
+    roots, supports = psd_inv_sqrt_blocks([eta_bar.entries])
+    # popped, so that only the operator's copy of the root stays alive
+    povm = square_root_measurement(ensemble, LabeledOperator(eta_bar.layout, roots.pop()))
     if inject_fault:
         # scaling alone cannot break the support-invariance identity (it is
         # scale-invariant), so the fault also adds an off-support component
@@ -201,11 +233,11 @@ def _pre_completion_pgm(ensemble, projectors, inject_fault):
         corrupted = dict(povm.outcomes)
         corrupted[first] = 1.01 * corrupted[first] + 0.01 * off_support
         povm = type(povm)(outcomes=corrupted, layout=povm.layout)
-    return povm
+    return povm, supports[0]
 
 
 def _check_pgm_support_invariance(d, N, M, tol, params, get_povm, get_projectors):
-    povm, projectors = get_povm(), get_projectors()
+    (povm, _), projectors = get_povm(), get_projectors()
     worst = 0.0
     for I, element in povm.outcomes.items():
         pi = projectors[I]
@@ -214,10 +246,9 @@ def _check_pgm_support_invariance(d, N, M, tol, params, get_povm, get_projectors
     return _result("c-pgm-support-invariance", params, worst, tol)
 
 
-def _check_pgm_completeness(d, N, M, tol, params, get_povm, get_eta_bar):
-    povm = get_povm()
-    proj = support_projector(get_eta_bar())
-    dev_support = np.abs(povm.element_sum().entries - proj.entries).max()
+def _check_pgm_completeness(d, N, M, tol, params, get_povm):
+    povm, support = get_povm()
+    dev_support = np.abs(povm.element_sum().entries - support).max()
     try:
         completed = complete(povm)
         dev_id = np.abs(
@@ -341,14 +372,16 @@ def run_suite(
     get_projectors = cache(
         lambda: {I: symmetric_projector(I, d, pbt_layout(N, d)) for I in outcomes}
     )
-    get_povm = cache(lambda: _pre_completion_pgm(get_ensemble(), get_projectors(), inject_fault))
     get_eta_bar = cache(lambda: ensemble_average(get_ensemble()))
+    get_povm = cache(lambda: _pre_completion_pgm(
+        get_ensemble(), get_eta_bar(), get_projectors(), inject_fault
+    ))
     get_overlaps = cache(lambda: _overlap_table(get_ensemble()))
     checks = [
         (_check_subgroup_conjugation, {"outcomes": outcomes}),
         (_check_projector_conjugation, {"outcomes": outcomes}),
         (_check_pgm_support_invariance, {"get_povm": get_povm, "get_projectors": get_projectors}),
-        (_check_pgm_completeness, {"get_povm": get_povm, "get_eta_bar": get_eta_bar}),
+        (_check_pgm_completeness, {"get_povm": get_povm}),
         (_check_commutation, {"get_eta_bar": get_eta_bar, "get_projectors": get_projectors}),
         (_check_rank_formula, {"outcomes": outcomes}),
         (_check_overlap_classes, {"get_overlaps": get_overlaps}),

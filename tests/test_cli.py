@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -165,14 +166,27 @@ class TestPovmDump:
 
 class TestDimCap:
     def test_cap_blocks_large_run(self, runner):
-        import os
+        res = runner.invoke(main, [
+            "fidelity", "--protocol", "std-pbt", "--N", "6", "--dim-cap", "16",
+        ])
+        assert res.exit_code != 0
+        assert "cap" in res.output.lower()
 
-        try:
-            res = runner.invoke(main, [
-                "fidelity", "--protocol", "std-pbt", "--N", "6", "--dim-cap", "16",
-            ])
-            assert res.exit_code != 0
-            assert "cap" in res.output.lower()
-        finally:
-            # the flag works by setting the env var; undo for later tests
-            os.environ.pop("PORTCLONE_DIM_CAP", None)
+    @pytest.mark.parametrize("outer", [None, "4096"])
+    def test_cap_ends_with_the_command(self, runner, monkeypatch, outer):
+        # the flag holds for one command only; an in-process call, failing
+        # or not, leaves the environment as it found it
+        if outer is None:
+            monkeypatch.delenv("PORTCLONE_DIM_CAP", raising=False)
+        else:
+            monkeypatch.setenv("PORTCLONE_DIM_CAP", outer)
+        before = dict(os.environ)
+        refused = runner.invoke(main, [
+            "fidelity", "--protocol", "std-pbt", "--N", "6", "--dim-cap", "16",
+        ])
+        assert refused.exit_code != 0 and "cap" in refused.output.lower()
+        assert dict(os.environ) == before
+        failing = runner.invoke(main, ["verify", "--N", "3", "--M", "2", "--inject-fault",
+                                       "--dim-cap", "64"])
+        assert failing.exit_code == 1
+        assert dict(os.environ) == before

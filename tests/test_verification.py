@@ -1,12 +1,16 @@
+import itertools
 from fractions import Fraction
+from math import factorial
 
+import numpy as np
 import pytest
 
 from portclone import verification
 from portclone.states import input_label, pbt_layout, pbtc_signal, pbtc_signal_entries
-from portclone.symmetry import enumerate_unordered
+from portclone.symmetry import enumerate_unordered, permuted_basis_indices, port_label
 from portclone.tensor_core import (
     LabeledOperator,
+    SubsystemLayout,
     support_rank_blocks,
     trace_product,
     weight_sectors,
@@ -143,12 +147,29 @@ class TestSuite:
             projectors.append(args)
             return build_projector(*args)
 
+        # one average state at N, decomposed once for the PGM and check c2,
+        # and one at N - 1 for check i
+        averages, decompositions = [], []
+        build_average = verification.ensemble_average
+        decompose = verification.psd_inv_sqrt_blocks
+
+        def counted_average(e):
+            averages.append(len(e))
+            return build_average(e)
+
+        def counted_decomposition(blocks):
+            decompositions.append(len(blocks))
+            return decompose(blocks)
+
         monkeypatch.setattr(verification, "pbtc_ensemble", counted_ensemble)
         monkeypatch.setattr(verification, "symmetric_projector", counted_projector)
+        monkeypatch.setattr(verification, "ensemble_average", counted_average)
+        monkeypatch.setattr(verification, "psd_inv_sqrt_blocks", counted_decomposition)
         results = run_suite(2, 4, 2, inject_fault=fault)
         assert suite_passed(results) != fault
         assert ensembles == [4, 3]
         assert len(projectors) <= 12
+        assert averages == [6, 3] and decompositions == [1]
 
     def test_json_shape(self):
         doc = run_suite(2, 3, 2)[0].to_json_dict()
@@ -187,6 +208,27 @@ class TestConjugationChecksDetectFaults:
         assert not b.passed
         assert b.deviation == pytest.approx(1e-8, rel=1e-6)
 
+    def test_vanished_projector_entry_fails_check_b(self, monkeypatch):
+        # the other direction: a nonzero entry of Pi_I set to 0, which the
+        # comparison over nonzero entries must still see
+        original = verification.symmetric_projector
+        vanished = []
+
+        def zeroed(I, d, layout):
+            pi = original(I, d, layout)
+            if I != self.target:
+                return pi
+            entries = pi.entries.copy()
+            r, c = np.argwhere((entries != 0) & ~np.eye(len(entries), dtype=bool))[0]
+            vanished.append(entries[r, c])
+            entries[r, c] = 0
+            return LabeledOperator(layout, entries)
+
+        monkeypatch.setattr(verification, "symmetric_projector", zeroed)
+        b = self._results()["b-projector-conjugation"]
+        assert not b.passed
+        assert vanished and b.deviation == abs(vanished[0]) > 0
+
     def test_dropped_subgroup_member_fails_check_a(self, monkeypatch):
         original = verification.subgroup_fixing_complement
 
@@ -198,3 +240,120 @@ class TestConjugationChecksDetectFaults:
         a = self._results()["a-subgroup-conjugation"]
         assert not a.passed
         assert a.deviation >= 1
+
+
+def sigma_image(s, I):
+    """The outcome sigma(I) for the 0-based images s."""
+    return PortSet(tuple(sorted(int(s[i - 1]) + 1 for i in I)), I.N)
+
+
+def reference_check_a(N, outcomes, subgroup_of):
+    """Check a as the loop over sigma and outcome that the batched check
+    replaced: conjugated subgroups compared as Python sets of image tuples."""
+    subgroups = {I: subgroup_of(I) for I in outcomes}
+    expected = {I: set(map(tuple, g.tolist())) for I, g in subgroups.items()}
+    worst = 0
+    for images in itertools.permutations(range(N)):
+        s = np.array(images)
+        s_inv = np.argsort(s)
+        for I, g in subgroups.items():
+            conjugated = set(map(tuple, s[g[:, s_inv]].tolist()))
+            worst = max(worst, len(conjugated ^ expected[sigma_image(s, I)]))
+    return worst
+
+
+def reference_check_b(d, N, outcomes, projector_of):
+    """Check b as the loop over sigma and outcome that the batched check
+    replaced: every entry of the gathered projector against Pi_sigma(I)."""
+    layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
+    projectors = {I: projector_of(I, d, layout).entries for I in outcomes}
+    worst = 0.0
+    for images in itertools.permutations(range(N)):
+        s = np.array(images)
+        g = permuted_basis_indices(s, layout.dims)
+        for I, pi in projectors.items():
+            worst = max(worst, np.abs(pi[np.ix_(g, g)] - projectors[sigma_image(s, I)]).max())
+    return worst
+
+
+REFERENCE_POINTS = [(2, 5, 2), (3, 3, 2), (2, 5, 3), (2, 4, 4)]
+FAULTS = ["clean", "added-entry", "vanished-entry", "subgroup"]
+
+
+class TestBatchedConjugationChecks:
+    """Checks a and b gather over batches of sigma; the per-sigma loops they
+    replaced are the reference, and the deviations must be equal exactly."""
+
+    @staticmethod
+    def corrupt(monkeypatch, fault, target):
+        build_projector = verification.symmetric_projector
+        build_subgroup = verification.subgroup_fixing_complement
+
+        def projector(I, d, layout):
+            pi = build_projector(I, d, layout)
+            if I != target:
+                return pi
+            entries = pi.entries.copy()
+            if fault == "added-entry":
+                # imaginary, where Pi_I is 0
+                r, c = np.argwhere(entries == 0)[0]
+                entries[r, c] = 3e-9j
+            else:
+                # an off-diagonal entry: some transposition in I moves it
+                r, c = np.argwhere((entries != 0) & ~np.eye(len(entries), dtype=bool))[0]
+                entries[r, c] = 0
+            return LabeledOperator(layout, entries)
+
+        def subgroup(I):
+            members = build_subgroup(I)
+            if I != target:
+                return members
+            # the identity listed twice, and a member that is not central dropped
+            return np.concatenate([members[:1], members[:1], members[2:]])
+
+        if fault == "subgroup":
+            monkeypatch.setattr(verification, "subgroup_fixing_complement", subgroup)
+        elif fault != "clean":
+            monkeypatch.setattr(verification, "symmetric_projector", projector)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("d,N,M", REFERENCE_POINTS)
+    def test_deviations_equal_the_loop_reference(self, monkeypatch, d, N, M, fault):
+        outcomes = enumerate_unordered(N, M)
+        self.corrupt(monkeypatch, fault, outcomes[-1])
+        a = verification._check_subgroup_conjugation(d, N, M, 1e-10, {}, outcomes)
+        b = verification._check_projector_conjugation(d, N, M, 1e-10, {}, outcomes)
+        subgroup_of, projector_of = (
+            verification.subgroup_fixing_complement, verification.symmetric_projector
+        )
+        assert a.deviation == reference_check_a(N, outcomes, subgroup_of)
+        assert b.deviation == reference_check_b(d, N, outcomes, projector_of)
+        assert a.passed == (fault != "subgroup")
+        assert b.passed == (fault in ("clean", "subgroup"))
+
+    @pytest.mark.parametrize(
+        "check,d,N,M,fault", [("b", 2, 5, 2, "added-entry"), ("a", 2, 6, 2, "subgroup")]
+    )
+    def test_partial_last_batch(self, monkeypatch, check, d, N, M, fault):
+        # S_N splits into batches whose last one is shorter, and the
+        # deviation still equals the reference
+        batches = []
+        split = verification._batches
+
+        def recorded(n, bytes_per_item):
+            slices = split(n, bytes_per_item)
+            batches.append([len(range(n)[b]) for b in slices])
+            return slices
+
+        monkeypatch.setattr(verification, "_batches", recorded)
+        outcomes = enumerate_unordered(N, M)
+        self.corrupt(monkeypatch, fault, outcomes[-1])
+        if check == "a":
+            result = verification._check_subgroup_conjugation(d, N, M, 1e-10, {}, outcomes)
+            reference = reference_check_a(N, outcomes, verification.subgroup_fixing_complement)
+        else:
+            result = verification._check_projector_conjugation(d, N, M, 1e-10, {}, outcomes)
+            reference = reference_check_b(d, N, outcomes, verification.symmetric_projector)
+        assert result.deviation == reference and not result.passed
+        [sizes] = batches
+        assert sum(sizes) == factorial(N) and len(sizes) > 1 and sizes[-1] < sizes[0]
