@@ -10,6 +10,7 @@ single-clone channel.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -23,16 +24,13 @@ from portclone.states import (
     input_label,
     max_entangled,
     maximally_mixed,
-    mpbt_average_entries,
     mpbt_layout,
     mpbt_signal_entries,
     pbt_layout,
     pbt_signal,
-    pbt_signal_entries,
-    pbtc_average_entries,
     pbtc_signal_entries,
 )
-from portclone.symmetry import PortSet, enumerate_ordered, enumerate_unordered, port_label
+from portclone.symmetry import PortSet, port_label
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
@@ -231,29 +229,26 @@ def haar_average_check(
 
 def _engine_inputs(protocol: str, N: int, M: int, d: int):
     """The protocol as inputs of `_sector_fidelities`: layout, input slots,
-    ensemble members as (outcome, signal builder), the builder of the average
-    of all members, target keys per outcome and retained slot, target
-    builders, and the input dimension."""
+    the builder of the representative outcome c0's signal (the mean of its
+    members), the builder of the average signal state, the builders of c0's
+    target per retained slot, and the input dimension. c0 is the outcome on
+    ports 1..M, in that order for `mpbt`."""
+    first, ports = tuple(range(1, M + 1)), range(1, N + 1)
     if protocol in ("std-pbt", "std-pbtc"):
-        outcomes = enumerate_unordered(N, M)
-        members = [(I, partial(pbtc_signal_entries, I, N, d)) for I in outcomes]
-        average = partial(pbtc_average_entries, N, M, d)
-        targets = {i: partial(pbt_signal_entries, i, N, d) for i in range(1, N + 1)}
-        slots = {I: I.elements for I in outcomes}
-        return pbt_layout(N, d), [input_label()], members, average, slots, targets, d
+        signal = partial(pbtc_signal_entries, [first], N, d)
+        average = partial(pbtc_signal_entries, list(itertools.combinations(ports, M)), N, d)
+        targets = [partial(pbtc_signal_entries, [(i,)], N, d) for i in first]
+        return pbt_layout(N, d), [input_label()], signal, average, targets, d
     layout = mpbt_layout(N, M, d)
     x_labels = [input_label(k) for k in range(1, M + 1)]
-    ordered = enumerate_ordered(N, M)
-    members = [(J, partial(mpbt_signal_entries, J, N, d)) for J in ordered]
-    average = partial(mpbt_average_entries, N, M, d)
+    average = partial(mpbt_signal_entries, list(itertools.permutations(ports, M)), N, d)
     if protocol == "mpbt":
-        slots = {J: (J,) for J in ordered}
-        return layout, x_labels, members, average, slots, dict(members), d**M
-    # clone-mpbt: ordered outcomes with one underlying set form one outcome
-    members = [(J.as_set(), build) for J, build in members]
-    targets = {i: partial(cloned_signal_entries, i, N, M, d) for i in range(1, N + 1)}
-    slots = {I: I.elements for I in enumerate_unordered(N, M)}
-    return layout, x_labels, members, average, slots, targets, d
+        signal = partial(mpbt_signal_entries, [first], N, d)
+        return layout, x_labels, signal, average, [signal], d**M
+    # clone-mpbt: the M! orderings of one port set are the members of one outcome
+    signal = partial(mpbt_signal_entries, list(itertools.permutations(first)), N, d)
+    targets = [partial(cloned_signal_entries, i, N, M, d) for i in first]
+    return layout, x_labels, signal, average, targets, d
 
 
 def _orbit_size(w: np.ndarray) -> int:
@@ -262,20 +257,23 @@ def _orbit_size(w: np.ndarray) -> int:
     return factorial(len(w)) // prod(factorial(int(m)) for m in counts)
 
 
-def _sector_fidelities(layout, x_labels, members, average, slots, targets, d_in):
+def _sector_fidelities(layout, x_labels, signal, average, targets, d_in):
     """Discrimination-sum fidelity of every retained slot k, summed over the
     weight sectors in which every operator involved is block-diagonal:
 
-        F_k = d_in^-2 [ sum_J Tr(R eta_J R tau_{c(J),k}) / n_J
-                        + sum_c Tr((1 - P) tau_{c,k}) / n_c ]
+        F_k = d_in^-2 sum_sectors [ Tr(R eta_c0 R tau_k) + Tr((1 - P) tau_k) ]
 
-    over ensemble members J with outcome c(J), and outcomes c. R is the
-    inverse square root of the average signal state and P its support
-    projector; the second sum is the completion element's part.
+    R is the inverse square root of the average signal state, P its support
+    projector, eta_c0 the mean of the representative outcome c0's members and
+    tau_k c0's target at slot k; the second term is the completion element's
+    part.
 
-    Only the first outcome c0 is evaluated, n_c times over: a port permutation
-    maps it onto any outcome c with members and targets in order, keeps every
-    sector and commutes with the average of all members, hence with R and P.
+    Only c0 is evaluated. A port permutation maps c0 onto any outcome c with
+    members and targets in order, keeps every sector and commutes with the
+    average state, hence with R and P, so all n_c outcomes contribute alike.
+    The PGM element of c0 is R (sum of its members / n_J) R plus 1/n_c of the
+    completion, with n_J members in all; n_c outcomes of n_J / n_c members
+    each turn the first part into R eta_c0 R and cancel the 1/n_c.
 
     Only one sector per level-permutation orbit is evaluated too, the one
     whose weight vector w is non-increasing, counted once per distinct
@@ -293,17 +291,15 @@ def _sector_fidelities(layout, x_labels, members, average, slots, targets, d_in)
         (idx, _orbit_size(w)) for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)
     ]
     roots, projectors = psd_inv_sqrt_blocks([average(idx) for idx, _ in orbits])
-    c0 = next(iter(slots))
-    own = [build for c, build in members if c == c0]
-    main, completion = np.zeros(len(slots[c0])), np.zeros(len(slots[c0]))
+    main, completion = np.zeros(len(targets)), np.zeros(len(targets))
     for (idx, size), root, proj in zip(orbits, roots, projectors):
         kernel = np.eye(len(idx)) - proj
-        eta = sum(build(idx) for build in own)
-        for k, key in enumerate(slots[c0]):
-            tau = targets[key](idx)
+        eta = signal(idx)
+        for k, target in enumerate(targets):
+            tau = target(idx)
             main[k] += size * trace_product(eta, root @ tau @ root)
             completion[k] += size * trace_product(kernel, tau)
-    per_slot = (len(slots) * main / len(members) + completion) / d_in**2
+    per_slot = (main + completion) / d_in**2
     sizes = [len(idx) for idx in sectors]
     return list(per_slot), completion[0] / d_in**2, sizes, len(orbits)
 

@@ -74,5 +74,5 @@ def cloned_signal_entries(
         raise ValueError(f"port index {i} out of range 1..{N}")
     layout = mpbt_layout(N, M, d)
     # rho^i on (X1, A) tensored with the identity on X2..XM, then Pi_M on X1..XM
-    pattern = pairing_pattern(layout, [(0, M + i - 1)], idx)
-    return d / sym_dim(d, M) / d**N * symmetrize_slots(pattern, layout, range(M), idx)
+    pattern = pairing_pattern(layout.dims, [[(0, M + i - 1)]], d / sym_dim(d, M) / d**N, idx)
+    return symmetrize_slots(pattern, layout, range(M), idx)

@@ -147,17 +147,25 @@ def purity_upper_bound(N: int, M: int, d: int) -> float:
     )
 
 
-def _permuted_outcomes(N, outcomes):
-    """Every sigma in S_N as a 0-based image array, one per row, and the
-    position in `outcomes` of sigma(I) for each sigma (row) and outcome I
-    (column)."""
+def _permuted_outcomes(N, outcomes, bytes_per_sigma):
+    """Every sigma in S_N as 0-based images, one per row, in the batches of
+    `_batches`, each with the position in `outcomes` of sigma(I) for every
+    sigma of the batch (row) and outcome I (column)."""
     sigmas = np.array(list(itertools.permutations(range(N))))
     ports = np.array([I.elements for I in outcomes]) - 1
     position = np.zeros(2**N, dtype=int)  # outcome position by bit mask of its ports
     position[(1 << ports).sum(axis=1)] = np.arange(len(outcomes))
-    # one port of every outcome at a time, so no temporary is larger than the table
+    for batch in _batches(len(sigmas), bytes_per_sigma):
+        yield sigmas[batch], _outcome_images(sigmas[batch], ports, position)
+
+
+def _outcome_images(sigmas, ports, position):
+    """Position of sigma(I), looked up in `position` by the bit mask of its
+    ports, for each sigma (row) and each outcome I given by its 0-based ports
+    (row of `ports`, column of the result)."""
     bits = 1 << sigmas
-    return sigmas, position[sum(bits[:, column] for column in ports.T)]
+    # one port of every outcome at a time, so no temporary is larger than the result
+    return position[sum(bits[:, column] for column in ports.T)]
 
 
 def _batches(n, bytes_per_item):
@@ -166,7 +174,7 @@ def _batches(n, bytes_per_item):
     return [slice(i, i + size) for i in range(0, n, size)]
 
 
-def _check_subgroup_conjugation(d, N, M, tol, params, outcomes):
+def _check_subgroup_conjugation(name, d, N, M, tol, params, outcomes):
     # each member as one integer whose base-N digits are its images
     powers = N ** np.arange(N)
     # duplicate members are dropped, so each subgroup is compared as a set
@@ -178,23 +186,22 @@ def _check_subgroup_conjugation(d, N, M, tol, params, outcomes):
     present = np.arange(width) < sizes[:, None]  # False on the padding rows
     # padding reads -1, which no member's code takes
     expected = np.where(present, members @ powers, -1)
-    sigmas, image = _permuted_outcomes(N, outcomes)
     worst = 0
     # per sigma, two int64 gathers of every member's images and their indices
-    for batch in _batches(len(sigmas), 32 * members.size):
-        s = sigmas[batch, None, None, :]
+    for sigmas, image in _permuted_outcomes(N, outcomes, 32 * members.size):
+        s = sigmas[:, None, None, :]
         # member pi becomes s[pi[s_inv]], which is sigma pi sigma^-1
         gathered = np.take_along_axis(members[None], np.argsort(s, axis=-1), axis=-1)
         codes = np.where(present, np.take_along_axis(s, gathered, axis=-1) @ powers, -1)
         # both sides hold distinct codes, so after one sort every member they
         # share is a pair of equal neighbours
-        merged = np.sort(np.concatenate([codes, expected[image[batch]]], axis=-1), axis=-1)
+        merged = np.sort(np.concatenate([codes, expected[image]], axis=-1), axis=-1)
         shared = ((merged[..., 1:] == merged[..., :-1]) & (merged[..., 1:] >= 0)).sum(axis=-1)
-        worst = max(worst, (sizes + sizes[image[batch]] - 2 * shared).max())
-    return _result("a-subgroup-conjugation", params, worst, 0, "set comparison, exact")
+        worst = max(worst, (sizes + sizes[image] - 2 * shared).max())
+    return _result(name, params, worst, 0, "set comparison, exact")
 
 
-def _check_projector_conjugation(d, N, M, tol, params, outcomes):
+def _check_projector_conjugation(name, d, N, M, tol, params, outcomes):
     layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
     stack = np.array([symmetric_projector(I, d, layout).entries for I in outcomes])
     # V_sigma is a 0/1 permutation matrix, so V_sigma Pi_I V_sigma^dag is Pi_I
@@ -205,15 +212,14 @@ def _check_projector_conjugation(d, N, M, tol, params, outcomes):
     # of Pi_I, so the max over all of S_N is the max over every entry.
     k, r, c = np.nonzero(stack)
     values = stack[k, r, c]
-    sigmas, image = _permuted_outcomes(N, outcomes)
     worst = 0.0
     # per sigma and nonzero entry: three int64 indices, the gathered value,
     # its difference from the entry and the modulus of that
-    for batch in _batches(len(sigmas), 64 * len(k)):
-        g_inv = np.argsort(permuted_basis_indices(sigmas[batch], layout.dims), axis=1)
-        moved = stack[image[batch][:, k], g_inv[:, r], g_inv[:, c]]
+    for sigmas, image in _permuted_outcomes(N, outcomes, 64 * len(k)):
+        g_inv = np.argsort(permuted_basis_indices(sigmas, layout.dims), axis=1)
+        moved = stack[image[:, k], g_inv[:, r], g_inv[:, c]]
         worst = max(worst, np.abs(moved - values).max())
-    return _result("b-projector-conjugation", params, worst, tol)
+    return _result(name, params, worst, tol)
 
 
 def _pre_completion_pgm(ensemble, eta_bar, projectors, inject_fault):
@@ -236,17 +242,17 @@ def _pre_completion_pgm(ensemble, eta_bar, projectors, inject_fault):
     return povm, supports[0]
 
 
-def _check_pgm_support_invariance(d, N, M, tol, params, get_povm, get_projectors):
+def _check_pgm_support_invariance(name, d, N, M, tol, params, get_povm, get_projectors):
     (povm, _), projectors = get_povm(), get_projectors()
     worst = 0.0
     for I, element in povm.outcomes.items():
         pi = projectors[I]
         sandwiched = pi @ element @ pi
         worst = max(worst, np.abs(sandwiched.entries - element.entries).max())
-    return _result("c-pgm-support-invariance", params, worst, tol)
+    return _result(name, params, worst, tol)
 
 
-def _check_pgm_completeness(d, N, M, tol, params, get_povm):
+def _check_pgm_completeness(name, d, N, M, tol, params, get_povm):
     povm, support = get_povm()
     dev_support = np.abs(povm.element_sum().entries - support).max()
     try:
@@ -257,97 +263,94 @@ def _check_pgm_completeness(d, N, M, tol, params, get_povm):
     except ValueError:
         # element sum already exceeds identity; completion refused
         dev_id = np.inf
-    return _result(
-        "c2-pgm-completeness", params, max(dev_support, dev_id), max(tol, 1e-9)
-    )
+    return _result(name, params, max(dev_support, dev_id), max(tol, 1e-9))
 
 
-def _check_commutation(d, N, M, tol, params, get_eta_bar, get_projectors):
+def _check_commutation(name, d, N, M, tol, params, get_eta_bar, get_projectors):
     eta_bar = get_eta_bar()
     worst = 0.0
     for pi in get_projectors().values():
         comm = pi @ eta_bar - eta_bar @ pi
         worst = max(worst, np.abs(comm.entries).max())
-    return _result("c3-projector-average-commutation", params, worst, tol)
+    return _result(name, params, worst, tol)
 
 
-def _check_rank_formula(d, N, M, tol, params, outcomes):
+def _check_rank_formula(name, d, N, M, tol, params, outcomes):
     expected = sym_dim(d, M - 1) * d ** (N - M)
     # each signal is block-diagonal in the weight sectors: one eigh per block
     _, sectors = weight_sectors(pbt_layout(N, d), [input_label()])
     worst = 0
     for I in outcomes:
-        rank = support_rank_blocks([pbtc_signal_entries(I, N, d, idx) for idx in sectors])
+        signal = pbtc_signal_entries([I], N, d)
+        rank = support_rank_blocks([signal[np.ix_(idx, idx)] for idx in sectors])
         worst = max(worst, abs(rank - expected))
-    return _result("d-rank-formula", params, worst, 0, f"expected rank {expected}")
+    return _result(name, params, worst, 0, f"expected rank {expected}")
 
 
-def _check_overlap_classes(d, N, M, tol, params, get_overlaps):
+def _check_overlap_classes(name, d, N, M, tol, params, get_overlaps):
     classes: dict[int, list[float]] = {}
     for (I, J), overlap in get_overlaps().items():
         k = len(set(I.elements) & set(J.elements))
         classes.setdefault(k, []).append(overlap)
     worst = max(max(v) - min(v) for v in classes.values())
-    return _result("e-overlap-class-equality", params, worst, tol)
+    return _result(name, params, worst, tol)
 
 
-def _check_cauchy_schwarz(d, N, M, tol, params, get_overlaps):
+def _check_cauchy_schwarz(name, d, N, M, tol, params, get_overlaps):
     overlaps = get_overlaps()
     self_overlap = next(iter(overlaps.values()))  # the first outcome with itself
     worst = 0.0
     for (I, J), overlap in overlaps.items():
         if I != J:
             worst = max(worst, overlap - self_overlap)
-    return _result("f-cauchy-schwarz-dominance", params, max(0.0, worst), tol)
+    return _result(name, params, max(0.0, worst), tol)
 
 
-def _check_purity_bound(d, N, M, tol, params, get_overlaps):
+def _check_purity_bound(name, d, N, M, tol, params, get_overlaps):
     bound = purity_upper_bound(N, M, d)
     worst = max(overlap - bound for (I, J), overlap in get_overlaps().items() if I == J)
-    return _result(
-        "g-purity-upper-bound", params, max(0.0, worst), tol, f"bound {bound:.6g}"
-    )
+    return _result(name, params, max(0.0, worst), tol, f"bound {bound:.6g}")
 
 
-def _check_disjoint_overlap(d, N, M, tol, params, get_overlaps):
+def _check_disjoint_overlap(name, d, N, M, tol, params, get_overlaps):
     if 2 * M > N:
-        return _skipped("h-disjoint-overlap-value", params, "no disjoint pair for these N, M")
+        return _skipped(name, params, "no disjoint pair for these N, M")
     combinatorial = combinatorial_disjoint_overlap(d, M, N)
     I = PortSet(tuple(range(1, M + 1)), N)
     J = PortSet(tuple(range(M + 1, 2 * M + 1)), N)
     dense = get_overlaps()[I, J]
     target = 1.0 / d ** (N + 1)
     dev = max(abs(dense - target), abs(combinatorial - target))
-    return _result("h-disjoint-overlap-value", params, dev, max(tol, 1e-12))
+    return _result(name, params, dev, max(tol, 1e-12))
 
 
-def _check_purity_trend(d, N, M, tol, params, get_eta_bar):
+def _check_purity_trend(name, d, N, M, tol, params, get_eta_bar):
     if N - 1 < M:
-        return _skipped("i-average-purity-trend", params, "no smaller N to compare")
+        return _skipped(name, params, "no smaller N to compare")
     prev = abs(d**N * eta_bar_purity(N - 1, M, d) - 1.0)
     curr = abs(d ** (N + 1) * purity(get_eta_bar()) - 1.0)
     return _result(
-        "i-average-purity-trend", params, max(0.0, curr - prev), 0.0,
+        name, params, max(0.0, curr - prev), 0.0,
         f"{TREND_NOTE}: |excess| {prev:.6g} -> {curr:.6g}",
     )
 
 
-def _check_fidelity_lower_bound(d, N, M, tol, params, get_eta_bar):
+def _check_fidelity_lower_bound(name, d, N, M, tol, params, get_eta_bar):
     F = protocol_fidelity("std-pbtc", d, N, M).F
     bound = ((d + M - 1) / (d * M)) / (d ** (N + 1) * purity(get_eta_bar()))
     return _result(
-        "j-fidelity-lower-bound", params, max(0.0, bound - F), 1e-10,
+        name, params, max(0.0, bound - F), 1e-10,
         f"{TREND_NOTE}: F={F:.8g}, bound={bound:.8g}",
     )
 
 
-def _check_stirling(d, N, M, tol, params):
+def _check_stirling(name, d, N, M, tol, params):
     worst = 0
     for m in range(1, 7):
         for dd in range(2, 5):
             row = sum(stirling_first(m, k) * dd**k for k in range(m + 1))
             worst = max(worst, abs(row - factorial(m + dd - 1) // factorial(dd - 1)))
-    return _result("k-stirling-row-identity", params, worst, 0, "exact integers")
+    return _result(name, params, worst, 0, "exact integers")
 
 
 def run_suite(
@@ -378,26 +381,28 @@ def run_suite(
     ))
     get_overlaps = cache(lambda: _overlap_table(get_ensemble()))
     checks = [
-        (_check_subgroup_conjugation, {"outcomes": outcomes}),
-        (_check_projector_conjugation, {"outcomes": outcomes}),
-        (_check_pgm_support_invariance, {"get_povm": get_povm, "get_projectors": get_projectors}),
-        (_check_pgm_completeness, {"get_povm": get_povm}),
-        (_check_commutation, {"get_eta_bar": get_eta_bar, "get_projectors": get_projectors}),
-        (_check_rank_formula, {"outcomes": outcomes}),
-        (_check_overlap_classes, {"get_overlaps": get_overlaps}),
-        (_check_cauchy_schwarz, {"get_overlaps": get_overlaps}),
-        (_check_purity_bound, {"get_overlaps": get_overlaps}),
-        (_check_disjoint_overlap, {"get_overlaps": get_overlaps}),
-        (_check_purity_trend, {"get_eta_bar": get_eta_bar}),
-        (_check_fidelity_lower_bound, {"get_eta_bar": get_eta_bar}),
-        (_check_stirling, {}),
+        ("a-subgroup-conjugation", _check_subgroup_conjugation, {"outcomes": outcomes}),
+        ("b-projector-conjugation", _check_projector_conjugation, {"outcomes": outcomes}),
+        ("c-pgm-support-invariance", _check_pgm_support_invariance,
+         {"get_povm": get_povm, "get_projectors": get_projectors}),
+        ("c2-pgm-completeness", _check_pgm_completeness, {"get_povm": get_povm}),
+        ("c3-projector-average-commutation", _check_commutation,
+         {"get_eta_bar": get_eta_bar, "get_projectors": get_projectors}),
+        ("d-rank-formula", _check_rank_formula, {"outcomes": outcomes}),
+        ("e-overlap-class-equality", _check_overlap_classes, {"get_overlaps": get_overlaps}),
+        ("f-cauchy-schwarz-dominance", _check_cauchy_schwarz, {"get_overlaps": get_overlaps}),
+        ("g-purity-upper-bound", _check_purity_bound, {"get_overlaps": get_overlaps}),
+        ("h-disjoint-overlap-value", _check_disjoint_overlap, {"get_overlaps": get_overlaps}),
+        ("i-average-purity-trend", _check_purity_trend, {"get_eta_bar": get_eta_bar}),
+        ("j-fidelity-lower-bound", _check_fidelity_lower_bound, {"get_eta_bar": get_eta_bar}),
+        ("k-stirling-row-identity", _check_stirling, {}),
     ]
     results = []
-    for fn, extra in checks:
+    for name, fn, extra in checks:
         try:
-            results.append(fn(d, N, M, tol, params, **extra))
+            results.append(fn(name, d, N, M, tol, params, **extra))
         except DimensionCapError as exc:
-            results.append(_skipped(fn.__name__.removeprefix("_check_"), params, str(exc)))
+            results.append(_skipped(name, params, str(exc)))
     return sorted(results, key=lambda r: (r.name, sorted(r.params.items())))
 
 

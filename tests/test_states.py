@@ -4,23 +4,41 @@ import pytest
 from portclone.states import (
     ensemble_average,
     max_entangled,
+    maximally_mixed,
     mpbt_ensemble,
+    mpbt_layout,
     mpbt_signal,
     pbt_layout,
     pbt_signal,
-    pbt_signal_entries,
     pbtc_ensemble,
     pbtc_signal,
 )
 from portclone.symmetry import (
     OrderedPorts,
     PortSet,
+    enumerate_ordered,
     enumerate_unordered,
     sym_dim,
     symmetric_projector,
     symmetrize_slots,
 )
-from portclone.tensor_core import hermitian_eig, partial_trace, support_rank_blocks
+from portclone.tensor_core import (
+    hermitian_eig,
+    kron_compose,
+    partial_trace,
+    support_rank_blocks,
+)
+
+
+def paired_state(pairs, layout, d):
+    """Reference signal built by tensor products: Phi+ on every (label, label)
+    pair, maximally mixed on the other labels, reordered to `layout`."""
+    factors = [max_entangled(d, a, b) for a, b in pairs]
+    paired = {label for pair in pairs for label in pair}
+    rest = [label for label in layout.labels if label not in paired]
+    if rest:
+        factors.append(maximally_mixed(rest, d))
+    return kron_compose(factors).permute_subsystems(layout.labels).entries
 
 
 class TestMaxEntangled:
@@ -37,6 +55,13 @@ class TestMaxEntangled:
 
 
 class TestPbtSignal:
+    @pytest.mark.parametrize("d,N", [(2, 4), (3, 3)])
+    def test_matches_tensor_product(self, d, N):
+        layout = pbt_layout(N, d)
+        for i in range(1, N + 1):
+            reference = paired_state([("X", f"A{i}")], layout, d)
+            assert np.abs(pbt_signal(i, N, d).entries - reference).max() <= 1e-14
+
     def test_unit_trace_psd(self):
         for i in (1, 2, 3):
             rho = pbt_signal(i, 3, 2)
@@ -56,6 +81,14 @@ class TestPbtSignal:
 
 
 class TestMpbtSignal:
+    @pytest.mark.parametrize("d,N,M", [(2, 3, 2), (3, 3, 2)])
+    def test_matches_tensor_product(self, d, N, M):
+        layout = mpbt_layout(N, M, d)
+        for J in enumerate_ordered(N, M):
+            pairs = [(f"X{k}", f"A{j}") for k, j in enumerate(J, start=1)]
+            reference = paired_state(pairs, layout, d)
+            assert np.abs(mpbt_signal(J, N, d).entries - reference).max() <= 1e-14
+
     def test_unit_trace(self):
         rho = mpbt_signal(OrderedPorts((3, 1), 3), 3, 2)
         assert abs(rho.trace() - 1) < 1e-12
@@ -74,6 +107,17 @@ class TestMpbtSignal:
 
 
 class TestPbtcSignal:
+    @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (2, 5, 3), (3, 3, 2)])
+    def test_matches_projector_sandwich(self, d, N, M):
+        # (d^M / d[M]) Pi_I rho^{i1} Pi_I from the dense projector and a
+        # tensor-product rho, independently of the scatter
+        layout = pbt_layout(N, d)
+        for I in enumerate_unordered(N, M):
+            pi = symmetric_projector(I, d, layout).entries
+            rho = paired_state([("X", f"A{I.smallest}")], layout, d)
+            reference = d**M / sym_dim(d, M) * pi @ rho @ pi
+            assert np.abs(pbtc_signal(I, N, d).entries - reference).max() <= 1e-14
+
     def test_unit_trace_psd(self):
         for I in enumerate_unordered(3, 2):
             eta = pbtc_signal(I, 3, 2)
@@ -85,7 +129,7 @@ class TestPbtcSignal:
         I, N, d = PortSet((1, 3), 3), 3, 2
         eta = pbtc_signal(I, N, d).entries
         for j in I:
-            rho = pbt_signal_entries(j, N, d)
+            rho = pbt_signal(j, N, d).entries
             sym = symmetrize_slots(rho, pbt_layout(N, d), I.elements, None)
             assert np.abs(d**I.M / sym_dim(d, I.M) * sym - eta).max() < 1e-12
 

@@ -81,7 +81,7 @@ class TestRankCheck:
         # check d ranks each signal block by block; the dense rank must agree
         _, sectors = weight_sectors(pbt_layout(N, d), [input_label()])
         for I in enumerate_unordered(N, M):
-            blocks = [pbtc_signal_entries(I, N, d, idx) for idx in sectors]
+            blocks = [pbtc_signal_entries([I], N, d, idx) for idx in sectors]
             dense = support_rank_blocks([pbtc_signal(I, N, d).entries])
             assert support_rank_blocks(blocks) == dense
 
@@ -113,6 +113,39 @@ class TestSuite:
         failing = {r.name for r in results if not r.passed}
         assert failing == {"c-pgm-support-invariance", "c2-pgm-completeness"}
         assert not suite_passed(results)
+
+    def test_capped_checks_keep_their_names(self, monkeypatch):
+        full = [r.name for r in run_suite(2, 4, 2)]
+        monkeypatch.setenv("PORTCLONE_DIM_CAP", "16")
+        capped = run_suite(2, 4, 2)
+        assert [r.name for r in capped] == full == sorted(full)
+        refused = [r for r in capped if "exceeds cap" in r.notes]
+        assert len(refused) == 10
+        assert all(r.passed and r.notes.startswith("skipped") for r in refused)
+
+    def test_sigma_images_built_per_batch(self, monkeypatch):
+        d, N, M = 2, 6, 2
+        outcomes = enumerate_unordered(N, M)
+        checks = [
+            ("a", verification._check_subgroup_conjugation),
+            ("b", verification._check_projector_conjugation),
+        ]
+        params = {"d": d, "N": N, "M": M}
+        whole = [fn(name, d, N, M, 1e-10, params, outcomes) for name, fn in checks]
+        seen = []
+        images = verification._outcome_images
+
+        def spy(sigmas, *args):
+            seen.append(len(sigmas))
+            return images(sigmas, *args)
+
+        monkeypatch.setattr(verification, "_outcome_images", spy)
+        monkeypatch.setattr(
+            verification, "_batches", lambda n, _: [slice(i, i + 7) for i in range(0, n, 7)]
+        )
+        batched = [fn(name, d, N, M, 1e-10, params, outcomes) for name, fn in checks]
+        assert batched == whole
+        assert max(seen) == 7 and sum(seen) == 2 * factorial(N)
 
     def test_disjoint_check_skipped_when_impossible(self):
         results = run_suite(2, 3, 2)
@@ -321,8 +354,8 @@ class TestBatchedConjugationChecks:
     def test_deviations_equal_the_loop_reference(self, monkeypatch, d, N, M, fault):
         outcomes = enumerate_unordered(N, M)
         self.corrupt(monkeypatch, fault, outcomes[-1])
-        a = verification._check_subgroup_conjugation(d, N, M, 1e-10, {}, outcomes)
-        b = verification._check_projector_conjugation(d, N, M, 1e-10, {}, outcomes)
+        a = verification._check_subgroup_conjugation("a", d, N, M, 1e-10, {}, outcomes)
+        b = verification._check_projector_conjugation("b", d, N, M, 1e-10, {}, outcomes)
         subgroup_of, projector_of = (
             verification.subgroup_fixing_complement, verification.symmetric_projector
         )
@@ -349,10 +382,10 @@ class TestBatchedConjugationChecks:
         outcomes = enumerate_unordered(N, M)
         self.corrupt(monkeypatch, fault, outcomes[-1])
         if check == "a":
-            result = verification._check_subgroup_conjugation(d, N, M, 1e-10, {}, outcomes)
+            result = verification._check_subgroup_conjugation("a", d, N, M, 1e-10, {}, outcomes)
             reference = reference_check_a(N, outcomes, verification.subgroup_fixing_complement)
         else:
-            result = verification._check_projector_conjugation(d, N, M, 1e-10, {}, outcomes)
+            result = verification._check_projector_conjugation("b", d, N, M, 1e-10, {}, outcomes)
             reference = reference_check_b(d, N, outcomes, verification.symmetric_projector)
         assert result.deviation == reference and not result.passed
         [sizes] = batches
