@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from portclone.states import mpbt_layout, pairing_pattern
+from portclone.states import _symmetrized_pairs
 from portclone.symmetry import sym_dim, symmetrize_slots
 from portclone.tensor_core import (
     LabeledOperator,
@@ -40,7 +40,7 @@ def clone_map(
     if M > K:
         extra = SubsystemLayout(out_labels[K:], [d] * (M - K))
         work = kron_compose([work, identity(extra)])
-    sandwiched = symmetrize_slots(work.entries, work.layout, range(M), None)
+    sandwiched = symmetrize_slots(work.entries, work.layout, range(M))
     return LabeledOperator(work.layout, sym_dim(d, K) / sym_dim(d, M) * sandwiched)
 
 
@@ -55,7 +55,7 @@ def clone_adjoint_on_input(
     """
     M = len(x_labels)
     slots = [op.layout.index(l) for l in x_labels]
-    sandwiched = symmetrize_slots(op.entries, op.layout, slots, None)
+    sandwiched = symmetrize_slots(op.entries, op.layout, slots)
     reduced = partial_trace(LabeledOperator(op.layout, sandwiched), x_labels[1:])
     scale = d / sym_dim(d, M)
     return (scale * reduced).relabel({x_labels[0]: out_label})
@@ -68,11 +68,12 @@ def cloned_signal_entries(
     rho^i, on the basis indices `idx` of [X1..XM, A1..AN] (all by default).
 
     This is the target of the adjoint identity Tr[C^dag(E) rho] = Tr[E C(rho)],
-    which evaluates the pullback POVM without forming it.
+    which evaluates the pullback POVM without forming it. C(rho^i) is
+    (d / d[M]) d^-N Pi_M (P_{A_i,X1} (x) 1) Pi_M with Pi_M on X1..XM: the
+    pbtc sandwich with the roles of the fixed slot and the symmetrized set
+    swapped.
     """
     if not 1 <= i <= N:
         raise ValueError(f"port index {i} out of range 1..{N}")
-    layout = mpbt_layout(N, M, d)
-    # rho^i on (X1, A) tensored with the identity on X2..XM, then Pi_M on X1..XM
-    pattern = pairing_pattern(layout.dims, [[(0, M + i - 1)]], d / sym_dim(d, M) / d**N, idx)
-    return symmetrize_slots(pattern, layout, range(M), idx)
+    slots = np.arange(M)[None]  # X1..XM
+    return d / sym_dim(d, M) / d**N * _symmetrized_pairs((d,) * (M + N), M + i - 1, slots, idx)

@@ -46,7 +46,7 @@ class Povm:
             acc += el.entries
         return LabeledOperator(self.layout, acc)
 
-    def validate(self, completeness_tol: float = COMPLETENESS_TOL):
+    def validate(self):
         """Check elementwise positivity and completeness of a completed POVM."""
         total = self.element_sum()
         lam_max = hermitian_eig(total).eigenvalues.max()
@@ -57,7 +57,7 @@ class Povm:
                     f"POVM element {key} has negative eigenvalue {lam_min:.3e}"
                 )
         dev = np.abs(total.entries - np.eye(self.layout.dim)).max()
-        if dev > completeness_tol:
+        if dev > COMPLETENESS_TOL:
             raise ValueError(f"POVM elements sum to identity only within {dev:.3e}")
 
 

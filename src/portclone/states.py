@@ -56,14 +56,15 @@ def maximally_mixed(labels: Sequence[str], d: int) -> LabeledOperator:
 
 def _pattern_nonzeros(
     dims: tuple[int, ...], pairs: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nonzeros of the pairing pattern of every pair list P in `pairs`, an
     (n, p, 2) array of positions of slots of one dimension d, on the ascending
-    basis indices `idx` of slots of dimensions `dims`, as three arrays: member
-    number, row position and column position in `idx`. The pattern of P is
-    the product over its pairs (a, b) of sum_jk |jj><kk|_ab, times the
-    identity on every other slot. Every pair must join an input slot to a
-    port, so that each nonzero column stays in the weight sector `idx`.
+    basis indices `idx` of slots of dimensions `dims`, as three arrays (member
+    number, row position and column position in `idx`) and the digit table
+    of `idx`, one row per slot. The pattern of P is the product over its
+    pairs (a, b) of sum_jk |jj><kk|_ab, times the identity on every other
+    slot. Every pair must join an input slot to a port, so that each nonzero
+    column stays in the weight sector `idx`.
 
     A row is nonzero when its digits agree within every pair. Its d^p nonzero
     columns set each pair to a common level and keep the other slots.
@@ -76,23 +77,37 @@ def _pattern_nonzeros(
     member, row = np.nonzero(np.all(digits[a] == digits[b], axis=1))
     step = (strides[a] + strides[b])[member]  # raises both slots of a pair by one level
     base = idx[row] - (digits[a[member], row[:, None]] * step).sum(axis=1)
-    cols = positions_in(idx, base[:, None] + step @ levels.T)
-    return np.repeat(member, len(levels)), np.repeat(row, len(levels)), cols.ravel()
+    cols = positions_in(idx, base[:, None] + step @ levels.T).ravel()
+    return np.repeat(member, len(levels)), np.repeat(row, len(levels)), cols, digits
 
 
-def pairing_pattern(
-    dims: tuple[int, ...],
-    pairs: Sequence[Sequence[tuple[int, int]]],
-    weight: float,
-    idx: np.ndarray | None,
+def _symmetrized_pairs(
+    dims: tuple[int, ...], fixed: int, sets: np.ndarray, idx: np.ndarray | None
 ) -> np.ndarray:
-    """`weight` times the sum of the pairing patterns of the pair lists in
-    `pairs` (see `_pattern_nonzeros`) on the ascending basis indices `idx`
-    (all if None) of slots of dimensions `dims`, counted in one scatter."""
+    """Mean over the slot sets S in `sets`, an (n, M) array of positions of
+    slots of one dimension d, of Pi_S (P_{f,s1} (x) 1) Pi_S on the ascending
+    basis indices `idx` (all if None) of slots of dimensions `dims`. P_{f,s1}
+    is the pairing pattern of the slot `fixed` with the first slot of S (see
+    `_pattern_nonzeros`) and Pi_S symmetrizes the slots of S.
+
+    Pi_S (P_{f,s1} (x) 1) Pi_S = (1/M) sum_{s in S} P_{f,s} Pi_S, because the
+    permutations of S map P_{f,s1} onto every P_{f,s} and leave Pi_S fixed.
+    So a member is M pairing patterns whose columns are gathered by every
+    permutation of the digits on S; one scatter per permutation of M slots
+    covers all members.
+    """
     idx = np.arange(prod(dims)) if idx is None else idx
-    _, rows, cols = _pattern_nonzeros(dims, np.asarray(pairs), idx)
+    n, M = sets.shape
+    pairs = np.stack([np.full_like(sets, fixed), sets], axis=-1).reshape(-1, 1, 2)
+    member, rows, cols, digits = _pattern_nonzeros(dims, pairs, idx)
+    digits = digits[sets]  # (member, slot of S, index)
+    strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])[sets][..., None]
     k = len(idx)
-    return weight * np.bincount(rows * k + cols, minlength=k * k).reshape(k, k)
+    counts = np.bincount(rows * k + cols, minlength=k * k)  # the identity keeps every column
+    for s in itertools.islice(itertools.permutations(range(M)), 1, None):
+        moved = positions_in(idx, idx + ((digits[:, s] - digits) * strides).sum(axis=1))
+        counts += np.bincount(rows * k + moved[member // M, cols], minlength=k * k)
+    return counts.reshape(k, k) / (M * factorial(M) * n)
 
 
 def pbtc_signal_entries(
@@ -104,28 +119,10 @@ def pbtc_signal_entries(
     them by default). rho^i is Phi+ on (X, A_i), maximally mixed elsewhere, and
     i1 the smallest port of I; any other port of I gives the same state. One
     port set gives its signal, all C(N, M) of them the ensemble average.
-
-    Pi_I rho^{i1} Pi_I = (1/M) sum_{j in I} rho^j Pi_I, because the
-    permutations of I map rho^{i1} onto every rho^j and leave Pi_I fixed. So
-    a member is M pairing patterns whose columns are gathered by every
-    permutation of the digits on I; one scatter per permutation of M slots
-    covers all members.
     """
-    idx = np.arange(pbt_layout(N, d).dim) if idx is None else idx
-    dims = (d,) * (N + 1)
     ports = np.array([tuple(I) for I in port_sets])  # port j is slot j
-    n, M = ports.shape
-    pairs = np.stack([np.zeros_like(ports), ports], axis=-1).reshape(-1, 1, 2)
-    member, rows, cols = _pattern_nonzeros(dims, pairs, idx)
-    digits = np.array(np.unravel_index(idx, dims))[ports]  # (outcome, slot of I, index)
-    strides = (d ** (N - ports))[..., None]
-    k = len(idx)
-    counts = np.bincount(rows * k + cols, minlength=k * k)  # the identity keeps every column
-    for s in itertools.islice(itertools.permutations(range(M)), 1, None):
-        moved = positions_in(idx, idx + ((digits[:, s] - digits) * strides).sum(axis=1))
-        counts += np.bincount(rows * k + moved[member // M, cols], minlength=k * k)
-    weight = d**M / sym_dim(d, M) / (M * factorial(M) * n * d**N)
-    return weight * counts.reshape(k, k)
+    M = ports.shape[1]
+    return d**M / sym_dim(d, M) / d**N * _symmetrized_pairs((d,) * (N + 1), 0, ports, idx)
 
 
 def mpbt_signal_entries(
@@ -135,12 +132,15 @@ def mpbt_signal_entries(
     M distinct ports of 1..N, on the ascending basis indices `idx` of
     [X1..XM, A1..AN] (all of them by default). The signal of J is Phi+ on each
     (X_k, A_{j_k}), maximally mixed elsewhere. One ordering gives its signal,
-    all N!/(N-M)! of them the ensemble average."""
+    all N!/(N-M)! of them the ensemble average; their patterns are counted in
+    one scatter."""
     ports = np.array([tuple(J) for J in orderings])
     n, M = ports.shape
     idx = np.arange(mpbt_layout(N, M, d).dim) if idx is None else idx
     pairs = np.stack([np.broadcast_to(np.arange(M), ports.shape), M - 1 + ports], axis=-1)
-    return pairing_pattern((d,) * (M + N), pairs, 1 / (n * d**N), idx)
+    _, rows, cols, _ = _pattern_nonzeros((d,) * (M + N), pairs, idx)
+    k = len(idx)
+    return np.bincount(rows * k + cols, minlength=k * k).reshape(k, k) / (n * d**N)
 
 
 def pbt_signal(i: int, N: int, d: int) -> LabeledOperator:

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from portclone.tensor_core import LabeledOperator, SubsystemLayout, positions_in
+from portclone.tensor_core import LabeledOperator, SubsystemLayout
 
 
 def port_label(i: int) -> str:
@@ -124,20 +124,13 @@ def subgroup_fixing_complement(I: PortSet) -> np.ndarray:
     return _slot_permutations(I.N, [i - 1 for i in I.elements])
 
 
-def permuted_basis_indices(
-    s: np.ndarray, dims: Sequence[int], idx: np.ndarray | None = None
-) -> np.ndarray:
-    """Where each basis index c in `idx` (ascending; all of them if None) goes
-    when slot j takes digit s[j] of c: the position in `idx` of V_t |c> for
-    t = s^-1, with V_t as in `permutation_unitary`. `s` holds 0-based images,
-    one permutation or a stack of them with one result row each."""
-    full = idx is None
-    idx = np.arange(prod(dims)) if full else idx
-    digits = np.array(np.unravel_index(idx, dims))  # digit j of each index
-    target = np.ravel_multi_index(tuple(digits[np.asarray(s).T]), dims)
-    if full:
-        return target
-    return positions_in(idx, target)
+def permuted_basis_indices(s: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Where each basis index c goes when slot j takes digit s[j] of c: the
+    index of V_t |c> for t = s^-1, with V_t as in `permutation_unitary`. `s`
+    holds 0-based images, one permutation or a stack of them with one result
+    row each."""
+    digits = np.array(np.unravel_index(np.arange(prod(dims)), dims))  # digit j of each index
+    return np.ravel_multi_index(tuple(digits[np.asarray(s).T]), dims)
 
 
 def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledOperator:
@@ -153,20 +146,17 @@ def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledO
     return LabeledOperator(layout, entries)
 
 
-def symmetrize_slots(
-    block: np.ndarray, layout: SubsystemLayout, slots: Sequence[int], idx: np.ndarray | None
-) -> np.ndarray:
-    """Pi A Pi on the basis indices `idx` (ascending; all if None), where A is
-    given by its entries `block` on those indices and Pi symmetrizes the slot
-    positions `slots`. `idx` must be closed under permuting those slots.
+def symmetrize_slots(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
+    """Pi A Pi, where A is given by its entries `a` on `layout` and Pi
+    symmetrizes the slot positions `slots`.
 
     Pi is the average of the slot permutations, each of which maps basis
     states to basis states, so both products are averages of row or column
-    gathers of `block`.
+    gathers of `a`.
     """
     perms = _slot_permutations(len(layout.dims), slots)
-    gathers = permuted_basis_indices(perms, layout.dims, idx)
-    rows = sum(block[g] for g in gathers) / len(gathers)
+    gathers = permuted_basis_indices(perms, layout.dims)
+    rows = sum(a[g] for g in gathers) / len(gathers)
     return sum(rows[:, g] for g in gathers) / len(gathers)
 
 
@@ -176,7 +166,7 @@ def symmetric_projector(
     """Symmetric projector on ports I, acting as identity on the other subsystems."""
     slots = [full_layout.index(port_label(i)) for i in I]
     return LabeledOperator(
-        full_layout, symmetrize_slots(np.eye(full_layout.dim), full_layout, slots, None)
+        full_layout, symmetrize_slots(np.eye(full_layout.dim), full_layout, slots)
     )
 
 

@@ -260,21 +260,21 @@ def hermitian_eig(op: LabeledOperator) -> Spectrum:
     return Spectrum(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
-def support_rank_blocks(blocks: Sequence[np.ndarray], rel_tol: float = PINV_CUTOFF) -> int:
-    """Number of eigenvalues above rel_tol * max|eigenvalue| of a block-diagonal
+def support_rank_blocks(blocks: Sequence[np.ndarray]) -> int:
+    """Number of eigenvalues above PINV_CUTOFF * max|eigenvalue| of a block-diagonal
     Hermitian operator given as its diagonal blocks; one checked eigh per block."""
     scale = max(np.abs(b).max() for b in blocks)
     vals = np.abs(np.concatenate([_checked_eigh(b, scale)[0] for b in blocks]))
-    return int(np.sum(vals > rel_tol * vals.max()))
+    return int(np.sum(vals > PINV_CUTOFF * vals.max()))
 
 
 def psd_inv_sqrt_blocks(
-    blocks: Sequence[np.ndarray], rel_tol: float = PINV_CUTOFF
+    blocks: Sequence[np.ndarray],
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Inverse square root on the support, and the support projector, of a
     block-diagonal PSD operator given as its diagonal blocks; one eigh per block.
 
-    Eigenvalues below rel_tol * lambda_max are treated as zero, and the PSD
+    Eigenvalues below PINV_CUTOFF * lambda_max are treated as zero, and the PSD
     check is relative to lambda_max too. lambda_max is taken over all blocks,
     so a block lying wholly below the cutoff is dropped.
     """
@@ -288,7 +288,7 @@ def psd_inv_sqrt_blocks(
         raise ValueError(f"operator is not PSD: eigenvalue {lam_min:.6e}")
     roots, projectors = [], []
     for vals, vecs in spectra:
-        keep = vals > rel_tol * lam_max
+        keep = vals > PINV_CUTOFF * lam_max
         kept, dropped = vecs[:, keep], vecs[:, ~keep]
         roots.append((kept / np.sqrt(vals[keep])) @ kept.conj().T)
         # built from the discarded eigenvectors, so it is exactly the identity
@@ -297,16 +297,16 @@ def psd_inv_sqrt_blocks(
     return roots, projectors
 
 
-def psd_inv_sqrt(op: LabeledOperator, rel_tol: float = PINV_CUTOFF) -> LabeledOperator:
+def psd_inv_sqrt(op: LabeledOperator) -> LabeledOperator:
     """Inverse square root on the support of a PSD operator.
 
-    Eigenvalues below rel_tol * lambda_max are treated as zero, so
+    Eigenvalues below PINV_CUTOFF * lambda_max are treated as zero, so
     B @ op @ B is the support projector rather than the identity.
     """
-    roots, _ = psd_inv_sqrt_blocks([op.entries], rel_tol)
+    roots, _ = psd_inv_sqrt_blocks([op.entries])
     return LabeledOperator(op.layout, roots[0])
 
 
-def support_projector(op: LabeledOperator, rel_tol: float = PINV_CUTOFF) -> LabeledOperator:
-    _, projectors = psd_inv_sqrt_blocks([op.entries], rel_tol)
+def support_projector(op: LabeledOperator) -> LabeledOperator:
+    _, projectors = psd_inv_sqrt_blocks([op.entries])
     return LabeledOperator(op.layout, projectors[0])

@@ -406,11 +406,6 @@ def run_suite(
     return sorted(results, key=lambda r: (r.name, sorted(r.params.items())))
 
 
-def suite_passed(results: list[CheckResult], include_trends: bool = False) -> bool:
-    """True if every non-trend (or, optionally, every) check passed."""
-    for r in results:
-        if not include_trends and r.notes.startswith(TREND_NOTE):
-            continue
-        if not r.passed:
-            return False
-    return True
+def suite_passed(results: list[CheckResult]) -> bool:
+    """True if every non-trend check passed."""
+    return all(r.passed for r in results if not r.notes.startswith(TREND_NOTE))

@@ -93,7 +93,9 @@ class TestCriterion1OptimalCloning:
 class TestCriterion2FidelityGap:
     @pytest.mark.parametrize("n", SWEEP_NS)
     def test_gap_positive(self, sweep, n):
-        """Telecloning beats clone-and-teleport wherever it can.
+        """Telecloning beats clone-and-teleport over the swept range, d=2,
+        M=2 and N = 2..6. It does not for every N: the gap changes sign
+        between N = 7 (+4.8e-3) and N = 8 (-6.4e-3).
 
         With more than one measurement outcome, C(N, M) > 1, the f of
         std-pbtc must exceed that of clone-mpbt by more than 1e-6.

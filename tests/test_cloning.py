@@ -7,12 +7,21 @@ from portclone.cloning import (
     cloned_signal_entries,
     optimal_clone_fidelity,
 )
-from portclone.states import input_label, maximally_mixed, mpbt_layout, pbt_signal
+from portclone.states import (
+    input_label,
+    max_entangled,
+    maximally_mixed,
+    mpbt_layout,
+    pbt_signal,
+)
+from portclone.symmetry import sym_dim, symmetrize_slots
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
+    identity,
     kron_compose,
     partial_trace,
+    weight_sectors,
 )
 
 
@@ -134,3 +143,27 @@ class TestClonedSignal:
             rhs = np.sum(pulled.entries * pbt_signal(i, N, d).entries.T)
             assert abs(lhs - rhs) < 1e-12
             assert abs(np.trace(tau) - 1) < 1e-12
+
+    @pytest.mark.parametrize("d,N,M", [(2, 3, 2), (2, 4, 3), (3, 3, 2), (2, 6, 4)])
+    def test_matches_projector_sandwich(self, d, N, M):
+        # (d / d[M]) d^-N Pi_X (P_{X1,A_i} (x) 1) Pi_X from a tensor-product
+        # pattern and the dense symmetrizer, on every weight sector and on
+        # the full space, independently of the scatter
+        layout = mpbt_layout(N, M, d)
+        x_labels = [input_label(k) for k in range(1, M + 1)]
+        _, sectors = weight_sectors(layout, x_labels)
+        for i in range(1, N + 1):
+            pair = ["X1", f"A{i}"]
+            rest = [label for label in layout.labels if label not in pair]
+            pattern = kron_compose(
+                [d * max_entangled(d, *pair), identity(SubsystemLayout(rest, [d] * len(rest)))]
+            ).permute_subsystems(layout.labels).entries
+            reference = d / sym_dim(d, M) / d**N * symmetrize_slots(pattern, layout, range(M))
+            assert np.abs(cloned_signal_entries(i, N, M, d) - reference).max() <= 1e-15
+            for idx in sectors:
+                block = cloned_signal_entries(i, N, M, d, idx)
+                assert np.abs(block - reference[np.ix_(idx, idx)]).max() <= 1e-15
+
+    def test_rejects_index_set_not_closed(self):
+        with pytest.raises(ValueError, match="closed"):
+            cloned_signal_entries(1, 2, 2, 2, np.array([1]))

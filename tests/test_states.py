@@ -12,6 +12,7 @@ from portclone.states import (
     pbt_signal,
     pbtc_ensemble,
     pbtc_signal,
+    pbtc_signal_entries,
 )
 from portclone.symmetry import (
     OrderedPorts,
@@ -130,8 +131,12 @@ class TestPbtcSignal:
         eta = pbtc_signal(I, N, d).entries
         for j in I:
             rho = pbt_signal(j, N, d).entries
-            sym = symmetrize_slots(rho, pbt_layout(N, d), I.elements, None)
+            sym = symmetrize_slots(rho, pbt_layout(N, d), I.elements)
             assert np.abs(d**I.M / sym_dim(d, I.M) * sym - eta).max() < 1e-12
+
+    def test_rejects_index_set_not_closed(self):
+        with pytest.raises(ValueError, match="closed"):
+            pbtc_signal_entries([(1, 2)], 2, 2, np.array([1]))
 
     def test_m1_reduces_to_plain_signal(self):
         eta = pbtc_signal(PortSet((2,), 3), 3, 2)

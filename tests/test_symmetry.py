@@ -19,7 +19,7 @@ from portclone.symmetry import (
     symmetric_projector,
     symmetrize_slots,
 )
-from portclone.tensor_core import SubsystemLayout, weight_sectors
+from portclone.tensor_core import SubsystemLayout
 
 
 class TestPortSets:
@@ -154,22 +154,12 @@ class TestSymmetrizeSlots:
         pi = ports_projector(d, M)
         assert np.abs(pi.entries - dense).max() < 1e-15
 
-    def test_matches_dense_sandwich_on_every_sector(self):
+    def test_matches_dense_sandwich(self):
         rng = np.random.default_rng(21)
         layout = SubsystemLayout(["X", "A1", "A2", "A3"], [2] * 4)
         a = rng.normal(size=(16, 16))
         pi = symmetric_projector(PortSet((1, 3), 3), 2, layout).entries
-        full = symmetrize_slots(a, layout, [1, 3], np.arange(16))
-        assert np.abs(full - pi @ a @ pi).max() < 1e-14
-        # Pi is block-diagonal, so a diagonal block of Pi A Pi needs only that block of A
-        for idx in weight_sectors(layout, ["X"])[1]:
-            block = symmetrize_slots(a[np.ix_(idx, idx)], layout, [1, 3], idx)
-            assert np.abs(block - full[np.ix_(idx, idx)]).max() < 1e-14
-
-    def test_rejects_index_set_not_closed(self):
-        layout = SubsystemLayout(["A1", "A2"], [2, 2])
-        with pytest.raises(ValueError, match="closed"):
-            symmetrize_slots(np.eye(1), layout, [0, 1], np.array([1]))
+        assert np.abs(symmetrize_slots(a, layout, [1, 3]) - pi @ a @ pi).max() < 1e-14
 
 
 class TestStirling:
