@@ -211,10 +211,9 @@ def haar_average_check(
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    vecs = np.empty((samples, d), dtype=complex)
-    for s in range(samples):
-        vec = rng.normal(size=d) + 1j * rng.normal(size=d)
-        vecs[s] = vec / np.linalg.norm(vec)
+    draws = rng.normal(size=(samples, 2, d))  # per sample: d real parts, then d imaginary
+    vecs = draws[:, 0] + 1j * draws[:, 1]
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     x_layout = SubsystemLayout([input_label()], [d])
     units = np.array([
         single_clone_output(povm, LabeledOperator(x_layout, unit), N, d, clone_slot).entries
@@ -331,7 +330,7 @@ def _clone_report(M: int, d: int) -> FidelityReport:
     """Pure optimal cloning with no teleportation: dense single-clone fidelity."""
     start = time.perf_counter()
     x_layout = SubsystemLayout([input_label()], [d])
-    basis0 = np.zeros((d, d), dtype=complex)
+    basis0 = np.zeros((d, d))
     basis0[0, 0] = 1.0
     out_labels = [f"c{k}" for k in range(1, M + 1)]
     cloned = clone_map(LabeledOperator(x_layout, basis0), M, d, out_labels)

@@ -41,7 +41,8 @@ class Povm:
         return len(self.outcomes)
 
     def element_sum(self) -> LabeledOperator:
-        acc = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
+        dtype = np.result_type(float, *{el.entries.dtype for el in self.outcomes.values()})
+        acc = np.zeros((self.layout.dim, self.layout.dim), dtype=dtype)
         for el in self.outcomes.values():
             acc += el.entries
         return LabeledOperator(self.layout, acc)

@@ -42,10 +42,10 @@ def mpbt_layout(N: int, M: int, d: int) -> SubsystemLayout:
 
 def max_entangled(d: int, label_a: str, label_b: str) -> LabeledOperator:
     """Density operator of |Phi+> = d^{-1/2} sum_i |ii> on two labeled qudits."""
-    vec = np.zeros(d * d, dtype=complex)
+    vec = np.zeros(d * d)
     vec[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
     return LabeledOperator(
-        SubsystemLayout([label_a, label_b], [d, d]), np.outer(vec, vec.conj())
+        SubsystemLayout([label_a, label_b], [d, d]), np.outer(vec, vec)
     )
 
 
@@ -173,7 +173,8 @@ def ensemble_average(e: dict[Hashable, LabeledOperator]) -> LabeledOperator:
     if any(state.layout.labels != layout.labels for state in e.values()):
         raise ValueError("ensemble states must share one layout")
     p = 1.0 / len(e)
-    acc = np.zeros((layout.dim, layout.dim), dtype=complex)
+    dtype = np.result_type(*{state.entries.dtype for state in e.values()})
+    acc = np.zeros((layout.dim, layout.dim), dtype=dtype)
     for state in e.values():
         acc += p * state.entries
     return LabeledOperator(layout, acc)

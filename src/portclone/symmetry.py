@@ -141,7 +141,7 @@ def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledO
     if len(slots) != len(s):
         raise ValueError(f"permutation acts on {len(s)} slots but {len(slots)} labels given")
     layout = SubsystemLayout(slots, [d] * len(s))
-    entries = np.zeros((layout.dim, layout.dim), dtype=complex)
+    entries = np.zeros((layout.dim, layout.dim))
     entries[permuted_basis_indices(np.argsort(s), layout.dims), np.arange(layout.dim)] = 1.0
     return LabeledOperator(layout, entries)
 

@@ -78,13 +78,14 @@ class SubsystemLayout:
 
 
 class LabeledOperator:
-    """Dense complex square matrix over the subsystems of a layout.
+    """Dense square matrix over the subsystems of a layout.
 
-    Entries are stored read-only; all operations return fresh instances.
+    Entries are stored read-only, as float64 when real and as complex128 only
+    when complex; all operations return fresh instances.
     """
 
     def __init__(self, layout: SubsystemLayout, entries: np.ndarray):
-        entries = np.array(entries, dtype=complex)  # converts and copies in one pass
+        entries = np.array(entries, dtype=np.result_type(entries, float))  # converts and copies
         if entries.shape != (layout.dim, layout.dim):
             raise ValueError(
                 f"entries shape {entries.shape} does not match layout dimension {layout.dim}"

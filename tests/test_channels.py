@@ -359,16 +359,32 @@ class TestHaarCheck:
             assert abs(est - ref_est) <= 1e-12
             assert abs(se - ref_se) <= 1e-12
 
-    def test_matrix_units_match_on_non_covariant_family(self):
-        # a covariant channel gives every input the same fidelity, so only a
-        # family without that symmetry shows a wrong mix of matrix units
+    @staticmethod
+    def _non_covariant_family():
+        """Random PSD elements keyed by the outcomes of (d, N, M) = (2, 3, 2). A
+        covariant channel gives every input the same fidelity, so only a family
+        without that symmetry shows a wrong mix of matrix units or of draws."""
         rng = np.random.default_rng(17)
         layout = pbt_layout(3, 2)
         outcomes = {}
         for I in enumerate_unordered(3, 2):
             g = rng.normal(size=(layout.dim,) * 2) + 1j * rng.normal(size=(layout.dim,) * 2)
             outcomes[I] = LabeledOperator(layout, g @ g.conj().T / layout.dim**2)
-        povm = Povm(outcomes=outcomes, layout=layout)
+        return Povm(outcomes=outcomes, layout=layout)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_draw_reads_the_per_sample_stream(self, seed):
+        # all samples come from one generator call; each sample must still get
+        # the d real and then the d imaginary parts a per-sample loop draws
+        povm = self._non_covariant_family()
+        est, se = haar_average_check(povm, 1, samples=40, seed=seed, N=3, d=2)
+        ref_est, ref_se = self._per_sample(povm, 1, 40, seed, 3, 2)
+        assert se > 1e-4
+        assert abs(est - ref_est) <= 1e-14
+        assert abs(se - ref_se) <= 1e-14
+
+    def test_matrix_units_match_on_non_covariant_family(self):
+        povm = self._non_covariant_family()
         for clone_slot in (1, 2):
             est, se = haar_average_check(povm, clone_slot, samples=200, seed=3, N=3, d=2)
             ref_est, ref_se = self._per_sample(povm, clone_slot, 200, 3, 3, 2)

@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from portclone.cli import main
+from portclone.measurements import std_pbtc_povm
 
 
 @pytest.fixture
@@ -162,6 +164,31 @@ class TestPovmDump:
         doc = json.loads(path.read_text())
         assert doc["dimension"] == 16
         assert len(doc["outcomes"]) == 3
+
+    def test_real_povm_round_trips_as_re_im_pairs(self, runner, tmp_path):
+        # real entries still dump as [re, im] pairs, with im exactly 0.0
+        path = tmp_path / "povm.json"
+        res = runner.invoke(main, [
+            "povm-dump", "--protocol", "std-pbtc", "--N", "3", "--M", "2",
+            "--out", str(path),
+        ])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(path.read_text())
+        povm = std_pbtc_povm(3, 2, 2)
+        assert set(doc) == {"labels", "dims", "dimension", "outcomes", "completion_element"}
+        assert doc["labels"] == ["X", "A1", "A2", "A3"]
+        assert (doc["dims"], doc["dimension"]) == ([2, 2, 2, 2], 16)
+
+        def matrix(pairs):
+            assert all(len(pair) == 2 and pair[1] == 0.0 for pair in pairs)
+            return np.array([re for re, _ in pairs]).reshape(16, 16)
+
+        assert [o["key"] for o in doc["outcomes"]] == [
+            {"kind": "port_set", "ports": list(I.elements), "N": 3} for I in povm.outcomes
+        ]
+        for dumped, element in zip(doc["outcomes"], povm.outcomes.values()):
+            assert np.array_equal(matrix(dumped["entries"]), element.entries)
+        assert np.array_equal(matrix(doc["completion_element"]), povm.completion_element.entries)
 
 
 class TestDimCap:

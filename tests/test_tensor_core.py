@@ -3,7 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from portclone.measurements import clone_mpbt_povm, std_pbtc_povm
+from portclone.measurements import Povm, clone_mpbt_povm, std_pbtc_povm
 from portclone.states import (
     ensemble_average,
     input_label,
@@ -297,3 +297,73 @@ class TestBlockedInvSqrt:
     def test_every_block_is_checked_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             psd_inv_sqrt_blocks([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
+
+
+def derived_operators(a):
+    """`a` on labels (x, y) through every operation that returns an operator."""
+    b = a.relabel({"x": "u", "y": "v"})
+    return {
+        "matmul": a @ a,
+        "add": a + a,
+        "sub": a - a,
+        "scalar": 0.5 * a,
+        "relabel": b,
+        "permute": a.permute_subsystems(["y", "x"]),
+        "kron": kron_compose([a, b]),
+        "partial_trace": partial_trace(a, ["y"]),
+    }
+
+
+class TestDtypeRule:
+    """Real entries are stored as float64 and complex ones as complex128, so
+    real operators stay real through every operation."""
+
+    @pytest.mark.parametrize("entries", [np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4, dtype=int)],
+                             ids=["float", "int"])
+    def test_real_input_stays_float64(self, entries):
+        a = op(["x", "y"], entries)
+        assert a.entries.dtype == np.float64
+        for name, out in derived_operators(a).items():
+            assert out.entries.dtype == np.float64, name
+        spectrum = hermitian_eig(a)
+        assert spectrum.eigenvalues.dtype == spectrum.eigenvectors.dtype == np.float64
+
+    def test_complex_input_stays_complex(self):
+        a = op(["x", "y"], random_hermitian(4, np.random.default_rng(1)))
+        assert a.entries.dtype == np.complex128
+        for name, out in derived_operators(a).items():
+            assert out.entries.dtype == np.complex128, name
+        assert hermitian_eig(a).eigenvectors.dtype == np.complex128
+
+    def test_entries_are_a_read_only_copy(self):
+        entries = np.eye(4)
+        a = op(["x", "y"], entries)
+        entries[0, 0] = 7.0
+        assert a.entries[0, 0] == 1.0
+        assert not a.entries.flags.writeable
+
+    def test_one_complex_operator_makes_the_result_complex(self):
+        rng = np.random.default_rng(2)
+        h = random_hermitian(4, rng)
+        real = [op(["x", "y"], np.diag(rng.random(4))) for _ in range(2)]
+        ops = real + [op(["x", "y"], h)]
+        as_complex = [o.entries.astype(complex) for o in ops]
+
+        out = kron_compose([real[0], op(["u", "v"], h)])
+        assert out.entries.dtype == np.complex128
+        assert np.array_equal(out.entries, np.kron(as_complex[0], h))
+
+        average = ensemble_average(dict(enumerate(ops)))
+        assert average.entries.dtype == np.complex128
+        assert np.array_equal(average.entries, sum(e * (1 / 3) for e in as_complex))
+
+        total = Povm(outcomes=dict(enumerate(ops)), layout=ops[0].layout).element_sum()
+        assert total.entries.dtype == np.complex128
+        assert np.array_equal(total.entries, sum(as_complex))
+
+    def test_protocol_operators_are_float64(self):
+        for povm in (std_pbtc_povm(4, 2, 2), clone_mpbt_povm(3, 2, 2)):
+            elements = list(povm.outcomes.values()) + [povm.completion_element]
+            assert all(el.entries.dtype == np.float64 for el in elements)
+        layout = pbt_layout(3, 2)
+        assert symmetric_projector(PortSet((1, 2), 3), 2, layout).entries.dtype == np.float64

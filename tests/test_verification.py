@@ -326,7 +326,8 @@ class TestBatchedConjugationChecks:
             pi = build_projector(I, d, layout)
             if I != target:
                 return pi
-            entries = pi.entries.copy()
+            # complex, so that the injected imaginary entry fits; Pi_I is real
+            entries = pi.entries.astype(complex)
             if fault == "added-entry":
                 # imaginary, where Pi_I is 0
                 r, c = np.argwhere(entries == 0)[0]
