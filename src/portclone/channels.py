@@ -18,7 +18,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from portclone.cloning import clone_map, cloned_signal_entries
+from portclone.cloning import clone_map, cloned_signal_factor
 from portclone.measurements import Povm
 from portclone.states import (
     input_label,
@@ -26,9 +26,11 @@ from portclone.states import (
     maximally_mixed,
     mpbt_layout,
     mpbt_signal_entries,
+    mpbt_signal_factor,
     pbt_layout,
     pbt_signal,
     pbtc_signal_entries,
+    pbtc_signal_factor,
 )
 from portclone.symmetry import PortSet, port_label
 from portclone.tensor_core import (
@@ -37,7 +39,7 @@ from portclone.tensor_core import (
     identity,
     kron_compose,
     partial_trace,
-    psd_inv_sqrt_blocks,
+    support_spectra,
     trace_product,
     weight_sectors,
 )
@@ -67,6 +69,7 @@ class FidelityReport:
     n_blocks: int = 0  # diagonal blocks the evaluation split its operators into
     max_block_dim: int = 0  # dimension of the largest of them
     n_orbits: int = 0  # blocks actually decomposed, one per level-permutation orbit
+    kept_rank: int = 0  # eigenvalues of the average state above the cutoff, all blocks; 0 for clone
 
     def __post_init__(self):
         dim = self.input_dim if self.input_dim else self.d
@@ -89,6 +92,7 @@ class FidelityReport:
             "n_blocks": self.n_blocks,
             "max_block_dim": self.max_block_dim,
             "n_orbits": self.n_orbits,
+            "kept_rank": self.kept_rank,
         }
 
 
@@ -228,25 +232,25 @@ def haar_average_check(
 
 def _engine_inputs(protocol: str, N: int, M: int, d: int):
     """The protocol as inputs of `_sector_fidelities`: layout, input slots,
-    the builder of the representative outcome c0's signal (the mean of its
-    members), the builder of the average signal state, the builders of c0's
-    target per retained slot, and the input dimension. c0 is the outcome on
-    ports 1..M, in that order for `mpbt`."""
+    the factor builder of the representative outcome c0's signal (the mean of
+    its members), the builder of the average signal state, the factor
+    builders of c0's target per retained slot, and the input dimension. c0 is
+    the outcome on ports 1..M, in that order for `mpbt`."""
     first, ports = tuple(range(1, M + 1)), range(1, N + 1)
     if protocol in ("std-pbt", "std-pbtc"):
-        signal = partial(pbtc_signal_entries, [first], N, d)
+        signal = partial(pbtc_signal_factor, first, N, d)
         average = partial(pbtc_signal_entries, list(itertools.combinations(ports, M)), N, d)
-        targets = [partial(pbtc_signal_entries, [(i,)], N, d) for i in first]
+        targets = [partial(pbtc_signal_factor, (i,), N, d) for i in first]
         return pbt_layout(N, d), [input_label()], signal, average, targets, d
     layout = mpbt_layout(N, M, d)
     x_labels = [input_label(k) for k in range(1, M + 1)]
     average = partial(mpbt_signal_entries, list(itertools.permutations(ports, M)), N, d)
     if protocol == "mpbt":
-        signal = partial(mpbt_signal_entries, [first], N, d)
+        signal = partial(mpbt_signal_factor, [first], N, d)
         return layout, x_labels, signal, average, [signal], d**M
     # clone-mpbt: the M! orderings of one port set are the members of one outcome
-    signal = partial(mpbt_signal_entries, list(itertools.permutations(first)), N, d)
-    targets = [partial(cloned_signal_entries, i, N, M, d) for i in first]
+    signal = partial(mpbt_signal_factor, list(itertools.permutations(first)), N, d)
+    targets = [partial(cloned_signal_factor, i, N, M, d) for i in first]
     return layout, x_labels, signal, average, targets, d
 
 
@@ -254,6 +258,39 @@ def _orbit_size(w: np.ndarray) -> int:
     """Number of distinct permutations of the weight vector w."""
     _, counts = np.unique(w, return_counts=True)
     return factorial(len(w)) // prod(factorial(int(m)) for m in counts)
+
+
+def _gather(vecs: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """(V^T F)^T for F given as rows of positions: F is the sum over the rows
+    of the 0/1 matrices with a one at (row entry, column), so row c of the
+    result sums the rows of `vecs` at column c's entries, one row of
+    `positions` at a time."""
+    out = vecs[positions[0]]
+    for pos in positions[1:]:
+        out += vecs[pos]
+    return out
+
+
+def _block_terms(vals, vecs, keep, signal, targets):
+    """Tr(R eta R tau_k) and Tr((1 - P) tau_k) of one block, per target, from
+    the block's spectrum `vals`, `vecs` with support mask `keep`, and the
+    factors (c, F) of eta = c F F^T and of every tau_k.
+
+    With G = V^T F and R = V_kept lambda^-1/2 V_kept^T,
+    Tr(R eta R tau) = c_eta c_tau ||F_tau^T R F_eta||^2
+                    = c_eta c_tau ||(lambda^-1/2 G_eta,kept)^T G_tau,kept||^2
+    and, with 1 - P = V_dropped V_dropped^T,
+    Tr((1 - P) tau) = c_tau ||G_tau,dropped||^2,
+    which is >= 0 term by term and exactly 0 on a block of full rank.
+    """
+    c_eta, f_eta = signal
+    scaled_eta = _gather(vecs, f_eta)[:, keep] / np.sqrt(vals[keep])
+    main, completion = [], []
+    for c_tau, f_tau in targets:
+        g_tau = _gather(vecs, f_tau)
+        main.append(c_eta * c_tau * np.sum((scaled_eta @ g_tau[:, keep].T) ** 2))
+        completion.append(c_tau * np.sum(g_tau[:, ~keep] ** 2))
+    return np.array(main), np.array(completion)
 
 
 def _sector_fidelities(layout, x_labels, signal, average, targets, d_in):
@@ -265,7 +302,8 @@ def _sector_fidelities(layout, x_labels, signal, average, targets, d_in):
     R is the inverse square root of the average signal state, P its support
     projector, eta_c0 the mean of the representative outcome c0's members and
     tau_k c0's target at slot k; the second term is the completion element's
-    part.
+    part. Both are read from eigenvector gathers (`_block_terms`), so R, P and
+    the dense eta_c0 and tau_k are never formed.
 
     Only c0 is evaluated. A port permutation maps c0 onto any outcome c with
     members and targets in order, keeps every sector and commutes with the
@@ -280,34 +318,35 @@ def _sector_fidelities(layout, x_labels, signal, average, targets, d_in):
     permutation matrix, so it commutes with every signal and target and maps
     the sector of w onto the sector of the permuted w. Blocks of one orbit
     are permutation-similar, so lambda_max, the cutoff and the PSD check of
-    `psd_inv_sqrt_blocks` are those of all blocks.
+    `support_spectra` are those of all blocks.
 
     Returns the per-slot F, the completion part of F_1, the sizes of all
-    sectors, and the number of sectors evaluated.
+    sectors, the number of sectors evaluated, and the orbit-weighted count of
+    eigenvalues kept above the cutoff.
     """
     weights, sectors = weight_sectors(layout, x_labels)
     orbits = [
         (idx, _orbit_size(w)) for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)
     ]
-    roots, projectors = psd_inv_sqrt_blocks([average(idx) for idx, _ in orbits])
+    spectra = support_spectra([average(idx) for idx, _ in orbits])
     main, completion = np.zeros(len(targets)), np.zeros(len(targets))
-    for (idx, size), root, proj in zip(orbits, roots, projectors):
-        kernel = np.eye(len(idx)) - proj
-        eta = signal(idx)
-        for k, target in enumerate(targets):
-            tau = target(idx)
-            main[k] += size * trace_product(eta, root @ tau @ root)
-            completion[k] += size * trace_product(kernel, tau)
+    kept_rank = 0
+    for (idx, size), (vals, vecs, keep) in zip(orbits, spectra):
+        taus = (target(idx) for target in targets)
+        block_main, block_completion = _block_terms(vals, vecs, keep, signal(idx), taus)
+        main += size * block_main
+        completion += size * block_completion
+        kept_rank += size * int(np.count_nonzero(keep))
     per_slot = (main + completion) / d_in**2
     sizes = [len(idx) for idx in sectors]
-    return list(per_slot), completion[0] / d_in**2, sizes, len(orbits)
+    return list(per_slot), completion[0] / d_in**2, sizes, len(orbits), kept_rank
 
 
 def _port_report(protocol: str, N: int, M: int, d: int) -> FidelityReport:
     start = time.perf_counter()
     inputs = _engine_inputs(protocol, N, M, d)
     d_in = inputs[-1]
-    per_slot_F, delta_contribution, sizes, n_orbits = _sector_fidelities(*inputs)
+    per_slot_F, delta_contribution, sizes, n_orbits, kept_rank = _sector_fidelities(*inputs)
     F = float(per_slot_F[0])
     return FidelityReport(
         protocol=protocol,
@@ -323,6 +362,7 @@ def _port_report(protocol: str, N: int, M: int, d: int) -> FidelityReport:
         n_blocks=len(sizes),
         max_block_dim=max(sizes),
         n_orbits=n_orbits,
+        kept_rank=kept_rank,
     )
 
 

@@ -76,12 +76,17 @@ def _parse_range(spec: str) -> list[int]:
 
 
 def _write_csv(path: str, reports: list[FidelityReport]):
-    lines = ["protocol,d,N,M,F,f,delta_contribution,runtime_ms"]
+    lines = [
+        "protocol,d,N,M,F,f,delta_contribution,"
+        "n_blocks,max_block_dim,n_orbits,kept_rank,runtime_ms"
+    ]
     for r in reports:
         lines.append(
             ",".join(
                 [r.protocol, str(r.d), str(r.N), str(r.M),
-                 _fmt(r.F), _fmt(r.f), _fmt(r.delta_contribution), _fmt(r.runtime_ms)]
+                 _fmt(r.F), _fmt(r.f), _fmt(r.delta_contribution),
+                 str(r.n_blocks), str(r.max_block_dim), str(r.n_orbits), str(r.kept_rank),
+                 _fmt(r.runtime_ms)]
             )
         )
     with open(path, "w") as fh:

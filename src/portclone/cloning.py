@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Sequence
 
 import numpy as np
 
-from portclone.states import _symmetrized_pairs
+from portclone.states import _symmetrized_factor
 from portclone.symmetry import sym_dim, symmetrize_slots
 from portclone.tensor_core import (
     LabeledOperator,
@@ -61,11 +62,12 @@ def clone_adjoint_on_input(
     return (scale * reduced).relabel({x_labels[0]: out_label})
 
 
-def cloned_signal_entries(
-    i: int, N: int, M: int, d: int, idx: np.ndarray | None = None
-) -> np.ndarray:
+def cloned_signal_factor(
+    i: int, N: int, M: int, d: int, idx: np.ndarray
+) -> tuple[float, np.ndarray]:
     """1 -> M optimal cloning applied to the X slot of the teleportation signal
-    rho^i, on the basis indices `idx` of [X1..XM, A1..AN] (all by default).
+    rho^i, on the basis indices `idx` of [X1..XM, A1..AN], as c F F^T: returns
+    c and F in the positions form of `states._symmetrized_factor`.
 
     This is the target of the adjoint identity Tr[C^dag(E) rho] = Tr[E C(rho)],
     which evaluates the pullback POVM without forming it. C(rho^i) is
@@ -75,5 +77,5 @@ def cloned_signal_entries(
     """
     if not 1 <= i <= N:
         raise ValueError(f"port index {i} out of range 1..{N}")
-    slots = np.arange(M)[None]  # X1..XM
-    return d / sym_dim(d, M) / d**N * _symmetrized_pairs((d,) * (M + N), M + i - 1, slots, idx)
+    c = d / sym_dim(d, M) / d**N / factorial(M) ** 2
+    return c, _symmetrized_factor((d,) * (M + N), M + i - 1, range(M), idx)

@@ -54,31 +54,54 @@ def maximally_mixed(labels: Sequence[str], d: int) -> LabeledOperator:
     return LabeledOperator(layout, np.eye(layout.dim) / layout.dim)
 
 
-def _pattern_nonzeros(
+def _pattern_columns(
     dims: tuple[int, ...], pairs: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzeros of the pairing pattern of every pair list P in `pairs`, an
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor of the pairing pattern of every pair list P in `pairs`, an
     (n, p, 2) array of positions of slots of one dimension d, on the ascending
-    basis indices `idx` of slots of dimensions `dims`, as three arrays (member
-    number, row position and column position in `idx`) and the digit table
-    of `idx`, one row per slot. The pattern of P is the product over its
-    pairs (a, b) of sum_jk |jj><kk|_ab, times the identity on every other
-    slot. Every pair must join an input slot to a port, so that each nonzero
-    column stays in the weight sector `idx`.
+    basis indices `idx` of slots of dimensions `dims`. The pattern of P is the
+    product over its pairs (a, b) of sum_jk |jj><kk|_ab, times the identity on
+    every other slot. Every pair must join an input slot to a port, so that
+    raising both of its slots by one level stays in the weight sector `idx`.
 
-    A row is nonzero when its digits agree within every pair. Its d^p nonzero
-    columns set each pair to a common level and keep the other slots.
+    The pattern of P is F F^T, where F has one 0/1 column per base, an index
+    whose paired slots are all at level 0. The column has its d^p ones where
+    every pair is set to a common level and the other slots keep the base's.
+    Returns the member number of every column, the positions in `idx` of its
+    ones (one row per column), and the digit table of `idx` (one row per slot).
     """
     d = dims[pairs[0, 0, 0]]
     levels = np.array(list(itertools.product(range(d), repeat=pairs.shape[1])))
     strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])
     digits = np.array(np.unravel_index(idx, dims))
     a, b = pairs[..., 0], pairs[..., 1]
-    member, row = np.nonzero(np.all(digits[a] == digits[b], axis=1))
+    member, base = np.nonzero(np.all((digits[a] == 0) & (digits[b] == 0), axis=1))
     step = (strides[a] + strides[b])[member]  # raises both slots of a pair by one level
-    base = idx[row] - (digits[a[member], row[:, None]] * step).sum(axis=1)
-    cols = positions_in(idx, base[:, None] + step @ levels.T).ravel()
-    return np.repeat(member, len(levels)), np.repeat(row, len(levels)), cols, digits
+    return member, positions_in(idx, idx[base, None] + step @ levels.T), digits
+
+
+def _pattern_nonzeros(
+    dims: tuple[int, ...], pairs: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzeros of the pairing patterns of `_pattern_columns`, as three arrays
+    (member number, row position and column position in `idx`) and the digit
+    table of `idx`: every pair of ones of a column of F is a nonzero of F F^T."""
+    member, pos, digits = _pattern_columns(dims, pairs, idx)
+    L = pos.shape[1]
+    rows, cols = np.repeat(pos, L, axis=1).ravel(), np.tile(pos, L).ravel()
+    return np.repeat(member, L * L), rows, cols, digits
+
+
+def _permuted_positions(
+    dims: tuple[int, ...], sets: np.ndarray, idx: np.ndarray, digits: np.ndarray
+):
+    """For every permutation s of M slots but the identity, the (n, len(idx))
+    positions in `idx` of each index of `idx` (digit table `digits`) with its
+    digits on the slots of each set S in `sets`, an (n, M) array, permuted by s."""
+    digits = digits[sets]  # (set, slot of S, index)
+    strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])[sets][..., None]
+    for s in itertools.islice(itertools.permutations(range(sets.shape[1])), 1, None):
+        yield positions_in(idx, idx + ((digits[:, s] - digits) * strides).sum(axis=1))
 
 
 def _symmetrized_pairs(
@@ -88,7 +111,7 @@ def _symmetrized_pairs(
     slots of one dimension d, of Pi_S (P_{f,s1} (x) 1) Pi_S on the ascending
     basis indices `idx` (all if None) of slots of dimensions `dims`. P_{f,s1}
     is the pairing pattern of the slot `fixed` with the first slot of S (see
-    `_pattern_nonzeros`) and Pi_S symmetrizes the slots of S.
+    `_pattern_columns`) and Pi_S symmetrizes the slots of S.
 
     Pi_S (P_{f,s1} (x) 1) Pi_S = (1/M) sum_{s in S} P_{f,s} Pi_S, because the
     permutations of S map P_{f,s1} onto every P_{f,s} and leave Pi_S fixed.
@@ -100,14 +123,26 @@ def _symmetrized_pairs(
     n, M = sets.shape
     pairs = np.stack([np.full_like(sets, fixed), sets], axis=-1).reshape(-1, 1, 2)
     member, rows, cols, digits = _pattern_nonzeros(dims, pairs, idx)
-    digits = digits[sets]  # (member, slot of S, index)
-    strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])[sets][..., None]
     k = len(idx)
     counts = np.bincount(rows * k + cols, minlength=k * k)  # the identity keeps every column
-    for s in itertools.islice(itertools.permutations(range(M)), 1, None):
-        moved = positions_in(idx, idx + ((digits[:, s] - digits) * strides).sum(axis=1))
+    for moved in _permuted_positions(dims, sets, idx, digits):
         counts += np.bincount(rows * k + moved[member // M, cols], minlength=k * k)
     return counts.reshape(k, k) / (M * factorial(M) * n)
+
+
+def _symmetrized_factor(
+    dims: tuple[int, ...], fixed: int, slots: Sequence[int], idx: np.ndarray
+) -> np.ndarray:
+    """Factor of Pi_S (P_{f,s1} (x) 1) Pi_S for the one slot set S = `slots`
+    (see `_symmetrized_pairs`) on the basis indices `idx`: it is
+    F F^T / M!^2, where F = sum_sigma V_sigma F_P over the permutations V_sigma
+    of S and F_P is the factor of P_{f,s1} (`_pattern_columns`). Returns F as
+    an (M! d, columns) array of positions: F is the sum over its rows of the
+    0/1 matrices with a one at (row entry, column)."""
+    sets = np.array([slots])
+    _, pos, digits = _pattern_columns(dims, np.array([[[fixed, slots[0]]]]), idx)
+    terms = [pos] + [moved[0][pos] for moved in _permuted_positions(dims, sets, idx, digits)]
+    return np.concatenate(terms, axis=1).T
 
 
 def pbtc_signal_entries(
@@ -125,6 +160,25 @@ def pbtc_signal_entries(
     return d**M / sym_dim(d, M) / d**N * _symmetrized_pairs((d,) * (N + 1), 0, ports, idx)
 
 
+def pbtc_signal_factor(
+    ports: Sequence[int], N: int, d: int, idx: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The signal of the one port set `ports` (see `pbtc_signal_entries`) on the
+    basis indices `idx` of [X, A1..AN], as c F F^T: returns c and F in the
+    positions form of `_symmetrized_factor`."""
+    M = len(ports)
+    c = d**M / sym_dim(d, M) / d**N / factorial(M) ** 2
+    return c, _symmetrized_factor((d,) * (N + 1), 0, ports, idx)
+
+
+def _mpbt_pairs(orderings: Sequence[Sequence[int]]) -> np.ndarray:
+    """Pair lists (X_k, A_{j_k}) of the ordered outcomes J in `orderings`, as
+    slot positions of [X1..XM, A1..AN]."""
+    ports = np.array([tuple(J) for J in orderings])
+    M = ports.shape[1]
+    return np.stack([np.broadcast_to(np.arange(M), ports.shape), M - 1 + ports], axis=-1)
+
+
 def mpbt_signal_entries(
     orderings: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray | None = None
 ) -> np.ndarray:
@@ -134,13 +188,26 @@ def mpbt_signal_entries(
     (X_k, A_{j_k}), maximally mixed elsewhere. One ordering gives its signal,
     all N!/(N-M)! of them the ensemble average; their patterns are counted in
     one scatter."""
-    ports = np.array([tuple(J) for J in orderings])
-    n, M = ports.shape
+    pairs = _mpbt_pairs(orderings)
+    n, M = pairs.shape[:2]
     idx = np.arange(mpbt_layout(N, M, d).dim) if idx is None else idx
-    pairs = np.stack([np.broadcast_to(np.arange(M), ports.shape), M - 1 + ports], axis=-1)
     _, rows, cols, _ = _pattern_nonzeros((d,) * (M + N), pairs, idx)
     k = len(idx)
     return np.bincount(rows * k + cols, minlength=k * k).reshape(k, k) / (n * d**N)
+
+
+def mpbt_signal_factor(
+    orderings: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The mean signal of `orderings` (see `mpbt_signal_entries`) on the basis
+    indices `idx` of [X1..XM, A1..AN], as c F F^T: returns c and F, the pattern
+    factors of the orderings side by side, as a (d^M, columns) array of
+    positions (F is the sum over its rows of the 0/1 matrices with a one at
+    (row entry, column))."""
+    pairs = _mpbt_pairs(orderings)
+    n, M = pairs.shape[:2]
+    _, pos, _ = _pattern_columns((d,) * (M + N), pairs, idx)
+    return 1 / (n * d**N), pos.T
 
 
 def pbt_signal(i: int, N: int, d: int) -> LabeledOperator:

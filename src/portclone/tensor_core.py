@@ -269,15 +269,16 @@ def support_rank_blocks(blocks: Sequence[np.ndarray]) -> int:
     return int(np.sum(vals > PINV_CUTOFF * vals.max()))
 
 
-def psd_inv_sqrt_blocks(
+def support_spectra(
     blocks: Sequence[np.ndarray],
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Inverse square root on the support, and the support projector, of a
-    block-diagonal PSD operator given as its diagonal blocks; one eigh per block.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Checked spectrum of a block-diagonal PSD operator given as its diagonal
+    blocks, one eigh per block: per block the ascending eigenvalues, the
+    eigenvectors and the mask of the eigenvalues kept as its support.
 
     Eigenvalues below PINV_CUTOFF * lambda_max are treated as zero, and the PSD
     check is relative to lambda_max too. lambda_max is taken over all blocks,
-    so a block lying wholly below the cutoff is dropped.
+    so a block lying wholly below the cutoff keeps nothing.
     """
     scale = max(np.abs(b).max() for b in blocks)
     spectra = [_checked_eigh(b, scale) for b in blocks]
@@ -287,9 +288,17 @@ def psd_inv_sqrt_blocks(
     lam_min = min(vals.min() for vals, _ in spectra)
     if lam_min < -PSD_NEG_RTOL * lam_max:
         raise ValueError(f"operator is not PSD: eigenvalue {lam_min:.6e}")
+    return [(vals, vecs, vals > PINV_CUTOFF * lam_max) for vals, vecs in spectra]
+
+
+def psd_inv_sqrt_blocks(
+    blocks: Sequence[np.ndarray],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Inverse square root on the support, and the support projector, of a
+    block-diagonal PSD operator given as its diagonal blocks, with the support
+    of `support_spectra`."""
     roots, projectors = [], []
-    for vals, vecs in spectra:
-        keep = vals > PINV_CUTOFF * lam_max
+    for vals, vecs, keep in support_spectra(blocks):
         kept, dropped = vecs[:, keep], vecs[:, ~keep]
         roots.append((kept / np.sqrt(vals[keep])) @ kept.conj().T)
         # built from the discarded eigenvectors, so it is exactly the identity

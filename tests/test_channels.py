@@ -1,4 +1,6 @@
 import itertools
+from functools import partial
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from portclone.channels import (
     FidelityReport,
+    _block_terms,
     _engine_inputs,
     avg_fidelity,
     entanglement_fidelity_choi,
@@ -24,14 +27,20 @@ from portclone.states import (
     mpbt_ensemble,
     mpbt_layout,
     mpbt_signal,
+    mpbt_signal_entries,
     pbt_layout,
     pbtc_ensemble,
+    pbtc_signal_entries,
 )
 from portclone.symmetry import enumerate_unordered
 from portclone.tensor_core import (
+    PINV_CUTOFF,
     DimensionCapError,
     LabeledOperator,
     SubsystemLayout,
+    psd_inv_sqrt_blocks,
+    support_rank_blocks,
+    support_spectra,
     weight_sectors,
 )
 
@@ -138,8 +147,12 @@ class TestProtocolDispatch:
         assert abs(a.F - b.F) < 1e-10
 
     def test_delta_contribution_nonnegative(self):
-        for proto in ("std-pbtc", "clone-mpbt"):
-            r = protocol_fidelity(proto, 2, 3, 2)
+        # no slack below 0: the completion weight is a sum of squares, and the
+        # points at N >= 8 once read slightly negative
+        points = [("std-pbtc", 3, 2), ("clone-mpbt", 3, 2), ("std-pbt", 8, 1),
+                  ("std-pbt", 9, 1), ("std-pbt", 10, 1), ("std-pbtc", 8, 2)]
+        for proto, N, M in points:
+            r = protocol_fidelity(proto, 2, N, M)
             assert 0.0 <= r.delta_contribution <= r.F + 1e-12
 
 
@@ -211,6 +224,9 @@ class TestBlockedEngine:
         r = protocol_fidelity("std-pbtc", 2, 4, 2)
         assert (r.n_blocks, r.max_block_dim, r.n_orbits) == (6, 10, 3)
         assert r.to_json_dict()["n_orbits"] == 3
+        # the rank of the dense average state, counted over every block
+        dense_rank = support_rank_blocks([ensemble_average(pbtc_ensemble(4, 2, 2)).entries])
+        assert r.kept_rank == r.to_json_dict()["kept_rank"] == dense_rank
         # at N=3 the sector of weight (1, 1) is its own orbit
         assert protocol_fidelity("std-pbtc", 2, 3, 2).n_orbits == 3
         assert protocol_fidelity("clone", 2, 0, 2).n_orbits == 1
@@ -246,6 +262,100 @@ class TestCovariancePremise:
         assert len(terms) == len(enumerate_unordered(N, M)) * M
         assert min(terms) > 0
         assert max(terms) - min(terms) <= 1e-12
+
+
+def pbt_qubit_closed_form(N):
+    """Entanglement fidelity of standard qubit port-based teleportation with
+    N ports (Ishizaka and Hiroshima, PRA 79, 042306, 2009)."""
+    return sum(
+        comb(N, k)
+        * ((N - 2 * k - 1) / sqrt(k + 1) + (N - 2 * k + 1) / sqrt(N - k + 1)) ** 2
+        for k in range(N + 1)
+    ) / 2 ** (N + 3)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("N", range(1, 12))
+    def test_std_pbt_matches_ishizaka_hiroshima(self, N):
+        assert abs(protocol_fidelity("std-pbt", 2, N, 1).F - pbt_qubit_closed_form(N)) <= 1e-12
+
+
+def factor_entries(factor, k):
+    """Dense c F F^T of a factor (c, positions) on a k-dimensional block."""
+    c, positions = factor
+    f = np.zeros((k, positions.shape[1]))
+    for pos in positions:
+        np.add.at(f, (pos, np.arange(positions.shape[1])), 1.0)
+    return c * f @ f.T
+
+
+FACTOR_POINTS = [
+    ("std-pbt", 2, 5, 1), ("std-pbtc", 2, 5, 2), ("std-pbtc", 2, 5, 3), ("std-pbtc", 3, 3, 2),
+    ("mpbt", 2, 4, 2), ("mpbt", 3, 3, 2), ("clone-mpbt", 2, 4, 2), ("clone-mpbt", 2, 5, 3),
+    ("clone-mpbt", 3, 3, 2),
+]
+
+
+class TestEngineFactors:
+    """The engine reads every signal and target as c F F^T. The scatter
+    builders, checked against dense references elsewhere, are the reference
+    here; `clone-mpbt` targets are checked against the dense sandwich in
+    test_cloning."""
+
+    @pytest.mark.parametrize(
+        "protocol,d,N,M", FACTOR_POINTS,
+        ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in FACTOR_POINTS],
+    )
+    def test_signal_and_targets_match_scatter(self, protocol, d, N, M):
+        layout, x_labels, signal, _, targets, _ = _engine_inputs(protocol, N, M, d)
+        first = tuple(range(1, M + 1))
+        if protocol.startswith("std"):
+            scatter = [partial(pbtc_signal_entries, [first])]
+            scatter += [partial(pbtc_signal_entries, [(i,)]) for i in first]
+        elif protocol == "mpbt":
+            scatter = [partial(mpbt_signal_entries, [first])] * 2
+        else:
+            scatter = [partial(mpbt_signal_entries, list(itertools.permutations(first)))]
+            targets = []
+        _, sectors = weight_sectors(layout, x_labels)
+        for idx in sectors:
+            for factor, build in zip([signal] + targets, scatter):
+                ref = build(N, d, idx)
+                assert np.abs(factor_entries(factor(idx), len(idx)) - ref).max() <= 1e-15
+
+
+BLOCK_POINTS = [
+    ("std-pbt", 2, 5, 1), ("std-pbtc", 2, 5, 2), ("std-pbtc", 3, 3, 2),
+    ("mpbt", 2, 4, 2), ("clone-mpbt", 2, 4, 2), ("clone-mpbt", 2, 5, 3),
+]
+
+
+class TestBlockTerms:
+    @pytest.mark.parametrize(
+        "protocol,d,N,M", BLOCK_POINTS,
+        ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in BLOCK_POINTS],
+    )
+    def test_factored_terms_match_dense_traces(self, protocol, d, N, M):
+        # per block, against Tr(R eta R tau) and Tr((1 - P) tau) with R and P
+        # from psd_inv_sqrt_blocks; a copy of the largest block, scaled below
+        # the global cutoff, keeps no eigenvalue
+        layout, x_labels, signal, average, targets, _ = _engine_inputs(protocol, N, M, d)
+        _, sectors = weight_sectors(layout, x_labels)
+        largest = max(range(len(sectors)), key=lambda i: len(sectors[i]))
+        sectors.append(sectors[largest])
+        blocks = [average(idx) for idx in sectors]
+        blocks[-1] *= 1e-3 * PINV_CUTOFF
+        spectra = support_spectra(blocks)
+        roots, projectors = psd_inv_sqrt_blocks(blocks)
+        assert spectra[largest][2].any() and not spectra[-1][2].any()
+        for idx, (vals, vecs, keep), root, proj in zip(sectors, spectra, roots, projectors):
+            taus = [target(idx) for target in targets]
+            main, completion = _block_terms(vals, vecs, keep, signal(idx), taus)
+            eta = factor_entries(signal(idx), len(idx))
+            for k, tau in enumerate(factor_entries(t, len(idx)) for t in taus):
+                assert abs(main[k] - np.trace(root @ eta @ root @ tau)) <= 1e-14
+                assert abs(completion[k] - np.trace((np.eye(len(idx)) - proj) @ tau)) <= 1e-14
+                assert completion[k] >= 0.0
 
 
 AVERAGE_POINTS = (

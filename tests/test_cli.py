@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from portclone.channels import protocol_fidelity
 from portclone.cli import main
 from portclone.measurements import std_pbtc_povm
 
@@ -59,11 +60,38 @@ class TestSweepCommand:
         ])
         assert res.exit_code == 0, res.output
         lines = csv_path.read_text().strip().split("\n")
-        assert lines[0] == "protocol,d,N,M,F,f,delta_contribution,runtime_ms"
+        assert lines[0] == (
+            "protocol,d,N,M,F,f,delta_contribution,"
+            "n_blocks,max_block_dim,n_orbits,kept_rank,runtime_ms"
+        )
         assert len(lines) == 5
         svg = svg_path.read_text()
         assert svg.startswith("<svg")
         assert "asymptote" in svg
+
+    def test_csv_reports_blocks_and_kept_rank(self, runner, tmp_path):
+        csv_path = tmp_path / "out.csv"
+        res = runner.invoke(main, [
+            "sweep", "--protocols", "std-pbtc,clone-mpbt,std-pbt", "--N-range", "3:4",
+            "--csv", str(csv_path),
+        ])
+        assert res.exit_code == 0, res.output
+        header, *rows = csv_path.read_text().strip().split("\n")
+        columns = header.split(",")
+        assert columns[7:11] == ["n_blocks", "max_block_dim", "n_orbits", "kept_rank"]
+        assert len(rows) == 6
+        for row in rows:
+            cells = dict(zip(columns, row.split(",")))
+            m = 1 if cells["protocol"] == "std-pbt" else 2
+            r = protocol_fidelity(cells["protocol"], 2, int(cells["N"]), m)
+            assert [int(cells[c]) for c in columns[7:11]] == [
+                r.n_blocks, r.max_block_dim, r.n_orbits, r.kept_rank
+            ]
+            assert r.kept_rank > 0
+        # [X, A1..A3] at d=2: blocks 1, 4, 6, 4, 1 in 3 orbits
+        std_pbtc_n3 = dict(zip(columns, rows[4].split(",")))
+        assert (std_pbtc_n3["protocol"], std_pbtc_n3["N"]) == ("std-pbtc", "3")
+        assert [std_pbtc_n3[c] for c in columns[7:10]] == ["5", "6", "3"]
 
     def test_csv_stable_except_runtime(self, runner, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

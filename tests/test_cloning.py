@@ -4,7 +4,7 @@ import pytest
 from portclone.cloning import (
     clone_adjoint_on_input,
     clone_map,
-    cloned_signal_entries,
+    cloned_signal_factor,
     optimal_clone_fidelity,
 )
 from portclone.states import (
@@ -126,6 +126,20 @@ class TestFormulas:
         assert abs(optimal_clone_fidelity(10**6, 2) - 2 / 3) < 1e-5
 
 
+def factor_entries(factor, k):
+    """Dense c F F^T of a factor (c, positions) on a k-dimensional block."""
+    c, positions = factor
+    f = np.zeros((k, positions.shape[1]))
+    for pos in positions:
+        np.add.at(f, (pos, np.arange(positions.shape[1])), 1.0)
+    return c * f @ f.T
+
+
+def cloned_signal(i, N, M, d, idx=None):
+    idx = np.arange(mpbt_layout(N, M, d).dim) if idx is None else idx
+    return factor_entries(cloned_signal_factor(i, N, M, d, idx), len(idx))
+
+
 class TestClonedSignal:
     @pytest.mark.parametrize("N,M,d", [(2, 2, 2), (3, 2, 2), (3, 3, 2), (2, 2, 3)])
     def test_adjoint_identity(self, N, M, d):
@@ -138,7 +152,7 @@ class TestClonedSignal:
         pulled = clone_adjoint_on_input(e, x_labels, d, input_label())
         pulled = pulled.permute_subsystems(pbt_signal(1, N, d).layout.labels)
         for i in range(1, N + 1):
-            tau = cloned_signal_entries(i, N, M, d)
+            tau = cloned_signal(i, N, M, d)
             lhs = np.sum(e.entries * tau.T)
             rhs = np.sum(pulled.entries * pbt_signal(i, N, d).entries.T)
             assert abs(lhs - rhs) < 1e-12
@@ -148,7 +162,7 @@ class TestClonedSignal:
     def test_matches_projector_sandwich(self, d, N, M):
         # (d / d[M]) d^-N Pi_X (P_{X1,A_i} (x) 1) Pi_X from a tensor-product
         # pattern and the dense symmetrizer, on every weight sector and on
-        # the full space, independently of the scatter
+        # the full space, independently of the factor
         layout = mpbt_layout(N, M, d)
         x_labels = [input_label(k) for k in range(1, M + 1)]
         _, sectors = weight_sectors(layout, x_labels)
@@ -159,11 +173,11 @@ class TestClonedSignal:
                 [d * max_entangled(d, *pair), identity(SubsystemLayout(rest, [d] * len(rest)))]
             ).permute_subsystems(layout.labels).entries
             reference = d / sym_dim(d, M) / d**N * symmetrize_slots(pattern, layout, range(M))
-            assert np.abs(cloned_signal_entries(i, N, M, d) - reference).max() <= 1e-15
+            assert np.abs(cloned_signal(i, N, M, d) - reference).max() <= 1e-15
             for idx in sectors:
-                block = cloned_signal_entries(i, N, M, d, idx)
+                block = cloned_signal(i, N, M, d, idx)
                 assert np.abs(block - reference[np.ix_(idx, idx)]).max() <= 1e-15
 
     def test_rejects_index_set_not_closed(self):
         with pytest.raises(ValueError, match="closed"):
-            cloned_signal_entries(1, 2, 2, 2, np.array([1]))
+            cloned_signal_factor(1, 2, 2, 2, np.array([1]))
