@@ -16,8 +16,6 @@ from portclone.tensor_core import (
     psd_inv_sqrt,
 )
 from portclone.symmetry import (
-    PortSet,
-    OrderedPorts,
     enumerate_unordered,
     enumerate_ordered,
     permutation_unitary,
@@ -27,7 +25,6 @@ from portclone.symmetry import (
 )
 from portclone.states import (
     max_entangled,
-    pbt_signal,
     mpbt_signal,
     pbtc_signal,
     ensemble_average,
@@ -49,10 +46,9 @@ __version__ = "0.1.0"
 __all__ = [
     "SubsystemLayout", "LabeledOperator", "Spectrum", "kron_compose",
     "partial_trace", "hermitian_eig", "psd_inv_sqrt",
-    "PortSet", "OrderedPorts", "enumerate_unordered",
-    "enumerate_ordered", "permutation_unitary", "symmetric_projector",
-    "stirling_first", "sym_dim",
-    "max_entangled", "pbt_signal", "mpbt_signal", "pbtc_signal",
+    "enumerate_unordered", "enumerate_ordered", "permutation_unitary",
+    "symmetric_projector", "stirling_first", "sym_dim",
+    "max_entangled", "mpbt_signal", "pbtc_signal",
     "ensemble_average",
     "Povm", "pgm", "complete", "std_pbtc_povm", "clone_mpbt_povm",
     "FidelityReport", "single_clone_output",

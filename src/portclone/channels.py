@@ -10,7 +10,6 @@ single-clone channel.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -28,11 +27,11 @@ from portclone.states import (
     mpbt_signal_entries,
     mpbt_signal_factor,
     pbt_layout,
-    pbt_signal,
+    pbtc_signal,
     pbtc_signal_entries,
     pbtc_signal_factor,
 )
-from portclone.symmetry import PortSet, port_label
+from portclone.symmetry import enumerate_ordered, enumerate_unordered, port_label
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
@@ -115,7 +114,7 @@ def _teleport_resource(b: int, N: int, d: int) -> LabeledOperator:
 
 
 def _check_clone_slot(povm: Povm, clone_slot: int) -> None:
-    M = len(next(iter(povm.outcomes)).elements)
+    M = len(next(iter(povm.outcomes)))
     if not 1 <= clone_slot <= M:
         raise ValueError(f"clone slot {clone_slot} out of range 1..{M}")
 
@@ -141,7 +140,7 @@ def _clone_channel(
     pass_identity = identity(SubsystemLayout(passed, [d] * len(passed)))
     out = None
     for I, element in povm.outcomes.items():
-        resource = _teleport_resource(I.elements[clone_slot - 1], N, d)
+        resource = _teleport_resource(I[clone_slot - 1], N, d)
         omega = kron_compose([state, resource]).permute_subsystems(order)
         big_e = kron_compose([element, pass_identity])
         term = partial_trace(big_e @ omega, expected)
@@ -163,7 +162,7 @@ def single_clone_output(
 
 
 def entanglement_fidelity_formula(
-    povm: Povm, signal_for_outcome: dict[PortSet, LabeledOperator]
+    povm: Povm, signal_for_outcome: dict[tuple[int, ...], LabeledOperator]
 ) -> float:
     """Discrimination-sum route: (1/d^2) sum_I Tr[E^I rho^{i_1}]."""
     d = povm.layout.dims[0]
@@ -177,12 +176,10 @@ def entanglement_fidelity_formula(
 
 def slot_signals(
     povm: Povm, N: int, d: int, clone_slot: int = 1
-) -> dict[PortSet, LabeledOperator]:
+) -> dict[tuple[int, ...], LabeledOperator]:
     """Teleportation signal states matched to each outcome's receiving port."""
     _check_clone_slot(povm, clone_slot)
-    return {
-        I: pbt_signal(I.elements[clone_slot - 1], N, d) for I in povm.outcomes
-    }
+    return {I: pbtc_signal((I[clone_slot - 1],), N, d) for I in povm.outcomes}
 
 
 def entanglement_fidelity_choi(
@@ -236,20 +233,20 @@ def _engine_inputs(protocol: str, N: int, M: int, d: int):
     its members), the builder of the average signal state, the factor
     builders of c0's target per retained slot, and the input dimension. c0 is
     the outcome on ports 1..M, in that order for `mpbt`."""
-    first, ports = tuple(range(1, M + 1)), range(1, N + 1)
+    first = tuple(range(1, M + 1))
     if protocol in ("std-pbt", "std-pbtc"):
         signal = partial(pbtc_signal_factor, first, N, d)
-        average = partial(pbtc_signal_entries, list(itertools.combinations(ports, M)), N, d)
+        average = partial(pbtc_signal_entries, enumerate_unordered(N, M), N, d)
         targets = [partial(pbtc_signal_factor, (i,), N, d) for i in first]
         return pbt_layout(N, d), [input_label()], signal, average, targets, d
     layout = mpbt_layout(N, M, d)
     x_labels = [input_label(k) for k in range(1, M + 1)]
-    average = partial(mpbt_signal_entries, list(itertools.permutations(ports, M)), N, d)
+    average = partial(mpbt_signal_entries, enumerate_ordered(N, M), N, d)
     if protocol == "mpbt":
         signal = partial(mpbt_signal_factor, [first], N, d)
         return layout, x_labels, signal, average, [signal], d**M
     # clone-mpbt: the M! orderings of one port set are the members of one outcome
-    signal = partial(mpbt_signal_factor, list(itertools.permutations(first)), N, d)
+    signal = partial(mpbt_signal_factor, enumerate_ordered(M, M), N, d)
     targets = [partial(cloned_signal_factor, i, N, M, d) for i in first]
     return layout, x_labels, signal, average, targets, d
 

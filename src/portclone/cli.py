@@ -69,10 +69,11 @@ def fidelity(protocol, d, n, m, dim_cap):
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+    lo, sep, hi = spec.partition(":")
+    try:
+        return list(range(int(lo), int(hi) + 1)) if sep else [int(spec)]
+    except ValueError:
+        raise click.UsageError(f"N range {spec!r} is neither lo:hi nor a single N")
 
 
 def _write_csv(path: str, reports: list[FidelityReport]):
@@ -181,15 +182,16 @@ def sweep(protocols, d, m, n_range, csv_path, svg_path, jobs, dim_cap):
     n_values = _parse_range(n_range)
     if not n_values:
         raise click.UsageError(f"N range {n_range!r} is empty")
-    if min(n_values) < m:
-        raise click.UsageError(f"N range must start at or above M={m}")
+    # std-pbt always runs with M=1
+    eff_m = {p: 1 if p == "std-pbt" else m for p in protos}
+    if min(n_values) < max(eff_m.values()):
+        raise click.UsageError(f"N range must start at or above M={max(eff_m.values())}")
     grid = [(p, n) for p in protos for n in n_values]
     workers = jobs if jobs else (os.cpu_count() or 1)
 
     def point(args):
         proto, n = args
-        eff_m = 1 if proto == "std-pbt" else m
-        return protocol_fidelity(proto, d, n, eff_m)
+        return protocol_fidelity(proto, d, n, eff_m[proto])
 
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:

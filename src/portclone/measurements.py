@@ -16,7 +16,7 @@ from portclone.states import (
     pbtc_ensemble,
     pbt_layout,
 )
-from portclone.symmetry import PortSet, enumerate_unordered
+from portclone.symmetry import enumerate_unordered, port_count
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
@@ -114,11 +114,12 @@ def clone_mpbt_povm(N: int, M: int, d: int) -> Povm:
     base = pgm(mpbt_ensemble(N, M, d))
     x_labels = [input_label(k) for k in range(1, M + 1)]
     layout = pbt_layout(N, d)
-    merged: dict[PortSet, np.ndarray] = {}
+    merged: dict[tuple[int, ...], np.ndarray] = {}
     for J, element in base.outcomes.items():
         pulled = clone_adjoint_on_input(element, x_labels, d, input_label())
         pulled = pulled.permute_subsystems(layout.labels)
-        merged[J.as_set()] = merged.get(J.as_set(), 0) + pulled.entries
+        I = tuple(sorted(J))
+        merged[I] = merged.get(I, 0) + pulled.entries
     outcomes = {
         I: LabeledOperator(layout, merged[I]) for I in enumerate_unordered(N, M)
     }
@@ -126,11 +127,13 @@ def clone_mpbt_povm(N: int, M: int, d: int) -> Povm:
 
 
 def povm_to_json_dict(p: Povm) -> dict:
-    """Serializable dump: outcome keys, dimensions, row-major [re, im] entries."""
+    """Serializable dump: outcome keys, dimensions, row-major [re, im] entries.
+    A tuple key is a port set of the layout's N ports."""
+    N = port_count(p.layout)
 
     def key_repr(key):
-        if isinstance(key, PortSet):
-            return {"kind": "port_set", "ports": list(key.elements), "N": key.N}
+        if isinstance(key, tuple):
+            return {"kind": "port_set", "ports": list(key), "N": N}
         return {"kind": "index", "value": key}
 
     def matrix_repr(op: LabeledOperator):

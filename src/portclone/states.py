@@ -11,8 +11,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from portclone.symmetry import (
-    OrderedPorts,
-    PortSet,
+    check_ports,
     enumerate_ordered,
     enumerate_unordered,
     port_label,
@@ -155,7 +154,7 @@ def pbtc_signal_entries(
     i1 the smallest port of I; any other port of I gives the same state. One
     port set gives its signal, all C(N, M) of them the ensemble average.
     """
-    ports = np.array([tuple(I) for I in port_sets])  # port j is slot j
+    ports = np.array(port_sets)  # port j is slot j
     M = ports.shape[1]
     return d**M / sym_dim(d, M) / d**N * _symmetrized_pairs((d,) * (N + 1), 0, ports, idx)
 
@@ -174,7 +173,7 @@ def pbtc_signal_factor(
 def _mpbt_pairs(orderings: Sequence[Sequence[int]]) -> np.ndarray:
     """Pair lists (X_k, A_{j_k}) of the ordered outcomes J in `orderings`, as
     slot positions of [X1..XM, A1..AN]."""
-    ports = np.array([tuple(J) for J in orderings])
+    ports = np.array(orderings)
     M = ports.shape[1]
     return np.stack([np.broadcast_to(np.arange(M), ports.shape), M - 1 + ports], axis=-1)
 
@@ -210,26 +209,17 @@ def mpbt_signal_factor(
     return 1 / (n * d**N), pos.T
 
 
-def pbt_signal(i: int, N: int, d: int) -> LabeledOperator:
-    """Dense signal state for outcome i: Phi+ on (X, A_i), maximally mixed
-    elsewhere."""
-    if not 1 <= i <= N:
-        raise ValueError(f"port index {i} out of range 1..{N}")
-    return LabeledOperator(pbt_layout(N, d), pbtc_signal_entries([(i,)], N, d))
-
-
-def mpbt_signal(J: OrderedPorts, N: int, d: int) -> LabeledOperator:
+def mpbt_signal(J: Sequence[int], N: int, d: int) -> LabeledOperator:
     """Dense signal state for ordered outcome J; see `mpbt_signal_entries`."""
-    if J.N != N:
-        raise ValueError(f"port tuple defined for N={J.N}, expected {N}")
-    return LabeledOperator(mpbt_layout(N, J.M, d), mpbt_signal_entries([J], N, d))
+    J = check_ports(J, N)
+    return LabeledOperator(mpbt_layout(N, len(J), d), mpbt_signal_entries([J], N, d))
 
 
-def pbtc_signal(I: PortSet, N: int, d: int) -> LabeledOperator:
-    """Dense partially symmetrized signal state; see `pbtc_signal_entries`."""
-    if I.N != N:
-        raise ValueError(f"port set defined for N={I.N}, expected {N}")
-    return LabeledOperator(pbt_layout(N, d), pbtc_signal_entries([I], N, d))
+def pbtc_signal(I: Sequence[int], N: int, d: int) -> LabeledOperator:
+    """Dense partially symmetrized signal state; see `pbtc_signal_entries`.
+    With I = (i,) it is the teleportation signal: Phi+ on (X, A_i), maximally
+    mixed elsewhere."""
+    return LabeledOperator(pbt_layout(N, d), pbtc_signal_entries([check_ports(I, N)], N, d))
 
 
 def ensemble_average(e: dict[Hashable, LabeledOperator]) -> LabeledOperator:
@@ -247,9 +237,9 @@ def ensemble_average(e: dict[Hashable, LabeledOperator]) -> LabeledOperator:
     return LabeledOperator(layout, acc)
 
 
-def pbtc_ensemble(N: int, M: int, d: int) -> dict[PortSet, LabeledOperator]:
+def pbtc_ensemble(N: int, M: int, d: int) -> dict[tuple[int, ...], LabeledOperator]:
     return {I: pbtc_signal(I, N, d) for I in enumerate_unordered(N, M)}
 
 
-def mpbt_ensemble(N: int, M: int, d: int) -> dict[OrderedPorts, LabeledOperator]:
+def mpbt_ensemble(N: int, M: int, d: int) -> dict[tuple[int, ...], LabeledOperator]:
     return {J: mpbt_signal(J, N, d) for J in enumerate_ordered(N, M)}

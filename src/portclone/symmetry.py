@@ -1,10 +1,9 @@
 """Symmetric-group machinery: permutation unitaries, symmetric-subspace
-projectors, port index sets, and Stirling-number combinatorics."""
+projectors, port checks, and Stirling-number combinatorics."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 from typing import Sequence
@@ -19,74 +18,31 @@ def port_label(i: int) -> str:
     return f"A{i}"
 
 
-@dataclass(frozen=True, order=True)
-class PortSet:
-    """An unordered selection of M ports out of 1..N (stored sorted)."""
-
-    elements: tuple[int, ...]
-    N: int
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("port set must be nonempty")
-        if list(self.elements) != sorted(set(self.elements)):
-            raise ValueError(f"port set must be strictly increasing, got {self.elements}")
-        if self.elements[0] < 1 or self.elements[-1] > self.N:
-            raise ValueError(f"ports {self.elements} out of range 1..{self.N}")
-
-    @property
-    def M(self) -> int:
-        return len(self.elements)
-
-    @property
-    def smallest(self) -> int:
-        return self.elements[0]
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.elements
-
-    def __iter__(self):
-        return iter(self.elements)
+def check_ports(ports: Sequence[int], N: int) -> tuple[int, ...]:
+    """`ports` as a tuple, after checking that they are distinct ports of 1..N."""
+    ports = tuple(ports)
+    if not ports or len(set(ports)) != len(ports) or min(ports) < 1 or max(ports) > N:
+        raise ValueError(f"ports {ports} must be distinct and in 1..{N}")
+    return ports
 
 
-@dataclass(frozen=True, order=True)
-class OrderedPorts:
-    """An ordered tuple of M distinct ports out of 1..N."""
-
-    elements: tuple[int, ...]
-    N: int
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("port tuple must be nonempty")
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError(f"ports must be pairwise distinct, got {self.elements}")
-        if min(self.elements) < 1 or max(self.elements) > self.N:
-            raise ValueError(f"ports {self.elements} out of range 1..{self.N}")
-
-    @property
-    def M(self) -> int:
-        return len(self.elements)
-
-    def as_set(self) -> PortSet:
-        return PortSet(tuple(sorted(self.elements)), self.N)
-
-    def __iter__(self):
-        return iter(self.elements)
+def port_count(layout: SubsystemLayout) -> int:
+    """Number N of the sender ports A1..AN in `layout`."""
+    return sum(port_label(i) in layout.labels for i in range(1, layout.n_subsystems + 1))
 
 
-def enumerate_unordered(N: int, M: int) -> list[PortSet]:
-    """All C(N, M) port sets in lexicographic order."""
+def enumerate_unordered(N: int, M: int) -> list[tuple[int, ...]]:
+    """All C(N, M) port sets, each ascending, in lexicographic order."""
     if not 1 <= M <= N:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
-    return [PortSet(c, N) for c in itertools.combinations(range(1, N + 1), M)]
+    return list(itertools.combinations(range(1, N + 1), M))
 
 
-def enumerate_ordered(N: int, M: int) -> list[OrderedPorts]:
+def enumerate_ordered(N: int, M: int) -> list[tuple[int, ...]]:
     """All N!/(N-M)! ordered port tuples in lexicographic order."""
     if not 1 <= M <= N:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
-    return [OrderedPorts(p, N) for p in itertools.permutations(range(1, N + 1), M)]
+    return list(itertools.permutations(range(1, N + 1), M))
 
 
 def cycle_count(s: Sequence[int]) -> int:
@@ -118,10 +74,10 @@ def _slot_permutations(n: int, slots: Sequence[int]) -> np.ndarray:
     return np.array(members)
 
 
-def subgroup_fixing_complement(I: PortSet) -> np.ndarray:
-    """All permutations of the ports that permute I and fix everything else,
-    one per row as 0-based images: row s maps port j + 1 to port s[j] + 1."""
-    return _slot_permutations(I.N, [i - 1 for i in I.elements])
+def subgroup_fixing_complement(I: Sequence[int], N: int) -> np.ndarray:
+    """All permutations of the ports 1..N that permute I and fix everything
+    else, one per row as 0-based images: row s maps port j + 1 to port s[j] + 1."""
+    return _slot_permutations(N, [i - 1 for i in check_ports(I, N)])
 
 
 def permuted_basis_indices(s: np.ndarray, dims: Sequence[int]) -> np.ndarray:
@@ -161,10 +117,10 @@ def symmetrize_slots(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int
 
 
 def symmetric_projector(
-    I: PortSet, d: int, full_layout: SubsystemLayout
+    I: Sequence[int], d: int, full_layout: SubsystemLayout
 ) -> LabeledOperator:
     """Symmetric projector on ports I, acting as identity on the other subsystems."""
-    slots = [full_layout.index(port_label(i)) for i in I]
+    slots = [full_layout.index(port_label(i)) for i in check_ports(I, port_count(full_layout))]
     return LabeledOperator(
         full_layout, symmetrize_slots(np.eye(full_layout.dim), full_layout, slots)
     )

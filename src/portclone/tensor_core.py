@@ -261,14 +261,6 @@ def hermitian_eig(op: LabeledOperator) -> Spectrum:
     return Spectrum(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
-def support_rank_blocks(blocks: Sequence[np.ndarray]) -> int:
-    """Number of eigenvalues above PINV_CUTOFF * max|eigenvalue| of a block-diagonal
-    Hermitian operator given as its diagonal blocks; one checked eigh per block."""
-    scale = max(np.abs(b).max() for b in blocks)
-    vals = np.abs(np.concatenate([_checked_eigh(b, scale)[0] for b in blocks]))
-    return int(np.sum(vals > PINV_CUTOFF * vals.max()))
-
-
 def support_spectra(
     blocks: Sequence[np.ndarray],
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -15,10 +15,8 @@ import numpy as np
 
 from portclone.channels import protocol_fidelity
 from portclone.measurements import complete, square_root_measurement
-from portclone.states import ensemble_average, pbtc_ensemble
-from portclone.states import input_label, pbt_layout, pbtc_signal_entries
+from portclone.states import ensemble_average, input_label, pbt_layout, pbtc_ensemble
 from portclone.symmetry import (
-    PortSet,
     cycle_count,
     enumerate_unordered,
     permuted_basis_indices,
@@ -33,7 +31,7 @@ from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
     psd_inv_sqrt_blocks,
-    support_rank_blocks,
+    support_spectra,
     trace_product,
     weight_sectors,
 )
@@ -117,7 +115,7 @@ def combinatorial_disjoint_overlap(d: int, M: int, N: int) -> float:
     return float(value)
 
 
-def _overlap_table(ensemble: dict[PortSet, LabeledOperator]) -> dict[tuple, float]:
+def _overlap_table(ensemble: dict[tuple[int, ...], LabeledOperator]) -> dict[tuple, float]:
     """Tr[eta^I eta^J] over the outcome pairs I <= J, in the order of
     `itertools.combinations_with_replacement`."""
     return {
@@ -152,7 +150,7 @@ def _permuted_outcomes(N, outcomes, bytes_per_sigma):
     `_batches`, each with the position in `outcomes` of sigma(I) for every
     sigma of the batch (row) and outcome I (column)."""
     sigmas = np.array(list(itertools.permutations(range(N))))
-    ports = np.array([I.elements for I in outcomes]) - 1
+    ports = np.array(outcomes) - 1
     position = np.zeros(2**N, dtype=int)  # outcome position by bit mask of its ports
     position[(1 << ports).sum(axis=1)] = np.arange(len(outcomes))
     for batch in _batches(len(sigmas), bytes_per_sigma):
@@ -179,7 +177,7 @@ def _check_subgroup_conjugation(name, d, N, M, tol, params, outcomes):
     powers = N ** np.arange(N)
     # duplicate members are dropped, so each subgroup is compared as a set
     subgroups = [g[np.unique(g @ powers, return_index=True)[1]]
-                 for g in map(subgroup_fixing_complement, outcomes)]
+                 for g in (subgroup_fixing_complement(I, N) for I in outcomes)]
     sizes = np.array([len(g) for g in subgroups])
     width = sizes.max()
     members = np.stack([np.pad(g, ((0, width - len(g)), (0, 0))) for g in subgroups])
@@ -275,14 +273,14 @@ def _check_commutation(name, d, N, M, tol, params, get_eta_bar, get_projectors):
     return _result(name, params, worst, tol)
 
 
-def _check_rank_formula(name, d, N, M, tol, params, outcomes):
+def _check_rank_formula(name, d, N, M, tol, params, get_ensemble):
     expected = sym_dim(d, M - 1) * d ** (N - M)
     # each signal is block-diagonal in the weight sectors: one eigh per block
     _, sectors = weight_sectors(pbt_layout(N, d), [input_label()])
     worst = 0
-    for I in outcomes:
-        signal = pbtc_signal_entries([I], N, d)
-        rank = support_rank_blocks([signal[np.ix_(idx, idx)] for idx in sectors])
+    for signal in get_ensemble().values():
+        spectra = support_spectra([signal.entries[np.ix_(idx, idx)] for idx in sectors])
+        rank = sum(int(np.count_nonzero(keep)) for _, _, keep in spectra)
         worst = max(worst, abs(rank - expected))
     return _result(name, params, worst, 0, f"expected rank {expected}")
 
@@ -290,7 +288,7 @@ def _check_rank_formula(name, d, N, M, tol, params, outcomes):
 def _check_overlap_classes(name, d, N, M, tol, params, get_overlaps):
     classes: dict[int, list[float]] = {}
     for (I, J), overlap in get_overlaps().items():
-        k = len(set(I.elements) & set(J.elements))
+        k = len(set(I) & set(J))
         classes.setdefault(k, []).append(overlap)
     worst = max(max(v) - min(v) for v in classes.values())
     return _result(name, params, worst, tol)
@@ -316,8 +314,7 @@ def _check_disjoint_overlap(name, d, N, M, tol, params, get_overlaps):
     if 2 * M > N:
         return _skipped(name, params, "no disjoint pair for these N, M")
     combinatorial = combinatorial_disjoint_overlap(d, M, N)
-    I = PortSet(tuple(range(1, M + 1)), N)
-    J = PortSet(tuple(range(M + 1, 2 * M + 1)), N)
+    I, J = tuple(range(1, M + 1)), tuple(range(M + 1, 2 * M + 1))
     dense = get_overlaps()[I, J]
     target = 1.0 / d ** (N + 1)
     dev = max(abs(dense - target), abs(combinatorial - target))
@@ -388,7 +385,7 @@ def run_suite(
         ("c2-pgm-completeness", _check_pgm_completeness, {"get_povm": get_povm}),
         ("c3-projector-average-commutation", _check_commutation,
          {"get_eta_bar": get_eta_bar, "get_projectors": get_projectors}),
-        ("d-rank-formula", _check_rank_formula, {"outcomes": outcomes}),
+        ("d-rank-formula", _check_rank_formula, {"get_ensemble": get_ensemble}),
         ("e-overlap-class-equality", _check_overlap_classes, {"get_overlaps": get_overlaps}),
         ("f-cauchy-schwarz-dominance", _check_cauchy_schwarz, {"get_overlaps": get_overlaps}),
         ("g-purity-upper-bound", _check_purity_bound, {"get_overlaps": get_overlaps}),

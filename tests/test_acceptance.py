@@ -24,8 +24,7 @@ from portclone.channels import (
 )
 from portclone.cloning import optimal_clone_fidelity
 from portclone.measurements import clone_mpbt_povm, complete, pgm, std_pbtc_povm
-from portclone.states import pbt_signal, pbtc_signal
-from portclone.symmetry import PortSet
+from portclone.states import pbtc_signal
 from portclone.tensor_core import trace_product
 from portclone.verification import (
     combinatorial_disjoint_overlap,
@@ -173,7 +172,7 @@ class TestCriterion3LimitConvergence:
 class TestCriterion4SinglePortReduction:
     def test_povm_reduces_to_plain_pgm(self):
         a = std_pbtc_povm(3, 1, 2)
-        b = complete(pgm({I: pbt_signal(I.smallest, 3, 2) for I in a.outcomes}))
+        b = complete(pgm({I: pbtc_signal((I[0],), 3, 2) for I in a.outcomes}))
         worst = max(
             np.abs(a.outcomes[I].entries - b.outcomes[I].entries).max()
             for I in a.outcomes
@@ -223,8 +222,8 @@ class TestCriterion5CertificationSuite:
         d, m, n = 2, 2, 4
         exact = combinatorial_disjoint_overlap(d, m, n)
         dense = trace_product(
-            pbtc_signal(PortSet((1, 2), n), n, d).entries,
-            pbtc_signal(PortSet((3, 4), n), n, d).entries,
+            pbtc_signal((1, 2), n, d).entries,
+            pbtc_signal((3, 4), n, d).entries,
         )
         target = float(Fraction(1, d ** (n + 1)))
         dev = max(abs(exact - target), abs(dense - target))

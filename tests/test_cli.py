@@ -143,6 +143,31 @@ class TestSweepCommand:
         assert message in res.output
         assert not any(p.exists() for p in paths)
 
+    @pytest.mark.parametrize("spec", ["x", "3:", ":4", "2:y", "2.5"])
+    def test_malformed_range_is_a_usage_error(self, runner, tmp_path, spec):
+        csv_path = tmp_path / "x.csv"
+        res = runner.invoke(main, ["sweep", "--N-range", spec, "--csv", str(csv_path)])
+        assert res.exit_code == 2, res.output
+        assert "neither lo:hi nor a single N" in res.output
+        assert not csv_path.exists()
+
+    def test_std_pbt_range_checked_at_m1(self, runner, tmp_path):
+        # std-pbt always runs with M=1, so --M does not bound its N range
+        csv_path = tmp_path / "x.csv"
+        res = runner.invoke(main, [
+            "sweep", "--protocols", "std-pbt", "--M", "2", "--N-range", "1:3",
+            "--csv", str(csv_path),
+        ])
+        assert res.exit_code == 0, res.output
+        rows = [line.split(",") for line in csv_path.read_text().strip().split("\n")[1:]]
+        assert [(r[0], r[2], r[3]) for r in rows] == [("std-pbt", str(n), "1") for n in (1, 2, 3)]
+        res = runner.invoke(main, [
+            "sweep", "--protocols", "std-pbt,std-pbtc", "--M", "2", "--N-range", "1:3",
+            "--csv", str(csv_path),
+        ])
+        assert res.exit_code == 2, res.output
+        assert "N range must start at or above M=2" in res.output
+
 
 class TestVerifyCommand:
     def test_passes_and_prints_lines(self, runner):
@@ -212,7 +237,7 @@ class TestPovmDump:
             return np.array([re for re, _ in pairs]).reshape(16, 16)
 
         assert [o["key"] for o in doc["outcomes"]] == [
-            {"kind": "port_set", "ports": list(I.elements), "N": 3} for I in povm.outcomes
+            {"kind": "port_set", "ports": list(I), "N": 3} for I in povm.outcomes
         ]
         for dumped, element in zip(doc["outcomes"], povm.outcomes.values()):
             assert np.array_equal(matrix(dumped["entries"]), element.entries)

@@ -12,7 +12,8 @@ from portclone.states import (
     max_entangled,
     maximally_mixed,
     mpbt_layout,
-    pbt_signal,
+    pbt_layout,
+    pbtc_signal,
 )
 from portclone.symmetry import sym_dim, symmetrize_slots
 from portclone.tensor_core import (
@@ -150,11 +151,11 @@ class TestClonedSignal:
         e = LabeledOperator(layout, a + a.T)
         x_labels = [input_label(k) for k in range(1, M + 1)]
         pulled = clone_adjoint_on_input(e, x_labels, d, input_label())
-        pulled = pulled.permute_subsystems(pbt_signal(1, N, d).layout.labels)
+        pulled = pulled.permute_subsystems(pbt_layout(N, d).labels)
         for i in range(1, N + 1):
             tau = cloned_signal(i, N, M, d)
             lhs = np.sum(e.entries * tau.T)
-            rhs = np.sum(pulled.entries * pbt_signal(i, N, d).entries.T)
+            rhs = np.sum(pulled.entries * pbtc_signal((i,), N, d).entries.T)
             assert abs(lhs - rhs) < 1e-12
             assert abs(np.trace(tau) - 1) < 1e-12
 

@@ -11,8 +11,8 @@ from portclone.measurements import (
     povm_to_json_dict,
     std_pbtc_povm,
 )
-from portclone.states import ensemble_average, pbt_signal, pbtc_ensemble
-from portclone.symmetry import PortSet, enumerate_unordered
+from portclone.states import ensemble_average, mpbt_ensemble, pbtc_ensemble, pbtc_signal
+from portclone.symmetry import enumerate_ordered, enumerate_unordered
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
@@ -94,7 +94,7 @@ class TestStdPbtcPovm:
     def test_m1_matches_single_port_pgm(self):
         # with no symmetrization the builder must reduce to the plain PGM
         a = std_pbtc_povm(3, 1, 2)
-        b = complete(pgm({I: pbt_signal(I.smallest, 3, 2) for I in a.outcomes}))
+        b = complete(pgm({I: pbtc_signal((I[0],), 3, 2) for I in a.outcomes}))
         for I in a.outcomes:
             assert np.abs(a.outcomes[I].entries - b.outcomes[I].entries).max() < 1e-12
 
@@ -124,6 +124,21 @@ class TestCloneMpbtPovm:
         assert np.abs(el.entries - np.eye(povm.layout.dim)).max() < 1e-10
 
 
+class TestOutcomeKeys:
+    @pytest.mark.parametrize("N,M", [(3, 2), (4, 2), (4, 3)])
+    def test_keys_are_the_enumerated_tuples(self, N, M):
+        # every outcome is a plain port tuple, in enumeration order
+        expected = {
+            "std-pbtc": (std_pbtc_povm(N, M, 2).outcomes, enumerate_unordered(N, M)),
+            "clone-mpbt": (clone_mpbt_povm(N, M, 2).outcomes, enumerate_unordered(N, M)),
+            "pbtc ensemble": (pbtc_ensemble(N, M, 2), enumerate_unordered(N, M)),
+            "mpbt ensemble": (mpbt_ensemble(N, M, 2), enumerate_ordered(N, M)),
+        }
+        for name, (keyed, outcomes) in expected.items():
+            assert list(keyed) == outcomes, name
+            assert all(type(key) is tuple for key in keyed), name
+
+
 class TestJsonDump:
     def test_roundtrip_shape(self):
         povm = std_pbtc_povm(3, 2, 2)
@@ -138,7 +153,8 @@ class TestJsonDump:
         povm = std_pbtc_povm(3, 2, 2)
         doc = povm_to_json_dict(povm)
         first = doc["outcomes"][0]
-        key = PortSet(tuple(first["key"]["ports"]), first["key"]["N"])
+        assert first["key"]["N"] == 3
+        key = tuple(first["key"]["ports"])
         flat = np.array([re + 1j * im for re, im in first["entries"]])
         recon = flat.reshape(16, 16)
         assert np.abs(recon - povm.outcomes[key].entries).max() < 1e-15

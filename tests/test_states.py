@@ -9,14 +9,11 @@ from portclone.states import (
     mpbt_layout,
     mpbt_signal,
     pbt_layout,
-    pbt_signal,
     pbtc_ensemble,
     pbtc_signal,
     pbtc_signal_entries,
 )
 from portclone.symmetry import (
-    OrderedPorts,
-    PortSet,
     enumerate_ordered,
     enumerate_unordered,
     sym_dim,
@@ -27,7 +24,7 @@ from portclone.tensor_core import (
     hermitian_eig,
     kron_compose,
     partial_trace,
-    support_rank_blocks,
+    support_spectra,
 )
 
 
@@ -61,24 +58,24 @@ class TestPbtSignal:
         layout = pbt_layout(N, d)
         for i in range(1, N + 1):
             reference = paired_state([("X", f"A{i}")], layout, d)
-            assert np.abs(pbt_signal(i, N, d).entries - reference).max() <= 1e-14
+            assert np.abs(pbtc_signal((i,), N, d).entries - reference).max() <= 1e-14
 
     def test_unit_trace_psd(self):
         for i in (1, 2, 3):
-            rho = pbt_signal(i, 3, 2)
+            rho = pbtc_signal((i,), 3, 2)
             assert abs(rho.trace() - 1) < 1e-12
             assert hermitian_eig(rho).eigenvalues.min() > -1e-12
 
     def test_correlated_pair_marginal(self):
         # tracing out everything but (X, A_2) must recover Phi+
-        rho = pbt_signal(2, 3, 2)
+        rho = pbtc_signal((2,), 3, 2)
         red = partial_trace(rho, ["A1", "A3"])
         phi = max_entangled(2, "X", "A2")
         assert np.abs(red.entries - phi.entries).max() < 1e-12
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            pbt_signal(4, 3, 2)
+        with pytest.raises(ValueError, match="distinct and in 1..3"):
+            pbtc_signal((4,), 3, 2)
 
 
 class TestMpbtSignal:
@@ -91,19 +88,19 @@ class TestMpbtSignal:
             assert np.abs(mpbt_signal(J, N, d).entries - reference).max() <= 1e-14
 
     def test_unit_trace(self):
-        rho = mpbt_signal(OrderedPorts((3, 1), 3), 3, 2)
+        rho = mpbt_signal((3, 1), 3, 2)
         assert abs(rho.trace() - 1) < 1e-12
 
     def test_slot_port_pairing(self):
         # J = (3, 1): X1 pairs with A3, X2 pairs with A1
-        rho = mpbt_signal(OrderedPorts((3, 1), 3), 3, 2)
+        rho = mpbt_signal((3, 1), 3, 2)
         red = partial_trace(rho, ["X2", "A1", "A2"])
         phi = max_entangled(2, "X1", "A3")
         assert np.abs(red.entries - phi.entries).max() < 1e-12
 
     def test_order_matters(self):
-        a = mpbt_signal(OrderedPorts((1, 2), 2), 2, 2)
-        b = mpbt_signal(OrderedPorts((2, 1), 2), 2, 2)
+        a = mpbt_signal((1, 2), 2, 2)
+        b = mpbt_signal((2, 1), 2, 2)
         assert np.abs(a.entries - b.entries).max() > 0.1
 
 
@@ -115,7 +112,7 @@ class TestPbtcSignal:
         layout = pbt_layout(N, d)
         for I in enumerate_unordered(N, M):
             pi = symmetric_projector(I, d, layout).entries
-            rho = paired_state([("X", f"A{I.smallest}")], layout, d)
+            rho = paired_state([("X", f"A{I[0]}")], layout, d)
             reference = d**M / sym_dim(d, M) * pi @ rho @ pi
             assert np.abs(pbtc_signal(I, N, d).entries - reference).max() <= 1e-14
 
@@ -127,37 +124,40 @@ class TestPbtcSignal:
 
     def test_representative_independence(self):
         # (d^M / d[M]) Pi_I rho^j Pi_I is the same state for every j in I
-        I, N, d = PortSet((1, 3), 3), 3, 2
+        I, N, d = (1, 3), 3, 2
         eta = pbtc_signal(I, N, d).entries
         for j in I:
-            rho = pbt_signal(j, N, d).entries
-            sym = symmetrize_slots(rho, pbt_layout(N, d), I.elements)
-            assert np.abs(d**I.M / sym_dim(d, I.M) * sym - eta).max() < 1e-12
+            rho = pbtc_signal((j,), N, d).entries
+            sym = symmetrize_slots(rho, pbt_layout(N, d), I)
+            assert np.abs(d**len(I) / sym_dim(d, len(I)) * sym - eta).max() < 1e-12
 
     def test_rejects_index_set_not_closed(self):
         with pytest.raises(ValueError, match="closed"):
             pbtc_signal_entries([(1, 2)], 2, 2, np.array([1]))
 
     def test_m1_reduces_to_plain_signal(self):
-        eta = pbtc_signal(PortSet((2,), 3), 3, 2)
-        rho = pbt_signal(2, 3, 2)
+        # with one port nothing is symmetrized: the pbtc scatter gives the
+        # one-pair signal of the mpbt scatter ([X1, A1..AN] is [X, A1..AN])
+        eta = pbtc_signal((2,), 3, 2)
+        rho = mpbt_signal((2,), 3, 2)
         assert np.abs(eta.entries - rho.entries).max() == 0.0
 
     def test_supported_on_symmetric_subspace(self):
-        I = PortSet((1, 2), 3)
+        I = (1, 2)
         eta = pbtc_signal(I, 3, 2)
         pi = symmetric_projector(I, 2, eta.layout)
         assert np.abs((pi @ eta @ pi).entries - eta.entries).max() < 1e-12
 
     def test_support_rank(self):
         # rank d[M-1] * d^(N-M): here 2 * 2 = 4
-        assert support_rank_blocks([pbtc_signal(PortSet((1, 2), 3), 3, 2).entries]) == 4
+        [(_, _, keep)] = support_spectra([pbtc_signal((1, 2), 3, 2).entries])
+        assert np.count_nonzero(keep) == 4
 
 
 class TestEnsemble:
     def test_mixed_layouts_rejected(self):
         with pytest.raises(ValueError, match="layout"):
-            ensemble_average({1: pbt_signal(1, 2, 2), 2: max_entangled(2, "X", "A1")})
+            ensemble_average({1: pbtc_signal((1,), 2, 2), 2: max_entangled(2, "X", "A1")})
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

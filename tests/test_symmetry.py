@@ -4,9 +4,8 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from portclone.states import mpbt_signal, pbt_layout, pbtc_signal
 from portclone.symmetry import (
-    OrderedPorts,
-    PortSet,
     cycle_count,
     enumerate_ordered,
     enumerate_unordered,
@@ -26,33 +25,42 @@ class TestPortSets:
     def test_enumeration_count_and_order(self):
         outcomes = enumerate_unordered(4, 2)
         assert len(outcomes) == comb(4, 2)
-        assert [o.elements for o in outcomes] == sorted(o.elements for o in outcomes)
+        assert outcomes == sorted(outcomes)
+        assert all(I == tuple(sorted(I)) for I in outcomes)
 
     def test_ordered_count(self):
         assert len(enumerate_ordered(4, 2)) == factorial(4) // factorial(2)
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            PortSet((2, 1), 3)
+    @pytest.mark.parametrize("N,M", [(3, 0), (3, 4)])
+    def test_enumeration_rejects_m_outside_1_to_n(self, N, M):
+        for enumerate_outcomes in (enumerate_unordered, enumerate_ordered):
+            with pytest.raises(ValueError, match="1 <= M <= N"):
+                enumerate_outcomes(N, M)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            PortSet((1, 4), 3)
-
-    def test_ordered_to_set(self):
-        J = OrderedPorts((3, 1), 4)
-        assert J.as_set() == PortSet((1, 3), 4)
+    @pytest.mark.parametrize("ports", [(1, 1), (0, 2), (1, 4), ()])
+    def test_bad_ports_rejected(self, ports):
+        # a repeated port, port 0, a port above N = 3 and no port at all, in
+        # every builder that takes ports
+        builders = [
+            lambda: pbtc_signal(ports, 3, 2),
+            lambda: mpbt_signal(ports, 3, 2),
+            lambda: symmetric_projector(ports, 2, pbt_layout(3, 2)),
+            lambda: subgroup_fixing_complement(ports, 3),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match="distinct and in 1..3"):
+                build()
 
 
 def image_set(s, I):
     """sigma(I) for the permutation with 0-based images s."""
-    return PortSet(tuple(sorted(int(s[i - 1]) + 1 for i in I)), I.N)
+    return tuple(sorted(int(s[i - 1]) + 1 for i in I))
 
 
 def ports_projector(d, M):
     """Symmetric projector on every slot of an M-port layout."""
     layout = SubsystemLayout([port_label(i) for i in range(1, M + 1)], [d] * M)
-    return symmetric_projector(PortSet(tuple(range(1, M + 1)), M), d, layout)
+    return symmetric_projector(tuple(range(1, M + 1)), d, layout)
 
 
 class TestPermutation:
@@ -95,10 +103,10 @@ class TestPermutation:
         assert cycle_count((1, 2, 0)) == 1
 
     def test_subgroup_size(self):
-        I = PortSet((1, 3), 4)
-        members = subgroup_fixing_complement(I)
-        assert members.shape == (factorial(I.M), I.N)
-        assert len(set(map(tuple, members.tolist()))) == factorial(I.M)
+        I, N = (1, 3), 4
+        members = subgroup_fixing_complement(I, N)
+        assert members.shape == (factorial(len(I)), N)
+        assert len(set(map(tuple, members.tolist()))) == factorial(len(I))
         for s in members:
             assert image_set(s, I) == I
             for j in (2, 4):
@@ -118,14 +126,14 @@ class TestSymmetricProjector:
 
     def test_embedded_acts_as_identity_elsewhere(self):
         layout = SubsystemLayout(["A1", "A2", "A3"], [2, 2, 2])
-        pi = symmetric_projector(PortSet((1, 3), 3), 2, layout)
+        pi = symmetric_projector((1, 3), 2, layout)
         # trace factorizes: sym_dim on the two symmetrized slots, d on the rest
         assert round(pi.trace().real) == sym_dim(2, 2) * 2
 
     def test_conjugation_identity(self):
         # V_sigma Pi_I V_sigma^dag = Pi_sigma(I) for every sigma and I, with the
         # dense product as the reference for the index gather the suite uses
-        assert image_set(np.array([1, 2, 0]), PortSet((1, 2), 3)) == PortSet((2, 3), 3)
+        assert image_set(np.array([1, 2, 0]), (1, 2)) == (2, 3)
         for d, N, M in [(2, 3, 2), (2, 4, 2), (2, 4, 3), (3, 3, 2)]:
             labels = [port_label(i) for i in range(1, N + 1)]
             layout = SubsystemLayout(labels, [d] * N)
@@ -158,7 +166,7 @@ class TestSymmetrizeSlots:
         rng = np.random.default_rng(21)
         layout = SubsystemLayout(["X", "A1", "A2", "A3"], [2] * 4)
         a = rng.normal(size=(16, 16))
-        pi = symmetric_projector(PortSet((1, 3), 3), 2, layout).entries
+        pi = symmetric_projector((1, 3), 2, layout).entries
         assert np.abs(symmetrize_slots(a, layout, [1, 3]) - pi @ a @ pi).max() < 1e-14
 
 

@@ -12,10 +12,10 @@ from portclone.states import (
     mpbt_ensemble,
     mpbt_layout,
     pbt_layout,
-    pbt_signal,
     pbtc_ensemble,
+    pbtc_signal,
 )
-from portclone.symmetry import PortSet, enumerate_unordered, symmetric_projector
+from portclone.symmetry import enumerate_unordered, symmetric_projector
 from portclone.tensor_core import (
     PINV_CUTOFF,
     DimensionCapError,
@@ -103,9 +103,7 @@ class TestPartialTrace:
         assert abs(out.entries[0, 0] - a.trace()) < 1e-12
 
     def test_pbt_signal_marginal(self):
-        from portclone.states import pbt_signal
-
-        rho = pbt_signal(1, 2, 2)
+        rho = pbtc_signal((1,), 2, 2)
         red = partial_trace(rho, ["X"])
         assert np.allclose(red.entries, np.eye(4) / 4)
 
@@ -155,7 +153,7 @@ class TestHermitianEig:
         assert np.allclose(spec.eigenvalues, [1, 0, 0, 0], atol=1e-12)
 
     def test_symmetric_projector_rank(self):
-        pi = symmetric_projector(PortSet((1, 2), 2), 2, SubsystemLayout(["A1", "A2"], [2, 2]))
+        pi = symmetric_projector((1, 2), 2, SubsystemLayout(["A1", "A2"], [2, 2]))
         spec = hermitian_eig(pi)
         assert np.allclose(sorted(spec.eigenvalues), [0, 1, 1, 1], atol=1e-12)
 
@@ -238,7 +236,7 @@ class TestWeightSectors:
     def test_pipeline_operators_vanish_off_the_sectors(self, N, M, d):
         layout = pbt_layout(N, d)
         off = off_sector_mask(layout, [input_label()])
-        exact = [pbt_signal(i, N, d) for i in range(1, N + 1)]
+        exact = [pbtc_signal((i,), N, d) for i in range(1, N + 1)]
         exact += [symmetric_projector(I, d, layout) for I in enumerate_unordered(N, M)]
         exact += list(pbtc_ensemble(N, M, d).values())
         exact.append(ensemble_average(pbtc_ensemble(N, M, d)))
@@ -366,4 +364,4 @@ class TestDtypeRule:
             elements = list(povm.outcomes.values()) + [povm.completion_element]
             assert all(el.entries.dtype == np.float64 for el in elements)
         layout = pbt_layout(3, 2)
-        assert symmetric_projector(PortSet((1, 2), 3), 2, layout).entries.dtype == np.float64
+        assert symmetric_projector((1, 2), 2, layout).entries.dtype == np.float64

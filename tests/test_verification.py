@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from portclone import verification
-from portclone.states import input_label, pbt_layout, pbtc_signal, pbtc_signal_entries
+from portclone.states import (
+    input_label,
+    pbt_layout,
+    pbtc_ensemble,
+    pbtc_signal,
+    pbtc_signal_entries,
+)
 from portclone.symmetry import enumerate_unordered, permuted_basis_indices, port_label
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
-    support_rank_blocks,
+    identity,
+    support_spectra,
     trace_product,
     weight_sectors,
 )
@@ -24,7 +31,6 @@ from portclone.verification import (
     run_suite,
     suite_passed,
 )
-from portclone.symmetry import PortSet
 
 
 class TestCycleSums:
@@ -47,8 +53,8 @@ class TestDisjointOverlap:
     def test_dense_agrees(self):
         d, M, N = 2, 2, 4
         dense = trace_product(
-            pbtc_signal(PortSet((1, 2), N), N, d).entries,
-            pbtc_signal(PortSet((3, 4), N), N, d).entries,
+            pbtc_signal((1, 2), N, d).entries,
+            pbtc_signal((3, 4), N, d).entries,
         )
         assert abs(dense - combinatorial_disjoint_overlap(d, M, N)) < 1e-12
 
@@ -62,7 +68,7 @@ class TestPurity:
         d, N, M = 2, 4, 2
         bound = purity_upper_bound(N, M, d)
         for elems in ((1, 2), (2, 4)):
-            signal = pbtc_signal(PortSet(elems, N), N, d).entries
+            signal = pbtc_signal(elems, N, d).entries
             assert trace_product(signal, signal) <= bound + 1e-12
 
     def test_average_purity_approaches_mixed(self):
@@ -75,6 +81,11 @@ class TestPurity:
         assert excesses[-1] > 0
 
 
+def kept_rank(blocks):
+    """Eigenvalues kept as the support of the block-diagonal operator `blocks`."""
+    return sum(int(np.count_nonzero(keep)) for _, _, keep in support_spectra(blocks))
+
+
 class TestRankCheck:
     @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (2, 5, 3), (3, 3, 2)])
     def test_sector_rank_equals_dense_rank(self, d, N, M):
@@ -82,8 +93,18 @@ class TestRankCheck:
         _, sectors = weight_sectors(pbt_layout(N, d), [input_label()])
         for I in enumerate_unordered(N, M):
             blocks = [pbtc_signal_entries([I], N, d, idx) for idx in sectors]
-            dense = support_rank_blocks([pbtc_signal(I, N, d).entries])
-            assert support_rank_blocks(blocks) == dense
+            dense = kept_rank([pbtc_signal(I, N, d).entries])
+            assert kept_rank(blocks) == dense
+
+    def test_non_psd_signal_refused(self):
+        # a rank is only counted on the support of a PSD operator: a signal
+        # with a negative eigenvalue is refused, not ranked by |eigenvalue|
+        d, N, M = 2, 3, 2
+        ensemble = pbtc_ensemble(N, M, d)
+        first = next(iter(ensemble))
+        ensemble[first] = ensemble[first] - 0.01 * identity(ensemble[first].layout)
+        with pytest.raises(ValueError, match="operator is not PSD"):
+            verification._check_rank_formula("d", d, N, M, 1e-10, {}, lambda: ensemble)
 
 
 class TestSuite:
@@ -215,7 +236,7 @@ class TestConjugationChecksDetectFaults:
     must fail them, so neither can be comparing an array with itself."""
 
     d, N, M = 2, 4, 2
-    target = PortSet((1, 3), 4)
+    target = (1, 3)
 
     def _results(self):
         return {r.name: r for r in run_suite(self.d, self.N, self.M)}
@@ -265,8 +286,8 @@ class TestConjugationChecksDetectFaults:
     def test_dropped_subgroup_member_fails_check_a(self, monkeypatch):
         original = verification.subgroup_fixing_complement
 
-        def dropped(I):
-            members = original(I)
+        def dropped(I, N):
+            members = original(I, N)
             return members[1:] if I == self.target else members
 
         monkeypatch.setattr(verification, "subgroup_fixing_complement", dropped)
@@ -277,13 +298,13 @@ class TestConjugationChecksDetectFaults:
 
 def sigma_image(s, I):
     """The outcome sigma(I) for the 0-based images s."""
-    return PortSet(tuple(sorted(int(s[i - 1]) + 1 for i in I)), I.N)
+    return tuple(sorted(int(s[i - 1]) + 1 for i in I))
 
 
 def reference_check_a(N, outcomes, subgroup_of):
     """Check a as the loop over sigma and outcome that the batched check
     replaced: conjugated subgroups compared as Python sets of image tuples."""
-    subgroups = {I: subgroup_of(I) for I in outcomes}
+    subgroups = {I: subgroup_of(I, N) for I in outcomes}
     expected = {I: set(map(tuple, g.tolist())) for I, g in subgroups.items()}
     worst = 0
     for images in itertools.permutations(range(N)):
@@ -338,8 +359,8 @@ class TestBatchedConjugationChecks:
                 entries[r, c] = 0
             return LabeledOperator(layout, entries)
 
-        def subgroup(I):
-            members = build_subgroup(I)
+        def subgroup(I, N):
+            members = build_subgroup(I, N)
             if I != target:
                 return members
             # the identity listed twice, and a member that is not central dropped
