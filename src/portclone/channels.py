@@ -230,25 +230,25 @@ def haar_average_check(
 def _engine_inputs(protocol: str, N: int, M: int, d: int):
     """The protocol as inputs of `_sector_fidelities`: layout, input slots,
     the factor builder of the representative outcome c0's signal (the mean of
-    its members), the builder of the average signal state, the factor
-    builders of c0's target per retained slot, and the input dimension. c0 is
-    the outcome on ports 1..M, in that order for `mpbt`."""
+    its members), the builder of the average signal state, the factor builder
+    of c0's target at slot 1, and the input dimension. c0 is the outcome on
+    ports 1..M, in that order for `mpbt`."""
     first = tuple(range(1, M + 1))
     if protocol in ("std-pbt", "std-pbtc"):
         signal = partial(pbtc_signal_factor, first, N, d)
         average = partial(pbtc_signal_entries, enumerate_unordered(N, M), N, d)
-        targets = [partial(pbtc_signal_factor, (i,), N, d) for i in first]
-        return pbt_layout(N, d), [input_label()], signal, average, targets, d
+        target = partial(pbtc_signal_factor, (1,), N, d)
+        return pbt_layout(N, d), [input_label()], signal, average, target, d
     layout = mpbt_layout(N, M, d)
     x_labels = [input_label(k) for k in range(1, M + 1)]
     average = partial(mpbt_signal_entries, enumerate_ordered(N, M), N, d)
     if protocol == "mpbt":
         signal = partial(mpbt_signal_factor, [first], N, d)
-        return layout, x_labels, signal, average, [signal], d**M
+        return layout, x_labels, signal, average, signal, d**M
     # clone-mpbt: the M! orderings of one port set are the members of one outcome
     signal = partial(mpbt_signal_factor, enumerate_ordered(M, M), N, d)
-    targets = [partial(cloned_signal_factor, i, N, M, d) for i in first]
-    return layout, x_labels, signal, average, targets, d
+    target = partial(cloned_signal_factor, 1, N, M, d)
+    return layout, x_labels, signal, average, target, d
 
 
 def _orbit_size(w: np.ndarray) -> int:
@@ -268,10 +268,10 @@ def _gather(vecs: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_terms(vals, vecs, keep, signal, targets):
-    """Tr(R eta R tau_k) and Tr((1 - P) tau_k) of one block, per target, from
-    the block's spectrum `vals`, `vecs` with support mask `keep`, and the
-    factors (c, F) of eta = c F F^T and of every tau_k.
+def _block_terms(vals, vecs, keep, signal, target):
+    """Tr(R eta R tau) and Tr((1 - P) tau) of one block, from the block's
+    spectrum `vals`, `vecs` with support mask `keep`, and the factors (c, F)
+    of eta = c F F^T and of tau.
 
     With G = V^T F and R = V_kept lambda^-1/2 V_kept^T,
     Tr(R eta R tau) = c_eta c_tau ||F_tau^T R F_eta||^2
@@ -280,27 +280,24 @@ def _block_terms(vals, vecs, keep, signal, targets):
     Tr((1 - P) tau) = c_tau ||G_tau,dropped||^2,
     which is >= 0 term by term and exactly 0 on a block of full rank.
     """
-    c_eta, f_eta = signal
+    (c_eta, f_eta), (c_tau, f_tau) = signal, target
     scaled_eta = _gather(vecs, f_eta)[:, keep] / np.sqrt(vals[keep])
-    main, completion = [], []
-    for c_tau, f_tau in targets:
-        g_tau = _gather(vecs, f_tau)
-        main.append(c_eta * c_tau * np.sum((scaled_eta @ g_tau[:, keep].T) ** 2))
-        completion.append(c_tau * np.sum(g_tau[:, ~keep] ** 2))
-    return np.array(main), np.array(completion)
+    g_tau = _gather(vecs, f_tau)
+    main = c_eta * c_tau * np.sum((scaled_eta @ g_tau[:, keep].T) ** 2)
+    return main, c_tau * np.sum(g_tau[:, ~keep] ** 2)
 
 
-def _sector_fidelities(layout, x_labels, signal, average, targets, d_in):
-    """Discrimination-sum fidelity of every retained slot k, summed over the
+def _sector_fidelities(layout, x_labels, signal, average, target, d_in):
+    """Discrimination-sum fidelity of one retained slot, summed over the
     weight sectors in which every operator involved is block-diagonal:
 
-        F_k = d_in^-2 sum_sectors [ Tr(R eta_c0 R tau_k) + Tr((1 - P) tau_k) ]
+        F = d_in^-2 sum_sectors [ Tr(R eta_c0 R tau_1) + Tr((1 - P) tau_1) ]
 
     R is the inverse square root of the average signal state, P its support
     projector, eta_c0 the mean of the representative outcome c0's members and
-    tau_k c0's target at slot k; the second term is the completion element's
+    tau_1 c0's target at slot 1; the second term is the completion element's
     part. Both are read from eigenvector gathers (`_block_terms`), so R, P and
-    the dense eta_c0 and tau_k are never formed.
+    the dense eta_c0 and tau_1 are never formed.
 
     Only c0 is evaluated. A port permutation maps c0 onto any outcome c with
     members and targets in order, keeps every sector and commutes with the
@@ -308,6 +305,10 @@ def _sector_fidelities(layout, x_labels, signal, average, targets, d_in):
     The PGM element of c0 is R (sum of its members / n_J) R plus 1/n_c of the
     completion, with n_J members in all; n_c outcomes of n_J / n_c members
     each turn the first part into R eta_c0 R and cancel the 1/n_c.
+
+    Only slot 1 is evaluated, and its F is every clone's: a permutation of
+    c0's ports fixes eta_c0 and commutes with R and P, so it fixes c0's PGM
+    element and completion share, and it maps tau_1 onto any slot's target.
 
     Only one sector per level-permutation orbit is evaluated too, the one
     whose weight vector w is non-increasing, counted once per distinct
@@ -317,43 +318,42 @@ def _sector_fidelities(layout, x_labels, signal, average, targets, d_in):
     are permutation-similar, so lambda_max, the cutoff and the PSD check of
     `support_spectra` are those of all blocks.
 
-    Returns the per-slot F, the completion part of F_1, the sizes of all
-    sectors, the number of sectors evaluated, and the orbit-weighted count of
-    eigenvalues kept above the cutoff.
+    Returns F, its completion part, the sizes of all sectors, the number of
+    sectors evaluated, and the orbit-weighted count of eigenvalues kept above
+    the cutoff.
     """
     weights, sectors = weight_sectors(layout, x_labels)
     orbits = [
         (idx, _orbit_size(w)) for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)
     ]
     spectra = support_spectra([average(idx) for idx, _ in orbits])
-    main, completion = np.zeros(len(targets)), np.zeros(len(targets))
+    main = completion = 0.0
     kept_rank = 0
     for (idx, size), (vals, vecs, keep) in zip(orbits, spectra):
-        taus = (target(idx) for target in targets)
-        block_main, block_completion = _block_terms(vals, vecs, keep, signal(idx), taus)
+        block_main, block_completion = _block_terms(vals, vecs, keep, signal(idx), target(idx))
         main += size * block_main
         completion += size * block_completion
         kept_rank += size * int(np.count_nonzero(keep))
-    per_slot = (main + completion) / d_in**2
     sizes = [len(idx) for idx in sectors]
-    return list(per_slot), completion[0] / d_in**2, sizes, len(orbits), kept_rank
+    F, delta = float((main + completion) / d_in**2), float(completion / d_in**2)
+    return F, delta, sizes, len(orbits), kept_rank
 
 
 def _port_report(protocol: str, N: int, M: int, d: int) -> FidelityReport:
     start = time.perf_counter()
     inputs = _engine_inputs(protocol, N, M, d)
     d_in = inputs[-1]
-    per_slot_F, delta_contribution, sizes, n_orbits, kept_rank = _sector_fidelities(*inputs)
-    F = float(per_slot_F[0])
+    F, delta_contribution, sizes, n_orbits, kept_rank = _sector_fidelities(*inputs)
+    f = avg_fidelity(F, d_in)
     return FidelityReport(
         protocol=protocol,
         d=d,
         N=N,
         M=M,
         F=F,
-        f=avg_fidelity(F, d_in),
-        per_clone_f=tuple(avg_fidelity(float(Fk), d_in) for Fk in per_slot_F),
-        delta_contribution=float(delta_contribution),
+        f=f,
+        per_clone_f=(f,) if protocol == "mpbt" else (f,) * M,
+        delta_contribution=delta_contribution,
         runtime_ms=(time.perf_counter() - start) * 1e3,
         input_dim=d_in,
         n_blocks=len(sizes),

@@ -6,17 +6,16 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import click
 
-from portclone.channels import FidelityReport, protocol_fidelity
+from portclone.channels import PROTOCOLS, FidelityReport, protocol_fidelity
 from portclone.cloning import optimal_clone_fidelity
 from portclone.measurements import clone_mpbt_povm, povm_to_json_dict, std_pbtc_povm
 from portclone.verification import run_suite, suite_passed
 
-SWEEP_PROTOCOLS = ("std-pbtc", "clone-mpbt", "std-pbt", "mpbt")
+SWEEP_PROTOCOLS = tuple(p for p in PROTOCOLS if p != "clone")
 
 
 def _fmt(x: float) -> str:
@@ -51,7 +50,7 @@ def main():
 
 @main.command()
 @click.option("--protocol", required=True,
-              type=click.Choice(["std-pbtc", "clone-mpbt", "std-pbt", "mpbt", "clone"]))
+              type=click.Choice(PROTOCOLS))
 @click.option("--d", "d", type=int, default=2, show_default=True)
 @click.option("--N", "n", type=int, default=None, help="Number of ports (not used by 'clone').")
 @click.option("--M", "m", type=int, default=1, show_default=True)
@@ -168,9 +167,8 @@ def _write_svg(path: str, reports: list[FidelityReport], d: int, m: int):
               help="Inclusive range lo:hi, or a single N.")
 @click.option("--csv", "csv_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--svg", "svg_path", default=None, type=click.Path(dir_okay=False))
-@click.option("--jobs", type=int, default=None, help="Worker threads (default: cpu count).")
 @click.option("--dim-cap", type=int, default=None)
-def sweep(protocols, d, m, n_range, csv_path, svg_path, jobs, dim_cap):
+def sweep(protocols, d, m, n_range, csv_path, svg_path, dim_cap):
     """Sweep fidelities over a range of port counts; write CSV and optional SVG."""
     _apply_dim_cap(dim_cap)
     protos = [p.strip() for p in protocols.split(",") if p.strip()]
@@ -186,19 +184,12 @@ def sweep(protocols, d, m, n_range, csv_path, svg_path, jobs, dim_cap):
     eff_m = {p: 1 if p == "std-pbt" else m for p in protos}
     if min(n_values) < max(eff_m.values()):
         raise click.UsageError(f"N range must start at or above M={max(eff_m.values())}")
-    grid = [(p, n) for p in protos for n in n_values]
-    workers = jobs if jobs else (os.cpu_count() or 1)
-
-    def point(args):
-        proto, n = args
-        return protocol_fidelity(proto, d, n, eff_m[proto])
-
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(point, grid))
+        reports = [
+            protocol_fidelity(p, d, n, eff_m[p]) for p in sorted(protos) for n in n_values
+        ]
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    reports.sort(key=lambda r: (r.protocol, r.N))
     try:
         _write_csv(csv_path, reports)
         if svg_path:

@@ -109,19 +109,20 @@ def clone_mpbt_povm(N: int, M: int, d: int) -> Povm:
     """Pullback of the multi-port PGM through the adjoint of 1 -> M cloning.
 
     Ordered outcomes sharing an underlying set are merged by summation
-    before the Delta completion, so Delta is split over C(N, M) outcomes.
+    before the pullback, which is linear, and before the Delta completion,
+    so Delta is split over C(N, M) outcomes.
     """
-    base = pgm(mpbt_ensemble(N, M, d))
+    merged: dict[tuple[int, ...], LabeledOperator] = {}
+    for J, element in pgm(mpbt_ensemble(N, M, d)).outcomes.items():
+        I = tuple(sorted(J))
+        merged[I] = merged[I] + element if I in merged else element
     x_labels = [input_label(k) for k in range(1, M + 1)]
     layout = pbt_layout(N, d)
-    merged: dict[tuple[int, ...], np.ndarray] = {}
-    for J, element in base.outcomes.items():
-        pulled = clone_adjoint_on_input(element, x_labels, d, input_label())
-        pulled = pulled.permute_subsystems(layout.labels)
-        I = tuple(sorted(J))
-        merged[I] = merged.get(I, 0) + pulled.entries
     outcomes = {
-        I: LabeledOperator(layout, merged[I]) for I in enumerate_unordered(N, M)
+        I: clone_adjoint_on_input(merged[I], x_labels, d, input_label()).permute_subsystems(
+            layout.labels
+        )
+        for I in enumerate_unordered(N, M)
     }
     return complete(Povm(outcomes=outcomes, layout=layout))
 

@@ -19,7 +19,7 @@ from portclone.channels import (
     single_clone_output,
     slot_signals,
 )
-from portclone.cloning import optimal_clone_fidelity
+from portclone.cloning import cloned_signal_factor, optimal_clone_fidelity
 from portclone.measurements import Povm, clone_mpbt_povm, complete, pgm, std_pbtc_povm
 from portclone.states import (
     ensemble_average,
@@ -31,6 +31,7 @@ from portclone.states import (
     pbt_layout,
     pbtc_ensemble,
     pbtc_signal_entries,
+    pbtc_signal_factor,
 )
 from portclone.symmetry import enumerate_unordered
 from portclone.tensor_core import (
@@ -190,6 +191,7 @@ BLOCKED_POINTS = (
     + [(p, 2, N, 3) for p in ("std-pbtc", "clone-mpbt") for N in range(3, 6)]
     + [(p, 3, N, 2) for p in ("std-pbtc", "clone-mpbt") for N in (3, 4)]
     + [("mpbt", 2, N, 2) for N in range(2, 6)]
+    + [("std-pbtc", 2, N, 4) for N in (5, 6)]
 )
 
 
@@ -245,13 +247,23 @@ class TestBlockedEngine:
         protocol_fidelity(protocol, 2, N, M)
 
 
+COVARIANCE_POINTS = [
+    (builder, d, N, M)
+    for d, N, M in [(2, 4, 2), (2, 5, 3), (3, 4, 2)]
+    for builder in (std_pbtc_povm, clone_mpbt_povm)
+] + [(std_pbtc_povm, 2, 6, 4)]  # the dense clone-mpbt POVM at M=4 is too slow for tier-1
+
+
 class TestCovariancePremise:
     """The blocked engine evaluates one representative outcome and counts it
-    n_c times. Independently of it, every outcome I and slot k of the dense
-    POVM must contribute the same Tr[E_I rho_{I,k}]."""
+    n_c times, and reads every clone's fidelity off slot 1. Independently of
+    it, every outcome I and slot k of the dense POVM must contribute the same
+    Tr[E_I rho_{I,k}]."""
 
-    @pytest.mark.parametrize("builder", [std_pbtc_povm, clone_mpbt_povm])
-    @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (2, 5, 3), (3, 4, 2)])
+    @pytest.mark.parametrize(
+        "builder,d,N,M", COVARIANCE_POINTS,
+        ids=[f"{d}-{n}-{m}-{b.__name__}" for b, d, n, m in COVARIANCE_POINTS],
+    )
     def test_every_outcome_and_slot_contributes_equally(self, builder, d, N, M):
         povm = builder(N, M, d)
         signals = [slot_signals(povm, N, d, k) for k in range(1, M + 1)]
@@ -296,6 +308,15 @@ FACTOR_POINTS = [
 ]
 
 
+def slot_targets(protocol, N, M, d):
+    """Factor builders of c0's target at every slot 1..M; `mpbt` has one."""
+    if protocol == "mpbt":
+        return [_engine_inputs(protocol, N, M, d)[4]]
+    if protocol == "clone-mpbt":
+        return [partial(cloned_signal_factor, i, N, M, d) for i in range(1, M + 1)]
+    return [partial(pbtc_signal_factor, (i,), N, d) for i in range(1, M + 1)]
+
+
 class TestEngineFactors:
     """The engine reads every signal and target as c F F^T. The scatter
     builders, checked against dense references elsewhere, are the reference
@@ -307,19 +328,22 @@ class TestEngineFactors:
         ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in FACTOR_POINTS],
     )
     def test_signal_and_targets_match_scatter(self, protocol, d, N, M):
-        layout, x_labels, signal, _, targets, _ = _engine_inputs(protocol, N, M, d)
+        layout, x_labels, signal, _, target, _ = _engine_inputs(protocol, N, M, d)
         first = tuple(range(1, M + 1))
         if protocol.startswith("std"):
+            # the engine's target is slot 1's; the other slots' are checked too
+            factors = [signal, target] + slot_targets(protocol, N, M, d)[1:]
             scatter = [partial(pbtc_signal_entries, [first])]
             scatter += [partial(pbtc_signal_entries, [(i,)]) for i in first]
         elif protocol == "mpbt":
+            factors = [signal, target]
             scatter = [partial(mpbt_signal_entries, [first])] * 2
         else:
+            factors = [signal]
             scatter = [partial(mpbt_signal_entries, list(itertools.permutations(first)))]
-            targets = []
         _, sectors = weight_sectors(layout, x_labels)
         for idx in sectors:
-            for factor, build in zip([signal] + targets, scatter):
+            for factor, build in zip(factors, scatter, strict=True):
                 ref = build(N, d, idx)
                 assert np.abs(factor_entries(factor(idx), len(idx)) - ref).max() <= 1e-15
 
@@ -336,10 +360,10 @@ class TestBlockTerms:
         ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in BLOCK_POINTS],
     )
     def test_factored_terms_match_dense_traces(self, protocol, d, N, M):
-        # per block, against Tr(R eta R tau) and Tr((1 - P) tau) with R and P
-        # from psd_inv_sqrt_blocks; a copy of the largest block, scaled below
-        # the global cutoff, keeps no eigenvalue
-        layout, x_labels, signal, average, targets, _ = _engine_inputs(protocol, N, M, d)
+        # per block and for the target of every slot, against Tr(R eta R tau)
+        # and Tr((1 - P) tau) with R and P from psd_inv_sqrt_blocks; a copy of
+        # the largest block, scaled below the global cutoff, keeps no eigenvalue
+        layout, x_labels, signal, average, *_ = _engine_inputs(protocol, N, M, d)
         _, sectors = weight_sectors(layout, x_labels)
         largest = max(range(len(sectors)), key=lambda i: len(sectors[i]))
         sectors.append(sectors[largest])
@@ -349,13 +373,13 @@ class TestBlockTerms:
         roots, projectors = psd_inv_sqrt_blocks(blocks)
         assert spectra[largest][2].any() and not spectra[-1][2].any()
         for idx, (vals, vecs, keep), root, proj in zip(sectors, spectra, roots, projectors):
-            taus = [target(idx) for target in targets]
-            main, completion = _block_terms(vals, vecs, keep, signal(idx), taus)
             eta = factor_entries(signal(idx), len(idx))
-            for k, tau in enumerate(factor_entries(t, len(idx)) for t in taus):
-                assert abs(main[k] - np.trace(root @ eta @ root @ tau)) <= 1e-14
-                assert abs(completion[k] - np.trace((np.eye(len(idx)) - proj) @ tau)) <= 1e-14
-                assert completion[k] >= 0.0
+            for target in slot_targets(protocol, N, M, d):
+                main, completion = _block_terms(vals, vecs, keep, signal(idx), target(idx))
+                tau = factor_entries(target(idx), len(idx))
+                assert abs(main - np.trace(root @ eta @ root @ tau)) <= 1e-14
+                assert abs(completion - np.trace((np.eye(len(idx)) - proj) @ tau)) <= 1e-14
+                assert completion >= 0.0
 
 
 AVERAGE_POINTS = (

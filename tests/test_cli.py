@@ -114,7 +114,7 @@ class TestSweepCommand:
         csv_path = tmp_path / "out.csv"
         res = runner.invoke(main, [
             "sweep", "--protocols", "std-pbtc,clone-mpbt", "--N-range", "2:3",
-            "--csv", str(csv_path), "--jobs", "2",
+            "--csv", str(csv_path),
         ])
         assert res.exit_code == 0, res.output
         rows = [l.split(",")[:3] for l in csv_path.read_text().strip().split("\n")[1:]]
