@@ -23,7 +23,6 @@ from portclone.states import (
     input_label,
     max_entangled,
     maximally_mixed,
-    mpbt_layout,
     mpbt_signal_entries,
     mpbt_signal_factor,
     pbt_layout,
@@ -35,9 +34,11 @@ from portclone.symmetry import enumerate_ordered, enumerate_unordered, port_labe
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
+    check_dims,
     identity,
     kron_compose,
     partial_trace,
+    sector_sizes,
     support_spectra,
     trace_product,
     weight_sectors,
@@ -228,27 +229,28 @@ def haar_average_check(
 
 
 def _engine_inputs(protocol: str, N: int, M: int, d: int):
-    """The protocol as inputs of `_sector_fidelities`: layout, input slots,
-    the factor builder of the representative outcome c0's signal (the mean of
-    its members), the builder of the average signal state, the factor builder
-    of c0's target at slot 1, and the input dimension. c0 is the outcome on
-    ports 1..M, in that order for `mpbt`."""
+    """The protocol as inputs of `_sector_fidelities`: slot dimensions, the
+    number of leading input slots, the factor builder of the representative
+    outcome c0's signal (the mean of its members), the builder of the average
+    signal state, the factor builder of c0's target at slot 1, and the input
+    dimension. The slots are [X, A1..AN], or [X1..XM, A1..AN] for the
+    multi-slot protocols. c0 is the outcome on ports 1..M, in that order for
+    `mpbt`."""
     first = tuple(range(1, M + 1))
     if protocol in ("std-pbt", "std-pbtc"):
         signal = partial(pbtc_signal_factor, first, N, d)
         average = partial(pbtc_signal_entries, enumerate_unordered(N, M), N, d)
         target = partial(pbtc_signal_factor, (1,), N, d)
-        return pbt_layout(N, d), [input_label()], signal, average, target, d
-    layout = mpbt_layout(N, M, d)
-    x_labels = [input_label(k) for k in range(1, M + 1)]
+        return (d,) * (N + 1), 1, signal, average, target, d
+    dims = (d,) * (M + N)
     average = partial(mpbt_signal_entries, enumerate_ordered(N, M), N, d)
     if protocol == "mpbt":
         signal = partial(mpbt_signal_factor, [first], N, d)
-        return layout, x_labels, signal, average, signal, d**M
+        return dims, M, signal, average, signal, d**M
     # clone-mpbt: the M! orderings of one port set are the members of one outcome
     signal = partial(mpbt_signal_factor, enumerate_ordered(M, M), N, d)
     target = partial(cloned_signal_factor, 1, N, M, d)
-    return layout, x_labels, signal, average, target, d
+    return dims, M, signal, average, target, d
 
 
 def _orbit_size(w: np.ndarray) -> int:
@@ -287,7 +289,7 @@ def _block_terms(vals, vecs, keep, signal, target):
     return main, c_tau * np.sum(g_tau[:, ~keep] ** 2)
 
 
-def _sector_fidelities(layout, x_labels, signal, average, target, d_in):
+def _sector_fidelities(dims, n_conj, signal, average, target, d_in):
     """Discrimination-sum fidelity of one retained slot, summed over the
     weight sectors in which every operator involved is block-diagonal:
 
@@ -318,11 +320,16 @@ def _sector_fidelities(layout, x_labels, signal, average, target, d_in):
     are permutation-similar, so lambda_max, the cutoff and the PSD check of
     `support_spectra` are those of all blocks.
 
+    The largest block is the widest matrix formed, so the dimension cap
+    applies to it; it is counted, and refused, before any block is built.
+
     Returns F, its completion part, the sizes of all sectors, the number of
     sectors evaluated, and the orbit-weighted count of eigenvalues kept above
     the cutoff.
     """
-    weights, sectors = weight_sectors(layout, x_labels)
+    sizes = sector_sizes(dims, n_conj)
+    check_dims(dims, max(sizes, default=0), "largest block")
+    weights, sectors = weight_sectors(dims, n_conj)
     orbits = [
         (idx, _orbit_size(w)) for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)
     ]
@@ -334,7 +341,6 @@ def _sector_fidelities(layout, x_labels, signal, average, target, d_in):
         main += size * block_main
         completion += size * block_completion
         kept_rank += size * int(np.count_nonzero(keep))
-    sizes = [len(idx) for idx in sectors]
     F, delta = float((main + completion) / d_in**2), float(completion / d_in**2)
     return F, delta, sizes, len(orbits), kept_rank
 

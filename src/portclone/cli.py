@@ -4,9 +4,7 @@ output, certification-suite runs, and POVM dumps."""
 from __future__ import annotations
 
 import json
-import os
 import sys
-from contextlib import contextmanager
 
 import click
 
@@ -22,27 +20,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-@contextmanager
-def _dim_cap(dim_cap: int | None):
-    """Set PORTCLONE_DIM_CAP to `dim_cap` (if given) inside the block, and
-    restore its previous value, or its absence, on the way out."""
-    previous = os.environ.get("PORTCLONE_DIM_CAP")
-    if dim_cap is not None:
-        os.environ["PORTCLONE_DIM_CAP"] = str(dim_cap)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PORTCLONE_DIM_CAP", None)
-        else:
-            os.environ["PORTCLONE_DIM_CAP"] = previous
-
-
-def _apply_dim_cap(dim_cap: int | None):
-    """Apply --dim-cap until the current command ends."""
-    click.get_current_context().with_resource(_dim_cap(dim_cap))
-
-
 @click.group()
 def main():
     """Port-based telecloning simulator."""
@@ -54,10 +31,8 @@ def main():
 @click.option("--d", "d", type=int, default=2, show_default=True)
 @click.option("--N", "n", type=int, default=None, help="Number of ports (not used by 'clone').")
 @click.option("--M", "m", type=int, default=1, show_default=True)
-@click.option("--dim-cap", type=int, default=None, help="Override the total-dimension cap.")
-def fidelity(protocol, d, n, m, dim_cap):
+def fidelity(protocol, d, n, m):
     """Evaluate one protocol at one parameter point and print a JSON report."""
-    _apply_dim_cap(dim_cap)
     if protocol != "clone" and n is None:
         raise click.UsageError("--N is required for port-based protocols")
     try:
@@ -167,11 +142,10 @@ def _write_svg(path: str, reports: list[FidelityReport], d: int, m: int):
               help="Inclusive range lo:hi, or a single N.")
 @click.option("--csv", "csv_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--svg", "svg_path", default=None, type=click.Path(dir_okay=False))
-@click.option("--dim-cap", type=int, default=None)
-def sweep(protocols, d, m, n_range, csv_path, svg_path, dim_cap):
+def sweep(protocols, d, m, n_range, csv_path, svg_path):
     """Sweep fidelities over a range of port counts; write CSV and optional SVG."""
-    _apply_dim_cap(dim_cap)
-    protos = [p.strip() for p in protocols.split(",") if p.strip()]
+    # each named protocol runs once, however often it is named
+    protos = sorted({p.strip() for p in protocols.split(",") if p.strip()})
     if not protos:
         raise click.UsageError("--protocols names no protocol")
     for p in protos:
@@ -186,7 +160,7 @@ def sweep(protocols, d, m, n_range, csv_path, svg_path, dim_cap):
         raise click.UsageError(f"N range must start at or above M={max(eff_m.values())}")
     try:
         reports = [
-            protocol_fidelity(p, d, n, eff_m[p]) for p in sorted(protos) for n in n_values
+            protocol_fidelity(p, d, n, eff_m[p]) for p in protos for n in n_values
         ]
     except ValueError as exc:
         raise click.ClickException(str(exc))
@@ -207,10 +181,8 @@ def sweep(protocols, d, m, n_range, csv_path, svg_path, dim_cap):
 @click.option("--json", "json_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--inject-fault", is_flag=True,
               help="Corrupt one PGM element to prove the checks can fail.")
-@click.option("--dim-cap", type=int, default=None)
-def verify(d, n, m, tol, json_path, inject_fault, dim_cap):
+def verify(d, n, m, tol, json_path, inject_fault):
     """Run the certification suite; exit nonzero if any exact check fails."""
-    _apply_dim_cap(dim_cap)
     if m > n:
         raise click.UsageError(f"M={m} exceeds N={n}")
     try:
@@ -239,10 +211,8 @@ def verify(d, n, m, tol, json_path, inject_fault, dim_cap):
 @click.option("--N", "n", type=int, required=True)
 @click.option("--M", "m", type=int, required=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--dim-cap", type=int, default=None)
-def povm_dump(protocol, d, n, m, out_path, dim_cap):
+def povm_dump(protocol, d, n, m, out_path):
     """Dump a completed POVM as JSON for debugging or cross-language comparison."""
-    _apply_dim_cap(dim_cap)
     try:
         builder = std_pbtc_povm if protocol == "std-pbtc" else clone_mpbt_povm
         povm = builder(n, m, d)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-DEFAULT_DIM_CAP = 8192
+DIM_CAP = 8192  # widest matrix any route may form
 
 HERMITIAN_RTOL = 1e-12
 EIG_RECON_TOL = 1e-10
@@ -16,16 +16,17 @@ PSD_NEG_RTOL = 1e-10
 PINV_CUTOFF = 1e-10
 
 
-def dim_cap() -> int:
-    """Active total-dimension cap (env PORTCLONE_DIM_CAP overrides the default)."""
-    raw = os.environ.get("PORTCLONE_DIM_CAP")
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    return int(raw)
-
-
 class DimensionCapError(ValueError):
     pass
+
+
+def check_dims(dims: Sequence[int], widest: int, what: str) -> None:
+    """Refuse local dimensions below 2, and a route whose widest matrix,
+    `widest` wide and named `what`, exceeds DIM_CAP."""
+    if any(d < 2 for d in dims):
+        raise ValueError(f"local dimensions must be >= 2, got {tuple(dims)}")
+    if widest > DIM_CAP:
+        raise DimensionCapError(f"{what} {widest} exceeds cap {DIM_CAP}")
 
 
 @dataclass(frozen=True)
@@ -44,17 +45,8 @@ class SubsystemLayout:
         if len(set(labels)) != len(labels):
             dupes = sorted({l for l in labels if labels.count(l) > 1})
             raise ValueError(f"duplicate subsystem labels: {dupes}")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"local dimensions must be >= 2, got {dims}")
-        total = 1
-        for d in dims:
-            total *= d
-        cap = dim_cap()
-        if total > cap:
-            raise DimensionCapError(
-                f"total dimension {total} exceeds cap {cap} "
-                f"(set PORTCLONE_DIM_CAP to raise it)"
-            )
+        total = prod(dims)
+        check_dims(dims, total, "total dimension")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dim", total)
@@ -211,21 +203,38 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.sum(a * b.T)))
 
 
-def weight_sectors(
-    layout: SubsystemLayout, conj_labels: Sequence[str]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Basis indices grouped by weight, each group ascending, and the weight
-    vector of each group, one row per group in lexicographic order.
+def sector_sizes(dims: Sequence[int], n_conj: int) -> list[int]:
+    """Sizes of the groups of `weight_sectors(dims, n_conj)`, in its order,
+    counted slot by slot from the weight vectors without enumerating the
+    basis."""
+    counts = {(0,) * max(dims): 1}
+    for s, d in enumerate(dims):
+        sign = -1 if s < n_conj else 1
+        grown: dict[tuple[int, ...], int] = {}
+        for w, n in counts.items():
+            for level in range(d):
+                key = w[:level] + (w[level] + sign,) + w[level + 1:]
+                grown[key] = grown.get(key, 0) + n
+        counts = grown
+    return [counts[w] for w in sorted(counts)]
 
-    The weight of a basis state is its per-level count over the slots not in
-    `conj_labels` minus its per-level count over `conj_labels`. Operators that
-    commute with conj(T) on `conj_labels` and T on the other slots, for every
-    diagonal unitary T, are block-diagonal in these groups.
+
+def weight_sectors(
+    dims: Sequence[int], n_conj: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Basis indices of slots of dimensions `dims` grouped by weight, each
+    group ascending, and the weight vector of each group, one row per group
+    in lexicographic order.
+
+    The weight of a basis state is its per-level count over the slots after
+    the first `n_conj` minus its per-level count over those `n_conj`.
+    Operators that commute with conj(T) on the first `n_conj` slots and T on
+    the others, for every diagonal unitary T, are block-diagonal in these
+    groups.
     """
-    conj = {layout.index(l) for l in conj_labels}
-    sign = np.array([-1 if s in conj else 1 for s in range(layout.n_subsystems)])
-    digits = np.array(np.unravel_index(np.arange(layout.dim), layout.dims))
-    levels = range(max(layout.dims))
+    sign = np.where(np.arange(len(dims)) < n_conj, -1, 1)
+    digits = np.array(np.unravel_index(np.arange(prod(dims)), dims))
+    levels = range(max(dims))
     weights = [((digits == level) * sign[:, None]).sum(axis=0) for level in levels]
     vectors, sector = np.unique(np.stack(weights, axis=1), axis=0, return_inverse=True)
     order = np.argsort(sector, kind="stable")

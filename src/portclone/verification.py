@@ -15,7 +15,7 @@ import numpy as np
 
 from portclone.channels import protocol_fidelity
 from portclone.measurements import complete, square_root_measurement
-from portclone.states import ensemble_average, input_label, pbt_layout, pbtc_ensemble
+from portclone.states import ensemble_average, pbt_layout, pbtc_ensemble
 from portclone.symmetry import (
     cycle_count,
     enumerate_unordered,
@@ -275,10 +275,13 @@ def _check_commutation(name, d, N, M, tol, params, get_eta_bar, get_projectors):
 
 def _check_rank_formula(name, d, N, M, tol, params, get_ensemble):
     expected = sym_dim(d, M - 1) * d ** (N - M)
-    # each signal is block-diagonal in the weight sectors: one eigh per block
-    _, sectors = weight_sectors(pbt_layout(N, d), [input_label()])
+    # each signal is block-diagonal in the weight sectors: one eigh per block;
+    # the ensemble comes first, so that the dimension cap refuses it before
+    # the sectors' digit table is allocated
+    ensemble = get_ensemble()
+    _, sectors = weight_sectors((d,) * (N + 1), 1)
     worst = 0
-    for signal in get_ensemble().values():
+    for signal in ensemble.values():
         spectra = support_spectra([signal.entries[np.ix_(idx, idx)] for idx in sectors])
         rank = sum(int(np.count_nonzero(keep)) for _, _, keep in spectra)
         worst = max(worst, abs(rank - expected))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import partial
 from math import comb, sqrt
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from portclone import tensor_core
 from portclone.channels import (
     FidelityReport,
     _block_terms,
@@ -25,7 +27,6 @@ from portclone.states import (
     ensemble_average,
     input_label,
     mpbt_ensemble,
-    mpbt_layout,
     mpbt_signal,
     mpbt_signal_entries,
     pbt_layout,
@@ -233,18 +234,35 @@ class TestBlockedEngine:
         assert protocol_fidelity("std-pbtc", 2, 3, 2).n_orbits == 3
         assert protocol_fidelity("clone", 2, 0, 2).n_orbits == 1
 
-    @pytest.mark.parametrize("protocol,N,M,layout_dim", [
-        ("std-pbt", 3, 1, 16), ("std-pbtc", 3, 2, 16),
-        ("clone-mpbt", 3, 2, 32), ("mpbt", 3, 2, 32),
+    @pytest.mark.parametrize("protocol,N,M", [
+        ("std-pbt", 3, 1), ("std-pbtc", 3, 2), ("clone-mpbt", 3, 2), ("mpbt", 3, 2),
     ])
-    def test_dimension_cap_refuses_at_layout_dimension(
-        self, monkeypatch, protocol, N, M, layout_dim
-    ):
-        monkeypatch.setenv("PORTCLONE_DIM_CAP", str(layout_dim - 1))
-        with pytest.raises(DimensionCapError):
+    def test_dimension_cap_refuses_at_largest_block(self, monkeypatch, protocol, N, M):
+        widest = protocol_fidelity(protocol, 2, N, M).max_block_dim
+        monkeypatch.setattr(tensor_core, "DIM_CAP", widest - 1)
+        with pytest.raises(DimensionCapError, match=f"largest block {widest} exceeds cap"):
             protocol_fidelity(protocol, 2, N, M)
-        monkeypatch.setenv("PORTCLONE_DIM_CAP", str(layout_dim))
-        protocol_fidelity(protocol, 2, N, M)
+        monkeypatch.setattr(tensor_core, "DIM_CAP", widest)
+        assert protocol_fidelity(protocol, 2, N, M).max_block_dim == widest
+
+    def test_far_point_refused_before_any_block(self):
+        # std-pbt at N=40 has a largest block of C(41, 20); counting the
+        # sectors takes no d^(N+1) array, so the refusal costs next to nothing
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError, match=f"largest block {comb(41, 20)} "):
+                protocol_fidelity("std-pbt", 2, 40, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("protocol,M", [
+        ("std-pbt", 1), ("std-pbtc", 2), ("clone-mpbt", 2), ("mpbt", 2),
+    ])
+    def test_local_dimension_below_two_refused(self, protocol, M):
+        with pytest.raises(ValueError, match="local dimensions must be >= 2"):
+            protocol_fidelity(protocol, 1, 3, M)
 
 
 COVARIANCE_POINTS = [
@@ -328,7 +346,7 @@ class TestEngineFactors:
         ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in FACTOR_POINTS],
     )
     def test_signal_and_targets_match_scatter(self, protocol, d, N, M):
-        layout, x_labels, signal, _, target, _ = _engine_inputs(protocol, N, M, d)
+        dims, n_conj, signal, _, target, _ = _engine_inputs(protocol, N, M, d)
         first = tuple(range(1, M + 1))
         if protocol.startswith("std"):
             # the engine's target is slot 1's; the other slots' are checked too
@@ -341,7 +359,7 @@ class TestEngineFactors:
         else:
             factors = [signal]
             scatter = [partial(mpbt_signal_entries, list(itertools.permutations(first)))]
-        _, sectors = weight_sectors(layout, x_labels)
+        _, sectors = weight_sectors(dims, n_conj)
         for idx in sectors:
             for factor, build in zip(factors, scatter, strict=True):
                 ref = build(N, d, idx)
@@ -363,8 +381,8 @@ class TestBlockTerms:
         # per block and for the target of every slot, against Tr(R eta R tau)
         # and Tr((1 - P) tau) with R and P from psd_inv_sqrt_blocks; a copy of
         # the largest block, scaled below the global cutoff, keeps no eigenvalue
-        layout, x_labels, signal, average, *_ = _engine_inputs(protocol, N, M, d)
-        _, sectors = weight_sectors(layout, x_labels)
+        dims, n_conj, signal, average, *_ = _engine_inputs(protocol, N, M, d)
+        _, sectors = weight_sectors(dims, n_conj)
         largest = max(range(len(sectors)), key=lambda i: len(sectors[i]))
         sectors.append(sectors[largest])
         blocks = [average(idx) for idx in sectors]
@@ -402,10 +420,10 @@ class TestScatterAverage:
         ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in AVERAGE_POINTS],
     )
     def test_matches_dense_average_in_every_sector(self, protocol, d, N, M):
-        layout, x_labels, _, average, *_ = _engine_inputs(protocol, N, M, d)
+        dims, n_conj, _, average, *_ = _engine_inputs(protocol, N, M, d)
         ensemble = pbtc_ensemble if protocol.startswith("std") else mpbt_ensemble
         dense = ensemble_average(ensemble(N, M, d)).entries
-        _, sectors = weight_sectors(layout, x_labels)
+        _, sectors = weight_sectors(dims, n_conj)
         for idx in sectors:
             assert np.abs(average(idx) - dense[np.ix_(idx, idx)]).max() <= 1e-14
 
@@ -438,13 +456,12 @@ class TestLevelPermutationPremise:
 
     @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (3, 3, 2)])
     def test_orbit_mates_have_equal_spectra(self, d, N, M):
-        x_labels = [input_label(k) for k in range(1, M + 1)]
         cases = [
-            (ensemble_average(pbtc_ensemble(N, M, d)).entries, pbt_layout(N, d), ["X"]),
-            (ensemble_average(mpbt_ensemble(N, M, d)).entries, mpbt_layout(N, M, d), x_labels),
+            (ensemble_average(pbtc_ensemble(N, M, d)).entries, (d,) * (N + 1), 1),
+            (ensemble_average(mpbt_ensemble(N, M, d)).entries, (d,) * (M + N), M),
         ]
-        for avg, layout, conj in cases:
-            weights, sectors = weight_sectors(layout, conj)
+        for avg, dims, n_conj in cases:
+            weights, sectors = weight_sectors(dims, n_conj)
             orbits: dict[tuple, list[np.ndarray]] = {}
             for w, idx in zip(weights, sectors):
                 spectrum = np.linalg.eigvalsh(avg[np.ix_(idx, idx)])

@@ -165,8 +165,7 @@ class TestClonedSignal:
         # pattern and the dense symmetrizer, on every weight sector and on
         # the full space, independently of the factor
         layout = mpbt_layout(N, M, d)
-        x_labels = [input_label(k) for k in range(1, M + 1)]
-        _, sectors = weight_sectors(layout, x_labels)
+        _, sectors = weight_sectors(layout.dims, M)
         for i in range(1, N + 1):
             pair = ["X1", f"A{i}"]
             rest = [label for label in layout.labels if label not in pair]

@@ -3,10 +3,10 @@ from math import comb
 import numpy as np
 import pytest
 
+from portclone import tensor_core
 from portclone.measurements import Povm, clone_mpbt_povm, std_pbtc_povm
 from portclone.states import (
     ensemble_average,
-    input_label,
     max_entangled,
     maximally_mixed,
     mpbt_ensemble,
@@ -27,6 +27,7 @@ from portclone.tensor_core import (
     partial_trace,
     psd_inv_sqrt,
     psd_inv_sqrt_blocks,
+    sector_sizes,
     support_projector,
     weight_sectors,
 )
@@ -51,7 +52,7 @@ class TestLayout:
             SubsystemLayout([f"q{i}" for i in range(20)], [2] * 20)
 
     def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("PORTCLONE_DIM_CAP", "4")
+        monkeypatch.setattr(tensor_core, "DIM_CAP", 4)
         with pytest.raises(DimensionCapError):
             SubsystemLayout(["a", "b", "c"], [2, 2, 2])
         SubsystemLayout(["a", "b"], [2, 2])  # within the lowered cap
@@ -203,9 +204,9 @@ class TestPsdInvSqrt:
             assert np.abs(comm).max() < 1e-9 * np.abs(h).max()
 
 
-def off_sector_mask(layout, conj_labels):
+def off_sector_mask(layout, n_conj):
     sector = np.empty(layout.dim, dtype=int)
-    for k, idx in enumerate(weight_sectors(layout, conj_labels)[1]):
+    for k, idx in enumerate(weight_sectors(layout.dims, n_conj)[1]):
         sector[idx] = k
     return sector[:, None] != sector[None, :]
 
@@ -214,7 +215,7 @@ class TestWeightSectors:
     @pytest.mark.parametrize("N", range(1, 8))
     def test_qubit_block_sizes_are_binomial(self, N):
         layout = pbt_layout(N, 2)
-        _, sectors = weight_sectors(layout, ["X"])
+        _, sectors = weight_sectors(layout.dims, 1)
         sizes = sorted(len(idx) for idx in sectors)
         assert sum(sizes) == layout.dim
         assert sizes == sorted(comb(N + 1, k) for k in range(N + 2))
@@ -224,18 +225,22 @@ class TestWeightSectors:
     @pytest.mark.parametrize("N,M,d", [(3, 2, 2), (2, 2, 3), (4, 3, 2)])
     def test_multi_slot_layout_is_partitioned(self, N, M, d):
         layout = mpbt_layout(N, M, d)
-        _, sectors = weight_sectors(layout, [input_label(k) for k in range(1, M + 1)])
+        _, sectors = weight_sectors(layout.dims, M)
         assert sum(len(idx) for idx in sectors) == layout.dim
         assert len(np.unique(np.concatenate(sectors))) == layout.dim
 
-    def test_unknown_label_rejected(self):
-        with pytest.raises(KeyError):
-            weight_sectors(pbt_layout(2, 2), ["Y"])
+    @pytest.mark.parametrize("dims,n_conj", [
+        ((2,) * 4, 1), ((2,) * 7, 1), ((2,) * 6, 2), ((2,) * 7, 3), ((3,) * 4, 1),
+        ((3,) * 6, 2), ((4,) * 4, 1), ((2,) * 5, 0), ((2, 3, 3), 1), ((3, 2, 2, 3), 2),
+    ])
+    def test_counted_sizes_match_the_sectors(self, dims, n_conj):
+        _, sectors = weight_sectors(dims, n_conj)
+        assert sector_sizes(dims, n_conj) == [len(idx) for idx in sectors]
 
     @pytest.mark.parametrize("N,M,d", [(3, 2, 2), (4, 2, 2), (3, 2, 3)])
     def test_pipeline_operators_vanish_off_the_sectors(self, N, M, d):
         layout = pbt_layout(N, d)
-        off = off_sector_mask(layout, [input_label()])
+        off = off_sector_mask(layout, 1)
         exact = [pbtc_signal((i,), N, d) for i in range(1, N + 1)]
         exact += [symmetric_projector(I, d, layout) for I in enumerate_unordered(N, M)]
         exact += list(pbtc_ensemble(N, M, d).values())
@@ -252,7 +257,7 @@ class TestWeightSectors:
     def test_multi_slot_signals_vanish_off_the_sectors(self):
         N, M, d = 3, 2, 2
         layout = mpbt_layout(N, M, d)
-        off = off_sector_mask(layout, [input_label(1), input_label(2)])
+        off = off_sector_mask(layout, M)
         ensemble = mpbt_ensemble(N, M, d)
         for state in ensemble.values():
             assert np.all(state.entries[off] == 0)
@@ -269,7 +274,7 @@ class TestBlockedInvSqrt:
     def test_blocks_match_dense_on_average_state(self):
         N, M, d = 4, 2, 2
         eta_bar = ensemble_average(pbtc_ensemble(N, M, d)).entries
-        _, sectors = weight_sectors(pbt_layout(N, d), [input_label()])
+        _, sectors = weight_sectors((d,) * (N + 1), 1)
         roots, projectors = psd_inv_sqrt_blocks([eta_bar[np.ix_(i, i)] for i in sectors])
         dense_root, dense_proj = psd_inv_sqrt_blocks([eta_bar])
         for idx, root, proj in zip(sectors, roots, projectors):

@@ -5,10 +5,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from portclone import verification
+from portclone import tensor_core, verification
 from portclone.states import (
-    input_label,
-    pbt_layout,
     pbtc_ensemble,
     pbtc_signal,
     pbtc_signal_entries,
@@ -90,7 +88,7 @@ class TestRankCheck:
     @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (2, 5, 3), (3, 3, 2)])
     def test_sector_rank_equals_dense_rank(self, d, N, M):
         # check d ranks each signal block by block; the dense rank must agree
-        _, sectors = weight_sectors(pbt_layout(N, d), [input_label()])
+        _, sectors = weight_sectors((d,) * (N + 1), 1)
         for I in enumerate_unordered(N, M):
             blocks = [pbtc_signal_entries([I], N, d, idx) for idx in sectors]
             dense = kept_rank([pbtc_signal(I, N, d).entries])
@@ -137,7 +135,7 @@ class TestSuite:
 
     def test_capped_checks_keep_their_names(self, monkeypatch):
         full = [r.name for r in run_suite(2, 4, 2)]
-        monkeypatch.setenv("PORTCLONE_DIM_CAP", "16")
+        monkeypatch.setattr(tensor_core, "DIM_CAP", 16)
         capped = run_suite(2, 4, 2)
         assert [r.name for r in capped] == full == sorted(full)
         refused = [r for r in capped if "exceeds cap" in r.notes]
