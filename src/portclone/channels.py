@@ -34,6 +34,7 @@ from portclone.symmetry import enumerate_ordered, enumerate_unordered, port_labe
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
+    check_cap,
     check_dims,
     identity,
     kron_compose,
@@ -320,15 +321,19 @@ def _sector_fidelities(dims, n_conj, signal, average, target, d_in):
     are permutation-similar, so lambda_max, the cutoff and the PSD check of
     `support_spectra` are those of all blocks.
 
-    The largest block is the widest matrix formed, so the dimension cap
-    applies to it; it is counted, and refused, before any block is built.
+    The dimension cap applies to the two largest arrays formed, the basis
+    table of `weight_sectors` (a row per basis state, a column per slot or
+    level) and the largest block; both are sized before the table is built.
 
     Returns F, its completion part, the sizes of all sectors, the number of
     sectors evaluated, and the orbit-weighted count of eigenvalues kept above
     the cutoff.
     """
+    check_dims(dims)
+    rows, cols = prod(dims), max(len(dims), *dims)
+    check_cap(rows * cols, f"basis table {rows}x{cols}")
     sizes = sector_sizes(dims, n_conj)
-    check_dims(dims, max(sizes, default=0), "largest block")
+    check_cap(max(sizes) ** 2, f"largest block {max(sizes)}")
     weights, sectors = weight_sectors(dims, n_conj)
     orbits = [
         (idx, _orbit_size(w)) for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)

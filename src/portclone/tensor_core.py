@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-DIM_CAP = 8192  # widest matrix any route may form
+DIM_CAP = 8192  # widest matrix any route may form; no array holds more than DIM_CAP**2 entries
 
 HERMITIAN_RTOL = 1e-12
 EIG_RECON_TOL = 1e-10
@@ -20,13 +20,16 @@ class DimensionCapError(ValueError):
     pass
 
 
-def check_dims(dims: Sequence[int], widest: int, what: str) -> None:
-    """Refuse local dimensions below 2, and a route whose widest matrix,
-    `widest` wide and named `what`, exceeds DIM_CAP."""
+def check_dims(dims: Sequence[int]) -> None:
+    """Refuse local dimensions below 2."""
     if any(d < 2 for d in dims):
         raise ValueError(f"local dimensions must be >= 2, got {tuple(dims)}")
-    if widest > DIM_CAP:
-        raise DimensionCapError(f"{what} {widest} exceeds cap {DIM_CAP}")
+
+
+def check_cap(entries: int, what: str) -> None:
+    """Refuse an array `what` with more entries than a DIM_CAP-wide matrix."""
+    if entries > DIM_CAP**2:
+        raise DimensionCapError(f"{what} exceeds cap {DIM_CAP}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,9 @@ class SubsystemLayout:
         if len(set(labels)) != len(labels):
             dupes = sorted({l for l in labels if labels.count(l) > 1})
             raise ValueError(f"duplicate subsystem labels: {dupes}")
+        check_dims(dims)
         total = prod(dims)
-        check_dims(dims, total, "total dimension")
+        check_cap(total**2, f"total dimension {total}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dim", total)
@@ -232,13 +236,13 @@ def weight_sectors(
     the others, for every diagonal unitary T, are block-diagonal in these
     groups.
     """
-    sign = np.where(np.arange(len(dims)) < n_conj, -1, 1)
-    digits = np.array(np.unravel_index(np.arange(prod(dims)), dims))
-    levels = range(max(dims))
-    weights = [((digits == level) * sign[:, None]).sum(axis=0) for level in levels]
-    vectors, sector = np.unique(np.stack(weights, axis=1), axis=0, return_inverse=True)
+    basis = np.arange(prod(dims))
+    weights = np.zeros((len(basis), max(dims)), dtype=np.min_scalar_type(-len(dims)))
+    for s, digit in enumerate(np.unravel_index(basis, dims)):
+        weights[basis, digit] += -1 if s < n_conj else 1
+    vectors, sector = np.unique(weights, axis=0, return_inverse=True)
     order = np.argsort(sector, kind="stable")
-    return vectors, np.split(order, np.cumsum(np.bincount(sector))[:-1])
+    return vectors.astype(int), np.split(order, np.cumsum(np.bincount(sector))[:-1])
 
 
 def positions_in(idx: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -234,8 +234,10 @@ class TestBlockedEngine:
         assert protocol_fidelity("std-pbtc", 2, 3, 2).n_orbits == 3
         assert protocol_fidelity("clone", 2, 0, 2).n_orbits == 1
 
+    # points whose largest block, not their basis table, is the larger array
+    # at cap max_block_dim - 1
     @pytest.mark.parametrize("protocol,N,M", [
-        ("std-pbt", 3, 1), ("std-pbtc", 3, 2), ("clone-mpbt", 3, 2), ("mpbt", 3, 2),
+        ("std-pbt", 6, 1), ("std-pbtc", 6, 2), ("clone-mpbt", 5, 2), ("mpbt", 5, 2),
     ])
     def test_dimension_cap_refuses_at_largest_block(self, monkeypatch, protocol, N, M):
         widest = protocol_fidelity(protocol, 2, N, M).max_block_dim
@@ -245,13 +247,18 @@ class TestBlockedEngine:
         monkeypatch.setattr(tensor_core, "DIM_CAP", widest)
         assert protocol_fidelity(protocol, 2, N, M).max_block_dim == widest
 
-    def test_far_point_refused_before_any_block(self):
-        # std-pbt at N=40 has a largest block of C(41, 20); counting the
-        # sectors takes no d^(N+1) array, so the refusal costs next to nothing
+    @pytest.mark.parametrize("d,N,refusal", [
+        (2, 20, f"largest block {comb(21, 10)} "),
+        (2, 40, f"basis table {2**41}x41 "),
+        (1000, 1, f"basis table {1000**2}x1000 "),
+    ])
+    def test_far_point_refused_before_any_table(self, d, N, refusal):
+        # both refusals are decided from counts: at d=2 the sector count
+        # takes no d^(N+1) array, and the basis table is sized, not built
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionCapError, match=f"largest block {comb(41, 20)} "):
-                protocol_fidelity("std-pbt", 2, 40, 1)
+            with pytest.raises(DimensionCapError, match=refusal):
+                protocol_fidelity("std-pbt", d, N, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

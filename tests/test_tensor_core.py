@@ -51,7 +51,7 @@ class TestLayout:
         with pytest.raises(DimensionCapError):
             SubsystemLayout([f"q{i}" for i in range(20)], [2] * 20)
 
-    def test_cap_env_override(self, monkeypatch):
+    def test_lowered_cap_refuses_layout(self, monkeypatch):
         monkeypatch.setattr(tensor_core, "DIM_CAP", 4)
         with pytest.raises(DimensionCapError):
             SubsystemLayout(["a", "b", "c"], [2, 2, 2])
