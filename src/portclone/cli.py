@@ -177,16 +177,15 @@ def sweep(protocols, d, m, n_range, csv_path, svg_path):
 @click.option("--d", "d", type=int, default=2, show_default=True)
 @click.option("--N", "n", type=int, required=True)
 @click.option("--M", "m", type=int, required=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--json", "json_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--inject-fault", is_flag=True,
               help="Corrupt one PGM element to prove the checks can fail.")
-def verify(d, n, m, tol, json_path, inject_fault):
+def verify(d, n, m, json_path, inject_fault):
     """Run the certification suite; exit nonzero if any exact check fails."""
     if m > n:
         raise click.UsageError(f"M={m} exceeds N={n}")
     try:
-        results = run_suite(d, n, m, tol=tol, inject_fault=inject_fault)
+        results = run_suite(d, n, m, inject_fault=inject_fault)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     name_w = max(len(r.name) for r in results)

@@ -129,13 +129,8 @@ def clone_mpbt_povm(N: int, M: int, d: int) -> Povm:
 
 def povm_to_json_dict(p: Povm) -> dict:
     """Serializable dump: outcome keys, dimensions, row-major [re, im] entries.
-    A tuple key is a port set of the layout's N ports."""
+    Every key is a port set of the layout's N ports."""
     N = port_count(p.layout)
-
-    def key_repr(key):
-        if isinstance(key, tuple):
-            return {"kind": "port_set", "ports": list(key), "N": N}
-        return {"kind": "index", "value": key}
 
     def matrix_repr(op: LabeledOperator):
         flat = op.entries.ravel()
@@ -146,7 +141,7 @@ def povm_to_json_dict(p: Povm) -> dict:
         "dims": list(p.layout.dims),
         "dimension": p.layout.dim,
         "outcomes": [
-            {"key": key_repr(k), "entries": matrix_repr(el)}
+            {"key": {"kind": "port_set", "ports": list(k), "N": N}, "entries": matrix_repr(el)}
             for k, el in p.outcomes.items()
         ],
     }

@@ -5,7 +5,7 @@ average states of their ensembles."""
 from __future__ import annotations
 
 import itertools
-from math import factorial, prod
+from math import comb, factorial, perm, prod
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ from portclone.symmetry import (
     port_label,
     sym_dim,
 )
-from portclone.tensor_core import LabeledOperator, SubsystemLayout, positions_in
+from portclone.tensor_core import LabeledOperator, SubsystemLayout, check_family, positions_in
 
 
 def input_label(k: int | None = None) -> str:
@@ -238,8 +238,10 @@ def ensemble_average(e: dict[Hashable, LabeledOperator]) -> LabeledOperator:
 
 
 def pbtc_ensemble(N: int, M: int, d: int) -> dict[tuple[int, ...], LabeledOperator]:
+    check_family(comb(N, M), d ** (N + 1))
     return {I: pbtc_signal(I, N, d) for I in enumerate_unordered(N, M)}
 
 
 def mpbt_ensemble(N: int, M: int, d: int) -> dict[tuple[int, ...], LabeledOperator]:
+    check_family(perm(N, M), d ** (N + M))
     return {J: mpbt_signal(J, N, d) for J in enumerate_ordered(N, M)}

@@ -32,6 +32,12 @@ def check_cap(entries: int, what: str) -> None:
         raise DimensionCapError(f"{what} exceeds cap {DIM_CAP}")
 
 
+def check_family(count: int, dim: int) -> None:
+    """Refuse a family of `count` operators of dimension `dim` whose entries
+    together outnumber those of one DIM_CAP-wide matrix."""
+    check_cap(count * dim**2, f"family of {count} operators of dimension {dim}")
+
+
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Ordered list of distinct subsystem labels with their local dimensions."""
@@ -256,13 +262,18 @@ def positions_in(idx: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def _checked_eigh(a: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """eigh of one Hermitian block, with the Hermitian and reconstruction
-    checks taken relative to `scale`, the largest |entry| of the whole operator."""
-    dev = np.abs(a - a.conj().T).max()
+    checks taken relative to `scale`, the largest |entry| of the whole operator.
+    Both checks run over slabs of about 2**18 entries, so that no temporary
+    holds a block's worth of entries."""
+    rows = max(1, 2**18 // len(a))
+    slabs = [slice(i, i + rows) for i in range(0, len(a), rows)]
+    dev = max(np.abs(a[s] - a[:, s].conj().T).max() for s in slabs)
     if dev > HERMITIAN_RTOL * max(scale, 1e-300):
         raise ValueError(f"operator is not Hermitian (max |A - A^dag| = {dev:.3e})")
     vals, vecs = np.linalg.eigh(a)
-    recon = (vecs * vals) @ vecs.conj().T
-    if np.abs(recon - a).max() > EIG_RECON_TOL * max(1.0, scale):
+    vecs_h = vecs.conj().T  # a view when real
+    recon_dev = max(np.abs((vecs[s] * vals) @ vecs_h - a[s]).max() for s in slabs)
+    if recon_dev > EIG_RECON_TOL * max(1.0, scale):
         raise ArithmeticError("eigendecomposition failed reconstruction check")
     return vals, vecs
 

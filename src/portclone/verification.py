@@ -30,6 +30,8 @@ from portclone.tensor_core import (
     DimensionCapError,
     LabeledOperator,
     SubsystemLayout,
+    check_cap,
+    check_family,
     psd_inv_sqrt_blocks,
     support_spectra,
     trace_product,
@@ -37,6 +39,11 @@ from portclone.tensor_core import (
 )
 
 TREND_NOTE = "trend"
+
+# A check passes when its deviation is at most its threshold.
+FLOAT_TOL = 1e-10  # identities between floating-point values: b, c, c3, e-h, j
+COMPLETION_TOL = 1e-9  # c2, which also compares the completed sum with the identity
+EXACT = 0.0  # integer, set and trend comparisons: a, d, i, k
 
 
 @dataclass(frozen=True)
@@ -59,22 +66,9 @@ class CheckResult:
         }
 
 
-def _result(name, params, deviation, threshold, notes="") -> CheckResult:
-    return CheckResult(
-        name=name,
-        params=params,
-        deviation=float(deviation),
-        threshold=float(threshold),
-        passed=bool(deviation <= threshold),
-        notes=notes,
-    )
-
-
-def _skipped(name, params, notes) -> CheckResult:
-    return CheckResult(
-        name=name, params=params, deviation=0.0, threshold=0.0, passed=True,
-        notes=f"skipped: {notes}",
-    )
+def _skipped(notes: str) -> tuple[float, float, str]:
+    """The (deviation, threshold, notes) of a check that compares nothing."""
+    return 0.0, 0.0, f"skipped: {notes}"
 
 
 def cycle_sum_by_enumeration(d: int, M: int) -> int:
@@ -89,30 +83,33 @@ def cycle_sum_by_stirling(d: int, M: int) -> int:
     """Same sum through the Stirling-number row identity:
     sum_k s(M,k) d^k = (M+d-1)! / (d-1)!."""
     row = sum(stirling_first(M, k) * d**k for k in range(M + 1))
-    assert row == factorial(M + d - 1) // factorial(d - 1)
     return row * row
 
 
-def combinatorial_disjoint_overlap(d: int, M: int, N: int) -> float:
+def _disjoint_overlap_routes(d: int, M: int, N: int) -> tuple[Fraction, Fraction]:
     """Overlap trace of two signal states on disjoint port sets, evaluated
-    without any dense matrix: the delta-product sum over both symmetrizing
-    groups collapses to a cycle-count generating function.
-
-    Exact rational arithmetic throughout; both evaluation routes must agree
-    before the value (always 1/d^(N+1)) is returned.
-    """
+    without any dense matrix, in exact rational arithmetic: the delta-product
+    sum over both symmetrizing groups collapses to a cycle-count generating
+    function, summed by enumeration and by the Stirling row identity. Both
+    should equal 1/d^(N+1); check h compares them with it."""
     if 2 * M > N:
         raise ValueError(f"no disjoint pair of {M}-sets exists for N={N}")
-    enumerated = cycle_sum_by_enumeration(d, M)
-    closed_form = cycle_sum_by_stirling(d, M)
+    denom = (sym_dim(d, M) * factorial(M)) ** 2 * d**N * d
+    return (
+        Fraction(cycle_sum_by_enumeration(d, M), denom),
+        Fraction(cycle_sum_by_stirling(d, M), denom),
+    )
+
+
+def combinatorial_disjoint_overlap(d: int, M: int, N: int) -> float:
+    """The overlap of `_disjoint_overlap_routes`; both routes must agree
+    before it is returned."""
+    enumerated, closed_form = _disjoint_overlap_routes(d, M, N)
     if enumerated != closed_form:
         raise ArithmeticError(
             f"cycle-sum mismatch: enumeration {enumerated} vs Stirling {closed_form}"
         )
-    denom = (sym_dim(d, M) * factorial(M)) ** 2 * d**N * d
-    value = Fraction(enumerated, denom)
-    assert value == Fraction(1, d ** (N + 1))
-    return float(value)
+    return float(enumerated)
 
 
 def _overlap_table(ensemble: dict[tuple[int, ...], LabeledOperator]) -> dict[tuple, float]:
@@ -149,6 +146,7 @@ def _permuted_outcomes(N, outcomes, bytes_per_sigma):
     """Every sigma in S_N as 0-based images, one per row, in the batches of
     `_batches`, each with the position in `outcomes` of sigma(I) for every
     sigma of the batch (row) and outcome I (column)."""
+    check_cap(factorial(N) * N, f"table of the {factorial(N)} permutations of {N} ports")
     sigmas = np.array(list(itertools.permutations(range(N))))
     ports = np.array(outcomes) - 1
     position = np.zeros(2**N, dtype=int)  # outcome position by bit mask of its ports
@@ -172,7 +170,7 @@ def _batches(n, bytes_per_item):
     return [slice(i, i + size) for i in range(0, n, size)]
 
 
-def _check_subgroup_conjugation(name, d, N, M, tol, params, outcomes):
+def _check_subgroup_conjugation(N, outcomes):
     # each member as one integer whose base-N digits are its images
     powers = N ** np.arange(N)
     # duplicate members are dropped, so each subgroup is compared as a set
@@ -196,12 +194,19 @@ def _check_subgroup_conjugation(name, d, N, M, tol, params, outcomes):
         merged = np.sort(np.concatenate([codes, expected[image]], axis=-1), axis=-1)
         shared = ((merged[..., 1:] == merged[..., :-1]) & (merged[..., 1:] >= 0)).sum(axis=-1)
         worst = max(worst, (sizes + sizes[image] - 2 * shared).max())
-    return _result(name, params, worst, 0, "set comparison, exact")
+    return worst, EXACT, "set comparison, exact"
 
 
-def _check_projector_conjugation(name, d, N, M, tol, params, outcomes):
+def _projectors(outcomes, d, layout) -> dict[tuple[int, ...], LabeledOperator]:
+    """Pi_I on `layout` for every outcome I; the dimension cap refuses the
+    family before any of it is built."""
+    check_family(len(outcomes), layout.dim)
+    return {I: symmetric_projector(I, d, layout) for I in outcomes}
+
+
+def _check_projector_conjugation(d, N, outcomes):
     layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
-    stack = np.array([symmetric_projector(I, d, layout).entries for I in outcomes])
+    stack = np.array([pi.entries for pi in _projectors(outcomes, d, layout).values()])
     # V_sigma is a 0/1 permutation matrix, so V_sigma Pi_I V_sigma^dag is Pi_I
     # with rows and columns gathered by the basis map g of sigma^-1: entry
     # (r, c) of Pi_I lands on entry (g^-1[r], g^-1[c]), which Pi_sigma(I) is to
@@ -217,7 +222,7 @@ def _check_projector_conjugation(name, d, N, M, tol, params, outcomes):
         g_inv = np.argsort(permuted_basis_indices(sigmas, layout.dims), axis=1)
         moved = stack[image[:, k], g_inv[:, r], g_inv[:, c]]
         worst = max(worst, np.abs(moved - values).max())
-    return _result(name, params, worst, tol)
+    return worst, FLOAT_TOL, ""
 
 
 def _pre_completion_pgm(ensemble, eta_bar, projectors, inject_fault):
@@ -230,50 +235,44 @@ def _pre_completion_pgm(ensemble, eta_bar, projectors, inject_fault):
         # scaling alone cannot break the support-invariance identity (it is
         # scale-invariant), so the fault also adds an off-support component
         first = next(iter(povm.outcomes))
-        pi = projectors[first]
-        off_support = LabeledOperator(
-            povm.layout, np.eye(povm.layout.dim) - pi.entries
-        )
+        off_support = LabeledOperator(povm.layout, np.eye(povm.layout.dim)) - projectors[first]
         corrupted = dict(povm.outcomes)
         corrupted[first] = 1.01 * corrupted[first] + 0.01 * off_support
         povm = type(povm)(outcomes=corrupted, layout=povm.layout)
     return povm, supports[0]
 
 
-def _check_pgm_support_invariance(name, d, N, M, tol, params, get_povm, get_projectors):
+def _check_pgm_support_invariance(get_povm, get_projectors):
     (povm, _), projectors = get_povm(), get_projectors()
     worst = 0.0
     for I, element in povm.outcomes.items():
         pi = projectors[I]
         sandwiched = pi @ element @ pi
         worst = max(worst, np.abs(sandwiched.entries - element.entries).max())
-    return _result(name, params, worst, tol)
+    return worst, FLOAT_TOL, ""
 
 
-def _check_pgm_completeness(name, d, N, M, tol, params, get_povm):
+def _check_pgm_completeness(get_povm):
     povm, support = get_povm()
     dev_support = np.abs(povm.element_sum().entries - support).max()
     try:
-        completed = complete(povm)
-        dev_id = np.abs(
-            completed.element_sum().entries - np.eye(povm.layout.dim)
-        ).max()
+        dev_id = np.abs(complete(povm).element_sum().entries - np.eye(povm.layout.dim)).max()
     except ValueError:
         # element sum already exceeds identity; completion refused
         dev_id = np.inf
-    return _result(name, params, max(dev_support, dev_id), max(tol, 1e-9))
+    return max(dev_support, dev_id), COMPLETION_TOL, ""
 
 
-def _check_commutation(name, d, N, M, tol, params, get_eta_bar, get_projectors):
+def _check_commutation(get_eta_bar, get_projectors):
     eta_bar = get_eta_bar()
     worst = 0.0
     for pi in get_projectors().values():
         comm = pi @ eta_bar - eta_bar @ pi
         worst = max(worst, np.abs(comm.entries).max())
-    return _result(name, params, worst, tol)
+    return worst, FLOAT_TOL, ""
 
 
-def _check_rank_formula(name, d, N, M, tol, params, get_ensemble):
+def _check_rank_formula(d, N, M, get_ensemble):
     expected = sym_dim(d, M - 1) * d ** (N - M)
     # each signal is block-diagonal in the weight sectors: one eigh per block;
     # the ensemble comes first, so that the dimension cap refuses it before
@@ -285,78 +284,68 @@ def _check_rank_formula(name, d, N, M, tol, params, get_ensemble):
         spectra = support_spectra([signal.entries[np.ix_(idx, idx)] for idx in sectors])
         rank = sum(int(np.count_nonzero(keep)) for _, _, keep in spectra)
         worst = max(worst, abs(rank - expected))
-    return _result(name, params, worst, 0, f"expected rank {expected}")
+    return worst, EXACT, f"expected rank {expected}"
 
 
-def _check_overlap_classes(name, d, N, M, tol, params, get_overlaps):
+def _check_overlap_classes(get_overlaps):
     classes: dict[int, list[float]] = {}
     for (I, J), overlap in get_overlaps().items():
         k = len(set(I) & set(J))
         classes.setdefault(k, []).append(overlap)
-    worst = max(max(v) - min(v) for v in classes.values())
-    return _result(name, params, worst, tol)
+    return max(max(v) - min(v) for v in classes.values()), FLOAT_TOL, ""
 
 
-def _check_cauchy_schwarz(name, d, N, M, tol, params, get_overlaps):
+def _check_cauchy_schwarz(get_overlaps):
     overlaps = get_overlaps()
     self_overlap = next(iter(overlaps.values()))  # the first outcome with itself
     worst = 0.0
     for (I, J), overlap in overlaps.items():
         if I != J:
             worst = max(worst, overlap - self_overlap)
-    return _result(name, params, max(0.0, worst), tol)
+    return max(0.0, worst), FLOAT_TOL, ""
 
 
-def _check_purity_bound(name, d, N, M, tol, params, get_overlaps):
+def _check_purity_bound(d, N, M, get_overlaps):
     bound = purity_upper_bound(N, M, d)
     worst = max(overlap - bound for (I, J), overlap in get_overlaps().items() if I == J)
-    return _result(name, params, max(0.0, worst), tol, f"bound {bound:.6g}")
+    return max(0.0, worst), FLOAT_TOL, f"bound {bound:.6g}"
 
 
-def _check_disjoint_overlap(name, d, N, M, tol, params, get_overlaps):
+def _check_disjoint_overlap(d, N, M, get_overlaps):
     if 2 * M > N:
-        return _skipped(name, params, "no disjoint pair for these N, M")
-    combinatorial = combinatorial_disjoint_overlap(d, M, N)
+        return _skipped("no disjoint pair for these N, M")
     I, J = tuple(range(1, M + 1)), tuple(range(M + 1, 2 * M + 1))
-    dense = get_overlaps()[I, J]
     target = 1.0 / d ** (N + 1)
-    dev = max(abs(dense - target), abs(combinatorial - target))
-    return _result(name, params, dev, max(tol, 1e-12))
+    # the dense overlap and both exact routes, each against 1/d^(N+1)
+    values = [get_overlaps()[I, J], *map(float, _disjoint_overlap_routes(d, M, N))]
+    return max(abs(value - target) for value in values), FLOAT_TOL, ""
 
 
-def _check_purity_trend(name, d, N, M, tol, params, get_eta_bar):
+def _check_purity_trend(d, N, M, get_eta_bar):
     if N - 1 < M:
-        return _skipped(name, params, "no smaller N to compare")
+        return _skipped("no smaller N to compare")
     prev = abs(d**N * eta_bar_purity(N - 1, M, d) - 1.0)
     curr = abs(d ** (N + 1) * purity(get_eta_bar()) - 1.0)
-    return _result(
-        name, params, max(0.0, curr - prev), 0.0,
-        f"{TREND_NOTE}: |excess| {prev:.6g} -> {curr:.6g}",
-    )
+    return max(0.0, curr - prev), EXACT, f"{TREND_NOTE}: |excess| {prev:.6g} -> {curr:.6g}"
 
 
-def _check_fidelity_lower_bound(name, d, N, M, tol, params, get_eta_bar):
-    F = protocol_fidelity("std-pbtc", d, N, M).F
+def _check_fidelity_lower_bound(d, N, M, get_eta_bar):
     bound = ((d + M - 1) / (d * M)) / (d ** (N + 1) * purity(get_eta_bar()))
-    return _result(
-        name, params, max(0.0, bound - F), 1e-10,
-        f"{TREND_NOTE}: F={F:.8g}, bound={bound:.8g}",
-    )
+    F = protocol_fidelity("std-pbtc", d, N, M).F
+    return max(0.0, bound - F), FLOAT_TOL, f"{TREND_NOTE}: F={F:.8g}, bound={bound:.8g}"
 
 
-def _check_stirling(name, d, N, M, tol, params):
+def _check_stirling():
     worst = 0
     for m in range(1, 7):
         for dd in range(2, 5):
             row = sum(stirling_first(m, k) * dd**k for k in range(m + 1))
             worst = max(worst, abs(row - factorial(m + dd - 1) // factorial(dd - 1)))
-    return _result(name, params, worst, 0, "exact integers")
+    return worst, EXACT, "exact integers"
 
 
-def run_suite(
-    d: int, N: int, M: int, tol: float = 1e-10, inject_fault: bool = False
-) -> list[CheckResult]:
-    """Run every certification check at one parameter point.
+def run_suite(d: int, N: int, M: int, inject_fault: bool = False) -> list[CheckResult]:
+    """Run every certification check at one parameter point, in name order.
 
     Checks that would exceed the dimension cap are reported as skipped
     rather than failing the suite. `inject_fault` corrupts one PGM element
@@ -367,43 +356,43 @@ def run_suite(
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
     if d < 2:
         raise ValueError(f"local dimensions must be >= 2, got d={d}")
-    params = {"d": d, "N": N, "M": M}
     outcomes = enumerate_unordered(N, M)
     # built on first use and shared; a build the dimension cap refuses raises
     # again in every check that asks for it, so each of them is skipped
     get_ensemble = cache(lambda: pbtc_ensemble(N, M, d))
-    get_projectors = cache(
-        lambda: {I: symmetric_projector(I, d, pbt_layout(N, d)) for I in outcomes}
-    )
+    get_projectors = cache(lambda: _projectors(outcomes, d, pbt_layout(N, d)))
     get_eta_bar = cache(lambda: ensemble_average(get_ensemble()))
     get_povm = cache(lambda: _pre_completion_pgm(
         get_ensemble(), get_eta_bar(), get_projectors(), inject_fault
     ))
     get_overlaps = cache(lambda: _overlap_table(get_ensemble()))
     checks = [
-        ("a-subgroup-conjugation", _check_subgroup_conjugation, {"outcomes": outcomes}),
-        ("b-projector-conjugation", _check_projector_conjugation, {"outcomes": outcomes}),
-        ("c-pgm-support-invariance", _check_pgm_support_invariance,
-         {"get_povm": get_povm, "get_projectors": get_projectors}),
-        ("c2-pgm-completeness", _check_pgm_completeness, {"get_povm": get_povm}),
-        ("c3-projector-average-commutation", _check_commutation,
-         {"get_eta_bar": get_eta_bar, "get_projectors": get_projectors}),
-        ("d-rank-formula", _check_rank_formula, {"get_ensemble": get_ensemble}),
-        ("e-overlap-class-equality", _check_overlap_classes, {"get_overlaps": get_overlaps}),
-        ("f-cauchy-schwarz-dominance", _check_cauchy_schwarz, {"get_overlaps": get_overlaps}),
-        ("g-purity-upper-bound", _check_purity_bound, {"get_overlaps": get_overlaps}),
-        ("h-disjoint-overlap-value", _check_disjoint_overlap, {"get_overlaps": get_overlaps}),
-        ("i-average-purity-trend", _check_purity_trend, {"get_eta_bar": get_eta_bar}),
-        ("j-fidelity-lower-bound", _check_fidelity_lower_bound, {"get_eta_bar": get_eta_bar}),
-        ("k-stirling-row-identity", _check_stirling, {}),
+        ("a-subgroup-conjugation", _check_subgroup_conjugation, (N, outcomes)),
+        ("b-projector-conjugation", _check_projector_conjugation, (d, N, outcomes)),
+        ("c-pgm-support-invariance", _check_pgm_support_invariance, (get_povm, get_projectors)),
+        ("c2-pgm-completeness", _check_pgm_completeness, (get_povm,)),
+        ("c3-projector-average-commutation", _check_commutation, (get_eta_bar, get_projectors)),
+        ("d-rank-formula", _check_rank_formula, (d, N, M, get_ensemble)),
+        ("e-overlap-class-equality", _check_overlap_classes, (get_overlaps,)),
+        ("f-cauchy-schwarz-dominance", _check_cauchy_schwarz, (get_overlaps,)),
+        ("g-purity-upper-bound", _check_purity_bound, (d, N, M, get_overlaps)),
+        ("h-disjoint-overlap-value", _check_disjoint_overlap, (d, N, M, get_overlaps)),
+        ("i-average-purity-trend", _check_purity_trend, (d, N, M, get_eta_bar)),
+        ("j-fidelity-lower-bound", _check_fidelity_lower_bound, (d, N, M, get_eta_bar)),
+        ("k-stirling-row-identity", _check_stirling, ()),
     ]
+    params = {"d": d, "N": N, "M": M}
     results = []
-    for name, fn, extra in checks:
+    for name, check, args in checks:
         try:
-            results.append(fn(name, d, N, M, tol, params, **extra))
+            deviation, threshold, notes = check(*args)
         except DimensionCapError as exc:
-            results.append(_skipped(name, params, str(exc)))
-    return sorted(results, key=lambda r: (r.name, sorted(r.params.items())))
+            deviation, threshold, notes = _skipped(str(exc))
+        results.append(CheckResult(
+            name=name, params=params, deviation=float(deviation),
+            threshold=float(threshold), passed=bool(deviation <= threshold), notes=notes,
+        ))
+    return results
 
 
 def suite_passed(results: list[CheckResult]) -> bool:

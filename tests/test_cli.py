@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from portclone import verification
 from portclone.channels import protocol_fidelity
 from portclone.cli import main
 from portclone.measurements import std_pbtc_povm
@@ -199,6 +200,20 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--N", "3", "--M", "2", "--inject-fault"])
         assert res.exit_code == 1
         assert "failing checks" in res.output
+
+    def test_tol_option_is_gone(self, runner):
+        # every threshold is fixed: an unknown option is a usage error
+        res = runner.invoke(main, ["verify", "--N", "3", "--M", "2", "--tol", "1"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output and "--tol" in res.output
+
+    def test_broken_stirling_row_fails_without_traceback(self, runner, monkeypatch):
+        original = verification.stirling_first
+        monkeypatch.setattr(verification, "stirling_first", lambda n, k: original(n, k) + 1)
+        res = runner.invoke(main, ["verify", "--N", "4", "--M", "2"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "failing checks: h-disjoint-overlap-value, k-stirling-row-identity" in res.output
 
     def test_m_above_n_rejected(self, runner):
         res = runner.invoke(main, ["verify", "--N", "2", "--M", "3"])

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from portclone import tensor_core
 from portclone.states import (
     ensemble_average,
     max_entangled,
@@ -21,6 +24,7 @@ from portclone.symmetry import (
     symmetrize_slots,
 )
 from portclone.tensor_core import (
+    DimensionCapError,
     hermitian_eig,
     kron_compose,
     partial_trace,
@@ -177,3 +181,28 @@ class TestEnsemble:
         e = pbtc_ensemble(4, 2, 2)
         assert tuple(e) == tuple(enumerate_unordered(4, 2))
         assert len(e) == 6
+
+    # every member fits the cap, but the family holds 55 x 4096^2 and
+    # 72 x 2048^2 entries, more than one 8192-wide matrix
+    @pytest.mark.parametrize("build,N,count,dim", [
+        (pbtc_ensemble, 11, 55, 4096), (mpbt_ensemble, 9, 72, 2048),
+    ])
+    def test_family_refused_before_any_member(self, build, N, count, dim):
+        assert dim <= tensor_core.DIM_CAP < count**0.5 * dim
+        tracemalloc.start()
+        try:
+            refusal = f"family of {count} operators of dimension {dim} exceeds cap"
+            with pytest.raises(DimensionCapError, match=refusal):
+                build(N, 2, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_family_at_the_cap_is_built(self, monkeypatch):
+        # 6 members of 32 x 32: refused only below 6 * 32^2 entries
+        monkeypatch.setattr(tensor_core, "DIM_CAP", 78)
+        with pytest.raises(DimensionCapError, match="family of 6 operators"):
+            pbtc_ensemble(4, 2, 2)
+        monkeypatch.setattr(tensor_core, "DIM_CAP", 79)
+        assert len(pbtc_ensemble(4, 2, 2)) == 6

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -161,6 +162,39 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eig(op(["a"], np.array([[0, 1], [0, 0]], dtype=complex)))
+
+    # 600 rows are two slabs of the checks; the fault sits in the second
+    def test_asymmetry_in_a_later_slab_rejected(self):
+        a = np.eye(600)
+        a[599, 0] = 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eig(op(["q"], a, d=600))
+
+    def test_bad_decomposition_in_a_later_slab_rejected(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def broken(a):
+            vals, vecs = eigh(a)
+            vecs[-1] *= 1 + 1e-6
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", broken)
+        with pytest.raises(ArithmeticError, match="reconstruction"):
+            hermitian_eig(op(["q"], np.diag(np.arange(600.0)), d=600))
+
+    def test_checks_hold_no_block_sized_temporary(self):
+        # eigh's eigenvectors take one block; each check adds a slab of 2**18
+        # entries at a time, where a whole-block check held three more blocks
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(1024, 512))
+        a = g @ g.T
+        tracemalloc.start()
+        try:
+            tensor_core._checked_eigh(a, np.abs(a).max())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes + 4 * 2**18 * 8
 
     def test_eigenvalue_sum_is_trace(self):
         rng = np.random.default_rng(9)
