@@ -36,7 +36,6 @@ from portclone.tensor_core import (
     SubsystemLayout,
     check_cap,
     check_dims,
-    identity,
     kron_compose,
     partial_trace,
     sector_sizes,
@@ -127,9 +126,12 @@ def _clone_channel(
     """The reduced single-clone channel applied to the X slot of `state`;
     its other slots pass through, in front of the output slot B.
 
-    For each outcome I the receiving port is the clone_slot-th smallest
+    For each outcome I the receiving port b is the clone_slot-th smallest
     element of I; all other receiver ports are already traced out of the
-    resource, leaving maximally mixed sender ports.
+    resource, leaving maximally mixed sender ports. The state-and-resource
+    operator omega_b depends on I only through b and the channel is linear in
+    the elements, so the elements sharing b are summed into E_b first, and
+    Tr_{X,A}[(E_b (x) 1) omega_b] is one contraction per receiving port.
     """
     expected = pbt_layout(N, d).labels
     if povm.layout.labels != expected:
@@ -139,15 +141,17 @@ def _clone_channel(
     _check_clone_slot(povm, clone_slot)
     passed = [l for l in state.layout.labels if l != input_label()] + [OUTPUT_LABEL]
     order = list(expected) + passed
-    pass_identity = identity(SubsystemLayout(passed, [d] * len(passed)))
-    out = None
+    by_port: dict[int, np.ndarray] = {}
     for I, element in povm.outcomes.items():
-        resource = _teleport_resource(I[clone_slot - 1], N, d)
-        omega = kron_compose([state, resource]).permute_subsystems(order)
-        big_e = kron_compose([element, pass_identity])
-        term = partial_trace(big_e @ omega, expected)
-        out = term if out is None else out + term
-    return out
+        b = I[clone_slot - 1]
+        by_port[b] = by_port[b] + element.entries if b in by_port else element.entries
+    k = povm.layout.dim
+    out = 0
+    for b, e in by_port.items():
+        omega = kron_compose([state, _teleport_resource(b, N, d)]).permute_subsystems(order)
+        p = omega.dim // k
+        out = out + np.einsum("ab,bpaq->pq", e, omega.entries.reshape(k, p, k, p))
+    return LabeledOperator(omega.layout.restricted(passed), out)
 
 
 def single_clone_output(
@@ -189,7 +193,9 @@ def entanglement_fidelity_choi(
 ) -> float:
     """Direct route: feed half of a maximally entangled pair through the
     reduced channel and project the joint output on the maximally entangled
-    state. Lives on a d^(N+3)-dimensional space."""
+    state. The state and resource operator lives on a d^(N+3)-dimensional
+    space; the channel reads it through one contraction per receiving port
+    (`_clone_channel`), never through a product of that width."""
     phi_in = max_entangled(d, input_label(), REFERENCE_LABEL)
     out = _clone_channel(povm, phi_in, N, d, clone_slot)
     phi_out = max_entangled(d, REFERENCE_LABEL, OUTPUT_LABEL)

@@ -102,16 +102,20 @@ def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledO
     return LabeledOperator(layout, entries)
 
 
+def slot_gathers(layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
+    """One basis map per permutation of the slot positions `slots` on
+    `layout`, one per row. The projector Pi symmetrizing those slots is the
+    average of the permutations, each of which maps basis states to basis
+    states, so Pi A is the average of the row gathers A[g] and A Pi that of
+    the column gathers A[:, g]."""
+    return permuted_basis_indices(_slot_permutations(len(layout.dims), slots), layout.dims)
+
+
 def symmetrize_slots(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
     """Pi A Pi, where A is given by its entries `a` on `layout` and Pi
-    symmetrizes the slot positions `slots`.
-
-    Pi is the average of the slot permutations, each of which maps basis
-    states to basis states, so both products are averages of row or column
-    gathers of `a`.
-    """
-    perms = _slot_permutations(len(layout.dims), slots)
-    gathers = permuted_basis_indices(perms, layout.dims)
+    symmetrizes the slot positions `slots`, from the gathers of
+    `slot_gathers`."""
+    gathers = slot_gathers(layout, slots)
     rows = sum(a[g] for g in gathers) / len(gathers)
     return sum(rows[:, g] for g in gathers) / len(gathers)
 

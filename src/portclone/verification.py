@@ -15,16 +15,18 @@ import numpy as np
 
 from portclone.channels import protocol_fidelity
 from portclone.measurements import complete, square_root_measurement
-from portclone.states import ensemble_average, pbt_layout, pbtc_ensemble
+from portclone.states import ensemble_average, pbtc_ensemble
 from portclone.symmetry import (
     cycle_count,
     enumerate_unordered,
     permuted_basis_indices,
     port_label,
+    slot_gathers,
     stirling_first,
     subgroup_fixing_complement,
     sym_dim,
     symmetric_projector,
+    symmetrize_slots,
 )
 from portclone.tensor_core import (
     DimensionCapError,
@@ -146,13 +148,21 @@ def _permuted_outcomes(N, outcomes, bytes_per_sigma):
     """Every sigma in S_N as 0-based images, one per row, in the batches of
     `_batches`, each with the position in `outcomes` of sigma(I) for every
     sigma of the batch (row) and outcome I (column)."""
-    check_cap(factorial(N) * N, f"table of the {factorial(N)} permutations of {N} ports")
-    sigmas = np.array(list(itertools.permutations(range(N))))
+    count = factorial(N)
+    check_cap(count * N, f"table of the {count} permutations of {N} ports")
+    # one byte per image, with no tuple per sigma on the way; the cap keeps
+    # N at 10 or below
+    table = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(N))),
+        dtype=np.uint8, count=count * N,
+    ).reshape(count, N)
     ports = np.array(outcomes) - 1
     position = np.zeros(2**N, dtype=int)  # outcome position by bit mask of its ports
     position[(1 << ports).sum(axis=1)] = np.arange(len(outcomes))
-    for batch in _batches(len(sigmas), bytes_per_sigma):
-        yield sigmas[batch], _outcome_images(sigmas[batch], ports, position)
+    for batch in _batches(count, bytes_per_sigma):
+        # as intp, so that 1 << sigma does not wrap from port 8 on
+        sigmas = table[batch].astype(np.intp)
+        yield sigmas, _outcome_images(sigmas, ports, position)
 
 
 def _outcome_images(sigmas, ports, position):
@@ -197,16 +207,11 @@ def _check_subgroup_conjugation(N, outcomes):
     return worst, EXACT, "set comparison, exact"
 
 
-def _projectors(outcomes, d, layout) -> dict[tuple[int, ...], LabeledOperator]:
-    """Pi_I on `layout` for every outcome I; the dimension cap refuses the
-    family before any of it is built."""
-    check_family(len(outcomes), layout.dim)
-    return {I: symmetric_projector(I, d, layout) for I in outcomes}
-
-
 def _check_projector_conjugation(d, N, outcomes):
     layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
-    stack = np.array([pi.entries for pi in _projectors(outcomes, d, layout).values()])
+    # the dimension cap refuses the family before any of it is built
+    check_family(len(outcomes), layout.dim)
+    stack = np.array([symmetric_projector(I, d, layout).entries for I in outcomes])
     # V_sigma is a 0/1 permutation matrix, so V_sigma Pi_I V_sigma^dag is Pi_I
     # with rows and columns gathered by the basis map g of sigma^-1: entry
     # (r, c) of Pi_I lands on entry (g^-1[r], g^-1[c]), which Pi_sigma(I) is to
@@ -225,7 +230,12 @@ def _check_projector_conjugation(d, N, outcomes):
     return worst, FLOAT_TOL, ""
 
 
-def _pre_completion_pgm(ensemble, eta_bar, projectors, inject_fault):
+def _port_slots(layout, I):
+    """Slot positions of the ports I on `layout`."""
+    return [layout.index(port_label(i)) for i in I]
+
+
+def _pre_completion_pgm(ensemble, eta_bar, inject_fault):
     """The PGM before completion, and the support projector of the average
     state `eta_bar`: one decomposition of it gives both."""
     roots, supports = psd_inv_sqrt_blocks([eta_bar.entries])
@@ -234,21 +244,24 @@ def _pre_completion_pgm(ensemble, eta_bar, projectors, inject_fault):
     if inject_fault:
         # scaling alone cannot break the support-invariance identity (it is
         # scale-invariant), so the fault also adds an off-support component
-        first = next(iter(povm.outcomes))
-        off_support = LabeledOperator(povm.layout, np.eye(povm.layout.dim)) - projectors[first]
+        first, layout = next(iter(povm.outcomes)), povm.layout
+        one = np.eye(layout.dim)
+        off_support = LabeledOperator(
+            layout, one - symmetrize_slots(one, layout, _port_slots(layout, first))
+        )
         corrupted = dict(povm.outcomes)
         corrupted[first] = 1.01 * corrupted[first] + 0.01 * off_support
         povm = type(povm)(outcomes=corrupted, layout=povm.layout)
     return povm, supports[0]
 
 
-def _check_pgm_support_invariance(get_povm, get_projectors):
-    (povm, _), projectors = get_povm(), get_projectors()
+def _check_pgm_support_invariance(get_povm):
+    povm, _ = get_povm()
     worst = 0.0
     for I, element in povm.outcomes.items():
-        pi = projectors[I]
-        sandwiched = pi @ element @ pi
-        worst = max(worst, np.abs(sandwiched.entries - element.entries).max())
+        # Pi_I E_I Pi_I, from slot gathers of E_I
+        sandwiched = symmetrize_slots(element.entries, povm.layout, _port_slots(povm.layout, I))
+        worst = max(worst, np.abs(sandwiched - element.entries).max())
     return worst, FLOAT_TOL, ""
 
 
@@ -263,12 +276,16 @@ def _check_pgm_completeness(get_povm):
     return max(dev_support, dev_id), COMPLETION_TOL, ""
 
 
-def _check_commutation(get_eta_bar, get_projectors):
+def _check_commutation(get_eta_bar, outcomes):
     eta_bar = get_eta_bar()
+    a, layout = eta_bar.entries, eta_bar.layout
     worst = 0.0
-    for pi in get_projectors().values():
-        comm = pi @ eta_bar - eta_bar @ pi
-        worst = max(worst, np.abs(comm.entries).max())
+    for I in outcomes:
+        # Pi_I eta_bar and eta_bar Pi_I, as the row and the column gathers
+        gathers = slot_gathers(layout, _port_slots(layout, I))
+        left = sum(a[g] for g in gathers) / len(gathers)
+        right = sum(a[:, g] for g in gathers) / len(gathers)
+        worst = max(worst, np.abs(left - right).max())
     return worst, FLOAT_TOL, ""
 
 
@@ -360,18 +377,15 @@ def run_suite(d: int, N: int, M: int, inject_fault: bool = False) -> list[CheckR
     # built on first use and shared; a build the dimension cap refuses raises
     # again in every check that asks for it, so each of them is skipped
     get_ensemble = cache(lambda: pbtc_ensemble(N, M, d))
-    get_projectors = cache(lambda: _projectors(outcomes, d, pbt_layout(N, d)))
     get_eta_bar = cache(lambda: ensemble_average(get_ensemble()))
-    get_povm = cache(lambda: _pre_completion_pgm(
-        get_ensemble(), get_eta_bar(), get_projectors(), inject_fault
-    ))
+    get_povm = cache(lambda: _pre_completion_pgm(get_ensemble(), get_eta_bar(), inject_fault))
     get_overlaps = cache(lambda: _overlap_table(get_ensemble()))
     checks = [
         ("a-subgroup-conjugation", _check_subgroup_conjugation, (N, outcomes)),
         ("b-projector-conjugation", _check_projector_conjugation, (d, N, outcomes)),
-        ("c-pgm-support-invariance", _check_pgm_support_invariance, (get_povm, get_projectors)),
+        ("c-pgm-support-invariance", _check_pgm_support_invariance, (get_povm,)),
         ("c2-pgm-completeness", _check_pgm_completeness, (get_povm,)),
-        ("c3-projector-average-commutation", _check_commutation, (get_eta_bar, get_projectors)),
+        ("c3-projector-average-commutation", _check_commutation, (get_eta_bar, outcomes)),
         ("d-rank-formula", _check_rank_formula, (d, N, M, get_ensemble)),
         ("e-overlap-class-equality", _check_overlap_classes, (get_overlaps,)),
         ("f-cauchy-schwarz-dominance", _check_cauchy_schwarz, (get_overlaps,)),

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from portclone import tensor_core
 from portclone.channels import (
+    OUTPUT_LABEL,
+    REFERENCE_LABEL,
     FidelityReport,
     _block_terms,
     _engine_inputs,
+    _teleport_resource,
     avg_fidelity,
     entanglement_fidelity_choi,
     entanglement_fidelity_formula,
@@ -26,6 +29,7 @@ from portclone.measurements import Povm, clone_mpbt_povm, complete, pgm, std_pbt
 from portclone.states import (
     ensemble_average,
     input_label,
+    max_entangled,
     mpbt_ensemble,
     mpbt_signal,
     mpbt_signal_entries,
@@ -40,8 +44,12 @@ from portclone.tensor_core import (
     DimensionCapError,
     LabeledOperator,
     SubsystemLayout,
+    identity,
+    kron_compose,
+    partial_trace,
     psd_inv_sqrt_blocks,
     support_spectra,
+    trace_product,
     weight_sectors,
 )
 
@@ -94,6 +102,53 @@ class TestRouteEquivalence:
         out = single_clone_output(povm, state, N, d)
         assert abs(out.trace() - 1) < 1e-10
         assert out.entries[0, 0].real < 1.0  # cloning is never perfect here
+
+
+def dense_clone_channel(povm, state, N, d, clone_slot):
+    """The single-clone channel as the full-width products that the
+    per-port contraction replaced: for every outcome I, Tr_{X,A} of
+    (E_I (x) 1) times state (x) resource of I's receiving port."""
+    expected = pbt_layout(N, d).labels
+    passed = [l for l in state.layout.labels if l != input_label()] + [OUTPUT_LABEL]
+    pass_identity = identity(SubsystemLayout(passed, [d] * len(passed)))
+    out = 0
+    for I, element in povm.outcomes.items():
+        resource = _teleport_resource(I[clone_slot - 1], N, d)
+        omega = kron_compose([state, resource]).permute_subsystems(list(expected) + passed)
+        big_e = kron_compose([element, pass_identity])
+        out = out + partial_trace(big_e @ omega, expected).entries
+    return out
+
+
+class TestContractedChannel:
+    """The channel sums the elements per receiving port and contracts once
+    per port; the dense partial trace over every outcome is the reference."""
+
+    @pytest.mark.parametrize("builder", [std_pbtc_povm, clone_mpbt_povm])
+    def test_non_hermitian_input(self, builder):
+        d, N, M = 2, 4, 2
+        povm = builder(N, M, d)
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 1] = np.exp(0.7j)
+        state = LabeledOperator(SubsystemLayout([input_label()], [d]), rho)
+        for slot in (1, 2):
+            out = single_clone_output(povm, state, N, d, slot)
+            assert out.layout.labels == (OUTPUT_LABEL,)
+            reference = dense_clone_channel(povm, state, N, d, slot)
+            assert np.abs(out.entries - reference).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "builder,d,N,M,slot",
+        [(std_pbtc_povm, 2, 4, 2, 1), (clone_mpbt_povm, 2, 4, 2, 2), (std_pbtc_povm, 3, 3, 2, 1)],
+    )
+    def test_choi_fidelity(self, builder, d, N, M, slot):
+        povm = builder(N, M, d)
+        phi_in = max_entangled(d, input_label(), REFERENCE_LABEL)
+        reference = trace_product(
+            dense_clone_channel(povm, phi_in, N, d, slot),
+            max_entangled(d, REFERENCE_LABEL, OUTPUT_LABEL).entries,
+        )
+        assert abs(entanglement_fidelity_choi(povm, slot, N, M, d) - reference) <= 1e-14
 
 
 class TestCloneSlotRange:

@@ -168,6 +168,40 @@ class TestSuite:
         assert batched == whole
         assert max(seen) == 7 and sum(seen) == 2 * factorial(N)
 
+    def test_permutation_table_is_compact(self):
+        # S_9 as one byte per image; as a list of tuples the table peaked at
+        # about 78 MB before the first batch
+        N = 9
+        outcomes = enumerate_unordered(N, 2)
+        tracemalloc.start()
+        try:
+            sigmas, image = next(verification._permuted_outcomes(N, outcomes, 2**10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert sigmas.dtype == np.intp and len(sigmas) == 2**10
+        expected = list(itertools.islice(itertools.permutations(range(N)), len(sigmas)))
+        assert sigmas.tolist() == [list(s) for s in expected]
+        # ports 8 and 9 in the bit masks of sigma(I), where a uint8 shift would wrap
+        assert image.tolist() == [
+            [outcomes.index(sigma_image(s, I)) for I in outcomes] for s in sigmas
+        ]
+
+    def test_commutation_check_sees_a_broken_average(self):
+        # entries (0, 2) and (2, 0) of the (2, 3, 2) average raised by 1e-3:
+        # Pi_I eta_bar and eta_bar Pi_I then differ by 5e-4
+        eta_bar = verification.ensemble_average(pbtc_ensemble(3, 2, 2))
+        entries = eta_bar.entries.copy()
+        entries[0, 2] += 1e-3
+        entries[2, 0] += 1e-3
+        broken = LabeledOperator(eta_bar.layout, entries)
+        outcomes = enumerate_unordered(3, 2)
+        clean, threshold, _ = verification._check_commutation(lambda: eta_bar, outcomes)
+        deviation, _, _ = verification._check_commutation(lambda: broken, outcomes)
+        assert clean <= threshold < deviation
+        assert deviation == pytest.approx(5e-4, rel=1e-9)
+
     def test_disjoint_check_skipped_when_impossible(self):
         results = run_suite(2, 3, 2)
         h = next(r for r in results if r.name == "h-disjoint-overlap-value")
@@ -188,7 +222,8 @@ class TestSuite:
     @pytest.mark.parametrize("fault", [False, True])
     def test_shared_objects_built_once(self, monkeypatch, fault):
         # one ensemble at N (PGM, average, overlaps) and one at N - 1 (check i);
-        # C(4, 2) projectors on [A1..A4] for check b and C(4, 2) on [X, A1..A4]
+        # the C(4, 2) projectors on [A1..A4] of check b and no others: checks
+        # c and c3 and the injected fault apply Pi_I by slot gathers
         ensembles, projectors = [], []
         build_ensemble = verification.pbtc_ensemble
         build_projector = verification.symmetric_projector
@@ -222,7 +257,7 @@ class TestSuite:
         results = run_suite(2, 4, 2, inject_fault=fault)
         assert suite_passed(results) != fault
         assert ensembles == [4, 3]
-        assert len(projectors) <= 12
+        assert len(projectors) == 6
         assert averages == [6, 3] and decompositions == [1]
 
     def test_broken_stirling_row_fails_h_and_k_as_records(self, monkeypatch):
