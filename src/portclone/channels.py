@@ -114,7 +114,12 @@ def _teleport_resource(b: int, N: int, d: int) -> LabeledOperator:
     return kron_compose(factors).permute_subsystems(order)
 
 
-def _check_clone_slot(povm: Povm, clone_slot: int) -> None:
+def _check_povm(povm: Povm, N: int, d: int, clone_slot: int) -> None:
+    """Refuse a POVM that is not on [X, A1..AN] of dimension d, or a clone
+    slot outside its outcomes."""
+    expected = pbt_layout(N, d)
+    if povm.layout != expected:
+        raise ValueError(f"POVM layout {povm.layout} does not match canonical {expected}")
     M = len(next(iter(povm.outcomes)))
     if not 1 <= clone_slot <= M:
         raise ValueError(f"clone slot {clone_slot} out of range 1..{M}")
@@ -133,14 +138,9 @@ def _clone_channel(
     the elements, so the elements sharing b are summed into E_b first, and
     Tr_{X,A}[(E_b (x) 1) omega_b] is one contraction per receiving port.
     """
-    expected = pbt_layout(N, d).labels
-    if povm.layout.labels != expected:
-        raise ValueError(
-            f"POVM layout {povm.layout.labels} does not match canonical {expected}"
-        )
-    _check_clone_slot(povm, clone_slot)
+    _check_povm(povm, N, d, clone_slot)
     passed = [l for l in state.layout.labels if l != input_label()] + [OUTPUT_LABEL]
-    order = list(expected) + passed
+    order = list(povm.layout.labels) + passed
     by_port: dict[int, np.ndarray] = {}
     for I, element in povm.outcomes.items():
         b = I[clone_slot - 1]
@@ -184,7 +184,7 @@ def slot_signals(
     povm: Povm, N: int, d: int, clone_slot: int = 1
 ) -> dict[tuple[int, ...], LabeledOperator]:
     """Teleportation signal states matched to each outcome's receiving port."""
-    _check_clone_slot(povm, clone_slot)
+    _check_povm(povm, N, d, clone_slot)
     return {I: pbtc_signal((I[clone_slot - 1],), N, d) for I in povm.outcomes}
 
 
@@ -196,6 +196,9 @@ def entanglement_fidelity_choi(
     state. The state and resource operator lives on a d^(N+3)-dimensional
     space; the channel reads it through one contraction per receiving port
     (`_clone_channel`), never through a product of that width."""
+    size = len(next(iter(povm.outcomes)))
+    if size != M:
+        raise ValueError(f"POVM outcomes are sets of {size} ports, not M={M}")
     phi_in = max_entangled(d, input_label(), REFERENCE_LABEL)
     out = _clone_channel(povm, phi_in, N, d, clone_slot)
     phi_out = max_entangled(d, REFERENCE_LABEL, OUTPUT_LABEL)

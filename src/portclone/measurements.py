@@ -4,6 +4,8 @@ realizing the clone-then-teleport baseline."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
+from math import comb
 from typing import Hashable
 
 import numpy as np
@@ -12,7 +14,8 @@ from portclone.cloning import clone_adjoint_on_input
 from portclone.states import (
     ensemble_average,
     input_label,
-    mpbt_ensemble,
+    mpbt_layout,
+    mpbt_signal_entries,
     pbtc_ensemble,
     pbt_layout,
 )
@@ -20,6 +23,7 @@ from portclone.symmetry import enumerate_unordered, port_count
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
+    check_family,
     hermitian_eig,
     psd_inv_sqrt,
 )
@@ -108,23 +112,24 @@ def std_pbtc_povm(N: int, M: int, d: int) -> Povm:
 def clone_mpbt_povm(N: int, M: int, d: int) -> Povm:
     """Pullback of the multi-port PGM through the adjoint of 1 -> M cloning.
 
-    Ordered outcomes sharing an underlying set are merged by summation
-    before the pullback, which is linear, and before the Delta completion,
-    so Delta is split over C(N, M) outcomes.
+    An outcome is a port set I, one member per set: the mean of the signals
+    of its M! orderings. The PGM element of that mean is the sum of the
+    orderings' elements, so the pullback, which is linear, and the Delta
+    completion act on C(N, M) outcomes. Tracing X2..XM and renaming X1 to X
+    leaves the canonical layout [X, A1..AN].
     """
-    merged: dict[tuple[int, ...], LabeledOperator] = {}
-    for J, element in pgm(mpbt_ensemble(N, M, d)).outcomes.items():
-        I = tuple(sorted(J))
-        merged[I] = merged[I] + element if I in merged else element
-    x_labels = [input_label(k) for k in range(1, M + 1)]
-    layout = pbt_layout(N, d)
-    outcomes = {
-        I: clone_adjoint_on_input(merged[I], x_labels, d, input_label()).permute_subsystems(
-            layout.labels
-        )
+    check_family(comb(N, M), d ** (N + M))
+    layout = mpbt_layout(N, M, d)
+    members = {
+        I: LabeledOperator(layout, mpbt_signal_entries(list(permutations(I)), N, d))
         for I in enumerate_unordered(N, M)
     }
-    return complete(Povm(outcomes=outcomes, layout=layout))
+    x_labels = [input_label(k) for k in range(1, M + 1)]
+    outcomes = {
+        I: clone_adjoint_on_input(element, x_labels, d, input_label())
+        for I, element in pgm(members).outcomes.items()
+    }
+    return complete(Povm(outcomes=outcomes, layout=pbt_layout(N, d)))
 
 
 def povm_to_json_dict(p: Povm) -> dict:

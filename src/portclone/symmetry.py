@@ -120,9 +120,7 @@ def symmetrize_slots(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int
     return sum(rows[:, g] for g in gathers) / len(gathers)
 
 
-def symmetric_projector(
-    I: Sequence[int], d: int, full_layout: SubsystemLayout
-) -> LabeledOperator:
+def symmetric_projector(I: Sequence[int], full_layout: SubsystemLayout) -> LabeledOperator:
     """Symmetric projector on ports I, acting as identity on the other subsystems."""
     slots = [full_layout.index(port_label(i)) for i in check_ports(I, port_count(full_layout))]
     return LabeledOperator(

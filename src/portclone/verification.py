@@ -211,7 +211,7 @@ def _check_projector_conjugation(d, N, outcomes):
     layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
     # the dimension cap refuses the family before any of it is built
     check_family(len(outcomes), layout.dim)
-    stack = np.array([symmetric_projector(I, d, layout).entries for I in outcomes])
+    stack = np.array([symmetric_projector(I, layout).entries for I in outcomes])
     # V_sigma is a 0/1 permutation matrix, so V_sigma Pi_I V_sigma^dag is Pi_I
     # with rows and columns gathered by the basis map g of sigma^-1: entry
     # (r, c) of Pi_I lands on entry (g^-1[r], g^-1[c]), which Pi_sigma(I) is to

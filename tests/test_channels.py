@@ -167,6 +167,28 @@ class TestCloneSlotRange:
             slot_signals(povm, N, d, clone_slot)
 
 
+class TestPointMatchesPovm:
+    # the labels of [X, A1..AN] do not depend on d, so only the dimensions
+    # tell a wrong d; a wrong M leaves every layout alone
+    @pytest.mark.parametrize("N,d", [(3, 3), (4, 2), (2, 2)])
+    def test_other_layout_refused(self, N, d):
+        povm = std_pbtc_povm(3, 2, 2)
+        state = LabeledOperator(SubsystemLayout([input_label()], [d]), np.eye(d) / d)
+        with pytest.raises(ValueError, match="does not match canonical"):
+            entanglement_fidelity_choi(povm, 1, N, 2, d)
+        with pytest.raises(ValueError, match="does not match canonical"):
+            single_clone_output(povm, state, N, d)
+        with pytest.raises(ValueError, match="does not match canonical"):
+            haar_average_check(povm, 1, 10, 0, N, d)
+        with pytest.raises(ValueError, match="does not match canonical"):
+            slot_signals(povm, N, d)
+
+    @pytest.mark.parametrize("M", [1, 3, 7])
+    def test_other_clone_count_refused(self, M):
+        with pytest.raises(ValueError, match=f"sets of 2 ports, not M={M}"):
+            entanglement_fidelity_choi(std_pbtc_povm(3, 2, 2), 1, 3, M, 2)
+
+
 class TestProtocolDispatch:
     def test_symmetric_slots(self):
         # both retained clones see the same fidelity by permutation symmetry

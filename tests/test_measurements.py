@@ -11,7 +11,15 @@ from portclone.measurements import (
     povm_to_json_dict,
     std_pbtc_povm,
 )
-from portclone.states import ensemble_average, mpbt_ensemble, pbtc_ensemble, pbtc_signal
+from portclone.cloning import clone_adjoint_on_input
+from portclone.states import (
+    ensemble_average,
+    input_label,
+    mpbt_ensemble,
+    pbt_layout,
+    pbtc_ensemble,
+    pbtc_signal,
+)
 from portclone.symmetry import enumerate_ordered, enumerate_unordered
 from portclone.tensor_core import (
     LabeledOperator,
@@ -106,7 +114,38 @@ class TestStdPbtcPovm:
         assert np.abs(el.entries - np.eye(povm.layout.dim)).max() < 1e-10
 
 
+def ordered_outcome_clone_povm(N, M, d):
+    """The clone-and-teleport POVM built over the N!/(N-M)! ordered outcomes:
+    PGM over every ordering, elements of one port set merged by summation,
+    then pulled back through the cloning adjoint and completed."""
+    merged = {}
+    for J, element in pgm(mpbt_ensemble(N, M, d)).outcomes.items():
+        I = tuple(sorted(J))
+        merged[I] = merged[I] + element if I in merged else element
+    x_labels = [input_label(k) for k in range(1, M + 1)]
+    layout = pbt_layout(N, d)
+    outcomes = {
+        I: clone_adjoint_on_input(merged[I], x_labels, d, input_label()).permute_subsystems(
+            layout.labels
+        )
+        for I in enumerate_unordered(N, M)
+    }
+    return complete(Povm(outcomes=outcomes, layout=layout))
+
+
 class TestCloneMpbtPovm:
+    @pytest.mark.parametrize("d,N,M", [(2, 3, 2), (2, 4, 2), (2, 4, 3), (2, 5, 2), (3, 3, 2)])
+    def test_matches_ordered_outcome_reference(self, d, N, M):
+        # one member per port set, the mean of its orderings, against the PGM
+        # over every ordering merged afterwards
+        povm, reference = clone_mpbt_povm(N, M, d), ordered_outcome_clone_povm(N, M, d)
+        assert povm.layout == reference.layout
+        assert list(povm.outcomes) == list(reference.outcomes)
+        for I, element in povm.outcomes.items():
+            assert np.abs(element.entries - reference.outcomes[I].entries).max() <= 1e-13
+        delta = povm.completion_element.entries - reference.completion_element.entries
+        assert np.abs(delta).max() <= 1e-13
+
     @pytest.mark.parametrize("N,M", [(2, 2), (3, 2), (4, 2)])
     def test_valid_povm(self, N, M):
         povm = clone_mpbt_povm(N, M, 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from portclone import tensor_core
+from portclone.measurements import clone_mpbt_povm
 from portclone.states import (
     ensemble_average,
     max_entangled,
@@ -115,7 +116,7 @@ class TestPbtcSignal:
         # tensor-product rho, independently of the scatter
         layout = pbt_layout(N, d)
         for I in enumerate_unordered(N, M):
-            pi = symmetric_projector(I, d, layout).entries
+            pi = symmetric_projector(I, layout).entries
             rho = paired_state([("X", f"A{I[0]}")], layout, d)
             reference = d**M / sym_dim(d, M) * pi @ rho @ pi
             assert np.abs(pbtc_signal(I, N, d).entries - reference).max() <= 1e-14
@@ -149,7 +150,7 @@ class TestPbtcSignal:
     def test_supported_on_symmetric_subspace(self):
         I = (1, 2)
         eta = pbtc_signal(I, 3, 2)
-        pi = symmetric_projector(I, 2, eta.layout)
+        pi = symmetric_projector(I, eta.layout)
         assert np.abs((pi @ eta @ pi).entries - eta.entries).max() < 1e-12
 
     def test_support_rank(self):
@@ -182,10 +183,12 @@ class TestEnsemble:
         assert tuple(e) == tuple(enumerate_unordered(4, 2))
         assert len(e) == 6
 
-    # every member fits the cap, but the family holds 55 x 4096^2 and
-    # 72 x 2048^2 entries, more than one 8192-wide matrix
+    # every member fits the cap, but the family holds 55 x 4096^2,
+    # 72 x 2048^2 or 36 x 2048^2 entries, more than one 8192-wide matrix; the
+    # clone-and-teleport POVM holds one member per port set
     @pytest.mark.parametrize("build,N,count,dim", [
         (pbtc_ensemble, 11, 55, 4096), (mpbt_ensemble, 9, 72, 2048),
+        (clone_mpbt_povm, 9, 36, 2048),
     ])
     def test_family_refused_before_any_member(self, build, N, count, dim):
         assert dim <= tensor_core.DIM_CAP < count**0.5 * dim

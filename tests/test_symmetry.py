@@ -44,7 +44,7 @@ class TestPortSets:
         builders = [
             lambda: pbtc_signal(ports, 3, 2),
             lambda: mpbt_signal(ports, 3, 2),
-            lambda: symmetric_projector(ports, 2, pbt_layout(3, 2)),
+            lambda: symmetric_projector(ports, pbt_layout(3, 2)),
             lambda: subgroup_fixing_complement(ports, 3),
         ]
         for build in builders:
@@ -60,7 +60,7 @@ def image_set(s, I):
 def ports_projector(d, M):
     """Symmetric projector on every slot of an M-port layout."""
     layout = SubsystemLayout([port_label(i) for i in range(1, M + 1)], [d] * M)
-    return symmetric_projector(tuple(range(1, M + 1)), d, layout)
+    return symmetric_projector(tuple(range(1, M + 1)), layout)
 
 
 class TestPermutation:
@@ -126,7 +126,7 @@ class TestSymmetricProjector:
 
     def test_embedded_acts_as_identity_elsewhere(self):
         layout = SubsystemLayout(["A1", "A2", "A3"], [2, 2, 2])
-        pi = symmetric_projector((1, 3), 2, layout)
+        pi = symmetric_projector((1, 3), layout)
         # trace factorizes: sym_dim on the two symmetrized slots, d on the rest
         assert round(pi.trace().real) == sym_dim(2, 2) * 2
 
@@ -139,7 +139,7 @@ class TestSymmetricProjector:
             layout = SubsystemLayout(labels, [d] * N)
             D = layout.dim
             projectors = {
-                I: symmetric_projector(I, d, layout).entries for I in enumerate_unordered(N, M)
+                I: symmetric_projector(I, layout).entries for I in enumerate_unordered(N, M)
             }
             for s in map(np.array, itertools.permutations(range(N))):
                 v = permutation_unitary(s, d, labels).entries
@@ -166,7 +166,7 @@ class TestSymmetrizeSlots:
         rng = np.random.default_rng(21)
         layout = SubsystemLayout(["X", "A1", "A2", "A3"], [2] * 4)
         a = rng.normal(size=(16, 16))
-        pi = symmetric_projector((1, 3), 2, layout).entries
+        pi = symmetric_projector((1, 3), layout).entries
         assert np.abs(symmetrize_slots(a, layout, [1, 3]) - pi @ a @ pi).max() < 1e-14
 
 

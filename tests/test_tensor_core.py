@@ -155,7 +155,7 @@ class TestHermitianEig:
         assert np.allclose(spec.eigenvalues, [1, 0, 0, 0], atol=1e-12)
 
     def test_symmetric_projector_rank(self):
-        pi = symmetric_projector((1, 2), 2, SubsystemLayout(["A1", "A2"], [2, 2]))
+        pi = symmetric_projector((1, 2), SubsystemLayout(["A1", "A2"], [2, 2]))
         spec = hermitian_eig(pi)
         assert np.allclose(sorted(spec.eigenvalues), [0, 1, 1, 1], atol=1e-12)
 
@@ -276,7 +276,7 @@ class TestWeightSectors:
         layout = pbt_layout(N, d)
         off = off_sector_mask(layout, 1)
         exact = [pbtc_signal((i,), N, d) for i in range(1, N + 1)]
-        exact += [symmetric_projector(I, d, layout) for I in enumerate_unordered(N, M)]
+        exact += [symmetric_projector(I, layout) for I in enumerate_unordered(N, M)]
         exact += list(pbtc_ensemble(N, M, d).values())
         exact.append(ensemble_average(pbtc_ensemble(N, M, d)))
         for op in exact:
@@ -403,4 +403,4 @@ class TestDtypeRule:
             elements = list(povm.outcomes.values()) + [povm.completion_element]
             assert all(el.entries.dtype == np.float64 for el in elements)
         layout = pbt_layout(3, 2)
-        assert symmetric_projector((1, 2), 2, layout).entries.dtype == np.float64
+        assert symmetric_projector((1, 2), layout).entries.dtype == np.float64

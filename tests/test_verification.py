@@ -309,8 +309,8 @@ class TestConjugationChecksDetectFaults:
     def test_moved_projector_entry_fails_check_b(self, monkeypatch):
         original = verification.symmetric_projector
 
-        def moved(I, d, layout):
-            pi = original(I, d, layout)
+        def moved(I, layout):
+            pi = original(I, layout)
             if I != self.target:
                 return pi
             entries = pi.entries.copy()
@@ -328,8 +328,8 @@ class TestConjugationChecksDetectFaults:
         original = verification.symmetric_projector
         vanished = []
 
-        def zeroed(I, d, layout):
-            pi = original(I, d, layout)
+        def zeroed(I, layout):
+            pi = original(I, layout)
             if I != self.target:
                 return pi
             entries = pi.entries.copy()
@@ -380,7 +380,7 @@ def reference_check_b(d, N, outcomes, projector_of):
     """Check b as the loop over sigma and outcome that the batched check
     replaced: every entry of the gathered projector against Pi_sigma(I)."""
     layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
-    projectors = {I: projector_of(I, d, layout).entries for I in outcomes}
+    projectors = {I: projector_of(I, layout).entries for I in outcomes}
     worst = 0.0
     for images in itertools.permutations(range(N)):
         s = np.array(images)
@@ -403,8 +403,8 @@ class TestBatchedConjugationChecks:
         build_projector = verification.symmetric_projector
         build_subgroup = verification.subgroup_fixing_complement
 
-        def projector(I, d, layout):
-            pi = build_projector(I, d, layout)
+        def projector(I, layout):
+            pi = build_projector(I, layout)
             if I != target:
                 return pi
             # complex, so that the injected imaginary entry fits; Pi_I is real
