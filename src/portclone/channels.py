@@ -73,10 +73,9 @@ class FidelityReport:
 
     def __post_init__(self):
         dim = self.input_dim if self.input_dim else self.d
+        # avg_fidelity also refuses an F outside [0, 1]
         if abs(self.f - avg_fidelity(self.F, dim)) > F_CONSISTENCY_TOL:
             raise ValueError("report fields F and f violate the conversion identity")
-        if not -1e-10 <= self.F <= 1 + 1e-10:
-            raise ValueError(f"entanglement fidelity {self.F} out of range")
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,7 +161,7 @@ def single_clone_output(
     clone_slot: int = 1,
 ) -> LabeledOperator:
     """Output of one retained clone slot for an input state on X."""
-    if input_state.layout.labels != (input_label(),) or input_state.layout.dims != (d,):
+    if input_state.layout != SubsystemLayout([input_label()], [d]):
         raise ValueError("input must live on the single slot X with dimension d")
     return _clone_channel(povm, input_state, N, d, clone_slot)
 

@@ -196,8 +196,11 @@ def verify(d, n, m, json_path, inject_fault):
             f"threshold={r.threshold:.1e}  {r.notes}"
         )
     if json_path:
-        with open(json_path, "w") as fh:
-            json.dump([r.to_json_dict() for r in results], fh, indent=2)
+        try:
+            with open(json_path, "w") as fh:
+                json.dump([r.to_json_dict() for r in results], fh, indent=2)
+        except OSError as exc:
+            raise click.ClickException(f"cannot write output: {exc}")
     if not suite_passed(results):
         failing = [r.name for r in results if not r.passed]
         click.echo(f"failing checks: {', '.join(failing)}", err=True)
@@ -217,8 +220,11 @@ def povm_dump(protocol, d, n, m, out_path):
         povm = builder(n, m, d)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    with open(out_path, "w") as fh:
-        json.dump(povm_to_json_dict(povm), fh)
+    try:
+        with open(out_path, "w") as fh:
+            json.dump(povm_to_json_dict(povm), fh)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write output: {exc}")
     click.echo(f"wrote {len(povm)} outcomes to {out_path}")
 
 

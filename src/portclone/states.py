@@ -227,7 +227,7 @@ def ensemble_average(e: dict[Hashable, LabeledOperator]) -> LabeledOperator:
     if not e:
         raise ValueError("ensemble must be nonempty")
     layout = next(iter(e.values())).layout
-    if any(state.layout.labels != layout.labels for state in e.values()):
+    if any(state.layout != layout for state in e.values()):
         raise ValueError("ensemble states must share one layout")
     p = 1.0 / len(e)
     dtype = np.result_type(*{state.entries.dtype for state in e.values()})

@@ -102,29 +102,34 @@ def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledO
     return LabeledOperator(layout, entries)
 
 
-def slot_gathers(layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
-    """One basis map per permutation of the slot positions `slots` on
-    `layout`, one per row. The projector Pi symmetrizing those slots is the
-    average of the permutations, each of which maps basis states to basis
-    states, so Pi A is the average of the row gathers A[g] and A Pi that of
-    the column gathers A[:, g]."""
-    return permuted_basis_indices(_slot_permutations(len(layout.dims), slots), layout.dims)
+def port_slots(layout: SubsystemLayout, ports: Sequence[int]) -> list[int]:
+    """Slot positions on `layout` of the sender ports `ports`."""
+    return [layout.index(port_label(i)) for i in check_ports(ports, port_count(layout))]
+
+
+def symmetrize_rows(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
+    """Pi A, where A is given by its entries `a` on `layout` and Pi
+    symmetrizes the slot positions `slots`. Pi is the average of the slot
+    permutations, each of which maps basis states to basis states, so Pi A
+    is the average of the row gathers A[g]."""
+    gathers = permuted_basis_indices(_slot_permutations(len(layout.dims), slots), layout.dims)
+    return sum(a[g] for g in gathers) / len(gathers)
 
 
 def symmetrize_slots(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
-    """Pi A Pi, where A is given by its entries `a` on `layout` and Pi
-    symmetrizes the slot positions `slots`, from the gathers of
-    `slot_gathers`."""
-    gathers = slot_gathers(layout, slots)
-    rows = sum(a[g] for g in gathers) / len(gathers)
-    return sum(rows[:, g] for g in gathers) / len(gathers)
+    """Pi A Pi = (Pi (Pi A)^dag)^dag, with Pi as in `symmetrize_rows`. The
+    second pass gathers the rows of a contiguous copy of (Pi A)^dag, not the
+    strided columns of Pi A."""
+    rows = symmetrize_rows(a, layout, slots)
+    return symmetrize_rows(np.ascontiguousarray(rows.conj().T), layout, slots).conj().T
 
 
 def symmetric_projector(I: Sequence[int], full_layout: SubsystemLayout) -> LabeledOperator:
     """Symmetric projector on ports I, acting as identity on the other subsystems."""
-    slots = [full_layout.index(port_label(i)) for i in check_ports(I, port_count(full_layout))]
+    # Pi 1 Pi, not the one pass Pi 1, whose entries can differ by an ulp at M >= 3
     return LabeledOperator(
-        full_layout, symmetrize_slots(np.eye(full_layout.dim), full_layout, slots)
+        full_layout,
+        symmetrize_slots(np.eye(full_layout.dim), full_layout, port_slots(full_layout, I)),
     )
 
 

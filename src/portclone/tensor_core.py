@@ -103,22 +103,18 @@ class LabeledOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
+    def _check_layout(self, other: "LabeledOperator") -> None:
+        """Refuse an operand on another layout: other labels, order or dimensions."""
+        if self.layout != other.layout:
+            raise ValueError(f"layout mismatch: {self.layout} vs {other.layout}")
+
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
-        if self.layout.labels != other.layout.labels:
-            raise ValueError(
-                f"layout mismatch: {self.layout.labels} vs {other.layout.labels}"
-            )
+        self._check_layout(other)
         return LabeledOperator(self.layout, self.entries @ other.entries)
 
     def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
-        if self.layout.labels != other.layout.labels:
-            raise ValueError("layout mismatch in addition")
+        self._check_layout(other)
         return LabeledOperator(self.layout, self.entries + other.entries)
-
-    def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
-        if self.layout.labels != other.layout.labels:
-            raise ValueError("layout mismatch in subtraction")
-        return LabeledOperator(self.layout, self.entries - other.entries)
 
     def __mul__(self, scalar: complex) -> "LabeledOperator":
         return LabeledOperator(self.layout, self.entries * scalar)
@@ -166,17 +162,10 @@ def kron_compose(ops: Iterable[LabeledOperator]) -> LabeledOperator:
     ops = list(ops)
     if not ops:
         raise ValueError("kron_compose needs at least one operator")
-    seen: set[str] = set()
-    labels: list[str] = []
-    dims: list[int] = []
-    for op in ops:
-        for l in op.layout.labels:
-            if l in seen:
-                raise ValueError(f"duplicate subsystem label across factors: {l!r}")
-            seen.add(l)
-        labels.extend(op.layout.labels)
-        dims.extend(op.layout.dims)
-    layout = SubsystemLayout(labels, dims)
+    # SubsystemLayout refuses a label shared by two factors, and names it
+    layout = SubsystemLayout(
+        [l for op in ops for l in op.layout.labels], [d for op in ops for d in op.layout.dims]
+    )
     entries = ops[0].entries
     for op in ops[1:]:
         entries = np.kron(entries, op.entries)

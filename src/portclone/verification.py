@@ -21,11 +21,12 @@ from portclone.symmetry import (
     enumerate_unordered,
     permuted_basis_indices,
     port_label,
-    slot_gathers,
+    port_slots,
     stirling_first,
     subgroup_fixing_complement,
     sym_dim,
     symmetric_projector,
+    symmetrize_rows,
     symmetrize_slots,
 )
 from portclone.tensor_core import (
@@ -230,11 +231,6 @@ def _check_projector_conjugation(d, N, outcomes):
     return worst, FLOAT_TOL, ""
 
 
-def _port_slots(layout, I):
-    """Slot positions of the ports I on `layout`."""
-    return [layout.index(port_label(i)) for i in I]
-
-
 def _pre_completion_pgm(ensemble, eta_bar, inject_fault):
     """The PGM before completion, and the support projector of the average
     state `eta_bar`: one decomposition of it gives both."""
@@ -247,7 +243,7 @@ def _pre_completion_pgm(ensemble, eta_bar, inject_fault):
         first, layout = next(iter(povm.outcomes)), povm.layout
         one = np.eye(layout.dim)
         off_support = LabeledOperator(
-            layout, one - symmetrize_slots(one, layout, _port_slots(layout, first))
+            layout, one - symmetrize_slots(one, layout, port_slots(layout, first))
         )
         corrupted = dict(povm.outcomes)
         corrupted[first] = 1.01 * corrupted[first] + 0.01 * off_support
@@ -259,8 +255,8 @@ def _check_pgm_support_invariance(get_povm):
     povm, _ = get_povm()
     worst = 0.0
     for I, element in povm.outcomes.items():
-        # Pi_I E_I Pi_I, from slot gathers of E_I
-        sandwiched = symmetrize_slots(element.entries, povm.layout, _port_slots(povm.layout, I))
+        # Pi_I E_I Pi_I
+        sandwiched = symmetrize_slots(element.entries, povm.layout, port_slots(povm.layout, I))
         worst = max(worst, np.abs(sandwiched - element.entries).max())
     return worst, FLOAT_TOL, ""
 
@@ -281,10 +277,10 @@ def _check_commutation(get_eta_bar, outcomes):
     a, layout = eta_bar.entries, eta_bar.layout
     worst = 0.0
     for I in outcomes:
-        # Pi_I eta_bar and eta_bar Pi_I, as the row and the column gathers
-        gathers = slot_gathers(layout, _port_slots(layout, I))
-        left = sum(a[g] for g in gathers) / len(gathers)
-        right = sum(a[:, g] for g in gathers) / len(gathers)
+        slots = port_slots(layout, I)
+        # Pi_I eta_bar, and eta_bar Pi_I as (Pi_I eta_bar^dag)^dag
+        left = symmetrize_rows(a, layout, slots)
+        right = symmetrize_rows(a.conj().T, layout, slots).conj().T
         worst = max(worst, np.abs(left - right).max())
     return worst, FLOAT_TOL, ""
 

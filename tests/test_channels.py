@@ -72,6 +72,13 @@ class TestFidelityReport:
                 per_clone_f=(0.9,), delta_contribution=0.0, runtime_ms=1.0,
             )
 
+    def test_fidelity_out_of_range_refused(self):
+        with pytest.raises(ValueError, match=r"entanglement fidelity 1.5 out of \[0, 1\]"):
+            FidelityReport(
+                protocol="std-pbt", d=2, N=2, M=1, F=1.5, f=avg_fidelity(1.0, 2),
+                per_clone_f=(1.0,), delta_contribution=0.0, runtime_ms=1.0,
+            )
+
     def test_json_fields(self):
         r = protocol_fidelity("std-pbt", 2, 2, 1)
         doc = r.to_json_dict()
@@ -182,6 +189,16 @@ class TestPointMatchesPovm:
             haar_average_check(povm, 1, 10, 0, N, d)
         with pytest.raises(ValueError, match="does not match canonical"):
             slot_signals(povm, N, d)
+
+    @pytest.mark.parametrize(
+        "labels,dims", [(["X"], [3]), (["X", "Y"], [2, 3]), (["X", "Y"], [3, 2])]
+    )
+    def test_input_on_another_layout_refused(self, labels, dims):
+        povm = std_pbtc_povm(3, 2, 2)
+        layout = SubsystemLayout(labels, dims)
+        state = LabeledOperator(layout, np.eye(layout.dim) / layout.dim)
+        with pytest.raises(ValueError, match="single slot X"):
+            single_clone_output(povm, state, 3, 2)
 
     @pytest.mark.parametrize("M", [1, 3, 7])
     def test_other_clone_count_refused(self, M):

@@ -196,6 +196,13 @@ class TestVerifyCommand:
         doc = json.loads(path.read_text())
         assert all("pass" in entry for entry in doc)
 
+    def test_unwritable_json_reported(self, runner, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        res = runner.invoke(main, ["verify", "--N", "3", "--M", "2", "--json", str(path)])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Error: cannot write output" in res.output
+
     def test_injected_fault_fails(self, runner):
         res = runner.invoke(main, ["verify", "--N", "3", "--M", "2", "--inject-fault"])
         assert res.exit_code == 1
@@ -267,6 +274,16 @@ class TestPovmDump:
         for dumped, element in zip(doc["outcomes"], povm.outcomes.values()):
             assert np.array_equal(matrix(dumped["entries"]), element.entries)
         assert np.array_equal(matrix(doc["completion_element"]), povm.completion_element.entries)
+
+    def test_unwritable_output_reported(self, runner, tmp_path):
+        path = tmp_path / "missing" / "povm.json"
+        res = runner.invoke(main, [
+            "povm-dump", "--protocol", "std-pbtc", "--N", "3", "--M", "2",
+            "--out", str(path),
+        ])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Error: cannot write output" in res.output
 
 
 class TestDimCap:

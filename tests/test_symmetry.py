@@ -16,6 +16,7 @@ from portclone.symmetry import (
     subgroup_fixing_complement,
     sym_dim,
     symmetric_projector,
+    symmetrize_rows,
     symmetrize_slots,
 )
 from portclone.tensor_core import SubsystemLayout
@@ -151,6 +152,20 @@ class TestSymmetricProjector:
                     assert np.array_equal(dense, projectors[image_set(s, I)])
 
 
+def reference_symmetrize_slots(a, layout, slots):
+    """Pi A Pi as a row pass over the permutations of `slots`, then a column
+    pass of the same gathers in the same order."""
+    members = []
+    for images in itertools.permutations(slots):
+        row = list(range(len(layout.dims)))
+        for j, i in zip(slots, images):
+            row[j] = i
+        members.append(row)
+    gathers = permuted_basis_indices(np.array(members), layout.dims)
+    rows = sum(a[g] for g in gathers) / len(gathers)
+    return sum(rows[:, g] for g in gathers) / len(gathers)
+
+
 class TestSymmetrizeSlots:
     @pytest.mark.parametrize("d,M", [(2, 2), (2, 3), (3, 2)])
     def test_projector_is_average_of_permutation_unitaries(self, d, M):
@@ -168,6 +183,22 @@ class TestSymmetrizeSlots:
         a = rng.normal(size=(16, 16))
         pi = symmetric_projector((1, 3), layout).entries
         assert np.abs(symmetrize_slots(a, layout, [1, 3]) - pi @ a @ pi).max() < 1e-14
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_equals_row_then_column_reference(self, kind):
+        # mixed local dimensions, and the symmetrized slots 1, 3 and 4 are
+        # not all adjacent
+        rng = np.random.default_rng(8)
+        layout = SubsystemLayout(["X", "A1", "Y", "A2", "A3"], [2, 3, 2, 3, 3])
+        a = rng.normal(size=(layout.dim, layout.dim))
+        if kind == "complex":
+            a = a + 1j * rng.normal(size=a.shape)  # neither Hermitian nor real
+        slots = [1, 3, 4]
+        assert np.array_equal(
+            symmetrize_slots(a, layout, slots), reference_symmetrize_slots(a, layout, slots)
+        )
+        pi = symmetric_projector((1, 2, 3), layout).entries
+        assert np.abs(symmetrize_rows(a, layout, slots) - pi @ a).max() < 1e-14
 
 
 class TestStirling:

@@ -12,7 +12,12 @@ from portclone.states import (
     pbtc_signal,
     pbtc_signal_entries,
 )
-from portclone.symmetry import enumerate_unordered, permuted_basis_indices, port_label
+from portclone.symmetry import (
+    enumerate_unordered,
+    permuted_basis_indices,
+    port_label,
+    subgroup_fixing_complement,
+)
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
@@ -101,7 +106,7 @@ class TestRankCheck:
         d, N, M = 2, 3, 2
         ensemble = pbtc_ensemble(N, M, d)
         first = next(iter(ensemble))
-        ensemble[first] = ensemble[first] - 0.01 * identity(ensemble[first].layout)
+        ensemble[first] = ensemble[first] + -0.01 * identity(ensemble[first].layout)
         with pytest.raises(ValueError, match="operator is not PSD"):
             verification._check_rank_formula(d, N, M, lambda: ensemble)
 
@@ -201,6 +206,23 @@ class TestSuite:
         deviation, _, _ = verification._check_commutation(lambda: broken, outcomes)
         assert clean <= threshold < deviation
         assert deviation == pytest.approx(5e-4, rel=1e-9)
+
+    def test_commutation_check_equals_column_gather_reference(self):
+        # eta_bar Pi_I as the mean of the column gathers eta_bar[:, g], on a
+        # real average and on a complex non-Hermitian operator
+        N, outcomes = 3, enumerate_unordered(3, 2)
+        eta_bar = verification.ensemble_average(pbtc_ensemble(N, 2, 2))
+        rng = np.random.default_rng(4)
+        noise = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        for op in (eta_bar, LabeledOperator(eta_bar.layout, eta_bar.entries + 1e-3 * noise)):
+            a, reference = op.entries, 0.0
+            for I in outcomes:
+                members = [[0, *(s + 1)] for s in subgroup_fixing_complement(I, N)]
+                gathers = permuted_basis_indices(np.array(members), op.layout.dims)
+                left = sum(a[g] for g in gathers) / len(gathers)
+                right = sum(a[:, g] for g in gathers) / len(gathers)
+                reference = max(reference, np.abs(left - right).max())
+            assert verification._check_commutation(lambda: op, outcomes)[0] == reference
 
     def test_disjoint_check_skipped_when_impossible(self):
         results = run_suite(2, 3, 2)
