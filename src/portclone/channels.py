@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from portclone.tensor_core import (
     check_dims,
     kron_compose,
     partial_trace,
+    positions_in,
     sector_sizes,
     support_spectra,
     trace_product,
@@ -48,6 +49,8 @@ OUTPUT_LABEL = "B"
 REFERENCE_LABEL = "Xref"
 
 F_CONSISTENCY_TOL = 1e-12
+
+SPLIT_MIN = 100  # blocks at most this wide are decomposed whole, not in character pieces
 
 PROTOCOLS = ("std-pbtc", "clone-mpbt", "std-pbt", "mpbt", "clone")
 
@@ -70,6 +73,8 @@ class FidelityReport:
     max_block_dim: int = 0  # dimension of the largest of them
     n_orbits: int = 0  # blocks actually decomposed, one per level-permutation orbit
     kept_rank: int = 0  # eigenvalues of the average state above the cutoff, all blocks; 0 for clone
+    n_pieces: int = 0  # matrices decomposed: character pieces of the evaluated blocks
+    max_piece_dim: int = 0  # dimension of the largest of them
 
     def __post_init__(self):
         dim = self.input_dim if self.input_dim else self.d
@@ -92,6 +97,8 @@ class FidelityReport:
             "max_block_dim": self.max_block_dim,
             "n_orbits": self.n_orbits,
             "kept_rank": self.kept_rank,
+            "n_pieces": self.n_pieces,
+            "max_piece_dim": self.max_piece_dim,
         }
 
 
@@ -280,9 +287,9 @@ def _gather(vecs: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 def _block_terms(vals, vecs, keep, signal, target):
-    """Tr(R eta R tau) and Tr((1 - P) tau) of one block, from the block's
-    spectrum `vals`, `vecs` with support mask `keep`, and the factors (c, F)
-    of eta = c F F^T and of tau.
+    """Tr(R eta R tau) and Tr((1 - P) tau) of one block or character piece,
+    from its spectrum `vals`, `vecs` (in the block's basis) with support mask
+    `keep`, and the factors (c, F) of eta = c F F^T and of tau.
 
     With G = V^T F and R = V_kept lambda^-1/2 V_kept^T,
     Tr(R eta R tau) = c_eta c_tau ||F_tau^T R F_eta||^2
@@ -298,7 +305,73 @@ def _block_terms(vals, vecs, keep, signal, target):
     return main, c_tau * np.sum(g_tau[:, ~keep] ** 2)
 
 
-def _sector_fidelities(dims, n_conj, signal, average, target, d_in):
+def _lift(k, rows, weights, local, vecs):
+    """Eigenvectors `vecs` of a character piece (`_character_pieces`) in the
+    basis of its k-wide block: row b is eps_S(b) / w(b) times the row of b's
+    orbit, and zero outside the piece's orbits."""
+    out = np.zeros((k, vecs.shape[1]))
+    out[rows] = weights[:, None] * vecs[local]
+    return out
+
+
+def _character_pieces(block, idx, dims, n_free):
+    """Split the average block `block`, on the ascending basis indices `idx` of
+    slots of dimensions `dims`, by the characters of the swaps of the last
+    `n_free` slots two by two, r = n_free // 2 pairs from the first of them.
+    Returns one piece per number s = 0..r of pairs in the character,
+    S = the first s pairs, as (C(r, s), piece, lift), where lift(V) is the
+    piece's eigenvectors V in the block basis; empty pieces are left out.
+    With no pairs the block is its own piece.
+
+    The swaps generate G = (Z_2)^r. The G-orbit O of a basis state has
+    a representative with each pair's digits ascending, and |O| = w^2 =
+    2^(pairs whose digits differ). The vectors |O|^-1/2 sum_{b in O}
+    eps_S(b) e_b, with eps_S(b) = (-1)^(pairs of S on which b descends), over
+    the orbits whose digits differ on every pair of S, are an orthonormal
+    basis of character S. An operator A that commutes with G has in it the
+    entries A_S[i, j] = (w_j / w_i) sum_{b in O_i} eps_S(b) A[b, b_j] at the
+    representatives b_j, so a piece is one gather of A's rows at the orbits'
+    states and its columns at their representatives, summed per orbit.
+
+    A permutation of the pairs maps character S onto every character with
+    as many pairs, and commutes with every operator the engine traces, so
+    the first s pairs stand for all C(r, s) of them.
+    """
+    n_pairs = n_free // 2
+    if not n_pairs:
+        return [(1, block, lambda vecs: vecs)]
+    paired = slice(len(dims) - n_free, len(dims) - n_free + 2 * n_pairs)
+    strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])[paired, None]
+    digits = idx // strides % np.array(dims[paired])[:, None]  # one row per paired slot
+    low, high = digits[0::2], digits[1::2]
+    descends = low > high
+    step = (high - low) * descends * (strides[0::2] - strides[1::2])
+    orbit_reps, orbit = np.unique(positions_in(idx, idx + step.sum(axis=0)), return_inverse=True)
+    zero = np.zeros((1, len(idx)), dtype=int)
+    differ = np.concatenate([zero, np.cumsum(low != high, axis=0)])  # over the first s pairs
+    flips = np.concatenate([zero, np.cumsum(descends, axis=0)])
+    n_differ = differ[-1]
+    root_size = 2.0 ** (n_differ / 2)  # w = |orbit|^1/2 of each state's orbit
+    pieces = []
+    for s in range(n_pairs + 1):
+        member = differ[s] == s
+        reps = orbit_reps[member[orbit_reps]]
+        if not len(reps):
+            continue
+        rows = np.flatnonzero(member)
+        rows = rows[np.argsort(orbit[rows], kind="stable")]  # grouped by orbit, in reps' order
+        counts = 2 ** n_differ[reps]
+        sign = 1 - 2 * (flips[s, rows] % 2)
+        starts = np.cumsum(counts) - counts
+        piece = np.add.reduceat(block[np.ix_(rows, reps)] * sign[:, None], starts)
+        piece *= root_size[reps] / root_size[reps, None]
+        local = np.repeat(np.arange(len(reps)), counts)
+        lift = partial(_lift, len(idx), rows, sign / root_size[rows], local)
+        pieces.append((comb(n_pairs, s), piece, lift))
+    return pieces
+
+
+def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     """Discrimination-sum fidelity of one retained slot, summed over the
     weight sectors in which every operator involved is block-diagonal:
 
@@ -329,13 +402,22 @@ def _sector_fidelities(dims, n_conj, signal, average, target, d_in):
     are permutation-similar, so lambda_max, the cutoff and the PSD check of
     `support_spectra` are those of all blocks.
 
+    A block wider than SPLIT_MIN is decomposed in pieces instead
+    (`_character_pieces`). The `n_free` ports outside c0 are the last slots;
+    swaps of them two by two fix eta_c0 and tau_1 and commute with the
+    average, so every operator is block-diagonal in the swaps' characters,
+    and R, P and both traces split over the pieces. The pieces hold every
+    eigenvalue of the block, each piece counted C(r, s) times, so
+    lambda_max, the cutoff and the PSD check stay global. Narrower blocks are
+    one piece each, where splitting costs more than it saves.
+
     The dimension cap applies to the two largest arrays formed, the basis
     table of `weight_sectors` (a row per basis state, a column per slot or
     level) and the largest block; both are sized before the table is built.
 
     Returns F, its completion part, the sizes of all sectors, the number of
-    sectors evaluated, and the orbit-weighted count of eigenvalues kept above
-    the cutoff.
+    sectors evaluated, the orbit-weighted count of eigenvalues kept above
+    the cutoff, and the number and largest width of the matrices decomposed.
     """
     check_dims(dims)
     rows, cols = prod(dims), max(len(dims), *dims)
@@ -343,26 +425,34 @@ def _sector_fidelities(dims, n_conj, signal, average, target, d_in):
     sizes = sector_sizes(dims, n_conj)
     check_cap(max(sizes) ** 2, f"largest block {max(sizes)}")
     weights, sectors = weight_sectors(dims, n_conj)
-    orbits = [
-        (idx, _orbit_size(w)) for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)
+    blocks = [
+        (idx, _orbit_size(w), _character_pieces(
+            average(idx), idx, dims, n_free if len(idx) > SPLIT_MIN else 0
+        ))
+        for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)
     ]
-    spectra = support_spectra([average(idx) for idx, _ in orbits])
+    pieces = [piece for *_, split in blocks for _, piece, _ in split]
+    spectra = iter(support_spectra(pieces))
     main = completion = 0.0
     kept_rank = 0
-    for (idx, size), (vals, vecs, keep) in zip(orbits, spectra):
-        block_main, block_completion = _block_terms(vals, vecs, keep, signal(idx), target(idx))
-        main += size * block_main
-        completion += size * block_completion
-        kept_rank += size * int(np.count_nonzero(keep))
+    for idx, size, split in blocks:
+        eta, tau = signal(idx), target(idx)
+        for count, _, lift in split:
+            vals, vecs, keep = next(spectra)
+            piece_main, piece_completion = _block_terms(vals, lift(vecs), keep, eta, tau)
+            main += size * count * piece_main
+            completion += size * count * piece_completion
+            kept_rank += size * count * int(np.count_nonzero(keep))
     F, delta = float((main + completion) / d_in**2), float(completion / d_in**2)
-    return F, delta, sizes, len(orbits), kept_rank
+    return F, delta, sizes, len(blocks), kept_rank, len(pieces), max(map(len, pieces))
 
 
 def _port_report(protocol: str, N: int, M: int, d: int) -> FidelityReport:
     start = time.perf_counter()
-    inputs = _engine_inputs(protocol, N, M, d)
-    d_in = inputs[-1]
-    F, delta_contribution, sizes, n_orbits, kept_rank = _sector_fidelities(*inputs)
+    dims, n_conj, signal, average, target, d_in = _engine_inputs(protocol, N, M, d)
+    F, delta_contribution, sizes, n_orbits, kept_rank, n_pieces, max_piece_dim = (
+        _sector_fidelities(dims, n_conj, N - M, signal, average, target, d_in)
+    )
     f = avg_fidelity(F, d_in)
     return FidelityReport(
         protocol=protocol,
@@ -379,6 +469,8 @@ def _port_report(protocol: str, N: int, M: int, d: int) -> FidelityReport:
         max_block_dim=max(sizes),
         n_orbits=n_orbits,
         kept_rank=kept_rank,
+        n_pieces=n_pieces,
+        max_piece_dim=max_piece_dim,
     )
 
 
@@ -407,6 +499,8 @@ def _clone_report(M: int, d: int) -> FidelityReport:
         n_blocks=1,
         max_block_dim=cloned.dim,
         n_orbits=1,
+        n_pieces=1,
+        max_piece_dim=cloned.dim,
     )
 
 

@@ -53,7 +53,7 @@ def _parse_range(spec: str) -> list[int]:
 def _write_csv(path: str, reports: list[FidelityReport]):
     lines = [
         "protocol,d,N,M,F,f,delta_contribution,"
-        "n_blocks,max_block_dim,n_orbits,kept_rank,runtime_ms"
+        "n_blocks,max_block_dim,n_orbits,kept_rank,n_pieces,max_piece_dim,runtime_ms"
     ]
     for r in reports:
         lines.append(
@@ -61,7 +61,7 @@ def _write_csv(path: str, reports: list[FidelityReport]):
                 [r.protocol, str(r.d), str(r.N), str(r.M),
                  _fmt(r.F), _fmt(r.f), _fmt(r.delta_contribution),
                  str(r.n_blocks), str(r.max_block_dim), str(r.n_orbits), str(r.kept_rank),
-                 _fmt(r.runtime_ms)]
+                 str(r.n_pieces), str(r.max_piece_dim), _fmt(r.runtime_ms)]
             )
         )
     with open(path, "w") as fh:

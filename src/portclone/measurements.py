@@ -41,6 +41,14 @@ class Povm:
     layout: SubsystemLayout
     completion_element: LabeledOperator | None = None
 
+    def __post_init__(self):
+        elements = list(self.outcomes.values())
+        if self.completion_element is not None:
+            elements.append(self.completion_element)
+        for el in elements:
+            if el.layout != self.layout:
+                raise ValueError(f"POVM element on {el.layout} in a POVM on {self.layout}")
+
     def __len__(self) -> int:
         return len(self.outcomes)
 

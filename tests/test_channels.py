@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from math import comb, sqrt
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from portclone import tensor_core
+from portclone import channels, tensor_core
 from portclone.channels import (
     OUTPUT_LABEL,
     REFERENCE_LABEL,
@@ -48,6 +49,7 @@ from portclone.tensor_core import (
     kron_compose,
     partial_trace,
     psd_inv_sqrt_blocks,
+    sector_sizes,
     support_spectra,
     trace_product,
     weight_sectors,
@@ -327,6 +329,18 @@ class TestBlockedEngine:
         # at N=3 the sector of weight (1, 1) is its own orbit
         assert protocol_fidelity("std-pbtc", 2, 3, 2).n_orbits == 3
         assert protocol_fidelity("clone", 2, 0, 2).n_orbits == 1
+        # no block is wider than SPLIT_MIN, so every block is one piece
+        assert (r.n_pieces, r.max_piece_dim) == (r.n_orbits, r.max_block_dim)
+        assert r.to_json_dict()["n_pieces"] == 3
+        assert r.to_json_dict()["max_piece_dim"] == 10
+
+    def test_reports_its_pieces(self):
+        # blocks of 462, 330 and 165 split into 5, 5 and 4 pieces, the 462
+        # one into pieces of 131, 48, 18, 7 and 3; three blocks stay whole
+        r = protocol_fidelity("std-pbt", 2, 10, 1)
+        assert (r.max_block_dim, r.n_orbits, r.max_piece_dim, r.n_pieces) == (462, 6, 131, 17)
+        doc = r.to_json_dict()
+        assert (doc["max_piece_dim"], doc["n_pieces"]) == (131, 17)
 
     # points whose largest block, not their basis table, is the larger array
     # at cap max_block_dim - 1
@@ -395,6 +409,55 @@ class TestCovariancePremise:
         assert max(terms) - min(terms) <= 1e-12
 
 
+def largest_block(protocol, d, N, M):
+    dims, n_conj, *_ = _engine_inputs(protocol, N, M, d)
+    return max(sector_sizes(dims, n_conj))
+
+
+# the unsplit reference at the wider blocks of N <= 12 takes 1 to 10 s a point
+SPLIT_POINTS = [
+    (p, 2, N, M)
+    for p in ("std-pbt", "std-pbtc", "clone-mpbt", "mpbt")
+    for M in range(1, 5) if p != "std-pbt" or M == 1
+    for N in range(M, 13) if largest_block(p, 2, N, M) <= 462
+] + [(p, 3, N, 2) for p in ("std-pbtc", "clone-mpbt", "mpbt") for N in (4, 5)]
+
+
+def unsplit_and_split(monkeypatch, point):
+    """Reports with every block whole, and with every block that has a pair
+    of ports outside c0 split."""
+    monkeypatch.setattr(channels, "SPLIT_MIN", largest_block(*point))
+    whole = protocol_fidelity(*point)
+    monkeypatch.setattr(channels, "SPLIT_MIN", 0)
+    return whole, protocol_fidelity(*point)
+
+
+class TestCharacterSplit:
+    """The engine decomposes wide blocks in the characters of the swaps of
+    ports outside c0; the whole blocks are the reference."""
+
+    @pytest.mark.parametrize(
+        "protocol,d,N,M", SPLIT_POINTS,
+        ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in SPLIT_POINTS],
+    )
+    def test_split_matches_whole_blocks(self, monkeypatch, protocol, d, N, M):
+        whole, split = unsplit_and_split(monkeypatch, (protocol, d, N, M))
+        assert abs(split.F - whole.F) <= 1e-12
+        assert abs(split.delta_contribution - whole.delta_contribution) <= 1e-12
+        assert split.kept_rank == whole.kept_rank
+        assert whole.n_pieces == whole.n_orbits
+        if N - M >= 2:
+            assert split.n_pieces > split.n_orbits
+
+    def test_no_pair_leaves_blocks_whole(self, monkeypatch):
+        # one port outside c0 makes no pair, so the 126-wide block of
+        # (2, 5, 4) stays one piece and the report is bit-identical
+        whole, split = unsplit_and_split(monkeypatch, ("clone-mpbt", 2, 5, 4))
+        assert split.max_block_dim == 126
+        assert replace(split, runtime_ms=0) == replace(whole, runtime_ms=0)
+        assert (split.n_pieces, split.max_piece_dim) == (split.n_orbits, 126)
+
+
 def pbt_qubit_closed_form(N):
     """Entanglement fidelity of standard qubit port-based teleportation with
     N ports (Ishizaka and Hiroshima, PRA 79, 042306, 2009)."""
@@ -406,7 +469,7 @@ def pbt_qubit_closed_form(N):
 
 
 class TestClosedForm:
-    @pytest.mark.parametrize("N", range(1, 12))
+    @pytest.mark.parametrize("N", range(1, 14))
     def test_std_pbt_matches_ishizaka_hiroshima(self, N):
         assert abs(protocol_fidelity("std-pbt", 2, N, 1).F - pbt_qubit_closed_form(N)) <= 1e-12
 

@@ -62,7 +62,7 @@ class TestSweepCommand:
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == (
             "protocol,d,N,M,F,f,delta_contribution,"
-            "n_blocks,max_block_dim,n_orbits,kept_rank,runtime_ms"
+            "n_blocks,max_block_dim,n_orbits,kept_rank,n_pieces,max_piece_dim,runtime_ms"
         )
         assert len(lines) == 5
         svg = svg_path.read_text()
@@ -78,14 +78,16 @@ class TestSweepCommand:
         assert res.exit_code == 0, res.output
         header, *rows = csv_path.read_text().strip().split("\n")
         columns = header.split(",")
-        assert columns[7:11] == ["n_blocks", "max_block_dim", "n_orbits", "kept_rank"]
+        assert columns[7:13] == [
+            "n_blocks", "max_block_dim", "n_orbits", "kept_rank", "n_pieces", "max_piece_dim"
+        ]
         assert len(rows) == 6
         for row in rows:
             cells = dict(zip(columns, row.split(",")))
             m = 1 if cells["protocol"] == "std-pbt" else 2
             r = protocol_fidelity(cells["protocol"], 2, int(cells["N"]), m)
-            assert [int(cells[c]) for c in columns[7:11]] == [
-                r.n_blocks, r.max_block_dim, r.n_orbits, r.kept_rank
+            assert [int(cells[c]) for c in columns[7:13]] == [
+                r.n_blocks, r.max_block_dim, r.n_orbits, r.kept_rank, r.n_pieces, r.max_piece_dim
             ]
             assert r.kept_rank > 0
         # [X, A1..A3] at d=2: blocks 1, 4, 6, 4, 1 in 3 orbits

@@ -92,6 +92,19 @@ class TestComplete:
             complete(bad)
 
 
+class TestPovmLayout:
+    # the sizes agree, so only the layout check tells the elements apart
+    @pytest.mark.parametrize("labels,dims", [(["a", "b"], [2, 3]), (["b", "a"], [3, 2])])
+    def test_element_on_another_layout_refused(self, labels, dims):
+        layout = SubsystemLayout(["a", "b"], [3, 2])
+        own = LabeledOperator(layout, np.eye(6) / 2)
+        foreign = LabeledOperator(SubsystemLayout(labels, dims), np.eye(6) / 2)
+        with pytest.raises(ValueError, match="POVM element on"):
+            Povm(outcomes={0: own, 1: foreign}, layout=layout)
+        with pytest.raises(ValueError, match="POVM element on"):
+            Povm(outcomes={0: own}, layout=layout, completion_element=foreign)
+
+
 class TestStdPbtcPovm:
     @pytest.mark.parametrize("N,M", [(2, 2), (3, 2), (4, 2), (3, 3)])
     def test_valid_povm(self, N, M):
