@@ -20,15 +20,16 @@ import numpy as np
 from portclone.cloning import clone_map, cloned_signal_factor
 from portclone.measurements import Povm
 from portclone.states import (
+    counted_entries,
     input_label,
     max_entangled,
     maximally_mixed,
-    mpbt_signal_entries,
     mpbt_signal_factor,
+    mpbt_signal_nonzeros,
     pbt_layout,
     pbtc_signal,
-    pbtc_signal_entries,
     pbtc_signal_factor,
+    pbtc_signal_nonzeros,
 )
 from portclone.symmetry import enumerate_ordered, enumerate_unordered, port_label
 from portclone.tensor_core import (
@@ -255,11 +256,11 @@ def _engine_inputs(protocol: str, N: int, M: int, d: int):
     first = tuple(range(1, M + 1))
     if protocol in ("std-pbt", "std-pbtc"):
         signal = partial(pbtc_signal_factor, first, N, d)
-        average = partial(pbtc_signal_entries, enumerate_unordered(N, M), N, d)
+        average = partial(pbtc_signal_nonzeros, enumerate_unordered(N, M), N, d)
         target = partial(pbtc_signal_factor, (1,), N, d)
         return (d,) * (N + 1), 1, signal, average, target, d
     dims = (d,) * (M + N)
-    average = partial(mpbt_signal_entries, enumerate_ordered(N, M), N, d)
+    average = partial(mpbt_signal_nonzeros, enumerate_ordered(N, M), N, d)
     if protocol == "mpbt":
         signal = partial(mpbt_signal_factor, [first], N, d)
         return dims, M, signal, average, signal, d**M
@@ -286,10 +287,14 @@ def _gather(vecs: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_terms(vals, vecs, keep, signal, target):
+def _block_terms(vals, vecs, keep, signal, target, rows):
     """Tr(R eta R tau) and Tr((1 - P) tau) of one block or character piece,
-    from its spectrum `vals`, `vecs` (in the block's basis) with support mask
-    `keep`, and the factors (c, F) of eta = c F F^T and of tau.
+    from its spectrum `vals`, `vecs` with support mask `keep`, and the factors
+    (c, F) of eta = c F F^T and of tau in the block's basis. A piece's
+    eigenvectors are read in the block's basis through its row map
+    rows = (at, 1 / w) of `_character_pieces`: block row b is row at[b] of
+    [V / w; -V / w; 0], so F's positions map through `at` and the gathers
+    stay plain row gathers. A whole block has no row map.
 
     With G = V^T F and R = V_kept lambda^-1/2 V_kept^T,
     Tr(R eta R tau) = c_eta c_tau ||F_tau^T R F_eta||^2
@@ -299,29 +304,26 @@ def _block_terms(vals, vecs, keep, signal, target):
     which is >= 0 term by term and exactly 0 on a block of full rank.
     """
     (c_eta, f_eta), (c_tau, f_tau) = signal, target
+    if rows is not None:
+        at, inv_root = rows
+        scaled = vecs * inv_root[:, None]
+        vecs = np.vstack([scaled, -scaled, np.zeros((1, len(vals)))])
+        f_eta, f_tau = at[f_eta], at[f_tau]
     scaled_eta = _gather(vecs, f_eta)[:, keep] / np.sqrt(vals[keep])
     g_tau = _gather(vecs, f_tau)
     main = c_eta * c_tau * np.sum((scaled_eta @ g_tau[:, keep].T) ** 2)
     return main, c_tau * np.sum(g_tau[:, ~keep] ** 2)
 
 
-def _lift(k, rows, weights, local, vecs):
-    """Eigenvectors `vecs` of a character piece (`_character_pieces`) in the
-    basis of its k-wide block: row b is eps_S(b) / w(b) times the row of b's
-    orbit, and zero outside the piece's orbits."""
-    out = np.zeros((k, vecs.shape[1]))
-    out[rows] = weights[:, None] * vecs[local]
-    return out
-
-
-def _character_pieces(block, idx, dims, n_free):
-    """Split the average block `block`, on the ascending basis indices `idx` of
-    slots of dimensions `dims`, by the characters of the swaps of the last
-    `n_free` slots two by two, r = n_free // 2 pairs from the first of them.
-    Returns one piece per number s = 0..r of pairs in the character,
-    S = the first s pairs, as (C(r, s), piece, lift), where lift(V) is the
-    piece's eigenvectors V in the block basis; empty pieces are left out.
-    With no pairs the block is its own piece.
+def _character_pieces(nonzeros, idx, dims, n_free):
+    """The average block on the ascending basis indices `idx` of slots of
+    dimensions `dims`, given by its nonzeros (lists, divisor, prefactor) (see
+    `states.pbtc_signal_nonzeros`), split by the characters of the swaps of
+    the last `n_free` slots two by two, r = n_free // 2 pairs from the first of
+    them. Returns one piece per number s = 0..r of pairs in the character,
+    S = the first s pairs, as (C(r, s), piece, row map) (see `_block_terms`);
+    empty pieces are left out. With no pairs the block is its own piece,
+    counted as `states.counted_entries` counts it, with no row map.
 
     The swaps generate G = (Z_2)^r. The G-orbit O of a basis state has
     a representative with each pair's digits ascending, and |O| = w^2 =
@@ -330,16 +332,24 @@ def _character_pieces(block, idx, dims, n_free):
     the orbits whose digits differ on every pair of S, are an orthonormal
     basis of character S. An operator A that commutes with G has in it the
     entries A_S[i, j] = (w_j / w_i) sum_{b in O_i} eps_S(b) A[b, b_j] at the
-    representatives b_j, so a piece is one gather of A's rows at the orbits'
-    states and its columns at their representatives, summed per orbit.
+    representatives b_j. So every nonzero (b, b_j) of the block whose column
+    is a representative adds eps_S(b) times its count to piece S at
+    (orbit of b, orbit of b_j), for each S on whose pairs both differ; the
+    signs are summed as exact integers before the divisions, and the block
+    itself is never formed. Row b of the piece's eigenvectors in the block's
+    basis is eps_S(b) / w(b) times the row of b's orbit, and zero outside
+    the piece's orbits: the row map's at[b] is b's orbit, plus the piece's
+    width where eps_S(b) = -1, or twice the width outside the piece.
 
     A permutation of the pairs maps character S onto every character with
     as many pairs, and commutes with every operator the engine traces, so
     the first s pairs stand for all C(r, s) of them.
     """
+    k = len(idx)
     n_pairs = n_free // 2
     if not n_pairs:
-        return [(1, block, lambda vecs: vecs)]
+        return [(1, counted_entries(nonzeros, k), None)]
+    lists, divisor, prefactor = nonzeros
     paired = slice(len(dims) - n_free, len(dims) - n_free + 2 * n_pairs)
     strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])[paired, None]
     digits = idx // strides % np.array(dims[paired])[:, None]  # one row per paired slot
@@ -347,27 +357,41 @@ def _character_pieces(block, idx, dims, n_free):
     descends = low > high
     step = (high - low) * descends * (strides[0::2] - strides[1::2])
     orbit_reps, orbit = np.unique(positions_in(idx, idx + step.sum(axis=0)), return_inverse=True)
-    zero = np.zeros((1, len(idx)), dtype=int)
-    differ = np.concatenate([zero, np.cumsum(low != high, axis=0)])  # over the first s pairs
-    flips = np.concatenate([zero, np.cumsum(descends, axis=0)])
-    n_differ = differ[-1]
-    root_size = 2.0 ** (n_differ / 2)  # w = |orbit|^1/2 of each state's orbit
-    pieces = []
+    is_rep = orbit_reps[orbit] == np.arange(k)
+    root_size = 2.0 ** (np.count_nonzero(low != high, axis=0) / 2)  # w of each state's orbit
+    # the number of leading pairs on which a state's digits differ, so the
+    # state is in pieces s = 0..lead (r is far below 128 under the cap)
+    lead = np.argmin(np.vstack([low != high, np.zeros(k, dtype=bool)]), axis=0).astype(np.int8)
+    flips = np.cumsum(np.vstack([np.zeros(k, dtype=int), descends]), axis=0)
+    maps = []  # per piece: its representatives, orbit positions, row keys, row map, eps_S
     for s in range(n_pairs + 1):
-        member = differ[s] == s
+        member = lead >= s
         reps = orbit_reps[member[orbit_reps]]
         if not len(reps):
-            continue
-        rows = np.flatnonzero(member)
-        rows = rows[np.argsort(orbit[rows], kind="stable")]  # grouped by orbit, in reps' order
-        counts = 2 ** n_differ[reps]
-        sign = 1 - 2 * (flips[s, rows] % 2)
-        starts = np.cumsum(counts) - counts
-        piece = np.add.reduceat(block[np.ix_(rows, reps)] * sign[:, None], starts)
-        piece *= root_size[reps] / root_size[reps, None]
-        local = np.repeat(np.arange(len(reps)), counts)
-        lift = partial(_lift, len(idx), rows, sign / root_size[rows], local)
-        pieces.append((comb(n_pairs, s), piece, lift))
+            break
+        w = len(reps)
+        at = np.cumsum(member[orbit_reps])[orbit] - 1  # read at members only
+        sign = 1.0 - 2 * (flips[s] % 2)
+        maps.append((reps, at, at * w, np.where(member, at + w * (sign < 0), 2 * w), sign))
+    sums = [np.zeros(len(reps) ** 2, dtype=float if s else np.intp)
+            for s, (reps, *_) in enumerate(maps)]
+    for rows, cols in lists:  # only the representatives' columns enter
+        keep = np.flatnonzero(is_rep[cols])  # positions, not a mask: gathers are faster
+        rows, cols = rows[keep], cols[keep]
+        reach = np.minimum(lead[rows], lead[cols])
+        for s, (reps, at, row_key, _, sign) in enumerate(maps):
+            if s:
+                keep = np.flatnonzero(reach >= s)
+                rows, cols, reach = rows[keep], cols[keep], reach[keep]
+            key = row_key[rows]
+            key += at[cols]
+            sums[s] += np.bincount(key, weights=sign[rows] if s else None, minlength=len(reps) ** 2)
+    pieces = []
+    for s, ((reps, _, _, row_map, _), counts) in enumerate(zip(maps, sums)):
+        w = len(reps)
+        ratio = root_size[reps] / root_size[reps, None]
+        piece = prefactor * (counts.reshape(w, w) / divisor) * ratio
+        pieces.append((comb(n_pairs, s), piece, (row_map, 1 / root_size[reps])))
     return pieces
 
 
@@ -403,7 +427,8 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     `support_spectra` are those of all blocks.
 
     A block wider than SPLIT_MIN is decomposed in pieces instead
-    (`_character_pieces`). The `n_free` ports outside c0 are the last slots;
+    (`_character_pieces`), each built from the average's nonzeros without
+    forming the block. The `n_free` ports outside c0 are the last slots;
     swaps of them two by two fix eta_c0 and tau_1 and commute with the
     average, so every operator is block-diagonal in the swaps' characters,
     and R, P and both traces split over the pieces. The pieces hold every
@@ -411,9 +436,10 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     lambda_max, the cutoff and the PSD check stay global. Narrower blocks are
     one piece each, where splitting costs more than it saves.
 
-    The dimension cap applies to the two largest arrays formed, the basis
-    table of `weight_sectors` (a row per basis state, a column per slot or
-    level) and the largest block; both are sized before the table is built.
+    The dimension cap applies to the basis table of `weight_sectors` (a row
+    per basis state, a column per slot or level) and to the largest block,
+    which is formed only when it is not split; both are sized before the
+    table is built.
 
     Returns F, its completion part, the sizes of all sectors, the number of
     sectors evaluated, the orbit-weighted count of eigenvalues kept above
@@ -437,9 +463,9 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     kept_rank = 0
     for idx, size, split in blocks:
         eta, tau = signal(idx), target(idx)
-        for count, _, lift in split:
+        for count, _, rows in split:
             vals, vecs, keep = next(spectra)
-            piece_main, piece_completion = _block_terms(vals, lift(vecs), keep, eta, tau)
+            piece_main, piece_completion = _block_terms(vals, vecs, keep, eta, tau, rows)
             main += size * count * piece_main
             completion += size * count * piece_completion
             kept_rank += size * count * int(np.count_nonzero(keep))

@@ -20,6 +20,9 @@ from portclone.symmetry import (
 from portclone.tensor_core import LabeledOperator, SubsystemLayout, check_family, positions_in
 
 
+LIST_NONZEROS = 2**24  # bound on the nonzeros of one position list of `mpbt_signal_nonzeros`
+
+
 def input_label(k: int | None = None) -> str:
     """Label of the sender's input slot (X, or X1..XM for multi-slot input)."""
     return "X" if k is None else f"X{k}"
@@ -103,37 +106,48 @@ def _permuted_positions(
         yield positions_in(idx, idx + ((digits[:, s] - digits) * strides).sum(axis=1))
 
 
-def _symmetrized_pairs(
-    dims: tuple[int, ...], fixed: int, sets: np.ndarray, idx: np.ndarray | None
-) -> np.ndarray:
-    """Mean over the slot sets S in `sets`, an (n, M) array of positions of
-    slots of one dimension d, of Pi_S (P_{f,s1} (x) 1) Pi_S on the ascending
-    basis indices `idx` (all if None) of slots of dimensions `dims`. P_{f,s1}
-    is the pairing pattern of the slot `fixed` with the first slot of S (see
+def _symmetrized_nonzeros(
+    dims: tuple[int, ...], fixed: int, sets: np.ndarray, idx: np.ndarray
+):
+    """Nonzeros of the sum over the slot sets S in `sets`, an (n, M) array of
+    positions of slots of one dimension d, of M M! Pi_S (P_{f,s1} (x) 1) Pi_S
+    on the ascending basis indices `idx` of slots of dimensions `dims`, as
+    (row, column) position lists, one per permutation of M slots: the entry at
+    (r, c) is the number of times (r, c) appears in the lists. P_{f,s1} is the
+    pairing pattern of the slot `fixed` with the first slot of S (see
     `_pattern_columns`) and Pi_S symmetrizes the slots of S.
 
     Pi_S (P_{f,s1} (x) 1) Pi_S = (1/M) sum_{s in S} P_{f,s} Pi_S, because the
     permutations of S map P_{f,s1} onto every P_{f,s} and leave Pi_S fixed.
     So a member is M pairing patterns whose columns are gathered by every
-    permutation of the digits on S; one scatter per permutation of M slots
+    permutation of the digits on S; one list per permutation of M slots
     covers all members.
     """
-    idx = np.arange(prod(dims)) if idx is None else idx
-    n, M = sets.shape
+    M = sets.shape[1]
     pairs = np.stack([np.full_like(sets, fixed), sets], axis=-1).reshape(-1, 1, 2)
     member, rows, cols, digits = _pattern_nonzeros(dims, pairs, idx)
-    k = len(idx)
-    counts = np.bincount(rows * k + cols, minlength=k * k)  # the identity keeps every column
+    yield rows, cols  # the identity keeps every column
+    flat = member // M * len(idx) + cols  # in each flattened table of moved positions
     for moved in _permuted_positions(dims, sets, idx, digits):
-        counts += np.bincount(rows * k + moved[member // M, cols], minlength=k * k)
-    return counts.reshape(k, k) / (M * factorial(M) * n)
+        yield rows, np.take(moved, flat)
+
+
+def counted_entries(nonzeros, k: int) -> np.ndarray:
+    """The k x k matrix of the nonzeros (lists, divisor, prefactor) of
+    `pbtc_signal_nonzeros` or `mpbt_signal_nonzeros`: prefactor times the
+    number of times each (row, column) appears in the lists, over divisor."""
+    lists, divisor, prefactor = nonzeros
+    counts = np.zeros(k * k, dtype=np.intp)
+    for rows, cols in lists:
+        counts += np.bincount(rows * k + cols, minlength=k * k)
+    return prefactor * (counts.reshape(k, k) / divisor)
 
 
 def _symmetrized_factor(
     dims: tuple[int, ...], fixed: int, slots: Sequence[int], idx: np.ndarray
 ) -> np.ndarray:
     """Factor of Pi_S (P_{f,s1} (x) 1) Pi_S for the one slot set S = `slots`
-    (see `_symmetrized_pairs`) on the basis indices `idx`: it is
+    (see `_symmetrized_nonzeros`) on the basis indices `idx`: it is
     F F^T / M!^2, where F = sum_sigma V_sigma F_P over the permutations V_sigma
     of S and F_P is the factor of P_{f,s1} (`_pattern_columns`). Returns F as
     an (M! d, columns) array of positions: F is the sum over its rows of the
@@ -144,19 +158,33 @@ def _symmetrized_factor(
     return np.concatenate(terms, axis=1).T
 
 
+def pbtc_signal_nonzeros(
+    port_sets: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray
+):
+    """Mean of the partially symmetrized signal states
+    (d^M / d[M]) Pi_I rho^{i1} Pi_I over the port sets I in `port_sets`, each M
+    ports of 1..N, on the ascending basis indices `idx` of [X, A1..AN], as
+    (lists, divisor, prefactor): the entry at (r, c) is prefactor times the
+    number of times (r, c) appears in the position lists, over divisor
+    (`counted_entries`). There is one list per permutation of M slots, each
+    covering every port set. rho^i is Phi+ on (X, A_i), maximally mixed
+    elsewhere, and i1 the smallest port of I; any other port of I gives the
+    same state. One port set gives its signal, all C(N, M) of them the
+    ensemble average.
+    """
+    ports = np.array(port_sets)  # port j is slot j
+    n, M = ports.shape
+    lists = _symmetrized_nonzeros((d,) * (N + 1), 0, ports, idx)
+    return lists, M * factorial(M) * n, d**M / sym_dim(d, M) / d**N
+
+
 def pbtc_signal_entries(
     port_sets: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mean of the partially symmetrized signal states
-    (d^M / d[M]) Pi_I rho^{i1} Pi_I over the port sets I in `port_sets`, each M
-    ports of 1..N, on the ascending basis indices `idx` of [X, A1..AN] (all of
-    them by default). rho^i is Phi+ on (X, A_i), maximally mixed elsewhere, and
-    i1 the smallest port of I; any other port of I gives the same state. One
-    port set gives its signal, all C(N, M) of them the ensemble average.
-    """
-    ports = np.array(port_sets)  # port j is slot j
-    M = ports.shape[1]
-    return d**M / sym_dim(d, M) / d**N * _symmetrized_pairs((d,) * (N + 1), 0, ports, idx)
+    """The mean of `pbtc_signal_nonzeros` as a matrix on the basis indices
+    `idx` of [X, A1..AN] (all of them by default)."""
+    idx = np.arange(d ** (N + 1)) if idx is None else idx
+    return counted_entries(pbtc_signal_nonzeros(port_sets, N, d, idx), len(idx))
 
 
 def pbtc_signal_factor(
@@ -178,21 +206,33 @@ def _mpbt_pairs(orderings: Sequence[Sequence[int]]) -> np.ndarray:
     return np.stack([np.broadcast_to(np.arange(M), ports.shape), M - 1 + ports], axis=-1)
 
 
+def mpbt_signal_nonzeros(
+    orderings: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray
+):
+    """Mean of the signal states of the ordered outcomes J in `orderings`, each
+    M distinct ports of 1..N, on the ascending basis indices `idx` of
+    [X1..XM, A1..AN], as (lists, divisor, prefactor) (see
+    `pbtc_signal_nonzeros`). The orderings are split into lists of at most
+    LIST_NONZEROS nonzeros, counting d^M per ordering and row of the block,
+    at most what a row holds. The signal of J is Phi+ on each (X_k, A_{j_k}),
+    maximally mixed elsewhere. One ordering gives its signal, all
+    N!/(N-M)! of them the ensemble average."""
+    pairs = _mpbt_pairs(orderings)
+    n, M = pairs.shape[:2]
+    step = max(1, LIST_NONZEROS // (len(idx) * d**M))  # orderings per list
+    lists = (
+        _pattern_nonzeros((d,) * (M + N), pairs[i:i + step], idx)[1:3] for i in range(0, n, step)
+    )
+    return lists, n * d**N, 1.0
+
+
 def mpbt_signal_entries(
     orderings: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mean of the signal states of the ordered outcomes J in `orderings`, each
-    M distinct ports of 1..N, on the ascending basis indices `idx` of
-    [X1..XM, A1..AN] (all of them by default). The signal of J is Phi+ on each
-    (X_k, A_{j_k}), maximally mixed elsewhere. One ordering gives its signal,
-    all N!/(N-M)! of them the ensemble average; their patterns are counted in
-    one scatter."""
-    pairs = _mpbt_pairs(orderings)
-    n, M = pairs.shape[:2]
-    idx = np.arange(mpbt_layout(N, M, d).dim) if idx is None else idx
-    _, rows, cols, _ = _pattern_nonzeros((d,) * (M + N), pairs, idx)
-    k = len(idx)
-    return np.bincount(rows * k + cols, minlength=k * k).reshape(k, k) / (n * d**N)
+    """The mean of `mpbt_signal_nonzeros` as a matrix on the basis indices
+    `idx` of [X1..XM, A1..AN] (all of them by default)."""
+    idx = np.arange(mpbt_layout(N, np.shape(orderings)[1], d).dim) if idx is None else idx
+    return counted_entries(mpbt_signal_nonzeros(orderings, N, d, idx), len(idx))
 
 
 def mpbt_signal_factor(

@@ -235,9 +235,10 @@ def weight_sectors(
     weights = np.zeros((len(basis), max(dims)), dtype=np.min_scalar_type(-len(dims)))
     for s, digit in enumerate(np.unravel_index(basis, dims)):
         weights[basis, digit] += -1 if s < n_conj else 1
-    vectors, sector = np.unique(weights, axis=0, return_inverse=True)
-    order = np.argsort(sector, kind="stable")
-    return vectors.astype(int), np.split(order, np.cumsum(np.bincount(sector))[:-1])
+    order = np.lexsort(weights.T[::-1])  # stable, so each group stays ascending
+    weights = weights[order]
+    starts = np.flatnonzero(np.any(weights[1:] != weights[:-1], axis=1)) + 1
+    return weights[np.r_[0, starts]].astype(int), np.split(order, starts)
 
 
 def positions_in(idx: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import itertools
 import tracemalloc
 from dataclasses import replace
 from functools import partial
-from math import comb, sqrt
+from math import comb, prod, sqrt
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from portclone.channels import (
 from portclone.cloning import cloned_signal_factor, optimal_clone_fidelity
 from portclone.measurements import Povm, clone_mpbt_povm, complete, pgm, std_pbtc_povm
 from portclone.states import (
+    counted_entries,
     ensemble_average,
     input_label,
     max_entangled,
@@ -39,7 +40,7 @@ from portclone.states import (
     pbtc_signal_entries,
     pbtc_signal_factor,
 )
-from portclone.symmetry import enumerate_unordered
+from portclone.symmetry import enumerate_ordered, enumerate_unordered
 from portclone.tensor_core import (
     PINV_CUTOFF,
     DimensionCapError,
@@ -458,6 +459,119 @@ class TestCharacterSplit:
         assert (split.n_pieces, split.max_piece_dim) == (split.n_orbits, 126)
 
 
+def dense_character_pieces(block, idx, dims, n_free):
+    """The split of `channels._character_pieces` from the dense block: one
+    row gather at the orbits' states and the representatives' columns, summed
+    per orbit with `np.add.reduceat`. Returns (C(r, s), piece, lift), where
+    lift(V) is the piece's eigenvectors V in the block basis: row b is
+    eps_S(b) / w(b) times the row of b's orbit, and zero outside the piece."""
+    n_pairs = n_free // 2
+    if not n_pairs:
+        return [(1, block, lambda vecs: vecs)]
+    paired = slice(len(dims) - n_free, len(dims) - n_free + 2 * n_pairs)
+    strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])[paired, None]
+    digits = idx // strides % np.array(dims[paired])[:, None]
+    low, high = digits[0::2], digits[1::2]
+    descends = low > high
+    step = (high - low) * descends * (strides[0::2] - strides[1::2])
+    orbit_reps, orbit = np.unique(np.searchsorted(idx, idx + step.sum(axis=0)), return_inverse=True)
+    zero = np.zeros((1, len(idx)), dtype=int)
+    differ = np.concatenate([zero, np.cumsum(low != high, axis=0)])
+    flips = np.concatenate([zero, np.cumsum(descends, axis=0)])
+    root_size = 2.0 ** (differ[-1] / 2)
+    pieces = []
+    for s in range(n_pairs + 1):
+        member = differ[s] == s
+        reps = orbit_reps[member[orbit_reps]]
+        if not len(reps):
+            continue
+        rows = np.flatnonzero(member)
+        rows = rows[np.argsort(orbit[rows], kind="stable")]
+        counts = 2 ** differ[-1][reps]
+        sign = 1 - 2 * (flips[s, rows] % 2)
+        piece = np.add.reduceat(block[np.ix_(rows, reps)] * sign[:, None], np.cumsum(counts) - counts)
+        piece *= root_size[reps] / root_size[reps, None]
+
+        def lift(vecs, rows=rows, weights=sign / root_size[rows],
+                 local=np.repeat(np.arange(len(reps)), counts)):
+            out = np.zeros((len(idx), vecs.shape[1]))
+            out[rows] = weights[:, None] * vecs[local]
+            return out
+
+        pieces.append((comb(n_pairs, s), piece, lift))
+    return pieces
+
+
+def orbit_blocks(protocol, d, N, M):
+    """Engine inputs and the basis indices of every block the engine decomposes."""
+    inputs = _engine_inputs(protocol, N, M, d)
+    weights, sectors = weight_sectors(*inputs[:2])
+    return inputs, [idx for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)]
+
+
+PIECE_POINTS = SPLIT_POINTS + [("std-pbt", 2, 12, 1), ("std-pbt", 2, 13, 1), ("std-pbtc", 3, 7, 2)]
+
+
+class TestSparsePieces:
+    """The engine builds every piece from the average's nonzeros without
+    forming the block; the split of the dense block is the reference."""
+
+    @pytest.mark.parametrize(
+        "protocol,d,N,M", PIECE_POINTS,
+        ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in PIECE_POINTS],
+    )
+    def test_pieces_match_dense_split(self, protocol, d, N, M):
+        # every block, split as with SPLIT_MIN = 0; the row map must give
+        # the same terms as the lifted eigenvectors, to the last bit
+        (dims, _, signal, average, target, _), blocks = orbit_blocks(protocol, d, N, M)
+        rng = np.random.default_rng(N)
+        for idx in blocks:
+            block = counted_entries(average(idx), len(idx))
+            sparse = channels._character_pieces(average(idx), idx, dims, N - M)
+            dense = dense_character_pieces(block, idx, dims, N - M)
+            eta, tau = signal(idx), target(idx)
+            for (count, piece, rows), (ref_count, ref, lift) in zip(sparse, dense, strict=True):
+                assert count == ref_count and piece.shape == ref.shape
+                assert np.abs(piece - ref).max() <= 1e-15 * np.abs(ref).max()
+                w = len(piece)
+                vals, vecs = rng.uniform(0.5, 1.0, w), rng.standard_normal((w, w))
+                keep = rng.random(w) < 0.8
+                terms = _block_terms(vals, vecs, keep, eta, tau, rows)
+                assert terms == _block_terms(vals, lift(vecs), keep, eta, tau, None)
+
+    @pytest.mark.parametrize("protocol,d,N,M", [
+        ("std-pbt", 2, 8, 1), ("std-pbtc", 2, 7, 2), ("std-pbtc", 2, 8, 3), ("std-pbtc", 3, 5, 2),
+        ("clone-mpbt", 2, 7, 2), ("clone-mpbt", 2, 5, 4), ("mpbt", 2, 6, 2), ("mpbt", 3, 4, 2),
+    ])
+    def test_narrow_block_is_the_dense_builder(self, protocol, d, N, M):
+        # a block at most SPLIT_MIN wide, or with no pair, is one piece with
+        # no row map, bit-identical to the scatter builder's block
+        (dims, _, _, average, _, _), blocks = orbit_blocks(protocol, d, N, M)
+        if protocol.startswith("std"):
+            build = partial(pbtc_signal_entries, enumerate_unordered(N, M), N, d)
+        else:
+            build = partial(mpbt_signal_entries, enumerate_ordered(N, M), N, d)
+        whole = [idx for idx in blocks if len(idx) <= channels.SPLIT_MIN or N - M < 2]
+        assert whole
+        for idx in whole:
+            n_free = N - M if len(idx) > channels.SPLIT_MIN else 0
+            [(count, piece, rows)] = channels._character_pieces(average(idx), idx, dims, n_free)
+            assert (count, rows) == (1, None)
+            assert np.array_equal(piece, build(idx))
+
+    def test_peak_memory_below_one_block(self):
+        # std-pbt N=13 splits its 3432-wide block and never forms it: the
+        # traced peak stays below the block's float entries alone
+        tracemalloc.start()
+        try:
+            r = protocol_fidelity("std-pbt", 2, 13, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.max_block_dim == 3432
+        assert peak < 3432**2 * 8
+
+
 def pbt_qubit_closed_form(N):
     """Entanglement fidelity of standard qubit port-based teleportation with
     N ports (Ishizaka and Hiroshima, PRA 79, 042306, 2009)."""
@@ -469,7 +583,7 @@ def pbt_qubit_closed_form(N):
 
 
 class TestClosedForm:
-    @pytest.mark.parametrize("N", range(1, 14))
+    @pytest.mark.parametrize("N", range(1, 15))
     def test_std_pbt_matches_ishizaka_hiroshima(self, N):
         assert abs(protocol_fidelity("std-pbt", 2, N, 1).F - pbt_qubit_closed_form(N)) <= 1e-12
 
@@ -549,7 +663,7 @@ class TestBlockTerms:
         _, sectors = weight_sectors(dims, n_conj)
         largest = max(range(len(sectors)), key=lambda i: len(sectors[i]))
         sectors.append(sectors[largest])
-        blocks = [average(idx) for idx in sectors]
+        blocks = [counted_entries(average(idx), len(idx)) for idx in sectors]
         blocks[-1] *= 1e-3 * PINV_CUTOFF
         spectra = support_spectra(blocks)
         roots, projectors = psd_inv_sqrt_blocks(blocks)
@@ -557,7 +671,7 @@ class TestBlockTerms:
         for idx, (vals, vecs, keep), root, proj in zip(sectors, spectra, roots, projectors):
             eta = factor_entries(signal(idx), len(idx))
             for target in slot_targets(protocol, N, M, d):
-                main, completion = _block_terms(vals, vecs, keep, signal(idx), target(idx))
+                main, completion = _block_terms(vals, vecs, keep, signal(idx), target(idx), None)
                 tau = factor_entries(target(idx), len(idx))
                 assert abs(main - np.trace(root @ eta @ root @ tau)) <= 1e-14
                 assert abs(completion - np.trace((np.eye(len(idx)) - proj) @ tau)) <= 1e-14
@@ -589,7 +703,8 @@ class TestScatterAverage:
         dense = ensemble_average(ensemble(N, M, d)).entries
         _, sectors = weight_sectors(dims, n_conj)
         for idx in sectors:
-            assert np.abs(average(idx) - dense[np.ix_(idx, idx)]).max() <= 1e-14
+            block = counted_entries(average(idx), len(idx))
+            assert np.abs(block - dense[np.ix_(idx, idx)]).max() <= 1e-14
 
 
 def level_permutation(pi, layout):

@@ -268,7 +268,28 @@ def off_sector_mask(layout, n_conj):
     return sector[:, None] != sector[None, :]
 
 
+def unique_weight_sectors(dims, n_conj):
+    """`weight_sectors` by np.unique over the weight rows: the reference."""
+    basis = np.arange(np.prod(dims))
+    weights = np.zeros((len(basis), max(dims)), dtype=np.min_scalar_type(-len(dims)))
+    for s, digit in enumerate(np.unravel_index(basis, dims)):
+        weights[basis, digit] += -1 if s < n_conj else 1
+    vectors, sector = np.unique(weights, axis=0, return_inverse=True)
+    order = np.argsort(sector, kind="stable")
+    return vectors.astype(int), np.split(order, np.cumsum(np.bincount(sector))[:-1])
+
+
 class TestWeightSectors:
+    @pytest.mark.parametrize("d,n_slots", [(2, 9), (3, 6), (5, 5)])
+    @pytest.mark.parametrize("n_conj", [1, 4])
+    def test_lexsort_groups_equal_unique_reference(self, d, n_slots, n_conj):
+        vectors, sectors = weight_sectors((d,) * n_slots, n_conj)
+        ref_vectors, ref_sectors = unique_weight_sectors((d,) * n_slots, n_conj)
+        assert vectors.dtype == ref_vectors.dtype and np.array_equal(vectors, ref_vectors)
+        assert len(sectors) == len(ref_sectors)
+        for idx, ref in zip(sectors, ref_sectors):
+            assert idx.dtype == ref.dtype and np.array_equal(idx, ref)
+
     @pytest.mark.parametrize("N", range(1, 8))
     def test_qubit_block_sizes_are_binomial(self, N):
         layout = pbt_layout(N, 2)
