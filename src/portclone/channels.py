@@ -11,6 +11,7 @@ single-clone channel.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import comb, factorial, prod
@@ -33,13 +34,13 @@ from portclone.states import (
 )
 from portclone.symmetry import enumerate_ordered, enumerate_unordered, port_label
 from portclone.tensor_core import (
+    BlockGroup,
     LabeledOperator,
     SubsystemLayout,
     check_cap,
     check_dims,
     kron_compose,
     partial_trace,
-    positions_in,
     sector_sizes,
     support_spectra,
     trace_product,
@@ -249,15 +250,17 @@ def _engine_inputs(protocol: str, N: int, M: int, d: int):
     """The protocol as inputs of `_sector_fidelities`: slot dimensions, the
     number of leading input slots, the factor builder of the representative
     outcome c0's signal (the mean of its members), the builder of the average
-    signal state, the factor builder of c0's target at slot 1, and the input
-    dimension. The slots are [X, A1..AN], or [X1..XM, A1..AN] for the
-    multi-slot protocols. c0 is the outcome on ports 1..M, in that order for
-    `mpbt`."""
+    signal state, the factor builder of c0's target at slot 1 (the signal's
+    builder itself where the two are one state), and the input dimension.
+    Each builder takes a `tensor_core.BlockGroup`. The slots are
+    [X, A1..AN], or [X1..XM, A1..AN] for the multi-slot protocols. c0 is the
+    outcome on ports 1..M, in that order for `mpbt`."""
     first = tuple(range(1, M + 1))
     if protocol in ("std-pbt", "std-pbtc"):
         signal = partial(pbtc_signal_factor, first, N, d)
         average = partial(pbtc_signal_nonzeros, enumerate_unordered(N, M), N, d)
-        target = partial(pbtc_signal_factor, (1,), N, d)
+        # with M = 1, c0's port is the target's, and one builder serves both
+        target = signal if M == 1 else partial(pbtc_signal_factor, (1,), N, d)
         return (d,) * (N + 1), 1, signal, average, target, d
     dims = (d,) * (M + N)
     average = partial(mpbt_signal_nonzeros, enumerate_ordered(N, M), N, d)
@@ -272,8 +275,7 @@ def _engine_inputs(protocol: str, N: int, M: int, d: int):
 
 def _orbit_size(w: np.ndarray) -> int:
     """Number of distinct permutations of the weight vector w."""
-    _, counts = np.unique(w, return_counts=True)
-    return factorial(len(w)) // prod(factorial(int(m)) for m in counts)
+    return factorial(len(w)) // prod(map(factorial, Counter(w.tolist()).values()))
 
 
 def _gather(vecs: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -315,15 +317,17 @@ def _block_terms(vals, vecs, keep, signal, target, rows):
     return main, c_tau * np.sum(g_tau[:, ~keep] ** 2)
 
 
-def _character_pieces(nonzeros, idx, dims, n_free):
-    """The average block on the ascending basis indices `idx` of slots of
-    dimensions `dims`, given by its nonzeros (lists, divisor, prefactor) (see
-    `states.pbtc_signal_nonzeros`), split by the characters of the swaps of
-    the last `n_free` slots two by two, r = n_free // 2 pairs from the first of
-    them. Returns one piece per number s = 0..r of pairs in the character,
-    S = the first s pairs, as (C(r, s), piece, row map) (see `_block_terms`);
-    empty pieces are left out. With no pairs the block is its own piece,
-    counted as `states.counted_entries` counts it, with no row map.
+def _character_pieces(nonzeros, group, dims, n_free):
+    """The average on every block of `group`, a `tensor_core.BlockGroup` over
+    slots of dimensions `dims`, given by its nonzeros (lists, divisor,
+    prefactor) (see `states.pbtc_signal_nonzeros`), split by the characters
+    of the swaps of the last `n_free` slots two by two, r = n_free // 2 pairs
+    from the first of them. Returns, per block, one piece per number s = 0..r
+    of pairs in the character, S = the first s pairs, as (C(r, s), piece,
+    row map) (see `_block_terms`); empty pieces are left out. With no pairs a
+    block is its own piece, counted as `states.counted_entries` counts it,
+    with no row map. The lists are read one at a time, a block's share of
+    each as a slice.
 
     The swaps generate G = (Z_2)^r. The G-orbit O of a basis state has
     a representative with each pair's digits ascending, and |O| = w^2 =
@@ -345,54 +349,68 @@ def _character_pieces(nonzeros, idx, dims, n_free):
     as many pairs, and commutes with every operator the engine traces, so
     the first s pairs stand for all C(r, s) of them.
     """
-    k = len(idx)
     n_pairs = n_free // 2
     if not n_pairs:
-        return [(1, counted_entries(nonzeros, k), None)]
+        return [[(1, block, None)] for block in counted_entries(nonzeros, group.widths)]
     lists, divisor, prefactor = nonzeros
     paired = slice(len(dims) - n_free, len(dims) - n_free + 2 * n_pairs)
     strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])[paired, None]
-    digits = idx // strides % np.array(dims[paired])[:, None]  # one row per paired slot
+    digits = group.idx // strides % np.array(dims[paired])[:, None]  # one row per paired slot
     low, high = digits[0::2], digits[1::2]
     descends = low > high
     step = (high - low) * descends * (strides[0::2] - strides[1::2])
-    orbit_reps, orbit = np.unique(positions_in(idx, idx + step.sum(axis=0)), return_inverse=True)
-    is_rep = orbit_reps[orbit] == np.arange(k)
+    rep_at = group.positions(group.entry_block, group.idx + step.sum(axis=0))
     root_size = 2.0 ** (np.count_nonzero(low != high, axis=0) / 2)  # w of each state's orbit
     # the number of leading pairs on which a state's digits differ, so the
     # state is in pieces s = 0..lead (r is far below 128 under the cap)
+    k = len(group.idx)
     lead = np.argmin(np.vstack([low != high, np.zeros(k, dtype=bool)]), axis=0).astype(np.int8)
     flips = np.cumsum(np.vstack([np.zeros(k, dtype=int), descends]), axis=0)
-    maps = []  # per piece: its representatives, orbit positions, row keys, row map, eps_S
-    for s in range(n_pairs + 1):
-        member = lead >= s
-        reps = orbit_reps[member[orbit_reps]]
-        if not len(reps):
-            break
-        w = len(reps)
-        at = np.cumsum(member[orbit_reps])[orbit] - 1  # read at members only
-        sign = 1.0 - 2 * (flips[s] % 2)
-        maps.append((reps, at, at * w, np.where(member, at + w * (sign < 0), 2 * w), sign))
-    sums = [np.zeros(len(reps) ** 2, dtype=float if s else np.intp)
-            for s, (reps, *_) in enumerate(maps)]
-    for rows, cols in lists:  # only the representatives' columns enter
-        keep = np.flatnonzero(is_rep[cols])  # positions, not a mask: gathers are faster
-        rows, cols = rows[keep], cols[keep]
-        reach = np.minimum(lead[rows], lead[cols])
-        for s, (reps, at, row_key, _, sign) in enumerate(maps):
-            if s:
-                keep = np.flatnonzero(reach >= s)
-                rows, cols, reach = rows[keep], cols[keep], reach[keep]
-            key = row_key[rows]
-            key += at[cols]
-            sums[s] += np.bincount(key, weights=sign[rows] if s else None, minlength=len(reps) ** 2)
-    pieces = []
-    for s, ((reps, _, _, row_map, _), counts) in enumerate(zip(maps, sums)):
-        w = len(reps)
-        ratio = root_size[reps] / root_size[reps, None]
-        piece = prefactor * (counts.reshape(w, w) / divisor) * ratio
-        pieces.append((comb(n_pairs, s), piece, (row_map, 1 / root_size[reps])))
-    return pieces
+    blocks = []  # per block: its slice of the group, representative mask and piece maps
+    for at_block in map(slice, group.starts, group.starts[1:]):
+        orbit_reps, orbit = np.unique(rep_at[at_block], return_inverse=True)
+        maps = []  # per piece: its representatives, orbit positions, row keys, row map, eps_S
+        for s in range(n_pairs + 1):
+            member = lead[at_block] >= s
+            reps = orbit_reps[member[orbit_reps]]
+            if not len(reps):
+                break
+            w = len(reps)
+            at = np.cumsum(member[orbit_reps])[orbit] - 1  # read at members only
+            sign = 1.0 - 2 * (flips[s, at_block] % 2)
+            maps.append((reps, at, at * w, np.where(member, at + w * (sign < 0), 2 * w), sign))
+        sums = [np.zeros(len(reps) ** 2, dtype=float if s else np.intp)
+                for s, (reps, *_) in enumerate(maps)]
+        blocks.append((at_block, orbit_reps[orbit] == np.arange(len(orbit)), maps, sums))
+    for rows, cols, bounds in lists:
+        # only the representatives' columns enter (positions, not a mask:
+        # gathers are faster), and the list is dropped before they are counted
+        kept = [i + np.flatnonzero(is_rep[cols[i:j]])
+                for (_, is_rep, *_), i, j in zip(blocks, bounds, bounds[1:])]
+        kept = [(rows[keep], cols[keep]) for keep in kept]
+        del rows, cols
+        for at_block, _, maps, sums in blocks:
+            rows, cols = kept.pop(0)
+            reach = np.minimum(lead[at_block][rows], lead[at_block][cols])
+            for s, (reps, at, row_key, _, sign) in enumerate(maps):
+                if s:
+                    keep = np.flatnonzero(reach >= s)
+                    rows, cols, reach = rows[keep], cols[keep], reach[keep]
+                key = row_key[rows]
+                key += at[cols]
+                weights = sign[rows] if s else None
+                sums[s] += np.bincount(key, weights=weights, minlength=len(reps) ** 2)
+    split = []
+    for at_block, _, maps, sums in blocks:
+        pieces = []
+        block_root = root_size[at_block]
+        for s, ((reps, _, _, row_map, _), counts) in enumerate(zip(maps, sums)):
+            w = len(reps)
+            ratio = block_root[reps] / block_root[reps, None]
+            piece = prefactor * (counts.reshape(w, w) / divisor) * ratio
+            pieces.append((comb(n_pairs, s), piece, (row_map, 1 / block_root[reps])))
+        split.append(pieces)
+    return split
 
 
 def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
@@ -426,6 +444,12 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     are permutation-similar, so lambda_max, the cutoff and the PSD check of
     `support_spectra` are those of all blocks.
 
+    The builders `signal`, `average` and `target` take a group of blocks
+    (`tensor_core.BlockGroup`) and build all of them in one pass. Every block
+    at most SPLIT_MIN wide is in one group; each wider block is a group of
+    its own, so that no list of the average's nonzeros holds more than one
+    wide block.
+
     A block wider than SPLIT_MIN is decomposed in pieces instead
     (`_character_pieces`), each built from the average's nonzeros without
     forming the block. The `n_free` ports outside c0 are the last slots;
@@ -451,26 +475,38 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     sizes = sector_sizes(dims, n_conj)
     check_cap(max(sizes) ** 2, f"largest block {max(sizes)}")
     weights, sectors = weight_sectors(dims, n_conj)
-    blocks = [
-        (idx, _orbit_size(w), _character_pieces(
-            average(idx), idx, dims, n_free if len(idx) > SPLIT_MIN else 0
-        ))
-        for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)
-    ]
-    pieces = [piece for *_, split in blocks for _, piece, _ in split]
+    orbits = [(w, idx) for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)]
+    narrow = [i for i, (_, idx) in enumerate(orbits) if len(idx) <= SPLIT_MIN]
+    groups = [(narrow, 0)] if narrow else []
+    groups += [([i], n_free) for i, (_, idx) in enumerate(orbits) if len(idx) > SPLIT_MIN]
+    built = []  # per group: its blocks, their pieces, and the factors of eta_c0 and tau_1
+    for members, free in groups:
+        group = BlockGroup([orbits[i][1] for i in members], prod(dims))
+        split = _character_pieces(average(group), group, dims, free)
+        etas = signal(group)
+        built.append((members, split, etas, etas if target is signal else target(group)))
+    pieces = [piece for _, split, *_ in built for block in split for _, piece, _ in block]
     spectra = iter(support_spectra(pieces))
+    terms = [None] * len(orbits)  # per block and piece: count, both traces, kept eigenvalues
+    for members, split, (c_eta, etas), (c_tau, taus) in built:
+        for i, block, f_eta, f_tau in zip(members, split, etas, taus):
+            terms[i] = []
+            for count, _, piece_rows in block:
+                vals, vecs, keep = next(spectra)
+                piece_main, piece_completion = _block_terms(
+                    vals, vecs, keep, (c_eta, f_eta), (c_tau, f_tau), piece_rows
+                )
+                terms[i].append((count, piece_main, piece_completion, int(np.count_nonzero(keep))))
     main = completion = 0.0
     kept_rank = 0
-    for idx, size, split in blocks:
-        eta, tau = signal(idx), target(idx)
-        for count, _, rows in split:
-            vals, vecs, keep = next(spectra)
-            piece_main, piece_completion = _block_terms(vals, vecs, keep, eta, tau, rows)
+    for (w, _), block_terms in zip(orbits, terms):
+        size = _orbit_size(w)
+        for count, piece_main, piece_completion, kept in block_terms:
             main += size * count * piece_main
             completion += size * count * piece_completion
-            kept_rank += size * count * int(np.count_nonzero(keep))
+            kept_rank += size * count * kept
     F, delta = float((main + completion) / d_in**2), float(completion / d_in**2)
-    return F, delta, sizes, len(blocks), kept_rank, len(pieces), max(map(len, pieces))
+    return F, delta, sizes, len(orbits), kept_rank, len(pieces), max(map(len, pieces))
 
 
 def _port_report(protocol: str, N: int, M: int, d: int) -> FidelityReport:

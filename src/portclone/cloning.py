@@ -10,6 +10,7 @@ import numpy as np
 from portclone.states import _symmetrized_factor
 from portclone.symmetry import sym_dim, symmetrize_slots
 from portclone.tensor_core import (
+    BlockGroup,
     LabeledOperator,
     SubsystemLayout,
     identity,
@@ -63,11 +64,12 @@ def clone_adjoint_on_input(
 
 
 def cloned_signal_factor(
-    i: int, N: int, M: int, d: int, idx: np.ndarray
-) -> tuple[float, np.ndarray]:
+    i: int, N: int, M: int, d: int, group: BlockGroup
+) -> tuple[float, list[np.ndarray]]:
     """1 -> M optimal cloning applied to the X slot of the teleportation signal
-    rho^i, on the basis indices `idx` of [X1..XM, A1..AN], as c F F^T: returns
-    c and F in the positions form of `states._symmetrized_factor`.
+    rho^i, on every block of `group` over [X1..XM, A1..AN], as c F F^T:
+    returns c and F per block in the positions form of
+    `states._symmetrized_factor`.
 
     This is the target of the adjoint identity Tr[C^dag(E) rho] = Tr[E C(rho)],
     which evaluates the pullback POVM without forming it. C(rho^i) is
@@ -78,4 +80,4 @@ def cloned_signal_factor(
     if not 1 <= i <= N:
         raise ValueError(f"port index {i} out of range 1..{N}")
     c = d / sym_dim(d, M) / d**N / factorial(M) ** 2
-    return c, _symmetrized_factor((d,) * (M + N), M + i - 1, range(M), idx)
+    return c, _symmetrized_factor((d,) * (M + N), M + i - 1, range(M), group)

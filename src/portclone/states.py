@@ -17,7 +17,7 @@ from portclone.symmetry import (
     port_label,
     sym_dim,
 )
-from portclone.tensor_core import LabeledOperator, SubsystemLayout, check_family, positions_in
+from portclone.tensor_core import BlockGroup, LabeledOperator, SubsystemLayout, check_family
 
 
 LIST_NONZEROS = 2**24  # bound on the nonzeros of one position list of `mpbt_signal_nonzeros`
@@ -57,65 +57,85 @@ def maximally_mixed(labels: Sequence[str], d: int) -> LabeledOperator:
 
 
 def _pattern_columns(
-    dims: tuple[int, ...], pairs: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    dims: tuple[int, ...], pairs: np.ndarray, group: BlockGroup
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factor of the pairing pattern of every pair list P in `pairs`, an
-    (n, p, 2) array of positions of slots of one dimension d, on the ascending
-    basis indices `idx` of slots of dimensions `dims`. The pattern of P is the
-    product over its pairs (a, b) of sum_jk |jj><kk|_ab, times the identity on
-    every other slot. Every pair must join an input slot to a port, so that
-    raising both of its slots by one level stays in the weight sector `idx`.
+    (n, p, 2) array of positions of slots of one dimension d, on every block
+    of `group`, a `tensor_core.BlockGroup` over slots of dimensions `dims`.
+    The pattern of P is the product over its pairs (a, b) of
+    sum_jk |jj><kk|_ab, times the identity on every other slot. Every pair
+    must join an input slot to a port, so that raising both of its slots by
+    one level stays in the weight sector of the block.
 
     The pattern of P is F F^T, where F has one 0/1 column per base, an index
     whose paired slots are all at level 0. The column has its d^p ones where
     every pair is set to a common level and the other slots keep the base's.
-    Returns the member number of every column, the positions in `idx` of its
-    ones (one row per column), and the digit table of `idx` (one row per slot).
+    Returns, per column, its member number and block, and the positions in
+    its block of its ones (one row per column), and the digit table of the
+    group's indices (one row per slot). The columns come block by block, in
+    each block base by base, ascending, and member by member within a base.
     """
     d = dims[pairs[0, 0, 0]]
     levels = np.array(list(itertools.product(range(d), repeat=pairs.shape[1])))
     strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])
-    digits = np.array(np.unravel_index(idx, dims))
+    digits = np.array(np.unravel_index(group.idx, dims))
+    zero = np.ascontiguousarray(digits.T == 0)  # one row per index
     a, b = pairs[..., 0], pairs[..., 1]
-    member, base = np.nonzero(np.all((digits[a] == 0) & (digits[b] == 0), axis=1))
+    base, member = np.nonzero(np.all(zero[:, a] & zero[:, b], axis=2))
+    block = group.entry_block[base]
     step = (strides[a] + strides[b])[member]  # raises both slots of a pair by one level
-    return member, positions_in(idx, idx[base, None] + step @ levels.T), digits
+    pos = group.positions(block[:, None], group.idx[base, None] + step @ levels.T)
+    return member, block, pos, digits
 
 
-def _pattern_nonzeros(
-    dims: tuple[int, ...], pairs: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzeros of the pairing patterns of `_pattern_columns`, as three arrays
-    (member number, row position and column position in `idx`) and the digit
-    table of `idx`: every pair of ones of a column of F is a nonzero of F F^T."""
-    member, pos, digits = _pattern_columns(dims, pairs, idx)
+def _block_bounds(block: np.ndarray, n_blocks: int) -> list[int]:
+    """Where each block's run starts in the ascending block numbers `block`,
+    and its length last."""
+    return np.searchsorted(block, np.arange(n_blocks + 1)).tolist()
+
+
+def _pair_lists(block: np.ndarray, pos: np.ndarray, n_blocks: int):
+    """Nonzeros of F F^T for F given by the positions `pos` of the ones of its
+    columns (one row per column, in the ascending blocks `block`), as
+    (row positions, column positions, bounds): every pair of ones of a column
+    is a nonzero, and block b's are at bounds[b]:bounds[b + 1]."""
     L = pos.shape[1]
-    rows, cols = np.repeat(pos, L, axis=1).ravel(), np.tile(pos, L).ravel()
-    return np.repeat(member, L * L), rows, cols, digits
+    bounds = [L * L * i for i in _block_bounds(block, n_blocks)]
+    return np.repeat(pos, L, axis=1).ravel(), np.tile(pos, L).ravel(), bounds
+
+
+def _factor_parts(block: np.ndarray, pos: np.ndarray, n_blocks: int) -> list[np.ndarray]:
+    """A factor F as one (rows, columns) positions array per block, from the
+    positions of its columns (one row per column, in the ascending blocks
+    `block`)."""
+    bounds = _block_bounds(block, n_blocks)
+    return [pos[i:j].T for i, j in zip(bounds, bounds[1:])]
 
 
 def _permuted_positions(
-    dims: tuple[int, ...], sets: np.ndarray, idx: np.ndarray, digits: np.ndarray
+    dims: tuple[int, ...], sets: np.ndarray, group: BlockGroup, digits: np.ndarray
 ):
-    """For every permutation s of M slots but the identity, the (n, len(idx))
-    positions in `idx` of each index of `idx` (digit table `digits`) with its
-    digits on the slots of each set S in `sets`, an (n, M) array, permuted by s."""
+    """For every permutation s of M slots but the identity, the
+    (n, len(group.idx)) positions in its block of each index of the group
+    (digit table `digits`) with its digits on the slots of each set S in
+    `sets`, an (n, M) array, permuted by s."""
     digits = digits[sets]  # (set, slot of S, index)
     strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])[sets][..., None]
     for s in itertools.islice(itertools.permutations(range(sets.shape[1])), 1, None):
-        yield positions_in(idx, idx + ((digits[:, s] - digits) * strides).sum(axis=1))
+        moved = group.idx + ((digits[:, s] - digits) * strides).sum(axis=1)
+        yield group.positions(group.entry_block, moved)
 
 
 def _symmetrized_nonzeros(
-    dims: tuple[int, ...], fixed: int, sets: np.ndarray, idx: np.ndarray
+    dims: tuple[int, ...], fixed: int, sets: np.ndarray, group: BlockGroup
 ):
     """Nonzeros of the sum over the slot sets S in `sets`, an (n, M) array of
     positions of slots of one dimension d, of M M! Pi_S (P_{f,s1} (x) 1) Pi_S
-    on the ascending basis indices `idx` of slots of dimensions `dims`, as
-    (row, column) position lists, one per permutation of M slots: the entry at
-    (r, c) is the number of times (r, c) appears in the lists. P_{f,s1} is the
-    pairing pattern of the slot `fixed` with the first slot of S (see
-    `_pattern_columns`) and Pi_S symmetrizes the slots of S.
+    on every block of `group` (slots of dimensions `dims`), as one list of
+    `_pair_lists` per permutation of M slots: the entry of block b at (r, c)
+    is the number of times (r, c) appears in the lists' slices of block b.
+    P_{f,s1} is the pairing pattern of the slot `fixed` with the first slot
+    of S (see `_pattern_columns`) and Pi_S symmetrizes the slots of S.
 
     Pi_S (P_{f,s1} (x) 1) Pi_S = (1/M) sum_{s in S} P_{f,s} Pi_S, because the
     permutations of S map P_{f,s1} onto every P_{f,s} and leave Pi_S fixed.
@@ -125,77 +145,85 @@ def _symmetrized_nonzeros(
     """
     M = sets.shape[1]
     pairs = np.stack([np.full_like(sets, fixed), sets], axis=-1).reshape(-1, 1, 2)
-    member, rows, cols, digits = _pattern_nonzeros(dims, pairs, idx)
-    yield rows, cols  # the identity keeps every column
-    flat = member // M * len(idx) + cols  # in each flattened table of moved positions
-    for moved in _permuted_positions(dims, sets, idx, digits):
-        yield rows, np.take(moved, flat)
+    member, block, pos, digits = _pattern_columns(dims, pairs, group)
+    rows, cols, bounds = _pair_lists(block, pos, len(group.widths))
+    yield rows, cols, bounds  # the identity keeps every column
+    # each column's ones in its set's flattened table of moved positions
+    flat = (member // M * len(group.idx) + group.starts[block])[:, None] + pos
+    for moved in _permuted_positions(dims, sets, group, digits):
+        yield rows, np.tile(np.take(moved, flat), pos.shape[1]).ravel(), bounds
 
 
-def counted_entries(nonzeros, k: int) -> np.ndarray:
-    """The k x k matrix of the nonzeros (lists, divisor, prefactor) of
-    `pbtc_signal_nonzeros` or `mpbt_signal_nonzeros`: prefactor times the
-    number of times each (row, column) appears in the lists, over divisor."""
+def counted_entries(nonzeros, widths: Sequence[int]) -> list[np.ndarray]:
+    """The k x k matrix of each block of width k in `widths`, from the
+    nonzeros (lists, divisor, prefactor) of `pbtc_signal_nonzeros` or
+    `mpbt_signal_nonzeros` on their group: prefactor times the number of
+    times each (row, column) appears in the lists' slices of the block, over
+    divisor."""
     lists, divisor, prefactor = nonzeros
-    counts = np.zeros(k * k, dtype=np.intp)
-    for rows, cols in lists:
-        counts += np.bincount(rows * k + cols, minlength=k * k)
-    return prefactor * (counts.reshape(k, k) / divisor)
+    counts = [np.zeros(k * k, dtype=np.intp) for k in widths]
+    for rows, cols, bounds in lists:
+        for k, count, i, j in zip(widths, counts, bounds, bounds[1:]):
+            count += np.bincount(rows[i:j] * k + cols[i:j], minlength=k * k)
+        del rows, cols  # before the next list is built
+    return [prefactor * (count.reshape(k, k) / divisor) for k, count in zip(widths, counts)]
 
 
 def _symmetrized_factor(
-    dims: tuple[int, ...], fixed: int, slots: Sequence[int], idx: np.ndarray
-) -> np.ndarray:
+    dims: tuple[int, ...], fixed: int, slots: Sequence[int], group: BlockGroup
+) -> list[np.ndarray]:
     """Factor of Pi_S (P_{f,s1} (x) 1) Pi_S for the one slot set S = `slots`
-    (see `_symmetrized_nonzeros`) on the basis indices `idx`: it is
+    (see `_symmetrized_nonzeros`) on every block of `group`: it is
     F F^T / M!^2, where F = sum_sigma V_sigma F_P over the permutations V_sigma
-    of S and F_P is the factor of P_{f,s1} (`_pattern_columns`). Returns F as
-    an (M! d, columns) array of positions: F is the sum over its rows of the
-    0/1 matrices with a one at (row entry, column)."""
+    of S and F_P is the factor of P_{f,s1} (`_pattern_columns`). Returns F per
+    block as an (M! d, columns) array of positions: F is the sum over its rows
+    of the 0/1 matrices with a one at (row entry, column)."""
     sets = np.array([slots])
-    _, pos, digits = _pattern_columns(dims, np.array([[[fixed, slots[0]]]]), idx)
-    terms = [pos] + [moved[0][pos] for moved in _permuted_positions(dims, sets, idx, digits)]
-    return np.concatenate(terms, axis=1).T
+    _, block, pos, digits = _pattern_columns(dims, np.array([[[fixed, slots[0]]]]), group)
+    at = group.starts[block][:, None] + pos  # the ones' positions in the group
+    terms = [pos] + [moved[0][at] for moved in _permuted_positions(dims, sets, group, digits)]
+    return _factor_parts(block, np.concatenate(terms, axis=1), len(group.widths))
 
 
 def pbtc_signal_nonzeros(
-    port_sets: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray
+    port_sets: Sequence[Sequence[int]], N: int, d: int, group: BlockGroup
 ):
     """Mean of the partially symmetrized signal states
     (d^M / d[M]) Pi_I rho^{i1} Pi_I over the port sets I in `port_sets`, each M
-    ports of 1..N, on the ascending basis indices `idx` of [X, A1..AN], as
-    (lists, divisor, prefactor): the entry at (r, c) is prefactor times the
-    number of times (r, c) appears in the position lists, over divisor
-    (`counted_entries`). There is one list per permutation of M slots, each
-    covering every port set. rho^i is Phi+ on (X, A_i), maximally mixed
-    elsewhere, and i1 the smallest port of I; any other port of I gives the
-    same state. One port set gives its signal, all C(N, M) of them the
-    ensemble average.
+    ports of 1..N, on every block of `group` over [X, A1..AN], as
+    (lists, divisor, prefactor): the entry of a block at (r, c) is prefactor
+    times the number of times (r, c) appears in the lists' slices of the
+    block, over divisor (`counted_entries`). There is one list per
+    permutation of M slots, each covering every port set and block, block by
+    block. rho^i is Phi+ on (X, A_i), maximally mixed elsewhere, and i1 the
+    smallest port of I; any other port of I gives the same state. One port
+    set gives its signal, all C(N, M) of them the ensemble average.
     """
     ports = np.array(port_sets)  # port j is slot j
     n, M = ports.shape
-    lists = _symmetrized_nonzeros((d,) * (N + 1), 0, ports, idx)
+    lists = _symmetrized_nonzeros((d,) * (N + 1), 0, ports, group)
     return lists, M * factorial(M) * n, d**M / sym_dim(d, M) / d**N
 
 
 def pbtc_signal_entries(
     port_sets: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray | None = None
 ) -> np.ndarray:
-    """The mean of `pbtc_signal_nonzeros` as a matrix on the basis indices
-    `idx` of [X, A1..AN] (all of them by default)."""
-    idx = np.arange(d ** (N + 1)) if idx is None else idx
-    return counted_entries(pbtc_signal_nonzeros(port_sets, N, d, idx), len(idx))
+    """The mean of `pbtc_signal_nonzeros` as a matrix on the one block of
+    ascending basis indices `idx` of [X, A1..AN] (all of them by default)."""
+    dim = d ** (N + 1)
+    group = BlockGroup([np.arange(dim) if idx is None else idx], dim)
+    return counted_entries(pbtc_signal_nonzeros(port_sets, N, d, group), group.widths)[0]
 
 
 def pbtc_signal_factor(
-    ports: Sequence[int], N: int, d: int, idx: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The signal of the one port set `ports` (see `pbtc_signal_entries`) on the
-    basis indices `idx` of [X, A1..AN], as c F F^T: returns c and F in the
-    positions form of `_symmetrized_factor`."""
+    ports: Sequence[int], N: int, d: int, group: BlockGroup
+) -> tuple[float, list[np.ndarray]]:
+    """The signal of the one port set `ports` (see `pbtc_signal_entries`) on
+    every block of `group` over [X, A1..AN], as c F F^T: returns c and F per
+    block in the positions form of `_symmetrized_factor`."""
     M = len(ports)
     c = d**M / sym_dim(d, M) / d**N / factorial(M) ** 2
-    return c, _symmetrized_factor((d,) * (N + 1), 0, ports, idx)
+    return c, _symmetrized_factor((d,) * (N + 1), 0, ports, group)
 
 
 def _mpbt_pairs(orderings: Sequence[Sequence[int]]) -> np.ndarray:
@@ -207,21 +235,23 @@ def _mpbt_pairs(orderings: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def mpbt_signal_nonzeros(
-    orderings: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray
+    orderings: Sequence[Sequence[int]], N: int, d: int, group: BlockGroup
 ):
     """Mean of the signal states of the ordered outcomes J in `orderings`, each
-    M distinct ports of 1..N, on the ascending basis indices `idx` of
-    [X1..XM, A1..AN], as (lists, divisor, prefactor) (see
-    `pbtc_signal_nonzeros`). The orderings are split into lists of at most
-    LIST_NONZEROS nonzeros, counting d^M per ordering and row of the block,
-    at most what a row holds. The signal of J is Phi+ on each (X_k, A_{j_k}),
-    maximally mixed elsewhere. One ordering gives its signal, all
-    N!/(N-M)! of them the ensemble average."""
+    M distinct ports of 1..N, on every block of `group` over [X1..XM, A1..AN],
+    as (lists, divisor, prefactor) (see `pbtc_signal_nonzeros`). The
+    orderings are split into lists of at most LIST_NONZEROS nonzeros,
+    counting d^M per ordering and index of the group, at most what a row
+    holds. The signal of J is Phi+ on each (X_k, A_{j_k}), maximally mixed
+    elsewhere. One ordering gives its signal, all N!/(N-M)! of them the
+    ensemble average."""
     pairs = _mpbt_pairs(orderings)
     n, M = pairs.shape[:2]
-    step = max(1, LIST_NONZEROS // (len(idx) * d**M))  # orderings per list
+    dims = (d,) * (M + N)
+    step = max(1, LIST_NONZEROS // (len(group.idx) * d**M))  # orderings per list
     lists = (
-        _pattern_nonzeros((d,) * (M + N), pairs[i:i + step], idx)[1:3] for i in range(0, n, step)
+        _pair_lists(*_pattern_columns(dims, pairs[i:i + step], group)[1:3], len(group.widths))
+        for i in range(0, n, step)
     )
     return lists, n * d**N, 1.0
 
@@ -229,24 +259,29 @@ def mpbt_signal_nonzeros(
 def mpbt_signal_entries(
     orderings: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray | None = None
 ) -> np.ndarray:
-    """The mean of `mpbt_signal_nonzeros` as a matrix on the basis indices
-    `idx` of [X1..XM, A1..AN] (all of them by default)."""
-    idx = np.arange(mpbt_layout(N, np.shape(orderings)[1], d).dim) if idx is None else idx
-    return counted_entries(mpbt_signal_nonzeros(orderings, N, d, idx), len(idx))
+    """The mean of `mpbt_signal_nonzeros` as a matrix on the one block of
+    ascending basis indices `idx` of [X1..XM, A1..AN] (all of them by
+    default)."""
+    dim = mpbt_layout(N, np.shape(orderings)[1], d).dim
+    group = BlockGroup([np.arange(dim) if idx is None else idx], dim)
+    return counted_entries(mpbt_signal_nonzeros(orderings, N, d, group), group.widths)[0]
 
 
 def mpbt_signal_factor(
-    orderings: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The mean signal of `orderings` (see `mpbt_signal_entries`) on the basis
-    indices `idx` of [X1..XM, A1..AN], as c F F^T: returns c and F, the pattern
-    factors of the orderings side by side, as a (d^M, columns) array of
-    positions (F is the sum over its rows of the 0/1 matrices with a one at
-    (row entry, column))."""
+    orderings: Sequence[Sequence[int]], N: int, d: int, group: BlockGroup
+) -> tuple[float, list[np.ndarray]]:
+    """The mean signal of `orderings` (see `mpbt_signal_entries`) on every
+    block of `group` over [X1..XM, A1..AN], as c F F^T: returns c and F per
+    block, the pattern factors of the orderings side by side, as a
+    (d^M, columns) array of positions (F is the sum over its rows of the 0/1
+    matrices with a one at (row entry, column))."""
     pairs = _mpbt_pairs(orderings)
     n, M = pairs.shape[:2]
-    _, pos, _ = _pattern_columns((d,) * (M + N), pairs, idx)
-    return 1 / (n * d**N), pos.T
+    member, block, pos, _ = _pattern_columns((d,) * (M + N), pairs, group)
+    if n > 1:  # member by member within each block
+        order = np.argsort(block * n + member, kind="stable")
+        block, pos = block[order], pos[order]
+    return 1 / (n * d**N), _factor_parts(block, pos, len(group.widths))
 
 
 def mpbt_signal(J: Sequence[int], N: int, d: int) -> LabeledOperator:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -241,13 +242,37 @@ def weight_sectors(
     return weights[np.r_[0, starts]].astype(int), np.split(order, starts)
 
 
-def positions_in(idx: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Position in the ascending index set `idx` of every entry of `target`;
-    raises ValueError when an entry is not in `idx`."""
-    pos = np.searchsorted(idx, target)
-    if not np.array_equal(idx[np.minimum(pos, len(idx) - 1)], target):
-        raise ValueError("index set is not closed under the basis map")
-    return pos
+class BlockGroup:
+    """Diagonal blocks of an operator on a basis of `dim` states, built in one
+    pass. Each block is an ascending array of basis indices; `idx` holds them
+    concatenated block by block, block b at starts[b]:starts[b + 1], and
+    `entry_block` the block of each entry of `idx`. Two tables over the whole
+    basis give each index's position in its block (`basis_pos`) and its block
+    in the group (`basis_block`, -1 outside). One block of all `dim` states
+    has no tables: every index is its own position."""
+
+    def __init__(self, blocks: Sequence[np.ndarray], dim: int):
+        self.widths = [len(b) for b in blocks]
+        self.idx = np.concatenate(blocks)
+        self.starts = np.array(list(accumulate(self.widths, initial=0)))
+        self.entry_block = np.repeat(np.arange(len(blocks)), self.widths)
+        if len(blocks) == 1 and len(self.idx) == dim:
+            self.basis_pos = self.basis_block = None
+            return
+        self.basis_block = np.full(dim, -1)
+        self.basis_block[self.idx] = self.entry_block
+        self.basis_pos = np.zeros(dim, dtype=np.intp)
+        self.basis_pos[self.idx] = np.arange(len(self.idx)) - self.starts[self.entry_block]
+
+    def positions(self, source: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Position in its block of every basis index in `targets`; raises
+        ValueError unless each lies in the block `source` (block numbers,
+        broadcast against `targets`) of the index it was reached from."""
+        if self.basis_pos is None:
+            return targets
+        if np.any(self.basis_block[targets] != source):
+            raise ValueError("index set is not closed under the basis map")
+        return self.basis_pos[targets]
 
 
 def _checked_eigh(a: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:

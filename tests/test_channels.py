@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from portclone import channels, tensor_core
+from portclone import channels, states, tensor_core
 from portclone.channels import (
     OUTPUT_LABEL,
     REFERENCE_LABEL,
@@ -35,6 +35,7 @@ from portclone.states import (
     mpbt_ensemble,
     mpbt_signal,
     mpbt_signal_entries,
+    mpbt_signal_factor,
     pbt_layout,
     pbtc_ensemble,
     pbtc_signal_entries,
@@ -44,6 +45,7 @@ from portclone.symmetry import enumerate_ordered, enumerate_unordered
 from portclone.tensor_core import (
     PINV_CUTOFF,
     DimensionCapError,
+    BlockGroup,
     LabeledOperator,
     SubsystemLayout,
     identity,
@@ -502,6 +504,24 @@ def dense_character_pieces(block, idx, dims, n_free):
     return pieces
 
 
+def one_block(idx, dims):
+    """The group of the one block `idx` over slots of dimensions `dims`."""
+    return BlockGroup([idx], prod(dims))
+
+
+def block_factor(build, idx, dims):
+    """The factor (c, F) of the factor builder `build` on the one block `idx`."""
+    c, [f] = build(one_block(idx, dims))
+    return c, f
+
+
+def counted_average(average, idx, dims):
+    """The matrix of the nonzeros builder `average` on the one block `idx`."""
+    group = one_block(idx, dims)
+    [block] = counted_entries(average(group), group.widths)
+    return block
+
+
 def orbit_blocks(protocol, d, N, M):
     """Engine inputs and the basis indices of every block the engine decomposes."""
     inputs = _engine_inputs(protocol, N, M, d)
@@ -526,10 +546,11 @@ class TestSparsePieces:
         (dims, _, signal, average, target, _), blocks = orbit_blocks(protocol, d, N, M)
         rng = np.random.default_rng(N)
         for idx in blocks:
-            block = counted_entries(average(idx), len(idx))
-            sparse = channels._character_pieces(average(idx), idx, dims, N - M)
+            group = one_block(idx, dims)
+            [block] = counted_entries(average(group), group.widths)
+            [sparse] = channels._character_pieces(average(group), group, dims, N - M)
             dense = dense_character_pieces(block, idx, dims, N - M)
-            eta, tau = signal(idx), target(idx)
+            eta, tau = block_factor(signal, idx, dims), block_factor(target, idx, dims)
             for (count, piece, rows), (ref_count, ref, lift) in zip(sparse, dense, strict=True):
                 assert count == ref_count and piece.shape == ref.shape
                 assert np.abs(piece - ref).max() <= 1e-15 * np.abs(ref).max()
@@ -555,7 +576,10 @@ class TestSparsePieces:
         assert whole
         for idx in whole:
             n_free = N - M if len(idx) > channels.SPLIT_MIN else 0
-            [(count, piece, rows)] = channels._character_pieces(average(idx), idx, dims, n_free)
+            group = one_block(idx, dims)
+            [[(count, piece, rows)]] = channels._character_pieces(
+                average(group), group, dims, n_free
+            )
             assert (count, rows) == (1, None)
             assert np.array_equal(piece, build(idx))
 
@@ -570,6 +594,88 @@ class TestSparsePieces:
             tracemalloc.stop()
         assert r.max_block_dim == 3432
         assert peak < 3432**2 * 8
+
+
+# every dense-grid and large-port benchmark point, and points with M = 3, 4 or d = 3
+GROUP_POINTS = (
+    [(p, 2, N, 2) for N in range(2, 8) for p in ("std-pbtc", "clone-mpbt")]
+    + [("mpbt", 2, N, 2) for N in range(2, 7)]
+    + [("std-pbtc", 2, 8, 2), ("std-pbtc", 3, 4, 2), ("std-pbtc", 3, 5, 2)]
+    + [("std-pbt", 2, 9, 1), ("std-pbt", 2, 10, 1)]
+    + [("std-pbtc", 2, 9, 3), ("std-pbtc", 2, 10, 4), ("clone-mpbt", 2, 8, 4)]
+    + [("clone-mpbt", 3, 5, 2), ("mpbt", 3, 4, 2)]
+)
+
+
+class TestGroupedBuild:
+    """The engine builds every block at most SPLIT_MIN wide in one group;
+    each block built alone is the reference, to the last bit."""
+
+    @pytest.mark.parametrize(
+        "protocol,d,N,M", GROUP_POINTS,
+        ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in GROUP_POINTS],
+    )
+    def test_group_matches_blocks_alone(self, protocol, d, N, M):
+        # the average blocks, the pieces both whole and split, and the
+        # factors of the signal and target with their columns in order
+        (dims, _, signal, average, target, _), blocks = orbit_blocks(protocol, d, N, M)
+        narrow = [idx for idx in blocks if len(idx) <= channels.SPLIT_MIN]
+        assert narrow
+        group = BlockGroup(narrow, prod(dims))
+        averages = counted_entries(average(group), group.widths)
+        splits = [channels._character_pieces(average(group), group, dims, n_free)
+                  for n_free in (0, N - M)]
+        factors = [(build, build(group)) for build in (signal, target)]
+        for b, idx in enumerate(narrow):
+            alone = one_block(idx, dims)
+            assert np.array_equal(averages[b], counted_average(average, idx, dims))
+            for n_free, split in zip((0, N - M), splits):
+                [ref] = channels._character_pieces(average(alone), alone, dims, n_free)
+                for (count, piece, rows), (ref_count, ref_piece, ref_rows) in zip(
+                    split[b], ref, strict=True
+                ):
+                    assert count == ref_count and np.array_equal(piece, ref_piece)
+                    if rows is None or ref_rows is None:
+                        assert rows is ref_rows
+                    else:
+                        assert all(map(np.array_equal, rows, ref_rows))
+            for build, (c, parts) in factors:
+                ref_c, ref_f = block_factor(build, idx, dims)
+                assert c == ref_c and np.array_equal(parts[b], ref_f)
+
+    @pytest.mark.parametrize("d,N,M", [(2, 5, 3), (2, 6, 2), (3, 4, 2)])
+    def test_factor_columns_member_by_member(self, d, N, M):
+        # clone-mpbt's signal is its M! orderings' factors side by side in
+        # every block, so the engine's traces sum in one order
+        (dims, _, signal, *_), blocks = orbit_blocks("clone-mpbt", d, N, M)
+        _, parts = signal(BlockGroup(blocks, prod(dims)))
+        for idx, part in zip(blocks, parts, strict=True):
+            alone = [block_factor(partial(mpbt_signal_factor, [J], N, d), idx, dims)[1]
+                     for J in enumerate_ordered(M, M)]
+            assert np.array_equal(part, np.hstack(alone))
+
+    @pytest.mark.parametrize("every_sector", [False, True])
+    def test_pair_of_two_ports_refused(self, every_sector):
+        # raising two ports by one level leaves the weight sector: the target
+        # lies outside the group, or in another block of it
+        dims = (2,) * 4
+        _, sectors = weight_sectors(dims, 1)
+        group = BlockGroup(sectors if every_sector else [s for s in sectors if 0 in s], prod(dims))
+        states._pattern_columns(dims, np.array([[[0, 1]]]), group)  # input to port: closed
+        with pytest.raises(ValueError, match="closed"):
+            states._pattern_columns(dims, np.array([[[1, 2]]]), group)
+
+    def test_peak_memory_with_wide_blocks_apart(self):
+        # std-pbtc (2, 10, 4) has blocks up to 462 wide; each is built alone,
+        # so no list of the average's nonzeros holds two wide blocks
+        tracemalloc.start()
+        try:
+            r = protocol_fidelity("std-pbtc", 2, 10, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.max_block_dim > channels.SPLIT_MIN
+        assert peak < 40 * 2**20
 
 
 def pbt_qubit_closed_form(N):
@@ -641,7 +747,8 @@ class TestEngineFactors:
         for idx in sectors:
             for factor, build in zip(factors, scatter, strict=True):
                 ref = build(N, d, idx)
-                assert np.abs(factor_entries(factor(idx), len(idx)) - ref).max() <= 1e-15
+                entries = factor_entries(block_factor(factor, idx, dims), len(idx))
+                assert np.abs(entries - ref).max() <= 1e-15
 
 
 BLOCK_POINTS = [
@@ -663,16 +770,20 @@ class TestBlockTerms:
         _, sectors = weight_sectors(dims, n_conj)
         largest = max(range(len(sectors)), key=lambda i: len(sectors[i]))
         sectors.append(sectors[largest])
-        blocks = [counted_entries(average(idx), len(idx)) for idx in sectors]
+        blocks = [counted_average(average, idx, dims) for idx in sectors]
         blocks[-1] *= 1e-3 * PINV_CUTOFF
         spectra = support_spectra(blocks)
         roots, projectors = psd_inv_sqrt_blocks(blocks)
         assert spectra[largest][2].any() and not spectra[-1][2].any()
         for idx, (vals, vecs, keep), root, proj in zip(sectors, spectra, roots, projectors):
-            eta = factor_entries(signal(idx), len(idx))
+            signal_factor = block_factor(signal, idx, dims)
+            eta = factor_entries(signal_factor, len(idx))
             for target in slot_targets(protocol, N, M, d):
-                main, completion = _block_terms(vals, vecs, keep, signal(idx), target(idx), None)
-                tau = factor_entries(target(idx), len(idx))
+                target_factor = block_factor(target, idx, dims)
+                main, completion = _block_terms(
+                    vals, vecs, keep, signal_factor, target_factor, None
+                )
+                tau = factor_entries(target_factor, len(idx))
                 assert abs(main - np.trace(root @ eta @ root @ tau)) <= 1e-14
                 assert abs(completion - np.trace((np.eye(len(idx)) - proj) @ tau)) <= 1e-14
                 assert completion >= 0.0
@@ -703,7 +814,7 @@ class TestScatterAverage:
         dense = ensemble_average(ensemble(N, M, d)).entries
         _, sectors = weight_sectors(dims, n_conj)
         for idx in sectors:
-            block = counted_entries(average(idx), len(idx))
+            block = counted_average(average, idx, dims)
             assert np.abs(block - dense[np.ix_(idx, idx)]).max() <= 1e-14
 
 

@@ -17,6 +17,7 @@ from portclone.states import (
 )
 from portclone.symmetry import sym_dim, symmetrize_slots
 from portclone.tensor_core import (
+    BlockGroup,
     LabeledOperator,
     SubsystemLayout,
     identity,
@@ -137,8 +138,10 @@ def factor_entries(factor, k):
 
 
 def cloned_signal(i, N, M, d, idx=None):
-    idx = np.arange(mpbt_layout(N, M, d).dim) if idx is None else idx
-    return factor_entries(cloned_signal_factor(i, N, M, d, idx), len(idx))
+    dim = mpbt_layout(N, M, d).dim
+    idx = np.arange(dim) if idx is None else idx
+    c, [f] = cloned_signal_factor(i, N, M, d, BlockGroup([idx], dim))
+    return factor_entries((c, f), len(idx))
 
 
 class TestClonedSignal:
@@ -180,4 +183,4 @@ class TestClonedSignal:
 
     def test_rejects_index_set_not_closed(self):
         with pytest.raises(ValueError, match="closed"):
-            cloned_signal_factor(1, 2, 2, 2, np.array([1]))
+            cloned_signal_factor(1, 2, 2, 2, BlockGroup([np.array([1])], 2**4))
