@@ -318,16 +318,14 @@ def _block_terms(vals, vecs, keep, signal, target, rows):
 
 
 def _character_pieces(nonzeros, group, dims, n_free):
-    """The average on every block of `group`, a `tensor_core.BlockGroup` over
-    slots of dimensions `dims`, given by its nonzeros (lists, divisor,
+    """The average on the one block of `group`, a `tensor_core.BlockGroup`
+    over slots of dimensions `dims`, given by its nonzeros (lists, divisor,
     prefactor) (see `states.pbtc_signal_nonzeros`), split by the characters
-    of the swaps of the last `n_free` slots two by two, r = n_free // 2 pairs
-    from the first of them. Returns, per block, one piece per number s = 0..r
-    of pairs in the character, S = the first s pairs, as (C(r, s), piece,
-    row map) (see `_block_terms`); empty pieces are left out. With no pairs a
-    block is its own piece, counted as `states.counted_entries` counts it,
-    with no row map. The lists are read one at a time, a block's share of
-    each as a slice.
+    of the swaps of the last `n_free` slots two by two, r = n_free // 2 >= 1
+    pairs from the first of them. Returns one piece per number s = 0..r of
+    pairs in the character, S = the first s pairs, as (C(r, s), piece, row
+    map) (see `_block_terms`); empty pieces are left out. The lists are read
+    one at a time.
 
     The swaps generate G = (Z_2)^r. The G-orbit O of a basis state has
     a representative with each pair's digits ascending, and |O| = w^2 =
@@ -350,8 +348,6 @@ def _character_pieces(nonzeros, group, dims, n_free):
     the first s pairs stand for all C(r, s) of them.
     """
     n_pairs = n_free // 2
-    if not n_pairs:
-        return [[(1, block, None)] for block in counted_entries(nonzeros, group.widths)]
     lists, divisor, prefactor = nonzeros
     paired = slice(len(dims) - n_free, len(dims) - n_free + 2 * n_pairs)
     strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])[paired, None]
@@ -359,58 +355,48 @@ def _character_pieces(nonzeros, group, dims, n_free):
     low, high = digits[0::2], digits[1::2]
     descends = low > high
     step = (high - low) * descends * (strides[0::2] - strides[1::2])
-    rep_at = group.positions(group.entry_block, group.idx + step.sum(axis=0))
+    orbit_reps, orbit = np.unique(group.positions(0, group.idx + step.sum(axis=0)),
+                                  return_inverse=True)
     root_size = 2.0 ** (np.count_nonzero(low != high, axis=0) / 2)  # w of each state's orbit
     # the number of leading pairs on which a state's digits differ, so the
     # state is in pieces s = 0..lead (r is far below 128 under the cap)
     k = len(group.idx)
     lead = np.argmin(np.vstack([low != high, np.zeros(k, dtype=bool)]), axis=0).astype(np.int8)
     flips = np.cumsum(np.vstack([np.zeros(k, dtype=int), descends]), axis=0)
-    blocks = []  # per block: its slice of the group, representative mask and piece maps
-    for at_block in map(slice, group.starts, group.starts[1:]):
-        orbit_reps, orbit = np.unique(rep_at[at_block], return_inverse=True)
-        maps = []  # per piece: its representatives, orbit positions, row keys, row map, eps_S
-        for s in range(n_pairs + 1):
-            member = lead[at_block] >= s
-            reps = orbit_reps[member[orbit_reps]]
-            if not len(reps):
-                break
-            w = len(reps)
-            at = np.cumsum(member[orbit_reps])[orbit] - 1  # read at members only
-            sign = 1.0 - 2 * (flips[s, at_block] % 2)
-            maps.append((reps, at, at * w, np.where(member, at + w * (sign < 0), 2 * w), sign))
-        sums = [np.zeros(len(reps) ** 2, dtype=float if s else np.intp)
-                for s, (reps, *_) in enumerate(maps)]
-        blocks.append((at_block, orbit_reps[orbit] == np.arange(len(orbit)), maps, sums))
-    for rows, cols, bounds in lists:
+    is_rep = orbit_reps[orbit] == np.arange(k)
+    maps = []  # per piece: its representatives, orbit positions, row keys, row map, eps_S
+    for s in range(n_pairs + 1):
+        member = lead >= s
+        reps = orbit_reps[member[orbit_reps]]
+        if not len(reps):
+            break
+        w = len(reps)
+        at = np.cumsum(member[orbit_reps])[orbit] - 1  # read at members only
+        sign = 1.0 - 2 * (flips[s] % 2)
+        maps.append((reps, at, at * w, np.where(member, at + w * (sign < 0), 2 * w), sign))
+    sums = [np.zeros(len(reps) ** 2, dtype=float if s else np.intp)
+            for s, (reps, *_) in enumerate(maps)]
+    for rows, cols, _ in lists:
         # only the representatives' columns enter (positions, not a mask:
         # gathers are faster), and the list is dropped before they are counted
-        kept = [i + np.flatnonzero(is_rep[cols[i:j]])
-                for (_, is_rep, *_), i, j in zip(blocks, bounds, bounds[1:])]
-        kept = [(rows[keep], cols[keep]) for keep in kept]
-        del rows, cols
-        for at_block, _, maps, sums in blocks:
-            rows, cols = kept.pop(0)
-            reach = np.minimum(lead[at_block][rows], lead[at_block][cols])
-            for s, (reps, at, row_key, _, sign) in enumerate(maps):
-                if s:
-                    keep = np.flatnonzero(reach >= s)
-                    rows, cols, reach = rows[keep], cols[keep], reach[keep]
-                key = row_key[rows]
-                key += at[cols]
-                weights = sign[rows] if s else None
-                sums[s] += np.bincount(key, weights=weights, minlength=len(reps) ** 2)
-    split = []
-    for at_block, _, maps, sums in blocks:
-        pieces = []
-        block_root = root_size[at_block]
-        for s, ((reps, _, _, row_map, _), counts) in enumerate(zip(maps, sums)):
-            w = len(reps)
-            ratio = block_root[reps] / block_root[reps, None]
-            piece = prefactor * (counts.reshape(w, w) / divisor) * ratio
-            pieces.append((comb(n_pairs, s), piece, (row_map, 1 / block_root[reps])))
-        split.append(pieces)
-    return split
+        keep = np.flatnonzero(is_rep[cols])
+        rows, cols = rows[keep], cols[keep]
+        reach = np.minimum(lead[rows], lead[cols])
+        for s, (reps, at, row_key, _, sign) in enumerate(maps):
+            if s:
+                keep = np.flatnonzero(reach >= s)
+                rows, cols, reach = rows[keep], cols[keep], reach[keep]
+            key = row_key[rows]
+            key += at[cols]
+            weights = sign[rows] if s else None
+            sums[s] += np.bincount(key, weights=weights, minlength=len(reps) ** 2)
+    pieces = []
+    for s, ((reps, _, _, row_map, _), counts) in enumerate(zip(maps, sums)):
+        w = len(reps)
+        ratio = root_size[reps] / root_size[reps, None]
+        piece = prefactor * (counts.reshape(w, w) / divisor) * ratio
+        pieces.append((comb(n_pairs, s), piece, (row_map, 1 / root_size[reps])))
+    return pieces
 
 
 def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
@@ -451,14 +437,18 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     wide block.
 
     A block wider than SPLIT_MIN is decomposed in pieces instead
-    (`_character_pieces`), each built from the average's nonzeros without
-    forming the block. The `n_free` ports outside c0 are the last slots;
-    swaps of them two by two fix eta_c0 and tau_1 and commute with the
-    average, so every operator is block-diagonal in the swaps' characters,
-    and R, P and both traces split over the pieces. The pieces hold every
-    eigenvalue of the block, each piece counted C(r, s) times, so
-    lambda_max, the cutoff and the PSD check stay global. Narrower blocks are
-    one piece each, where splitting costs more than it saves.
+    (`_character_pieces`, one block at a time), each built from the
+    average's nonzeros without forming the block. The `n_free` ports outside
+    c0 are the last slots; swaps of them two by two fix eta_c0 and tau_1 and
+    commute with the average, so every operator is block-diagonal in the
+    swaps' characters, and R, P and both traces split over the pieces. The
+    pieces hold every eigenvalue of the block, each piece counted C(r, s)
+    times, so lambda_max, the cutoff and the PSD check stay global. Narrower
+    blocks, and every block when fewer than two ports are outside c0, are
+    one piece each (`states.counted_entries`), where splitting costs more
+    than it saves or has no pair to split by. The pieces of all blocks are
+    decomposed in one `support_spectra` call and their terms summed in
+    sector order, block by block.
 
     The dimension cap applies to the basis table of `weight_sectors` (a row
     per basis state, a column per slot or level) and to the largest block,
@@ -477,34 +467,31 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     weights, sectors = weight_sectors(dims, n_conj)
     orbits = [(w, idx) for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)]
     narrow = [i for i, (_, idx) in enumerate(orbits) if len(idx) <= SPLIT_MIN]
-    groups = [(narrow, 0)] if narrow else []
-    groups += [([i], n_free) for i, (_, idx) in enumerate(orbits) if len(idx) > SPLIT_MIN]
-    built = []  # per group: its blocks, their pieces, and the factors of eta_c0 and tau_1
-    for members, free in groups:
+    groups = [(narrow, False)] if narrow else []
+    groups += [([i], n_free >= 2) for i, (_, idx) in enumerate(orbits) if len(idx) > SPLIT_MIN]
+    records = []  # per piece: its orbit, orbit size x count, piece, row map, eta and tau factors
+    for members, split in groups:
         group = BlockGroup([orbits[i][1] for i in members], prod(dims))
-        split = _character_pieces(average(group), group, dims, free)
-        etas = signal(group)
-        built.append((members, split, etas, etas if target is signal else target(group)))
-    pieces = [piece for _, split, *_ in built for block in split for _, piece, _ in block]
-    spectra = iter(support_spectra(pieces))
-    terms = [None] * len(orbits)  # per block and piece: count, both traces, kept eigenvalues
-    for members, split, (c_eta, etas), (c_tau, taus) in built:
-        for i, block, f_eta, f_tau in zip(members, split, etas, taus):
-            terms[i] = []
-            for count, _, piece_rows in block:
-                vals, vecs, keep = next(spectra)
-                piece_main, piece_completion = _block_terms(
-                    vals, vecs, keep, (c_eta, f_eta), (c_tau, f_tau), piece_rows
-                )
-                terms[i].append((count, piece_main, piece_completion, int(np.count_nonzero(keep))))
+        if split:
+            blocks = [_character_pieces(average(group), group, dims, n_free)]
+        else:
+            blocks = [[(1, block, None)] for block in counted_entries(average(group), group.widths)]
+        c_eta, etas = signal(group)
+        c_tau, taus = (c_eta, etas) if target is signal else target(group)
+        for i, pieces, f_eta, f_tau in zip(members, blocks, etas, taus):
+            size = _orbit_size(orbits[i][0])
+            records += [(i, size * count, piece, piece_rows, (c_eta, f_eta), (c_tau, f_tau))
+                        for count, piece, piece_rows in pieces]
+    records.sort(key=lambda record: record[0])  # stable, so each block's pieces stay in order
+    pieces = [piece for _, _, piece, *_ in records]
+    spectra = support_spectra(pieces)
     main = completion = 0.0
     kept_rank = 0
-    for (w, _), block_terms in zip(orbits, terms):
-        size = _orbit_size(w)
-        for count, piece_main, piece_completion, kept in block_terms:
-            main += size * count * piece_main
-            completion += size * count * piece_completion
-            kept_rank += size * count * kept
+    for (_, weight, _, piece_rows, eta, tau), (vals, vecs, keep) in zip(records, spectra):
+        piece_main, piece_completion = _block_terms(vals, vecs, keep, eta, tau, piece_rows)
+        main += weight * piece_main
+        completion += weight * piece_completion
+        kept_rank += weight * int(np.count_nonzero(keep))
     F, delta = float((main + completion) / d_in**2), float(completion / d_in**2)
     return F, delta, sizes, len(orbits), kept_rank, len(pieces), max(map(len, pieces))
 

@@ -194,12 +194,14 @@ def _check_subgroup_conjugation(N, outcomes):
     # padding reads -1, which no member's code takes
     expected = np.where(present, members @ powers, -1)
     worst = 0
-    # per sigma, two int64 gathers of every member's images and their indices
-    for sigmas, image in _permuted_outcomes(N, outcomes, 32 * members.size):
-        s = sigmas[:, None, None, :]
-        # member pi becomes s[pi[s_inv]], which is sigma pi sigma^-1
-        gathered = np.take_along_axis(members[None], np.argsort(s, axis=-1), axis=-1)
-        codes = np.where(present, np.take_along_axis(s, gathered, axis=-1) @ powers, -1)
+    # per sigma, one int64 gather of every member's images
+    for sigmas, image in _permuted_outcomes(N, outcomes, 8 * members.size):
+        n = len(sigmas)
+        # member pi becomes sigma pi sigma^-1, which maps port sigma[i] to
+        # sigma[pi[i]], so its code sums sigma[pi[i]] N^sigma[i] over i
+        moved = sigmas.ravel()[members.reshape(1, -1) + N * np.arange(n)[:, None]]
+        codes = moved.reshape(n, -1, N) @ powers[sigmas][:, :, None]
+        codes = np.where(present, codes.reshape(n, *present.shape), -1)
         # both sides hold distinct codes, so after one sort every member they
         # share is a pair of equal neighbours
         merged = np.sort(np.concatenate([codes, expected[image]], axis=-1), axis=-1)
@@ -221,13 +223,15 @@ def _check_projector_conjugation(d, N, outcomes):
     # of Pi_I, so the max over all of S_N is the max over every entry.
     k, r, c = np.nonzero(stack)
     values = stack[k, r, c]
+    D = layout.dim
     worst = 0.0
-    # per sigma and nonzero entry: three int64 indices, the gathered value,
-    # its difference from the entry and the modulus of that
-    for sigmas, image in _permuted_outcomes(N, outcomes, 64 * len(k)):
-        g_inv = np.argsort(permuted_basis_indices(sigmas, layout.dims), axis=1)
-        moved = stack[image[:, k], g_inv[:, r], g_inv[:, c]]
-        worst = max(worst, np.abs(moved - values).max())
+    # per sigma and nonzero entry: one int64 code of the entry of the stack
+    # it is compared with, image D^2 + g^-1[r] D + g^-1[c]
+    for sigmas, image in _permuted_outcomes(N, outcomes, 8 * len(k)):
+        # g^-1 is the basis map of the inverse images
+        g_inv = permuted_basis_indices(np.argsort(sigmas, axis=1), layout.dims)
+        codes = (image[:, k] * D + g_inv[:, r]) * D + g_inv[:, c]
+        worst = max(worst, np.abs(stack.ravel()[codes] - values).max())
     return worst, FLOAT_TOL, ""
 
 

@@ -460,6 +460,22 @@ class TestCharacterSplit:
         assert replace(split, runtime_ms=0) == replace(whole, runtime_ms=0)
         assert (split.n_pieces, split.max_piece_dim) == (split.n_orbits, 126)
 
+    def test_wide_block_without_pair_is_counted_whole(self, monkeypatch):
+        # std-pbtc (2, 8, 7) leaves one port outside c0; its 126-wide block
+        # is built by the counted nonzeros, never by the splitter, and the
+        # report is the one with every block at most SPLIT_MIN wide
+        point = ("std-pbtc", 2, 8, 7)
+
+        def refuse(*args):
+            raise AssertionError("a block with no pair reached the splitter")
+
+        monkeypatch.setattr(channels, "_character_pieces", refuse)
+        report = protocol_fidelity(*point)
+        assert report.max_block_dim == 126 > channels.SPLIT_MIN
+        assert (report.n_pieces, report.max_piece_dim) == (report.n_orbits, report.max_block_dim)
+        monkeypatch.setattr(channels, "SPLIT_MIN", report.max_block_dim)
+        assert replace(protocol_fidelity(*point), runtime_ms=0) == replace(report, runtime_ms=0)
+
 
 def dense_character_pieces(block, idx, dims, n_free):
     """The split of `channels._character_pieces` from the dense block: one
@@ -541,14 +557,19 @@ class TestSparsePieces:
         ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in PIECE_POINTS],
     )
     def test_pieces_match_dense_split(self, protocol, d, N, M):
-        # every block, split as with SPLIT_MIN = 0; the row map must give
-        # the same terms as the lifted eigenvectors, to the last bit
+        # every block, decomposed as with SPLIT_MIN = 0: split where a pair
+        # of ports lies outside c0, and whole, with no row map, where none
+        # does; the row map must give the same terms as the lifted
+        # eigenvectors, to the last bit
         (dims, _, signal, average, target, _), blocks = orbit_blocks(protocol, d, N, M)
         rng = np.random.default_rng(N)
         for idx in blocks:
             group = one_block(idx, dims)
             [block] = counted_entries(average(group), group.widths)
-            [sparse] = channels._character_pieces(average(group), group, dims, N - M)
+            if N - M >= 2:
+                sparse = channels._character_pieces(average(group), group, dims, N - M)
+            else:
+                sparse = [(1, block, None)]
             dense = dense_character_pieces(block, idx, dims, N - M)
             eta, tau = block_factor(signal, idx, dims), block_factor(target, idx, dims)
             for (count, piece, rows), (ref_count, ref, lift) in zip(sparse, dense, strict=True):
@@ -565,8 +586,9 @@ class TestSparsePieces:
         ("clone-mpbt", 2, 7, 2), ("clone-mpbt", 2, 5, 4), ("mpbt", 2, 6, 2), ("mpbt", 3, 4, 2),
     ])
     def test_narrow_block_is_the_dense_builder(self, protocol, d, N, M):
-        # a block at most SPLIT_MIN wide, or with no pair, is one piece with
-        # no row map, bit-identical to the scatter builder's block
+        # a block at most SPLIT_MIN wide, or with no pair, is decomposed
+        # whole: its counted nonzeros are bit-identical to the scatter
+        # builder's block
         (dims, _, _, average, _, _), blocks = orbit_blocks(protocol, d, N, M)
         if protocol.startswith("std"):
             build = partial(pbtc_signal_entries, enumerate_unordered(N, M), N, d)
@@ -575,13 +597,7 @@ class TestSparsePieces:
         whole = [idx for idx in blocks if len(idx) <= channels.SPLIT_MIN or N - M < 2]
         assert whole
         for idx in whole:
-            n_free = N - M if len(idx) > channels.SPLIT_MIN else 0
-            group = one_block(idx, dims)
-            [[(count, piece, rows)]] = channels._character_pieces(
-                average(group), group, dims, n_free
-            )
-            assert (count, rows) == (1, None)
-            assert np.array_equal(piece, build(idx))
+            assert np.array_equal(counted_average(average, idx, dims), build(idx))
 
     def test_peak_memory_below_one_block(self):
         # std-pbt N=13 splits its 3432-wide block and never forms it: the
@@ -616,29 +632,16 @@ class TestGroupedBuild:
         ids=[f"{p}-d{d}-N{n}-M{m}" for p, d, n, m in GROUP_POINTS],
     )
     def test_group_matches_blocks_alone(self, protocol, d, N, M):
-        # the average blocks, the pieces both whole and split, and the
-        # factors of the signal and target with their columns in order
+        # the average blocks, and the factors of the signal and target with
+        # their columns in order
         (dims, _, signal, average, target, _), blocks = orbit_blocks(protocol, d, N, M)
         narrow = [idx for idx in blocks if len(idx) <= channels.SPLIT_MIN]
         assert narrow
         group = BlockGroup(narrow, prod(dims))
         averages = counted_entries(average(group), group.widths)
-        splits = [channels._character_pieces(average(group), group, dims, n_free)
-                  for n_free in (0, N - M)]
         factors = [(build, build(group)) for build in (signal, target)]
         for b, idx in enumerate(narrow):
-            alone = one_block(idx, dims)
             assert np.array_equal(averages[b], counted_average(average, idx, dims))
-            for n_free, split in zip((0, N - M), splits):
-                [ref] = channels._character_pieces(average(alone), alone, dims, n_free)
-                for (count, piece, rows), (ref_count, ref_piece, ref_rows) in zip(
-                    split[b], ref, strict=True
-                ):
-                    assert count == ref_count and np.array_equal(piece, ref_piece)
-                    if rows is None or ref_rows is None:
-                        assert rows is ref_rows
-                    else:
-                        assert all(map(np.array_equal, rows, ref_rows))
             for build, (c, parts) in factors:
                 ref_c, ref_f = block_factor(build, idx, dims)
                 assert c == ref_c and np.array_equal(parts[b], ref_f)

@@ -469,7 +469,7 @@ class TestBatchedConjugationChecks:
         assert (b_deviation <= b_threshold) == (fault in ("clean", "subgroup"))
 
     @pytest.mark.parametrize(
-        "check,d,N,M,fault", [("b", 2, 5, 2, "added-entry"), ("a", 2, 6, 2, "subgroup")]
+        "check,d,N,M,fault", [("b", 2, 6, 2, "vanished-entry"), ("a", 2, 6, 3, "subgroup")]
     )
     def test_partial_last_batch(self, monkeypatch, check, d, N, M, fault):
         # S_N splits into batches whose last one is shorter, and the
