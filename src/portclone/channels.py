@@ -85,23 +85,10 @@ class FidelityReport:
             raise ValueError("report fields F and f violate the conversion identity")
 
     def to_json_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "d": self.d,
-            "N": self.N,
-            "M": self.M,
-            "F": self.F,
-            "f": self.f,
-            "per_clone_f": list(self.per_clone_f),
-            "delta_contribution": self.delta_contribution,
-            "runtime_ms": self.runtime_ms,
-            "n_blocks": self.n_blocks,
-            "max_block_dim": self.max_block_dim,
-            "n_orbits": self.n_orbits,
-            "kept_rank": self.kept_rank,
-            "n_pieces": self.n_pieces,
-            "max_piece_dim": self.max_piece_dim,
-        }
+        """The fields in declaration order, but input_dim, per_clone_f as a list."""
+        doc = dict(vars(self), per_clone_f=list(self.per_clone_f))
+        del doc["input_dim"]
+        return doc
 
 
 def avg_fidelity(F: float, d: int) -> float:
@@ -252,23 +239,25 @@ def _engine_inputs(protocol: str, N: int, M: int, d: int):
     outcome c0's signal (the mean of its members), the builder of the average
     signal state, the factor builder of c0's target at slot 1 (the signal's
     builder itself where the two are one state), and the input dimension.
-    Each builder takes a `tensor_core.BlockGroup`. The slots are
-    [X, A1..AN], or [X1..XM, A1..AN] for the multi-slot protocols. c0 is the
-    outcome on ports 1..M, in that order for `mpbt`."""
+    Each builder takes a `tensor_core.BlockGroup` and enumerates the outcomes
+    it reads only when called, so that `_sector_fidelities` refuses a point
+    from counts before any outcome list exists. The slots are [X, A1..AN], or
+    [X1..XM, A1..AN] for the multi-slot protocols. c0 is the outcome on ports
+    1..M, in that order for `mpbt`."""
     first = tuple(range(1, M + 1))
     if protocol in ("std-pbt", "std-pbtc"):
         signal = partial(pbtc_signal_factor, first, N, d)
-        average = partial(pbtc_signal_nonzeros, enumerate_unordered(N, M), N, d)
+        average = lambda group: pbtc_signal_nonzeros(enumerate_unordered(N, M), N, d, group)
         # with M = 1, c0's port is the target's, and one builder serves both
         target = signal if M == 1 else partial(pbtc_signal_factor, (1,), N, d)
         return (d,) * (N + 1), 1, signal, average, target, d
     dims = (d,) * (M + N)
-    average = partial(mpbt_signal_nonzeros, enumerate_ordered(N, M), N, d)
+    average = lambda group: mpbt_signal_nonzeros(enumerate_ordered(N, M), N, d, group)
     if protocol == "mpbt":
         signal = partial(mpbt_signal_factor, [first], N, d)
         return dims, M, signal, average, signal, d**M
     # clone-mpbt: the M! orderings of one port set are the members of one outcome
-    signal = partial(mpbt_signal_factor, enumerate_ordered(M, M), N, d)
+    signal = lambda group: mpbt_signal_factor(enumerate_ordered(M, M), N, d, group)
     target = partial(cloned_signal_factor, 1, N, M, d)
     return dims, M, signal, average, target, d
 

@@ -51,19 +51,15 @@ def _parse_range(spec: str) -> list[int]:
 
 
 def _write_csv(path: str, reports: list[FidelityReport]):
-    lines = [
-        "protocol,d,N,M,F,f,delta_contribution,"
-        "n_blocks,max_block_dim,n_orbits,kept_rank,n_pieces,max_piece_dim,runtime_ms"
+    """One row per report: its JSON fields but per_clone_f, runtime_ms last."""
+    rows = [r.to_json_dict() for r in reports]
+    for row in rows:
+        del row["per_clone_f"]
+        row["runtime_ms"] = row.pop("runtime_ms")
+    lines = [",".join(rows[0])] + [
+        ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values())
+        for row in rows
     ]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [r.protocol, str(r.d), str(r.N), str(r.M),
-                 _fmt(r.F), _fmt(r.f), _fmt(r.delta_contribution),
-                 str(r.n_blocks), str(r.max_block_dim), str(r.n_orbits), str(r.kept_rank),
-                 str(r.n_pieces), str(r.max_piece_dim), _fmt(r.runtime_ms)]
-            )
-        )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -248,17 +248,13 @@ class BlockGroup:
     concatenated block by block, block b at starts[b]:starts[b + 1], and
     `entry_block` the block of each entry of `idx`. Two tables over the whole
     basis give each index's position in its block (`basis_pos`) and its block
-    in the group (`basis_block`, -1 outside). One block of all `dim` states
-    has no tables: every index is its own position."""
+    in the group (`basis_block`, -1 outside)."""
 
     def __init__(self, blocks: Sequence[np.ndarray], dim: int):
         self.widths = [len(b) for b in blocks]
         self.idx = np.concatenate(blocks)
         self.starts = np.array(list(accumulate(self.widths, initial=0)))
         self.entry_block = np.repeat(np.arange(len(blocks)), self.widths)
-        if len(blocks) == 1 and len(self.idx) == dim:
-            self.basis_pos = self.basis_block = None
-            return
         self.basis_block = np.full(dim, -1)
         self.basis_block[self.idx] = self.entry_block
         self.basis_pos = np.zeros(dim, dtype=np.intp)
@@ -268,8 +264,6 @@ class BlockGroup:
         """Position in its block of every basis index in `targets`; raises
         ValueError unless each lies in the block `source` (block numbers,
         broadcast against `targets`) of the index it was reached from."""
-        if self.basis_pos is None:
-            return targets
         if np.any(self.basis_block[targets] != source):
             raise ValueError("index set is not closed under the basis map")
         return self.basis_pos[targets]

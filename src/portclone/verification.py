@@ -59,14 +59,8 @@ class CheckResult:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "deviation": self.deviation,
-            "threshold": self.threshold,
-            "pass": self.passed,
-            "notes": self.notes,
-        }
+        """The fields in declaration order, with passed written as "pass"."""
+        return {"pass" if k == "passed" else k: v for k, v in vars(self).items()}
 
 
 def _skipped(notes: str) -> tuple[float, float, str]:
@@ -145,14 +139,20 @@ def purity_upper_bound(N: int, M: int, d: int) -> float:
     )
 
 
+def _cap_sn_table(N):
+    """Refuse the table of `_permuted_outcomes`, N! rows of N images, by its
+    size; checks a and b call it before they build anything."""
+    count = factorial(N)
+    check_cap(count * N, f"table of the {count} permutations of {N} ports")
+
+
 def _permuted_outcomes(N, outcomes, bytes_per_sigma):
     """Every sigma in S_N as 0-based images, one per row, in the batches of
     `_batches`, each with the position in `outcomes` of sigma(I) for every
     sigma of the batch (row) and outcome I (column)."""
     count = factorial(N)
-    check_cap(count * N, f"table of the {count} permutations of {N} ports")
-    # one byte per image, with no tuple per sigma on the way; the cap keeps
-    # N at 10 or below
+    # one byte per image, with no tuple per sigma on the way;
+    # `_cap_sn_table` keeps N at 10 or below
     table = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(N))),
         dtype=np.uint8, count=count * N,
@@ -181,7 +181,9 @@ def _batches(n, bytes_per_item):
     return [slice(i, i + size) for i in range(0, n, size)]
 
 
-def _check_subgroup_conjugation(N, outcomes):
+def _check_subgroup_conjugation(N, get_outcomes):
+    _cap_sn_table(N)
+    outcomes = get_outcomes()
     # each member as one integer whose base-N digits are its images
     powers = N ** np.arange(N)
     # duplicate members are dropped, so each subgroup is compared as a set
@@ -210,7 +212,9 @@ def _check_subgroup_conjugation(N, outcomes):
     return worst, EXACT, "set comparison, exact"
 
 
-def _check_projector_conjugation(d, N, outcomes):
+def _check_projector_conjugation(d, N, get_outcomes):
+    _cap_sn_table(N)
+    outcomes = get_outcomes()
     layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
     # the dimension cap refuses the family before any of it is built
     check_family(len(outcomes), layout.dim)
@@ -276,11 +280,11 @@ def _check_pgm_completeness(get_povm):
     return max(dev_support, dev_id), COMPLETION_TOL, ""
 
 
-def _check_commutation(get_eta_bar, outcomes):
+def _check_commutation(get_eta_bar, get_outcomes):
     eta_bar = get_eta_bar()
     a, layout = eta_bar.entries, eta_bar.layout
     worst = 0.0
-    for I in outcomes:
+    for I in get_outcomes():
         slots = port_slots(layout, I)
         # Pi_I eta_bar, and eta_bar Pi_I as (Pi_I eta_bar^dag)^dag
         left = symmetrize_rows(a, layout, slots)
@@ -341,8 +345,9 @@ def _check_disjoint_overlap(d, N, M, get_overlaps):
 def _check_purity_trend(d, N, M, get_eta_bar):
     if N - 1 < M:
         return _skipped("no smaller N to compare")
-    prev = abs(d**N * eta_bar_purity(N - 1, M, d) - 1.0)
+    # the point itself first, so that the cap refuses it before N - 1 is built
     curr = abs(d ** (N + 1) * purity(get_eta_bar()) - 1.0)
+    prev = abs(d**N * eta_bar_purity(N - 1, M, d) - 1.0)
     return max(0.0, curr - prev), EXACT, f"{TREND_NOTE}: |excess| {prev:.6g} -> {curr:.6g}"
 
 
@@ -373,19 +378,19 @@ def run_suite(d: int, N: int, M: int, inject_fault: bool = False) -> list[CheckR
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
     if d < 2:
         raise ValueError(f"local dimensions must be >= 2, got d={d}")
-    outcomes = enumerate_unordered(N, M)
     # built on first use and shared; a build the dimension cap refuses raises
     # again in every check that asks for it, so each of them is skipped
+    get_outcomes = cache(lambda: enumerate_unordered(N, M))
     get_ensemble = cache(lambda: pbtc_ensemble(N, M, d))
     get_eta_bar = cache(lambda: ensemble_average(get_ensemble()))
     get_povm = cache(lambda: _pre_completion_pgm(get_ensemble(), get_eta_bar(), inject_fault))
     get_overlaps = cache(lambda: _overlap_table(get_ensemble()))
     checks = [
-        ("a-subgroup-conjugation", _check_subgroup_conjugation, (N, outcomes)),
-        ("b-projector-conjugation", _check_projector_conjugation, (d, N, outcomes)),
+        ("a-subgroup-conjugation", _check_subgroup_conjugation, (N, get_outcomes)),
+        ("b-projector-conjugation", _check_projector_conjugation, (d, N, get_outcomes)),
         ("c-pgm-support-invariance", _check_pgm_support_invariance, (get_povm,)),
         ("c2-pgm-completeness", _check_pgm_completeness, (get_povm,)),
-        ("c3-projector-average-commutation", _check_commutation, (get_eta_bar, outcomes)),
+        ("c3-projector-average-commutation", _check_commutation, (get_eta_bar, get_outcomes)),
         ("d-rank-formula", _check_rank_formula, (d, N, M, get_ensemble)),
         ("e-overlap-class-equality", _check_overlap_classes, (get_overlaps,)),
         ("f-cauchy-schwarz-dominance", _check_cauchy_schwarz, (get_overlaps,)),

@@ -358,18 +358,23 @@ class TestBlockedEngine:
         monkeypatch.setattr(tensor_core, "DIM_CAP", widest)
         assert protocol_fidelity(protocol, 2, N, M).max_block_dim == widest
 
-    @pytest.mark.parametrize("d,N,refusal", [
-        (2, 20, f"largest block {comb(21, 10)} "),
-        (2, 40, f"basis table {2**41}x41 "),
-        (1000, 1, f"basis table {1000**2}x1000 "),
+    @pytest.mark.parametrize("protocol,d,N,M,refusal", [
+        ("std-pbt", 2, 20, 1, f"largest block {comb(21, 10)} "),
+        ("std-pbt", 2, 40, 1, f"basis table {2**41}x41 "),
+        ("std-pbt", 1000, 1, 1, f"basis table {1000**2}x1000 "),
+        ("mpbt", 2, 12, 6, f"largest block {comb(18, 9)} "),
+        ("clone-mpbt", 2, 12, 6, f"largest block {comb(18, 9)} "),
+        ("clone-mpbt", 2, 9, 9, f"largest block {comb(18, 9)} "),
+        ("std-pbtc", 2, 18, 9, f"largest block {comb(19, 9)} "),
     ])
-    def test_far_point_refused_before_any_table(self, d, N, refusal):
-        # both refusals are decided from counts: at d=2 the sector count
-        # takes no d^(N+1) array, and the basis table is sized, not built
+    def test_far_point_refused_before_any_table(self, protocol, d, N, M, refusal):
+        # every refusal is decided from counts: at d=2 the sector count
+        # takes no d^(N+1) array, the basis table is sized, not built, and
+        # no outcome is enumerated before both are
         tracemalloc.start()
         try:
             with pytest.raises(DimensionCapError, match=refusal):
-                protocol_fidelity("std-pbt", d, N, 1)
+                protocol_fidelity(protocol, d, N, M)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

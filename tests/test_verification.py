@@ -154,8 +154,8 @@ class TestSuite:
         d, N, M = 2, 6, 2
         outcomes = enumerate_unordered(N, M)
         checks = [
-            (verification._check_subgroup_conjugation, (N, outcomes)),
-            (verification._check_projector_conjugation, (d, N, outcomes)),
+            (verification._check_subgroup_conjugation, (N, lambda: outcomes)),
+            (verification._check_projector_conjugation, (d, N, lambda: outcomes)),
         ]
         whole = [check(*args) for check, args in checks]
         seen = []
@@ -202,8 +202,8 @@ class TestSuite:
         entries[2, 0] += 1e-3
         broken = LabeledOperator(eta_bar.layout, entries)
         outcomes = enumerate_unordered(3, 2)
-        clean, threshold, _ = verification._check_commutation(lambda: eta_bar, outcomes)
-        deviation, _, _ = verification._check_commutation(lambda: broken, outcomes)
+        clean, threshold, _ = verification._check_commutation(lambda: eta_bar, lambda: outcomes)
+        deviation, _, _ = verification._check_commutation(lambda: broken, lambda: outcomes)
         assert clean <= threshold < deviation
         assert deviation == pytest.approx(5e-4, rel=1e-9)
 
@@ -222,7 +222,7 @@ class TestSuite:
                 left = sum(a[g] for g in gathers) / len(gathers)
                 right = sum(a[:, g] for g in gathers) / len(gathers)
                 reference = max(reference, np.abs(left - right).max())
-            assert verification._check_commutation(lambda: op, outcomes)[0] == reference
+            assert verification._check_commutation(lambda: op, lambda: outcomes)[0] == reference
 
     def test_disjoint_check_skipped_when_impossible(self):
         results = run_suite(2, 3, 2)
@@ -294,12 +294,16 @@ class TestSuite:
         }
         assert not suite_passed(results)
 
-    def test_far_point_skips_dense_checks_by_name(self):
-        # at N=11 every dense family and the table of S_11 exceed the cap:
+    @pytest.mark.parametrize("N,M", [(11, 2), (11, 1), (12, 6)])
+    def test_far_point_skips_dense_checks_by_name(self, N, M):
+        # from N=11 the ensemble at N and the table of S_N exceed the cap:
         # each check but k is skipped under its own name, before it allocates
+        # (at M=1 check b's projectors and check i's ensemble at N - 1 would
+        # fit, and at M=6 check a's 924 subgroups, so each check must refuse
+        # by its other build first)
         tracemalloc.start()
         try:
-            results = run_suite(2, 11, 2)
+            results = run_suite(2, N, M)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -458,8 +462,9 @@ class TestBatchedConjugationChecks:
     def test_deviations_equal_the_loop_reference(self, monkeypatch, d, N, M, fault):
         outcomes = enumerate_unordered(N, M)
         self.corrupt(monkeypatch, fault, outcomes[-1])
-        a_deviation, a_threshold, _ = verification._check_subgroup_conjugation(N, outcomes)
-        b_deviation, b_threshold, _ = verification._check_projector_conjugation(d, N, outcomes)
+        get_outcomes = lambda: outcomes
+        a_deviation, a_threshold, _ = verification._check_subgroup_conjugation(N, get_outcomes)
+        b_deviation, b_threshold, _ = verification._check_projector_conjugation(d, N, get_outcomes)
         subgroup_of, projector_of = (
             verification.subgroup_fixing_complement, verification.symmetric_projector
         )
@@ -485,11 +490,12 @@ class TestBatchedConjugationChecks:
         monkeypatch.setattr(verification, "_batches", recorded)
         outcomes = enumerate_unordered(N, M)
         self.corrupt(monkeypatch, fault, outcomes[-1])
+        get_outcomes = lambda: outcomes
         if check == "a":
-            deviation, threshold, _ = verification._check_subgroup_conjugation(N, outcomes)
+            deviation, threshold, _ = verification._check_subgroup_conjugation(N, get_outcomes)
             reference = reference_check_a(N, outcomes, verification.subgroup_fixing_complement)
         else:
-            deviation, threshold, _ = verification._check_projector_conjugation(d, N, outcomes)
+            deviation, threshold, _ = verification._check_projector_conjugation(d, N, get_outcomes)
             reference = reference_check_b(d, N, outcomes, verification.symmetric_projector)
         assert deviation == reference and deviation > threshold
         [sizes] = batches
