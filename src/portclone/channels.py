@@ -18,9 +18,10 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from portclone.cloning import clone_map, cloned_signal_factor
+from portclone.cloning import clone_map
 from portclone.measurements import Povm
 from portclone.states import (
+    cloned_signal_factor,
     counted_entries,
     input_label,
     max_entangled,
@@ -178,9 +179,12 @@ def entanglement_fidelity_formula(
 def slot_signals(
     povm: Povm, N: int, d: int, clone_slot: int = 1
 ) -> dict[tuple[int, ...], LabeledOperator]:
-    """Teleportation signal states matched to each outcome's receiving port."""
+    """Teleportation signal states matched to each outcome's receiving port;
+    the outcomes that share a port share its one signal."""
     _check_povm(povm, N, d, clone_slot)
-    return {I: pbtc_signal((I[clone_slot - 1],), N, d) for I in povm.outcomes}
+    ports = {I[clone_slot - 1] for I in povm.outcomes}
+    signals = {b: pbtc_signal((b,), N, d) for b in ports}
+    return {I: signals[I[clone_slot - 1]] for I in povm.outcomes}
 
 
 def entanglement_fidelity_choi(
@@ -246,19 +250,19 @@ def _engine_inputs(protocol: str, N: int, M: int, d: int):
     1..M, in that order for `mpbt`."""
     first = tuple(range(1, M + 1))
     if protocol in ("std-pbt", "std-pbtc"):
-        signal = partial(pbtc_signal_factor, first, N, d)
-        average = lambda group: pbtc_signal_nonzeros(enumerate_unordered(N, M), N, d, group)
+        signal = partial(pbtc_signal_factor, first)
+        average = lambda group: pbtc_signal_nonzeros(enumerate_unordered(N, M), group)
         # with M = 1, c0's port is the target's, and one builder serves both
-        target = signal if M == 1 else partial(pbtc_signal_factor, (1,), N, d)
+        target = signal if M == 1 else partial(pbtc_signal_factor, (1,))
         return (d,) * (N + 1), 1, signal, average, target, d
     dims = (d,) * (M + N)
-    average = lambda group: mpbt_signal_nonzeros(enumerate_ordered(N, M), N, d, group)
+    average = lambda group: mpbt_signal_nonzeros(enumerate_ordered(N, M), group)
     if protocol == "mpbt":
-        signal = partial(mpbt_signal_factor, [first], N, d)
+        signal = partial(mpbt_signal_factor, [first])
         return dims, M, signal, average, signal, d**M
     # clone-mpbt: the M! orderings of one port set are the members of one outcome
-    signal = lambda group: mpbt_signal_factor(enumerate_ordered(M, M), N, d, group)
-    target = partial(cloned_signal_factor, 1, N, M, d)
+    signal = lambda group: mpbt_signal_factor(enumerate_ordered(M, M), group)
+    target = partial(cloned_signal_factor, 1, M)
     return dims, M, signal, average, target, d
 
 
@@ -306,15 +310,15 @@ def _block_terms(vals, vecs, keep, signal, target, rows):
     return main, c_tau * np.sum(g_tau[:, ~keep] ** 2)
 
 
-def _character_pieces(nonzeros, group, dims, n_free):
-    """The average on the one block of `group`, a `tensor_core.BlockGroup`
-    over slots of dimensions `dims`, given by its nonzeros (lists, divisor,
-    prefactor) (see `states.pbtc_signal_nonzeros`), split by the characters
-    of the swaps of the last `n_free` slots two by two, r = n_free // 2 >= 1
-    pairs from the first of them. Returns one piece per number s = 0..r of
-    pairs in the character, S = the first s pairs, as (C(r, s), piece, row
-    map) (see `_block_terms`); empty pieces are left out. The lists are read
-    one at a time.
+def _character_pieces(nonzeros, group, n_free):
+    """The average on the one block of `group`, a `tensor_core.BlockGroup`,
+    given by its nonzeros (lists, divisor, prefactor) (see
+    `states.pbtc_signal_nonzeros`), split by the characters of the swaps of
+    the last `n_free` slots two by two, r = n_free // 2 >= 1 pairs from the
+    first of them. Returns one piece per number s = 0..r of pairs in the
+    character, S = the first s pairs, as (C(r, s), piece, row map) (see
+    `_block_terms`); empty pieces are left out. The lists are read one at a
+    time.
 
     The swaps generate G = (Z_2)^r. The G-orbit O of a basis state has
     a representative with each pair's digits ascending, and |O| = w^2 =
@@ -338,9 +342,8 @@ def _character_pieces(nonzeros, group, dims, n_free):
     """
     n_pairs = n_free // 2
     lists, divisor, prefactor = nonzeros
-    paired = slice(len(dims) - n_free, len(dims) - n_free + 2 * n_pairs)
-    strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])[paired, None]
-    digits = group.idx // strides % np.array(dims[paired])[:, None]  # one row per paired slot
+    paired = slice(len(group.dims) - n_free, len(group.dims) - n_free + 2 * n_pairs)
+    digits, strides = group.digits[paired], group.strides[paired, None]  # one row per paired slot
     low, high = digits[0::2], digits[1::2]
     descends = low > high
     step = (high - low) * descends * (strides[0::2] - strides[1::2])
@@ -460,9 +463,9 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     groups += [([i], n_free >= 2) for i, (_, idx) in enumerate(orbits) if len(idx) > SPLIT_MIN]
     records = []  # per piece: its orbit, orbit size x count, piece, row map, eta and tau factors
     for members, split in groups:
-        group = BlockGroup([orbits[i][1] for i in members], prod(dims))
+        group = BlockGroup([orbits[i][1] for i in members], dims)
         if split:
-            blocks = [_character_pieces(average(group), group, dims, n_free)]
+            blocks = [_character_pieces(average(group), group, n_free)]
         else:
             blocks = [[(1, block, None)] for block in counted_entries(average(group), group.widths)]
         c_eta, etas = signal(group)

@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-from math import factorial
 from typing import Sequence
 
-import numpy as np
-
-from portclone.states import _symmetrized_factor
 from portclone.symmetry import sym_dim, symmetrize_slots
 from portclone.tensor_core import (
-    BlockGroup,
     LabeledOperator,
     SubsystemLayout,
     identity,
@@ -62,22 +57,3 @@ def clone_adjoint_on_input(
     scale = d / sym_dim(d, M)
     return (scale * reduced).relabel({x_labels[0]: out_label})
 
-
-def cloned_signal_factor(
-    i: int, N: int, M: int, d: int, group: BlockGroup
-) -> tuple[float, list[np.ndarray]]:
-    """1 -> M optimal cloning applied to the X slot of the teleportation signal
-    rho^i, on every block of `group` over [X1..XM, A1..AN], as c F F^T:
-    returns c and F per block in the positions form of
-    `states._symmetrized_factor`.
-
-    This is the target of the adjoint identity Tr[C^dag(E) rho] = Tr[E C(rho)],
-    which evaluates the pullback POVM without forming it. C(rho^i) is
-    (d / d[M]) d^-N Pi_M (P_{A_i,X1} (x) 1) Pi_M with Pi_M on X1..XM: the
-    pbtc sandwich with the roles of the fixed slot and the symmetrized set
-    swapped.
-    """
-    if not 1 <= i <= N:
-        raise ValueError(f"port index {i} out of range 1..{N}")
-    c = d / sym_dim(d, M) / d**N / factorial(M) ** 2
-    return c, _symmetrized_factor((d,) * (M + N), M + i - 1, range(M), group)

@@ -5,7 +5,7 @@ average states of their ensembles."""
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial, perm, prod
+from math import comb, factorial, perm
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -57,35 +57,32 @@ def maximally_mixed(labels: Sequence[str], d: int) -> LabeledOperator:
 
 
 def _pattern_columns(
-    dims: tuple[int, ...], pairs: np.ndarray, group: BlockGroup
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    pairs: np.ndarray, group: BlockGroup
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor of the pairing pattern of every pair list P in `pairs`, an
     (n, p, 2) array of positions of slots of one dimension d, on every block
-    of `group`, a `tensor_core.BlockGroup` over slots of dimensions `dims`.
-    The pattern of P is the product over its pairs (a, b) of
-    sum_jk |jj><kk|_ab, times the identity on every other slot. Every pair
-    must join an input slot to a port, so that raising both of its slots by
-    one level stays in the weight sector of the block.
+    of `group`, a `tensor_core.BlockGroup`. The pattern of P is the product
+    over its pairs (a, b) of sum_jk |jj><kk|_ab, times the identity on every
+    other slot. Every pair must join an input slot to a port, so that raising
+    both of its slots by one level stays in the weight sector of the block.
 
     The pattern of P is F F^T, where F has one 0/1 column per base, an index
     whose paired slots are all at level 0. The column has its d^p ones where
     every pair is set to a common level and the other slots keep the base's.
     Returns, per column, its member number and block, and the positions in
-    its block of its ones (one row per column), and the digit table of the
-    group's indices (one row per slot). The columns come block by block, in
-    each block base by base, ascending, and member by member within a base.
+    its block of its ones (one row per column). The columns come block by
+    block, in each block base by base, ascending, and member by member within
+    a base.
     """
-    d = dims[pairs[0, 0, 0]]
+    d = group.dims[pairs[0, 0, 0]]
     levels = np.array(list(itertools.product(range(d), repeat=pairs.shape[1])))
-    strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])
-    digits = np.array(np.unravel_index(group.idx, dims))
-    zero = np.ascontiguousarray(digits.T == 0)  # one row per index
+    zero = np.ascontiguousarray(group.digits.T == 0)  # one row per index
     a, b = pairs[..., 0], pairs[..., 1]
     base, member = np.nonzero(np.all(zero[:, a] & zero[:, b], axis=2))
     block = group.entry_block[base]
-    step = (strides[a] + strides[b])[member]  # raises both slots of a pair by one level
+    step = (group.strides[a] + group.strides[b])[member]  # raises both slots of a pair by one level
     pos = group.positions(block[:, None], group.idx[base, None] + step @ levels.T)
-    return member, block, pos, digits
+    return member, block, pos
 
 
 def _block_bounds(block: np.ndarray, n_blocks: int) -> list[int]:
@@ -112,28 +109,24 @@ def _factor_parts(block: np.ndarray, pos: np.ndarray, n_blocks: int) -> list[np.
     return [pos[i:j].T for i, j in zip(bounds, bounds[1:])]
 
 
-def _permuted_positions(
-    dims: tuple[int, ...], sets: np.ndarray, group: BlockGroup, digits: np.ndarray
-):
+def _permuted_positions(sets: np.ndarray, group: BlockGroup):
     """For every permutation s of M slots but the identity, the
     (n, len(group.idx)) positions in its block of each index of the group
-    (digit table `digits`) with its digits on the slots of each set S in
-    `sets`, an (n, M) array, permuted by s."""
-    digits = digits[sets]  # (set, slot of S, index)
-    strides = np.array([prod(dims[s + 1:]) for s in range(len(dims))])[sets][..., None]
+    with its digits on the slots of each set S in `sets`, an (n, M) array,
+    permuted by s."""
+    digits = group.digits[sets]  # (set, slot of S, index)
+    strides = group.strides[sets][..., None]
     for s in itertools.islice(itertools.permutations(range(sets.shape[1])), 1, None):
         moved = group.idx + ((digits[:, s] - digits) * strides).sum(axis=1)
         yield group.positions(group.entry_block, moved)
 
 
-def _symmetrized_nonzeros(
-    dims: tuple[int, ...], fixed: int, sets: np.ndarray, group: BlockGroup
-):
+def _symmetrized_nonzeros(fixed: int, sets: np.ndarray, group: BlockGroup):
     """Nonzeros of the sum over the slot sets S in `sets`, an (n, M) array of
     positions of slots of one dimension d, of M M! Pi_S (P_{f,s1} (x) 1) Pi_S
-    on every block of `group` (slots of dimensions `dims`), as one list of
-    `_pair_lists` per permutation of M slots: the entry of block b at (r, c)
-    is the number of times (r, c) appears in the lists' slices of block b.
+    on every block of `group`, as one list of `_pair_lists` per permutation
+    of M slots: the entry of block b at (r, c) is the number of times (r, c)
+    appears in the lists' slices of block b.
     P_{f,s1} is the pairing pattern of the slot `fixed` with the first slot
     of S (see `_pattern_columns`) and Pi_S symmetrizes the slots of S.
 
@@ -145,12 +138,12 @@ def _symmetrized_nonzeros(
     """
     M = sets.shape[1]
     pairs = np.stack([np.full_like(sets, fixed), sets], axis=-1).reshape(-1, 1, 2)
-    member, block, pos, digits = _pattern_columns(dims, pairs, group)
+    member, block, pos = _pattern_columns(pairs, group)
     rows, cols, bounds = _pair_lists(block, pos, len(group.widths))
     yield rows, cols, bounds  # the identity keeps every column
     # each column's ones in its set's flattened table of moved positions
     flat = (member // M * len(group.idx) + group.starts[block])[:, None] + pos
-    for moved in _permuted_positions(dims, sets, group, digits):
+    for moved in _permuted_positions(sets, group):
         yield rows, np.tile(np.take(moved, flat), pos.shape[1]).ravel(), bounds
 
 
@@ -169,9 +162,7 @@ def counted_entries(nonzeros, widths: Sequence[int]) -> list[np.ndarray]:
     return [prefactor * (count.reshape(k, k) / divisor) for k, count in zip(widths, counts)]
 
 
-def _symmetrized_factor(
-    dims: tuple[int, ...], fixed: int, slots: Sequence[int], group: BlockGroup
-) -> list[np.ndarray]:
+def _symmetrized_factor(fixed: int, slots: Sequence[int], group: BlockGroup) -> list[np.ndarray]:
     """Factor of Pi_S (P_{f,s1} (x) 1) Pi_S for the one slot set S = `slots`
     (see `_symmetrized_nonzeros`) on every block of `group`: it is
     F F^T / M!^2, where F = sum_sigma V_sigma F_P over the permutations V_sigma
@@ -179,15 +170,13 @@ def _symmetrized_factor(
     block as an (M! d, columns) array of positions: F is the sum over its rows
     of the 0/1 matrices with a one at (row entry, column)."""
     sets = np.array([slots])
-    _, block, pos, digits = _pattern_columns(dims, np.array([[[fixed, slots[0]]]]), group)
+    _, block, pos = _pattern_columns(np.array([[[fixed, slots[0]]]]), group)
     at = group.starts[block][:, None] + pos  # the ones' positions in the group
-    terms = [pos] + [moved[0][at] for moved in _permuted_positions(dims, sets, group, digits)]
+    terms = [pos] + [moved[0][at] for moved in _permuted_positions(sets, group)]
     return _factor_parts(block, np.concatenate(terms, axis=1), len(group.widths))
 
 
-def pbtc_signal_nonzeros(
-    port_sets: Sequence[Sequence[int]], N: int, d: int, group: BlockGroup
-):
+def pbtc_signal_nonzeros(port_sets: Sequence[Sequence[int]], group: BlockGroup):
     """Mean of the partially symmetrized signal states
     (d^M / d[M]) Pi_I rho^{i1} Pi_I over the port sets I in `port_sets`, each M
     ports of 1..N, on every block of `group` over [X, A1..AN], as
@@ -201,29 +190,44 @@ def pbtc_signal_nonzeros(
     """
     ports = np.array(port_sets)  # port j is slot j
     n, M = ports.shape
-    lists = _symmetrized_nonzeros((d,) * (N + 1), 0, ports, group)
+    d, N = group.dims[0], len(group.dims) - 1
+    lists = _symmetrized_nonzeros(0, ports, group)
     return lists, M * factorial(M) * n, d**M / sym_dim(d, M) / d**N
 
 
-def pbtc_signal_entries(
-    port_sets: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray | None = None
-) -> np.ndarray:
-    """The mean of `pbtc_signal_nonzeros` as a matrix on the one block of
-    ascending basis indices `idx` of [X, A1..AN] (all of them by default)."""
-    dim = d ** (N + 1)
-    group = BlockGroup([np.arange(dim) if idx is None else idx], dim)
-    return counted_entries(pbtc_signal_nonzeros(port_sets, N, d, group), group.widths)[0]
+def pbtc_signal_entries(port_sets: Sequence[Sequence[int]], N: int, d: int) -> np.ndarray:
+    """The mean of `pbtc_signal_nonzeros` as a matrix on the whole basis of
+    [X, A1..AN]."""
+    group = BlockGroup([np.arange(d ** (N + 1))], (d,) * (N + 1))
+    return counted_entries(pbtc_signal_nonzeros(port_sets, group), group.widths)[0]
 
 
-def pbtc_signal_factor(
-    ports: Sequence[int], N: int, d: int, group: BlockGroup
-) -> tuple[float, list[np.ndarray]]:
-    """The signal of the one port set `ports` (see `pbtc_signal_entries`) on
+def pbtc_signal_factor(ports: Sequence[int], group: BlockGroup) -> tuple[float, list[np.ndarray]]:
+    """The signal of the one port set `ports` (see `pbtc_signal_nonzeros`) on
     every block of `group` over [X, A1..AN], as c F F^T: returns c and F per
     block in the positions form of `_symmetrized_factor`."""
     M = len(ports)
+    d, N = group.dims[0], len(group.dims) - 1
     c = d**M / sym_dim(d, M) / d**N / factorial(M) ** 2
-    return c, _symmetrized_factor((d,) * (N + 1), 0, ports, group)
+    return c, _symmetrized_factor(0, ports, group)
+
+
+def cloned_signal_factor(i: int, M: int, group: BlockGroup) -> tuple[float, list[np.ndarray]]:
+    """1 -> M optimal cloning applied to the X slot of the teleportation signal
+    rho^i, on every block of `group` over [X1..XM, A1..AN], as c F F^T:
+    returns c and F per block in the positions form of `_symmetrized_factor`.
+
+    This is the target of the adjoint identity Tr[C^dag(E) rho] = Tr[E C(rho)],
+    which evaluates the pullback POVM without forming it. C(rho^i) is
+    (d / d[M]) d^-N Pi_M (P_{A_i,X1} (x) 1) Pi_M with Pi_M on X1..XM: the
+    pbtc sandwich with the roles of the fixed slot and the symmetrized set
+    swapped.
+    """
+    d, N = group.dims[0], len(group.dims) - M
+    if not 1 <= i <= N:
+        raise ValueError(f"port index {i} out of range 1..{N}")
+    c = d / sym_dim(d, M) / d**N / factorial(M) ** 2
+    return c, _symmetrized_factor(M + i - 1, range(M), group)
 
 
 def _mpbt_pairs(orderings: Sequence[Sequence[int]]) -> np.ndarray:
@@ -234,9 +238,7 @@ def _mpbt_pairs(orderings: Sequence[Sequence[int]]) -> np.ndarray:
     return np.stack([np.broadcast_to(np.arange(M), ports.shape), M - 1 + ports], axis=-1)
 
 
-def mpbt_signal_nonzeros(
-    orderings: Sequence[Sequence[int]], N: int, d: int, group: BlockGroup
-):
+def mpbt_signal_nonzeros(orderings: Sequence[Sequence[int]], group: BlockGroup):
     """Mean of the signal states of the ordered outcomes J in `orderings`, each
     M distinct ports of 1..N, on every block of `group` over [X1..XM, A1..AN],
     as (lists, divisor, prefactor) (see `pbtc_signal_nonzeros`). The
@@ -247,37 +249,35 @@ def mpbt_signal_nonzeros(
     ensemble average."""
     pairs = _mpbt_pairs(orderings)
     n, M = pairs.shape[:2]
-    dims = (d,) * (M + N)
+    d, N = group.dims[0], len(group.dims) - M
     step = max(1, LIST_NONZEROS // (len(group.idx) * d**M))  # orderings per list
     lists = (
-        _pair_lists(*_pattern_columns(dims, pairs[i:i + step], group)[1:3], len(group.widths))
+        _pair_lists(*_pattern_columns(pairs[i:i + step], group)[1:], len(group.widths))
         for i in range(0, n, step)
     )
     return lists, n * d**N, 1.0
 
 
-def mpbt_signal_entries(
-    orderings: Sequence[Sequence[int]], N: int, d: int, idx: np.ndarray | None = None
-) -> np.ndarray:
-    """The mean of `mpbt_signal_nonzeros` as a matrix on the one block of
-    ascending basis indices `idx` of [X1..XM, A1..AN] (all of them by
-    default)."""
-    dim = mpbt_layout(N, np.shape(orderings)[1], d).dim
-    group = BlockGroup([np.arange(dim) if idx is None else idx], dim)
-    return counted_entries(mpbt_signal_nonzeros(orderings, N, d, group), group.widths)[0]
+def mpbt_signal_entries(orderings: Sequence[Sequence[int]], N: int, d: int) -> np.ndarray:
+    """The mean of `mpbt_signal_nonzeros` as a matrix on the whole basis of
+    [X1..XM, A1..AN]."""
+    layout = mpbt_layout(N, np.shape(orderings)[1], d)
+    group = BlockGroup([np.arange(layout.dim)], layout.dims)
+    return counted_entries(mpbt_signal_nonzeros(orderings, group), group.widths)[0]
 
 
 def mpbt_signal_factor(
-    orderings: Sequence[Sequence[int]], N: int, d: int, group: BlockGroup
+    orderings: Sequence[Sequence[int]], group: BlockGroup
 ) -> tuple[float, list[np.ndarray]]:
-    """The mean signal of `orderings` (see `mpbt_signal_entries`) on every
+    """The mean signal of `orderings` (see `mpbt_signal_nonzeros`) on every
     block of `group` over [X1..XM, A1..AN], as c F F^T: returns c and F per
     block, the pattern factors of the orderings side by side, as a
     (d^M, columns) array of positions (F is the sum over its rows of the 0/1
     matrices with a one at (row entry, column))."""
     pairs = _mpbt_pairs(orderings)
     n, M = pairs.shape[:2]
-    member, block, pos, _ = _pattern_columns((d,) * (M + N), pairs, group)
+    d, N = group.dims[0], len(group.dims) - M
+    member, block, pos = _pattern_columns(pairs, group)
     if n > 1:  # member by member within each block
         order = np.argsort(block * n + member, kind="stable")
         block, pos = block[order], pos[order]

@@ -243,14 +243,19 @@ def weight_sectors(
 
 
 class BlockGroup:
-    """Diagonal blocks of an operator on a basis of `dim` states, built in one
-    pass. Each block is an ascending array of basis indices; `idx` holds them
-    concatenated block by block, block b at starts[b]:starts[b + 1], and
-    `entry_block` the block of each entry of `idx`. Two tables over the whole
-    basis give each index's position in its block (`basis_pos`) and its block
-    in the group (`basis_block`, -1 outside)."""
+    """Diagonal blocks of an operator on the basis of slots of dimensions
+    `dims`, built in one pass. Each block is an ascending array of basis
+    indices; `idx` holds them concatenated block by block, block b at
+    starts[b]:starts[b + 1], and `entry_block` the block of each entry of
+    `idx`. `strides` holds each slot's place value and `digits` the digit
+    table of `idx`, one row per slot. Two tables over the whole basis give
+    each index's position in its block (`basis_pos`) and its block in the
+    group (`basis_block`, -1 outside)."""
 
-    def __init__(self, blocks: Sequence[np.ndarray], dim: int):
+    def __init__(self, blocks: Sequence[np.ndarray], dims: Sequence[int]):
+        self.dims = tuple(dims)
+        self.strides = np.array([prod(self.dims[s + 1:]) for s in range(len(self.dims))])
+        dim = prod(self.dims)
         self.widths = [len(b) for b in blocks]
         self.idx = np.concatenate(blocks)
         self.starts = np.array(list(accumulate(self.widths, initial=0)))
@@ -259,6 +264,7 @@ class BlockGroup:
         self.basis_block[self.idx] = self.entry_block
         self.basis_pos = np.zeros(dim, dtype=np.intp)
         self.basis_pos[self.idx] = np.arange(len(self.idx)) - self.starts[self.entry_block]
+        self.digits = np.array(np.unravel_index(self.idx, self.dims))
 
     def positions(self, source: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Position in its block of every basis index in `targets`; raises

@@ -25,9 +25,10 @@ from portclone.channels import (
     single_clone_output,
     slot_signals,
 )
-from portclone.cloning import cloned_signal_factor, optimal_clone_fidelity
+from portclone.cloning import optimal_clone_fidelity
 from portclone.measurements import Povm, clone_mpbt_povm, complete, pgm, std_pbtc_povm
 from portclone.states import (
+    cloned_signal_factor,
     counted_entries,
     ensemble_average,
     input_label,
@@ -527,7 +528,7 @@ def dense_character_pieces(block, idx, dims, n_free):
 
 def one_block(idx, dims):
     """The group of the one block `idx` over slots of dimensions `dims`."""
-    return BlockGroup([idx], prod(dims))
+    return BlockGroup([idx], dims)
 
 
 def block_factor(build, idx, dims):
@@ -572,7 +573,7 @@ class TestSparsePieces:
             group = one_block(idx, dims)
             [block] = counted_entries(average(group), group.widths)
             if N - M >= 2:
-                sparse = channels._character_pieces(average(group), group, dims, N - M)
+                sparse = channels._character_pieces(average(group), group, N - M)
             else:
                 sparse = [(1, block, None)]
             dense = dense_character_pieces(block, idx, dims, N - M)
@@ -592,17 +593,17 @@ class TestSparsePieces:
     ])
     def test_narrow_block_is_the_dense_builder(self, protocol, d, N, M):
         # a block at most SPLIT_MIN wide, or with no pair, is decomposed
-        # whole: its counted nonzeros are bit-identical to the scatter
-        # builder's block
+        # whole: its counted nonzeros are bit-identical to the block of the
+        # scatter builder's matrix on the whole basis
         (dims, _, _, average, _, _), blocks = orbit_blocks(protocol, d, N, M)
         if protocol.startswith("std"):
-            build = partial(pbtc_signal_entries, enumerate_unordered(N, M), N, d)
+            full = pbtc_signal_entries(enumerate_unordered(N, M), N, d)
         else:
-            build = partial(mpbt_signal_entries, enumerate_ordered(N, M), N, d)
+            full = mpbt_signal_entries(enumerate_ordered(N, M), N, d)
         whole = [idx for idx in blocks if len(idx) <= channels.SPLIT_MIN or N - M < 2]
         assert whole
         for idx in whole:
-            assert np.array_equal(counted_average(average, idx, dims), build(idx))
+            assert np.array_equal(counted_average(average, idx, dims), full[np.ix_(idx, idx)])
 
     def test_peak_memory_below_one_block(self):
         # std-pbt N=13 splits its 3432-wide block and never forms it: the
@@ -642,7 +643,7 @@ class TestGroupedBuild:
         (dims, _, signal, average, target, _), blocks = orbit_blocks(protocol, d, N, M)
         narrow = [idx for idx in blocks if len(idx) <= channels.SPLIT_MIN]
         assert narrow
-        group = BlockGroup(narrow, prod(dims))
+        group = BlockGroup(narrow, dims)
         averages = counted_entries(average(group), group.widths)
         factors = [(build, build(group)) for build in (signal, target)]
         for b, idx in enumerate(narrow):
@@ -656,9 +657,9 @@ class TestGroupedBuild:
         # clone-mpbt's signal is its M! orderings' factors side by side in
         # every block, so the engine's traces sum in one order
         (dims, _, signal, *_), blocks = orbit_blocks("clone-mpbt", d, N, M)
-        _, parts = signal(BlockGroup(blocks, prod(dims)))
+        _, parts = signal(BlockGroup(blocks, dims))
         for idx, part in zip(blocks, parts, strict=True):
-            alone = [block_factor(partial(mpbt_signal_factor, [J], N, d), idx, dims)[1]
+            alone = [block_factor(partial(mpbt_signal_factor, [J]), idx, dims)[1]
                      for J in enumerate_ordered(M, M)]
             assert np.array_equal(part, np.hstack(alone))
 
@@ -668,10 +669,10 @@ class TestGroupedBuild:
         # lies outside the group, or in another block of it
         dims = (2,) * 4
         _, sectors = weight_sectors(dims, 1)
-        group = BlockGroup(sectors if every_sector else [s for s in sectors if 0 in s], prod(dims))
-        states._pattern_columns(dims, np.array([[[0, 1]]]), group)  # input to port: closed
+        group = BlockGroup(sectors if every_sector else [s for s in sectors if 0 in s], dims)
+        states._pattern_columns(np.array([[[0, 1]]]), group)  # input to port: closed
         with pytest.raises(ValueError, match="closed"):
-            states._pattern_columns(dims, np.array([[[1, 2]]]), group)
+            states._pattern_columns(np.array([[[1, 2]]]), group)
 
     def test_peak_memory_with_wide_blocks_apart(self):
         # std-pbtc (2, 10, 4) has blocks up to 462 wide; each is built alone,
@@ -723,15 +724,15 @@ def slot_targets(protocol, N, M, d):
     if protocol == "mpbt":
         return [_engine_inputs(protocol, N, M, d)[4]]
     if protocol == "clone-mpbt":
-        return [partial(cloned_signal_factor, i, N, M, d) for i in range(1, M + 1)]
-    return [partial(pbtc_signal_factor, (i,), N, d) for i in range(1, M + 1)]
+        return [partial(cloned_signal_factor, i, M) for i in range(1, M + 1)]
+    return [partial(pbtc_signal_factor, (i,)) for i in range(1, M + 1)]
 
 
 class TestEngineFactors:
     """The engine reads every signal and target as c F F^T. The scatter
-    builders, checked against dense references elsewhere, are the reference
-    here; `clone-mpbt` targets are checked against the dense sandwich in
-    test_cloning."""
+    builders' matrices on the whole basis, checked against dense references
+    elsewhere, are the reference here, sliced block by block; `clone-mpbt`
+    targets are checked against the dense sandwich in test_cloning."""
 
     @pytest.mark.parametrize(
         "protocol,d,N,M", FACTOR_POINTS,
@@ -743,20 +744,19 @@ class TestEngineFactors:
         if protocol.startswith("std"):
             # the engine's target is slot 1's; the other slots' are checked too
             factors = [signal, target] + slot_targets(protocol, N, M, d)[1:]
-            scatter = [partial(pbtc_signal_entries, [first])]
-            scatter += [partial(pbtc_signal_entries, [(i,)]) for i in first]
+            scatter = [pbtc_signal_entries([first], N, d)]
+            scatter += [pbtc_signal_entries([(i,)], N, d) for i in first]
         elif protocol == "mpbt":
             factors = [signal, target]
-            scatter = [partial(mpbt_signal_entries, [first])] * 2
+            scatter = [mpbt_signal_entries([first], N, d)] * 2
         else:
             factors = [signal]
-            scatter = [partial(mpbt_signal_entries, list(itertools.permutations(first)))]
+            scatter = [mpbt_signal_entries(list(itertools.permutations(first)), N, d)]
         _, sectors = weight_sectors(dims, n_conj)
         for idx in sectors:
-            for factor, build in zip(factors, scatter, strict=True):
-                ref = build(N, d, idx)
+            for factor, full in zip(factors, scatter, strict=True):
                 entries = factor_entries(block_factor(factor, idx, dims), len(idx))
-                assert np.abs(entries - ref).max() <= 1e-15
+                assert np.abs(entries - full[np.ix_(idx, idx)]).max() <= 1e-15
 
 
 BLOCK_POINTS = [

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from portclone.cloning import (
-    clone_adjoint_on_input,
-    clone_map,
-    cloned_signal_factor,
-    optimal_clone_fidelity,
-)
+from portclone.cloning import clone_adjoint_on_input, clone_map, optimal_clone_fidelity
 from portclone.states import (
+    cloned_signal_factor,
     input_label,
     max_entangled,
     maximally_mixed,
@@ -138,9 +134,9 @@ def factor_entries(factor, k):
 
 
 def cloned_signal(i, N, M, d, idx=None):
-    dim = mpbt_layout(N, M, d).dim
-    idx = np.arange(dim) if idx is None else idx
-    c, [f] = cloned_signal_factor(i, N, M, d, BlockGroup([idx], dim))
+    layout = mpbt_layout(N, M, d)
+    idx = np.arange(layout.dim) if idx is None else idx
+    c, [f] = cloned_signal_factor(i, M, BlockGroup([idx], layout.dims))
     return factor_entries((c, f), len(idx))
 
 
@@ -183,4 +179,14 @@ class TestClonedSignal:
 
     def test_rejects_index_set_not_closed(self):
         with pytest.raises(ValueError, match="closed"):
-            cloned_signal_factor(1, 2, 2, 2, BlockGroup([np.array([1])], 2**4))
+            cloned_signal_factor(1, 2, BlockGroup([np.array([1])], (2,) * 4))
+
+    @pytest.mark.parametrize("N,M,d", [(2, 2, 2), (3, 1, 2), (2, 3, 3)])
+    def test_rejects_port_out_of_range(self, N, M, d):
+        # N is read off the group: slots [X1..XM, A1..AN] leave N ports
+        layout = mpbt_layout(N, M, d)
+        group = BlockGroup([np.arange(layout.dim)], layout.dims)
+        cloned_signal_factor(N, M, group)
+        for i in (0, N + 1):
+            with pytest.raises(ValueError, match=f"port index {i} out of range 1..{N}"):
+                cloned_signal_factor(i, M, group)

@@ -6,6 +6,7 @@ import pytest
 from portclone import tensor_core
 from portclone.measurements import clone_mpbt_povm
 from portclone.states import (
+    counted_entries,
     ensemble_average,
     max_entangled,
     maximally_mixed,
@@ -15,7 +16,7 @@ from portclone.states import (
     pbt_layout,
     pbtc_ensemble,
     pbtc_signal,
-    pbtc_signal_entries,
+    pbtc_signal_nonzeros,
 )
 from portclone.symmetry import (
     enumerate_ordered,
@@ -25,6 +26,7 @@ from portclone.symmetry import (
     symmetrize_slots,
 )
 from portclone.tensor_core import (
+    BlockGroup,
     DimensionCapError,
     hermitian_eig,
     kron_compose,
@@ -137,8 +139,9 @@ class TestPbtcSignal:
             assert np.abs(d**len(I) / sym_dim(d, len(I)) * sym - eta).max() < 1e-12
 
     def test_rejects_index_set_not_closed(self):
+        group = BlockGroup([np.array([1])], (2,) * 3)
         with pytest.raises(ValueError, match="closed"):
-            pbtc_signal_entries([(1, 2)], 2, 2, np.array([1]))
+            counted_entries(pbtc_signal_nonzeros([(1, 2)], group), group.widths)
 
     def test_m1_reduces_to_plain_signal(self):
         # with one port nothing is symmetrized: the pbtc scatter gives the

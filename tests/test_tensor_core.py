@@ -19,6 +19,7 @@ from portclone.states import (
 from portclone.symmetry import enumerate_unordered, symmetric_projector
 from portclone.tensor_core import (
     PINV_CUTOFF,
+    BlockGroup,
     DimensionCapError,
     LabeledOperator,
     SubsystemLayout,
@@ -340,6 +341,31 @@ class TestWeightSectors:
         for state in ensemble.values():
             assert np.all(state.entries[off] == 0)
         assert np.all(ensemble_average(ensemble).entries[off] == 0)
+
+
+class TestBlockGroup:
+    def test_tables_follow_the_dims(self):
+        # three blocks over slots of mixed dimensions: the group's place
+        # values and digits are those of numpy's index maps, and its position
+        # tables are those of its docstring
+        dims = (2, 3, 2)
+        blocks = [np.array([0, 5, 7]), np.array([2, 3]), np.array([4, 9, 10, 11])]
+        group = BlockGroup(blocks, dims)
+        idx = np.concatenate(blocks)
+        assert group.dims == dims and group.widths == [3, 2, 4]
+        assert np.array_equal(group.idx, idx)
+        assert np.array_equal(group.strides, np.ravel_multi_index(np.eye(3, dtype=int), dims))
+        assert np.array_equal(group.digits, np.unravel_index(idx, dims))
+        assert np.array_equal(group.starts, [0, 3, 5, 9])
+        assert np.array_equal(group.entry_block, [0, 0, 0, 1, 1, 2, 2, 2, 2])
+        for b, block in enumerate(blocks):
+            assert np.all(group.basis_block[block] == b)
+            assert np.array_equal(group.basis_pos[block], np.arange(len(block)))
+        assert np.all(group.basis_block[np.setdiff1d(np.arange(12), idx)] == -1)
+        assert np.array_equal(group.positions(np.array([2, 0]), np.array([9, 5])), [1, 1])
+        for source, target in ((0, 1), (1, 0)):  # outside the group, in another block
+            with pytest.raises(ValueError, match="closed"):
+                group.positions(source, np.array([target]))
 
 
 class TestBlockedInvSqrt:

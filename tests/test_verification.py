@@ -96,7 +96,8 @@ class TestRankCheck:
         # check d ranks each signal block by block; the dense rank must agree
         _, sectors = weight_sectors((d,) * (N + 1), 1)
         for I in enumerate_unordered(N, M):
-            blocks = [pbtc_signal_entries([I], N, d, idx) for idx in sectors]
+            full = pbtc_signal_entries([I], N, d)
+            blocks = [full[np.ix_(idx, idx)] for idx in sectors]
             dense = kept_rank([pbtc_signal(I, N, d).entries])
             assert kept_rank(blocks) == dense
 
