@@ -14,7 +14,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from math import comb, factorial, prod
+from math import comb, prod
 
 import numpy as np
 
@@ -266,11 +266,6 @@ def _engine_inputs(protocol: str, N: int, M: int, d: int):
     return dims, M, signal, average, target, d
 
 
-def _orbit_size(w: np.ndarray) -> int:
-    """Number of distinct permutations of the weight vector w."""
-    return factorial(len(w)) // prod(map(factorial, Counter(w.tolist()).values()))
-
-
 def _gather(vecs: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """(V^T F)^T for F given as rows of positions: F is the sum over the rows
     of the 0/1 matrices with a one at (row entry, column), so row c of the
@@ -447,9 +442,11 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     which is formed only when it is not split; both are sized before the
     table is built.
 
-    Returns F, its completion part, the sizes of all sectors, the number of
-    sectors evaluated, the orbit-weighted count of eigenvalues kept above
-    the cutoff, and the number and largest width of the matrices decomposed.
+    Returns the `FidelityReport` fields of the point by name: F and f, F's
+    completion part, d_in, the number and largest size of all sectors, the
+    number of sectors evaluated, the orbit-weighted count of eigenvalues kept
+    above the cutoff, and the number and largest width of the matrices
+    decomposed.
     """
     check_dims(dims)
     rows, cols = prod(dims), max(len(dims), *dims)
@@ -457,7 +454,14 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     sizes = sector_sizes(dims, n_conj)
     check_cap(max(sizes) ** 2, f"largest block {max(sizes)}")
     weights, sectors = weight_sectors(dims, n_conj)
-    orbits = [(w, idx) for w, idx in zip(weights, sectors) if np.all(np.diff(w) <= 0)]
+    # every distinct permutation of w is a sector, so the sectors counted per
+    # sorted w are its orbit's size, d! / prod_v m_v!
+    orbit_size, orbits = Counter(), []
+    for w, idx in zip(weights.tolist(), sectors):
+        key = tuple(sorted(w, reverse=True))
+        orbit_size[key] += 1
+        if list(key) == w:
+            orbits.append((key, idx))
     narrow = [i for i, (_, idx) in enumerate(orbits) if len(idx) <= SPLIT_MIN]
     groups = [(narrow, False)] if narrow else []
     groups += [([i], n_free >= 2) for i, (_, idx) in enumerate(orbits) if len(idx) > SPLIT_MIN]
@@ -471,7 +475,7 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
         c_eta, etas = signal(group)
         c_tau, taus = (c_eta, etas) if target is signal else target(group)
         for i, pieces, f_eta, f_tau in zip(members, blocks, etas, taus):
-            size = _orbit_size(orbits[i][0])
+            size = orbit_size[orbits[i][0]]
             records += [(i, size * count, piece, piece_rows, (c_eta, f_eta), (c_tau, f_tau))
                         for count, piece, piece_rows in pieces]
     records.sort(key=lambda record: record[0])  # stable, so each block's pieces stay in order
@@ -484,75 +488,43 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
         main += weight * piece_main
         completion += weight * piece_completion
         kept_rank += weight * int(np.count_nonzero(keep))
-    F, delta = float((main + completion) / d_in**2), float(completion / d_in**2)
-    return F, delta, sizes, len(orbits), kept_rank, len(pieces), max(map(len, pieces))
+    F = float((main + completion) / d_in**2)
+    return dict(F=F, f=avg_fidelity(F, d_in), delta_contribution=float(completion / d_in**2),
+                input_dim=d_in, n_blocks=len(sizes), max_block_dim=max(sizes),
+                n_orbits=len(orbits), kept_rank=kept_rank, n_pieces=len(pieces),
+                max_piece_dim=max(map(len, pieces)))
 
 
-def _port_report(protocol: str, N: int, M: int, d: int) -> FidelityReport:
-    start = time.perf_counter()
-    dims, n_conj, signal, average, target, d_in = _engine_inputs(protocol, N, M, d)
-    F, delta_contribution, sizes, n_orbits, kept_rank, n_pieces, max_piece_dim = (
-        _sector_fidelities(dims, n_conj, N - M, signal, average, target, d_in)
-    )
-    f = avg_fidelity(F, d_in)
-    return FidelityReport(
-        protocol=protocol,
-        d=d,
-        N=N,
-        M=M,
-        F=F,
-        f=f,
-        per_clone_f=(f,) if protocol == "mpbt" else (f,) * M,
-        delta_contribution=delta_contribution,
-        runtime_ms=(time.perf_counter() - start) * 1e3,
-        input_dim=d_in,
-        n_blocks=len(sizes),
-        max_block_dim=max(sizes),
-        n_orbits=n_orbits,
-        kept_rank=kept_rank,
-        n_pieces=n_pieces,
-        max_piece_dim=max_piece_dim,
-    )
-
-
-def _clone_report(M: int, d: int) -> FidelityReport:
-    """Pure optimal cloning with no teleportation: dense single-clone fidelity."""
-    start = time.perf_counter()
+def _clone_fields(M: int, d: int) -> dict:
+    """Pure optimal cloning with no teleportation: the `FidelityReport` fields
+    of the dense single-clone marginal, f read off it and F = (f (d + 1) - 1) / d."""
     x_layout = SubsystemLayout([input_label()], [d])
     basis0 = np.zeros((d, d))
     basis0[0, 0] = 1.0
     out_labels = [f"c{k}" for k in range(1, M + 1)]
     cloned = clone_map(LabeledOperator(x_layout, basis0), M, d, out_labels)
-    marginal = partial_trace(cloned, out_labels[1:])
-    f = float(np.real(marginal.entries[0, 0]))
-    F = (f * (d + 1) - 1) / d
-    runtime_ms = (time.perf_counter() - start) * 1e3
-    return FidelityReport(
-        protocol="clone",
-        d=d,
-        N=0,
-        M=M,
-        F=F,
-        f=f,
-        per_clone_f=(f,) * M,
-        delta_contribution=0.0,
-        runtime_ms=runtime_ms,
-        n_blocks=1,
-        max_block_dim=cloned.dim,
-        n_orbits=1,
-        n_pieces=1,
-        max_piece_dim=cloned.dim,
-    )
+    f = float(np.real(partial_trace(cloned, out_labels[1:]).entries[0, 0]))
+    return dict(F=(f * (d + 1) - 1) / d, f=f, delta_contribution=0.0, n_blocks=1,
+                max_block_dim=cloned.dim, n_orbits=1, n_pieces=1, max_piece_dim=cloned.dim)
 
 
 def protocol_fidelity(protocol: str, d: int, N: int, M: int) -> FidelityReport:
-    """Evaluate one protocol at one parameter point."""
+    """Evaluate one protocol at one parameter point. This is the one place a
+    `FidelityReport` is built; `clone` uses no ports and reports N = 0."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
-    if protocol == "clone":
-        return _clone_report(M, d)
-    if not 1 <= M <= N:
+    if protocol != "clone" and not 1 <= M <= N:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
     if protocol == "std-pbt" and M != 1:
         raise ValueError("std-pbt transfers a single state; use M=1")
-    return _port_report(protocol, N, M, d)
+    start = time.perf_counter()
+    if protocol == "clone":
+        N, fields = 0, _clone_fields(M, d)
+    else:
+        dims, n_conj, signal, average, target, d_in = _engine_inputs(protocol, N, M, d)
+        fields = _sector_fidelities(dims, n_conj, N - M, signal, average, target, d_in)
+    f = fields["f"]
+    return FidelityReport(
+        protocol=protocol, d=d, N=N, M=M, per_clone_f=(f,) * (1 if protocol == "mpbt" else M),
+        runtime_ms=(time.perf_counter() - start) * 1e3, **fields,
+    )

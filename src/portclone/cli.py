@@ -163,7 +163,7 @@ def sweep(protocols, d, m, n_range, csv_path, svg_path):
     try:
         _write_csv(csv_path, reports)
         if svg_path:
-            _write_svg(svg_path, reports, d, m)
+            _write_svg(svg_path, reports, d, max(eff_m.values()))
     except OSError as exc:
         raise click.ClickException(f"cannot write output: {exc}")
     click.echo(f"wrote {len(reports)} rows to {csv_path}")

@@ -1,6 +1,6 @@
 import itertools
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from math import comb, prod, sqrt
 
@@ -91,6 +91,22 @@ class TestFidelityReport:
         for key in ("protocol", "d", "N", "M", "F", "f",
                     "per_clone_f", "delta_contribution", "runtime_ms"):
             assert key in doc
+
+    @pytest.mark.parametrize("protocol, d, N, M", [
+        ("std-pbtc", 2, 4, 2), ("clone-mpbt", 2, 4, 3), ("std-pbt", 2, 3, 1),
+        ("mpbt", 2, 3, 2), ("clone", 3, 5, 2),
+    ])
+    def test_one_report_path(self, protocol, d, N, M):
+        # every route's report is built by protocol_fidelity: the JSON keys
+        # follow the declaration, mpbt reports one f and the others M, and
+        # clone uses no ports whatever N it is passed
+        r = protocol_fidelity(protocol, d, N, M)
+        assert list(r.to_json_dict()) == [
+            field.name for field in fields(FidelityReport) if field.name != "input_dim"
+        ]
+        assert r.per_clone_f == (r.f,) * (1 if protocol == "mpbt" else M)
+        assert r.runtime_ms > 0
+        assert (r.protocol, r.d, r.N, r.M) == (protocol, d, 0 if protocol == "clone" else N, M)
 
 
 class TestRouteEquivalence:

@@ -69,6 +69,22 @@ class TestSweepCommand:
         assert svg.startswith("<svg")
         assert "asymptote" in svg
 
+    @pytest.mark.parametrize("protocols, m, asymptote", [
+        ("std-pbt", 1, 1.0),  # std-pbt always runs with M=1, whatever --M says
+        ("std-pbt,std-pbtc", 2, 5 / 6),
+    ])
+    def test_svg_asymptote_follows_the_m_swept(self, runner, tmp_path, protocols, m, asymptote):
+        svg_path = tmp_path / "out.svg"
+        res = runner.invoke(main, [
+            "sweep", "--protocols", protocols, "--N-range", "2:4",
+            "--csv", str(tmp_path / "out.csv"), "--svg", str(svg_path),
+        ])
+        assert res.exit_code == 0, res.output
+        svg = svg_path.read_text()
+        meta = json.loads(svg[svg.index("<metadata>") + 10:svg.index("</metadata>")])
+        assert (meta["d"], meta["M"]) == (2, m)
+        assert abs(meta["asymptote"] - asymptote) < 1e-12
+
     def test_csv_reports_blocks_and_kept_rank(self, runner, tmp_path):
         csv_path = tmp_path / "out.csv"
         res = runner.invoke(main, [
