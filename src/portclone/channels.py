@@ -25,7 +25,6 @@ from portclone.states import (
     counted_entries,
     input_label,
     max_entangled,
-    maximally_mixed,
     mpbt_signal_factor,
     mpbt_signal_nonzeros,
     pbt_layout,
@@ -40,7 +39,6 @@ from portclone.tensor_core import (
     SubsystemLayout,
     check_cap,
     check_dims,
-    kron_compose,
     partial_trace,
     sector_sizes,
     support_spectra,
@@ -99,17 +97,6 @@ def avg_fidelity(F: float, d: int) -> float:
     return (F * d + 1) / (d + 1)
 
 
-def _teleport_resource(b: int, N: int, d: int) -> LabeledOperator:
-    """Reduced resource after discarding all receiver ports except the one
-    paired with sender port b: Phi+ on (A_b, B), maximally mixed elsewhere."""
-    factors = [max_entangled(d, port_label(b), OUTPUT_LABEL)]
-    rest = [port_label(j) for j in range(1, N + 1) if j != b]
-    if rest:
-        factors.append(maximally_mixed(rest, d))
-    order = [port_label(i) for i in range(1, N + 1)] + [OUTPUT_LABEL]
-    return kron_compose(factors).permute_subsystems(order)
-
-
 def _check_povm(povm: Povm, N: int, d: int, clone_slot: int) -> None:
     """Refuse a POVM that is not on [X, A1..AN] of dimension d, or a clone
     slot outside its outcomes."""
@@ -124,30 +111,34 @@ def _check_povm(povm: Povm, N: int, d: int, clone_slot: int) -> None:
 def _clone_channel(
     povm: Povm, state: LabeledOperator, N: int, d: int, clone_slot: int
 ) -> LabeledOperator:
-    """The reduced single-clone channel applied to the X slot of `state`;
-    its other slots pass through, in front of the output slot B.
+    """The reduced single-clone channel applied to the X slot of `state`,
+    which comes first; its other slots pass through, in front of the output
+    slot B.
 
     For each outcome I the receiving port b is the clone_slot-th smallest
-    element of I; all other receiver ports are already traced out of the
-    resource, leaving maximally mixed sender ports. The state-and-resource
-    operator omega_b depends on I only through b and the channel is linear in
-    the elements, so the elements sharing b are summed into E_b first, and
-    Tr_{X,A}[(E_b (x) 1) omega_b] is one contraction per receiving port.
+    element of I. With every other receiver discarded, the resource is Phi+
+    on (A_b, B) and maximally mixed on the other sender ports, so the channel
+    reads the elements only through their sum E_b over the outcomes sharing
+    b, with those ports traced out: the d^2 x d^2 marginal
+    m_b = Tr_{A_j, j != b}[E_b] / d^(N-1) on [X, A_b]. Each port then adds
+    one contraction of m_b with the state and Phi+; the resource and the
+    state-and-resource operator are never formed.
     """
     _check_povm(povm, N, d, clone_slot)
-    passed = [l for l in state.layout.labels if l != input_label()] + [OUTPUT_LABEL]
-    order = list(povm.layout.labels) + passed
     by_port: dict[int, np.ndarray] = {}
     for I, element in povm.outcomes.items():
         b = I[clone_slot - 1]
         by_port[b] = by_port[b] + element.entries if b in by_port else element.entries
-    k = povm.layout.dim
+    kept = state.layout.restricted(state.layout.labels[1:])
+    layout = SubsystemLayout(kept.labels + (OUTPUT_LABEL,), kept.dims + (d,))
+    s = state.entries.reshape(d, kept.dim, d, kept.dim)
+    phi = max_entangled(d, port_label(1), OUTPUT_LABEL).entries.reshape(d, d, d, d)
     out = 0
     for b, e in by_port.items():
-        omega = kron_compose([state, _teleport_resource(b, N, d)]).permute_subsystems(order)
-        p = omega.dim // k
-        out = out + np.einsum("ab,bpaq->pq", e, omega.entries.reshape(k, p, k, p))
-    return LabeledOperator(omega.layout.restricted(passed), out)
+        rest = [port_label(j) for j in range(1, N + 1) if j != b]
+        m = partial_trace(LabeledOperator(povm.layout, e), rest).entries / d ** (N - 1)
+        out = out + np.einsum("xayc,yPxQ,cBaC->PBQC", m.reshape(d, d, d, d), s, phi)
+    return LabeledOperator(layout, out.reshape(layout.dim, layout.dim))
 
 
 def single_clone_output(
@@ -192,9 +183,8 @@ def entanglement_fidelity_choi(
 ) -> float:
     """Direct route: feed half of a maximally entangled pair through the
     reduced channel and project the joint output on the maximally entangled
-    state. The state and resource operator lives on a d^(N+3)-dimensional
-    space; the channel reads it through one contraction per receiving port
-    (`_clone_channel`), never through a product of that width."""
+    state. The channel (`_clone_channel`) reads the POVM through one
+    two-slot marginal per receiving port and never forms the resource."""
     size = len(next(iter(povm.outcomes)))
     if size != M:
         raise ValueError(f"POVM outcomes are sets of {size} ports, not M={M}")
@@ -216,8 +206,9 @@ def haar_average_check(
 
     Returns (estimate, standard error). Haar sampling draws normalized
     complex Gaussian vectors with a fixed-seed generator. The channel is
-    linear, so it is evaluated once on the matrix units |i><j|, and each
-    sample's output is sum_ij psi_i conj(psi_j) Lambda(|i><j|).
+    linear, so each sample's output is sum_ij psi_i conj(psi_j)
+    Lambda(|i><j|), and all d^2 of the Lambda(|i><j|) are read off one
+    Choi state, the channel applied to half of Phi+.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -225,11 +216,9 @@ def haar_average_check(
     draws = rng.normal(size=(samples, 2, d))  # per sample: d real parts, then d imaginary
     vecs = draws[:, 0] + 1j * draws[:, 1]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    x_layout = SubsystemLayout([input_label()], [d])
-    units = np.array([
-        single_clone_output(povm, LabeledOperator(x_layout, unit), N, d, clone_slot).entries
-        for unit in np.eye(d * d).reshape(d * d, d, d)
-    ])  # Lambda(|i><j|) at position i * d + j
+    choi = _clone_channel(povm, max_entangled(d, input_label(), REFERENCE_LABEL), N, d, clone_slot)
+    # Lambda(|i><j|) = d <i|_Xref choi |j>_Xref, at position i * d + j
+    units = d * choi.entries.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d, d)
     rhos = np.einsum("si,sj->sij", vecs, vecs.conj()).reshape(samples, d * d)
     outs = np.tensordot(rhos, units, axes=1)
     vals = np.real(np.einsum("si,sij,sj->s", vecs.conj(), outs, vecs))

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Sequence
 
 import numpy as np
 
-from portclone.tensor_core import LabeledOperator, SubsystemLayout
+from portclone.tensor_core import LabeledOperator, SubsystemLayout, check_cap
 
 
 def port_label(i: int) -> str:
@@ -111,7 +111,12 @@ def symmetrize_rows(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]
     """Pi A, where A is given by its entries `a` on `layout` and Pi
     symmetrizes the slot positions `slots`. Pi is the average of the slot
     permutations, each of which maps basis states to basis states, so Pi A
-    is the average of the row gathers A[g]."""
+    is the average of the row gathers A[g]. The table of gathers holds a
+    digit per slot, permutation and basis state; it is refused from that
+    count before any permutation is listed."""
+    perms = factorial(len(slots))
+    check_cap(perms * len(layout.dims) * layout.dim,
+              f"basis-map table of {perms} slot permutations")
     gathers = permuted_basis_indices(_slot_permutations(len(layout.dims), slots), layout.dims)
     return sum(a[g] for g in gathers) / len(gathers)
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from functools import partial
@@ -16,7 +17,6 @@ from portclone.channels import (
     FidelityReport,
     _block_terms,
     _engine_inputs,
-    _teleport_resource,
     avg_fidelity,
     entanglement_fidelity_choi,
     entanglement_fidelity_formula,
@@ -33,6 +33,7 @@ from portclone.states import (
     ensemble_average,
     input_label,
     max_entangled,
+    maximally_mixed,
     mpbt_ensemble,
     mpbt_signal,
     mpbt_signal_entries,
@@ -133,16 +134,27 @@ class TestRouteEquivalence:
         assert out.entries[0, 0].real < 1.0  # cloning is never perfect here
 
 
+def teleport_resource(b, N, d):
+    """Reduced resource after discarding all receiver ports except the one
+    paired with sender port b: Phi+ on (A_b, B), maximally mixed elsewhere."""
+    factors = [max_entangled(d, f"A{b}", OUTPUT_LABEL)]
+    rest = [f"A{j}" for j in range(1, N + 1) if j != b]
+    if rest:
+        factors.append(maximally_mixed(rest, d))
+    order = [f"A{i}" for i in range(1, N + 1)] + [OUTPUT_LABEL]
+    return kron_compose(factors).permute_subsystems(order)
+
+
 def dense_clone_channel(povm, state, N, d, clone_slot):
-    """The single-clone channel as the full-width products that the
-    per-port contraction replaced: for every outcome I, Tr_{X,A} of
-    (E_I (x) 1) times state (x) resource of I's receiving port."""
+    """The single-clone channel as full-width products: for every outcome I,
+    Tr_{X,A} of (E_I (x) 1) times state (x) the resource of I's receiving
+    port, the d^(N+3)-wide operator the channel's marginals never form."""
     expected = pbt_layout(N, d).labels
     passed = [l for l in state.layout.labels if l != input_label()] + [OUTPUT_LABEL]
     pass_identity = identity(SubsystemLayout(passed, [d] * len(passed)))
     out = 0
     for I, element in povm.outcomes.items():
-        resource = _teleport_resource(I[clone_slot - 1], N, d)
+        resource = teleport_resource(I[clone_slot - 1], N, d)
         omega = kron_compose([state, resource]).permute_subsystems(list(expected) + passed)
         big_e = kron_compose([element, pass_identity])
         out = out + partial_trace(big_e @ omega, expected).entries
@@ -168,7 +180,12 @@ class TestContractedChannel:
 
     @pytest.mark.parametrize(
         "builder,d,N,M,slot",
-        [(std_pbtc_povm, 2, 4, 2, 1), (clone_mpbt_povm, 2, 4, 2, 2), (std_pbtc_povm, 3, 3, 2, 1)],
+        [
+            (std_pbtc_povm, 2, 4, 2, 1),
+            (clone_mpbt_povm, 2, 4, 2, 2),
+            (std_pbtc_povm, 3, 3, 2, 1),
+            (clone_mpbt_povm, 3, 3, 2, 2),
+        ],
     )
     def test_choi_fidelity(self, builder, d, N, M, slot):
         povm = builder(N, M, d)
@@ -178,6 +195,34 @@ class TestContractedChannel:
             max_entangled(d, REFERENCE_LABEL, OUTPUT_LABEL).entries,
         )
         assert abs(entanglement_fidelity_choi(povm, slot, N, M, d) - reference) <= 1e-14
+
+    def test_routes_read_no_signal(self, monkeypatch):
+        # the Choi route and the Haar check read the POVM, its marginals and
+        # an explicit Phi+ only, so they stay independent of the formula route
+        d, N, M = 2, 4, 2
+        povm = std_pbtc_povm(N, M, d)
+        choi = entanglement_fidelity_choi(povm, 2, N, M, d)
+        haar = haar_average_check(povm, 2, 30, 7, N, d)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a signal builder was read")
+
+        for module, name in [(channels, "pbtc_signal"), (channels, "counted_entries"),
+                             (states, "counted_entries"), (states, "pbtc_signal_entries")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert entanglement_fidelity_choi(povm, 2, N, M, d) == choi
+        assert haar_average_check(povm, 2, 30, 7, N, d) == haar
+
+    @pytest.mark.parametrize("d,N", [(2, 6), (3, 4)])
+    def test_choi_peak_memory_of_a_few_elements(self, d, N):
+        # the channel holds one summed element per receiving port and
+        # d^2 x d^2 marginals, never the d^(N+3)-wide state and resource
+        povm = std_pbtc_povm(N, 2, d)
+        tracemalloc.start()
+        entanglement_fidelity_choi(povm, 1, N, 2, d)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 8 * povm.layout.dim**2 * 8
 
 
 class TestCloneSlotRange:
@@ -257,6 +302,16 @@ class TestProtocolDispatch:
             for m in (1, 2, 3):
                 r = protocol_fidelity("clone", d, 0, m)
                 assert abs(r.f - optimal_clone_fidelity(m, d)) < 1e-10
+
+    @pytest.mark.parametrize("M", [8, 9])
+    def test_clone_refused_by_its_permutation_table(self, M):
+        # the symmetrizer's table of M! basis maps is counted before any
+        # permutation is listed; at M = 8 it holds 8! * 8 * 2^8 = 82.6 M
+        # entries, above the DIM_CAP**2 = 67.1 M of one cap-wide matrix
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapError, match="basis-map table"):
+            protocol_fidelity("clone", 2, 0, M)
+        assert time.perf_counter() - start < 0.05
 
     def test_mpbt_m1_equals_std_pbt(self):
         a = protocol_fidelity("mpbt", 2, 3, 1)

@@ -4,6 +4,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from portclone import symmetry
 from portclone.states import mpbt_signal, pbt_layout, pbtc_signal
 from portclone.symmetry import (
     cycle_count,
@@ -19,7 +20,7 @@ from portclone.symmetry import (
     symmetrize_rows,
     symmetrize_slots,
 )
-from portclone.tensor_core import SubsystemLayout
+from portclone.tensor_core import DimensionCapError, SubsystemLayout
 
 
 class TestPortSets:
@@ -199,6 +200,16 @@ class TestSymmetrizeSlots:
         )
         pi = symmetric_projector((1, 2, 3), layout).entries
         assert np.abs(symmetrize_rows(a, layout, slots) - pi @ a).max() < 1e-14
+
+    def test_table_refused_before_permutations_are_listed(self, monkeypatch):
+        # 8 slots of 2 levels: a table of 8! * 8 * 256 entries, above the cap
+        def refuse(*args):
+            raise AssertionError("permutations listed before the table was sized")
+
+        monkeypatch.setattr(symmetry, "_slot_permutations", refuse)
+        layout = SubsystemLayout([f"c{k}" for k in range(8)], [2] * 8)
+        with pytest.raises(DimensionCapError, match="basis-map table"):
+            symmetrize_rows(np.zeros((layout.dim, layout.dim)), layout, range(8))
 
 
 class TestStirling:

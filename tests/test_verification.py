@@ -8,6 +8,9 @@ import pytest
 
 from portclone import tensor_core, verification
 from portclone.states import (
+    max_entangled,
+    maximally_mixed,
+    pbt_layout,
     pbtc_ensemble,
     pbtc_signal,
     pbtc_signal_entries,
@@ -17,11 +20,14 @@ from portclone.symmetry import (
     permuted_basis_indices,
     port_label,
     subgroup_fixing_complement,
+    sym_dim,
+    symmetric_projector,
 )
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
     identity,
+    kron_compose,
     support_spectra,
     trace_product,
     weight_sectors,
@@ -90,16 +96,33 @@ def kept_rank(blocks):
     return sum(int(np.count_nonzero(keep)) for _, _, keep in support_spectra(blocks))
 
 
+def sandwiched_signal(I, N, d):
+    """Independent dense eta_I: (d^M / d[M]) Pi_I (Phi+ on (X, A_i1) (x)
+    maximally mixed) Pi_I, from tensor products and the dense projector."""
+    layout = pbt_layout(N, d)
+    factors = [max_entangled(d, "X", port_label(I[0]))]
+    rest = [port_label(j) for j in range(1, N + 1) if j != I[0]]
+    factors.append(maximally_mixed(rest, d))
+    rho = kron_compose(factors).permute_subsystems(layout.labels).entries
+    pi = symmetric_projector(I, layout).entries
+    return d ** len(I) / sym_dim(d, len(I)) * pi @ rho @ pi
+
+
 class TestRankCheck:
     @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (2, 5, 3), (3, 3, 2)])
     def test_sector_rank_equals_dense_rank(self, d, N, M):
-        # check d ranks each signal block by block; the dense rank must agree
+        # check d ranks each signal block by block; the dense rank must agree,
+        # and each block must be the slice of a signal built without the
+        # scatter, which a wrong position table would permute
         _, sectors = weight_sectors((d,) * (N + 1), 1)
         for I in enumerate_unordered(N, M):
             full = pbtc_signal_entries([I], N, d)
+            reference = sandwiched_signal(I, N, d)
             blocks = [full[np.ix_(idx, idx)] for idx in sectors]
+            for idx, block in zip(sectors, blocks):
+                assert np.abs(block - reference[np.ix_(idx, idx)]).max() <= 1e-15
             dense = kept_rank([pbtc_signal(I, N, d).entries])
-            assert kept_rank(blocks) == dense
+            assert kept_rank(blocks) == dense == kept_rank([reference])
 
     def test_non_psd_signal_refused(self):
         # a rank is only counted on the support of a PSD operator: a signal
