@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from portclone.symmetry import sym_dim, symmetrize_slots
+from portclone.symmetry import check_slot_table, sym_dim, symmetrize_slots
 from portclone.tensor_core import (
     LabeledOperator,
     SubsystemLayout,
@@ -33,6 +33,9 @@ def clone_map(
         out_labels = list(state.layout.labels) + [f"clone{k}" for k in range(K + 1, M + 1)]
     if len(out_labels) != M:
         raise ValueError(f"need {M} output labels, got {len(out_labels)}")
+    # the symmetrizer's table of M! basis maps is refused before the
+    # d^M-wide input (x) identity is formed
+    check_slot_table(M, M, d**M)
     work = state.relabel(dict(zip(state.layout.labels, out_labels[:K])))
     if M > K:
         extra = SubsystemLayout(out_labels[K:], [d] * (M - K))

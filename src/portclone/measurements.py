@@ -93,18 +93,32 @@ def square_root_measurement(e: dict[Hashable, LabeledOperator], root: LabeledOpe
     return Povm(outcomes=outcomes, layout=root.layout)
 
 
-def complete(p: Povm) -> Povm:
-    """Add the uniformly split complement Delta = (1 - sum E) / n to each element."""
-    total = p.element_sum()
-    excess = hermitian_eig(total).eigenvalues.max() - 1.0
+def square_root_blocks(stacks: list[np.ndarray], roots: list[np.ndarray]) -> list[np.ndarray]:
+    """The elements of `square_root_measurement` for operators given by their
+    diagonal blocks: per block, the (n, w, w) stack of the n states' blocks
+    and the block of the root give the stack of the elements' blocks."""
+    return [root @ (1.0 / len(stack) * stack) @ root for root, stack in zip(roots, stacks)]
+
+
+def split_complement(sums: list[np.ndarray], top: float, n: int) -> list[np.ndarray]:
+    """The complement Delta = (1 - S) / n of the sum S of n elements, split
+    uniformly, given by the diagonal blocks `sums` of S, one block or many.
+    `top` is the largest eigenvalue of S, by which an S that exceeds the
+    identity is refused."""
+    excess = top - 1.0
     if excess > SUM_EXCESS_TOL:
         raise ValueError(
             f"element sum exceeds identity by {excess:.3e}; upstream PSD violation"
         )
-    n = len(p.outcomes)
-    delta = LabeledOperator(
-        p.layout, (np.eye(p.layout.dim) - total.entries) / n
-    )
+    return [(np.eye(len(total)) - total) / n for total in sums]
+
+
+def complete(p: Povm) -> Povm:
+    """Add the uniformly split complement Delta = (1 - sum E) / n to each element."""
+    total = p.element_sum()
+    top = hermitian_eig(total).eigenvalues.max()
+    [delta] = split_complement([total.entries], top, len(p.outcomes))
+    delta = LabeledOperator(p.layout, delta)
     outcomes = {key: el + delta for key, el in p.outcomes.items()}
     return Povm(outcomes=outcomes, layout=p.layout, completion_element=delta)
 

@@ -107,6 +107,14 @@ def port_slots(layout: SubsystemLayout, ports: Sequence[int]) -> list[int]:
     return [layout.index(port_label(i)) for i in check_ports(ports, port_count(layout))]
 
 
+def check_slot_table(m: int, n_slots: int, dim: int) -> None:
+    """Refuse a table of the basis maps of the m! permutations of m slots,
+    a digit per slot of the n_slots and basis state of the dimension `dim`,
+    by its count before any permutation is listed."""
+    perms = factorial(m)
+    check_cap(perms * n_slots * dim, f"basis-map table of {perms} slot permutations")
+
+
 def symmetrize_rows(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
     """Pi A, where A is given by its entries `a` on `layout` and Pi
     symmetrizes the slot positions `slots`. Pi is the average of the slot
@@ -114,9 +122,7 @@ def symmetrize_rows(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]
     is the average of the row gathers A[g]. The table of gathers holds a
     digit per slot, permutation and basis state; it is refused from that
     count before any permutation is listed."""
-    perms = factorial(len(slots))
-    check_cap(perms * len(layout.dims) * layout.dim,
-              f"basis-map table of {perms} slot permutations")
+    check_slot_table(len(slots), len(layout.dims), layout.dim)
     gathers = permuted_basis_indices(_slot_permutations(len(layout.dims), slots), layout.dims)
     return sum(a[g] for g in gathers) / len(gathers)
 

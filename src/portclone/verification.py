@@ -8,30 +8,28 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from typing import Any
 
 import numpy as np
 
 from portclone.channels import protocol_fidelity
-from portclone.measurements import complete, square_root_measurement
-from portclone.states import ensemble_average, pbtc_ensemble
+from portclone.measurements import split_complement, square_root_blocks
+from portclone.states import counted_entries, pbtc_signal_nonzeros
 from portclone.symmetry import (
+    check_slot_table,
     cycle_count,
     enumerate_unordered,
     permuted_basis_indices,
     port_label,
-    port_slots,
     stirling_first,
     subgroup_fixing_complement,
     sym_dim,
     symmetric_projector,
-    symmetrize_rows,
-    symmetrize_slots,
 )
 from portclone.tensor_core import (
+    BlockGroup,
     DimensionCapError,
-    LabeledOperator,
     SubsystemLayout,
     check_cap,
     check_family,
@@ -109,23 +107,35 @@ def combinatorial_disjoint_overlap(d: int, M: int, N: int) -> float:
     return float(enumerated)
 
 
-def _overlap_table(ensemble: dict[tuple[int, ...], LabeledOperator]) -> dict[tuple, float]:
-    """Tr[eta^I eta^J] over the outcome pairs I <= J, in the order of
-    `itertools.combinations_with_replacement`."""
-    return {
-        (I, J): trace_product(ensemble[I].entries, ensemble[J].entries)
-        for I, J in itertools.combinations_with_replacement(ensemble, 2)
-    }
+def _signal_sectors(N, M, d):
+    """The `BlockGroup` of the weight sectors of [X, A1..AN] and, per sector
+    of width w, the (C(N, M), w, w) stack of the signals' blocks in outcome
+    order and the block of their average. A column leaving its sector makes
+    `BlockGroup.positions` raise, so the build checks block-diagonality."""
+    check_family(comb(N, M), d ** (N + 1))
+    group = BlockGroup(weight_sectors((d,) * (N + 1), 1)[1], (d,) * (N + 1))
+    signals = [counted_entries(pbtc_signal_nonzeros([I], group), group.widths)
+               for I in enumerate_unordered(N, M)]
+    stacks = [np.array(blocks) for blocks in zip(*signals)]
+    return group, stacks, [(1.0 / len(stack) * stack).sum(axis=0) for stack in stacks]
 
 
-def purity(op: LabeledOperator) -> float:
-    """Tr[op^2] of a Hermitian operator, as an elementwise sum."""
-    return trace_product(op.entries, op.entries)
+def _sector_overlaps(stacks, outcomes):
+    """Tr[eta^I eta^J] = sum_rc eta^I[r, c] eta^J[c, r] over I <= J, in the order of
+    `combinations_with_replacement`, as one product per sector of the stacks."""
+    table = sum(s.reshape(len(s), -1) @ s.swapaxes(1, 2).reshape(len(s), -1).T for s in stacks)
+    pairs = itertools.combinations_with_replacement(range(len(outcomes)), 2)
+    return {(outcomes[i], outcomes[j]): float(table[i, j]) for i, j in pairs}
+
+
+def purity(blocks) -> float:
+    """Tr[A^2] of a Hermitian operator given by its diagonal blocks."""
+    return sum(trace_product(a, a) for a in blocks)
 
 
 def eta_bar_purity(N: int, M: int, d: int) -> float:
-    """Tr[eta_bar^2] for the uniform signal-state average."""
-    return purity(ensemble_average(pbtc_ensemble(N, M, d)))
+    """Tr[eta_bar^2] for the uniform signal-state average, sector by sector."""
+    return purity(_signal_sectors(N, M, d)[2])
 
 
 def purity_upper_bound(N: int, M: int, d: int) -> float:
@@ -181,14 +191,14 @@ def _batches(n, bytes_per_item):
     return [slice(i, i + size) for i in range(0, n, size)]
 
 
-def _check_subgroup_conjugation(N, get_outcomes):
+def _check_subgroup_conjugation(N, get_outcomes, subgroup_of):
     _cap_sn_table(N)
     outcomes = get_outcomes()
     # each member as one integer whose base-N digits are its images
     powers = N ** np.arange(N)
     # duplicate members are dropped, so each subgroup is compared as a set
     subgroups = [g[np.unique(g @ powers, return_index=True)[1]]
-                 for g in (subgroup_fixing_complement(I, N) for I in outcomes)]
+                 for g in (subgroup_of(I, N) for I in outcomes)]
     sizes = np.array([len(g) for g in subgroups])
     width = sizes.max()
     members = np.stack([np.pad(g, ((0, width - len(g)), (0, 0))) for g in subgroups])
@@ -239,73 +249,90 @@ def _check_projector_conjugation(d, N, get_outcomes):
     return worst, FLOAT_TOL, ""
 
 
-def _pre_completion_pgm(ensemble, eta_bar, inject_fault):
-    """The PGM before completion, and the support projector of the average
-    state `eta_bar`: one decomposition of it gives both."""
-    roots, supports = psd_inv_sqrt_blocks([eta_bar.entries])
-    # popped, so that only the operator's copy of the root stays alive
-    povm = square_root_measurement(ensemble, LabeledOperator(eta_bar.layout, roots.pop()))
+def _projector_gathers(N, group, outcomes):
+    """Pi_I as row gathers, over the outcomes I in the batches of `_batches`:
+    per batch its slice of `outcomes` and, per sector of width w, the
+    (outcome, member, w) positions in the sector of the images of its indices
+    under each member of the subgroup fixing the complement of I (port j is
+    slot j of [X, A1..AN]). A batch holds about 1 MB of basis-map digits, or
+    one outcome's, whose count is refused as `symmetrize_rows` refuses it."""
+    m, n_slots, dim = len(outcomes[0]), len(group.dims), len(group.idx)
+    check_slot_table(m, n_slots, dim)
+    for batch in _batches(len(outcomes), 8 * factorial(m) * n_slots * dim):
+        members = np.concatenate([subgroup_fixing_complement(I, N) + 1 for I in outcomes[batch]])
+        maps = permuted_basis_indices(np.insert(members, 0, 0, axis=1), group.dims)
+        maps = maps[:, group.idx].reshape(len(outcomes[batch]), -1, dim)
+        positions = group.positions(group.entry_block, maps)
+        yield batch, np.split(positions, group.starts[1:-1], axis=-1)
+
+
+def _symmetrized_rows(stack, gathers):
+    """Pi_I A_I on one sector for every I, from a stack of the A_I (or of one
+    A for all): one gather per member over all outcomes, summed as
+    `symmetrize_rows` sums."""
+    at = np.arange(len(stack))[:, None]
+    return sum(stack[at, g] for g in gathers.swapaxes(0, 1)) / gathers.shape[1]
+
+
+def _sector_pgm(stacks, average, get_gathers, inject_fault):
+    """Per sector, the stacked PGM elements before completion, the support
+    projector (one decomposition gives both), and the completion of
+    `split_complement`, or None where the element sum is refused."""
+    roots, supports = psd_inv_sqrt_blocks(average)
+    elements = square_root_blocks(stacks, roots)
     if inject_fault:
-        # scaling alone cannot break the support-invariance identity (it is
-        # scale-invariant), so the fault also adds an off-support component
-        first, layout = next(iter(povm.outcomes)), povm.layout
-        one = np.eye(layout.dim)
-        off_support = LabeledOperator(
-            layout, one - symmetrize_slots(one, layout, port_slots(layout, first))
-        )
-        corrupted = dict(povm.outcomes)
-        corrupted[first] = 1.01 * corrupted[first] + 0.01 * off_support
-        povm = type(povm)(outcomes=corrupted, layout=povm.layout)
-    return povm, supports[0]
+        # scaling cannot break the scale-invariant identity c: add 1 - Pi_I too
+        _, first = next(get_gathers())
+        for element, gathers in zip(elements, first):
+            one = np.eye(element.shape[-1])[None]
+            element[0] = 1.01 * element[0] + 0.01 * (one - _symmetrized_rows(one, gathers[:1]))[0]
+    sums = [stack.sum(axis=0) for stack in elements]
+    try:
+        # a checked spectrum, as `complete` takes: a sum that is not Hermitian,
+        # or not PSD, is refused too
+        top = max(vals.max() for vals, _, _ in support_spectra(sums))
+        return elements, supports, split_complement(sums, top, len(stacks[0]))
+    except ValueError:
+        return elements, supports, None
 
 
-def _check_pgm_support_invariance(get_povm):
-    povm, _ = get_povm()
+def _check_pgm_support_invariance(get_povm, get_gathers):
+    elements = get_povm()[0]
     worst = 0.0
-    for I, element in povm.outcomes.items():
-        # Pi_I E_I Pi_I
-        sandwiched = symmetrize_slots(element.entries, povm.layout, port_slots(povm.layout, I))
-        worst = max(worst, np.abs(sandwiched - element.entries).max())
+    for batch, sectors in get_gathers():
+        for stack, gathers in zip(elements, sectors):
+            # Pi_I E_I Pi_I = (Pi_I (Pi_I E_I)^dag)^dag against E_I
+            rows = _symmetrized_rows(stack[batch], gathers).conj().swapaxes(1, 2)
+            sandwiched = _symmetrized_rows(rows, gathers).conj().swapaxes(1, 2)
+            worst = max(worst, np.abs(sandwiched - stack[batch]).max())
     return worst, FLOAT_TOL, ""
 
 
 def _check_pgm_completeness(get_povm):
-    povm, support = get_povm()
-    dev_support = np.abs(povm.element_sum().entries - support).max()
-    try:
-        dev_id = np.abs(complete(povm).element_sum().entries - np.eye(povm.layout.dim)).max()
-    except ValueError:
-        # element sum already exceeds identity; completion refused
-        dev_id = np.inf
+    elements, supports, deltas = get_povm()
+    dev_support = max(np.abs(e.sum(axis=0) - p).max() for e, p in zip(elements, supports))
+    # infinite where the element sum already exceeds identity: completion refused
+    dev_id = np.inf if deltas is None else max(
+        np.abs((e + delta).sum(axis=0) - np.eye(len(delta))).max()
+        for e, delta in zip(elements, deltas))
     return max(dev_support, dev_id), COMPLETION_TOL, ""
 
 
-def _check_commutation(get_eta_bar, get_outcomes):
-    eta_bar = get_eta_bar()
-    a, layout = eta_bar.entries, eta_bar.layout
+def _check_commutation(get_eta_bar, get_gathers):
     worst = 0.0
-    for I in get_outcomes():
-        slots = port_slots(layout, I)
-        # Pi_I eta_bar, and eta_bar Pi_I as (Pi_I eta_bar^dag)^dag
-        left = symmetrize_rows(a, layout, slots)
-        right = symmetrize_rows(a.conj().T, layout, slots).conj().T
-        worst = max(worst, np.abs(left - right).max())
+    for _, sectors in get_gathers():
+        for a, gathers in zip(get_eta_bar(), sectors):
+            # Pi_I eta_bar, and eta_bar Pi_I as (Pi_I eta_bar^dag)^dag
+            right = _symmetrized_rows(a.conj().T[None], gathers).conj().swapaxes(1, 2)
+            worst = max(worst, np.abs(_symmetrized_rows(a[None], gathers) - right).max())
     return worst, FLOAT_TOL, ""
 
 
-def _check_rank_formula(d, N, M, get_ensemble):
+def _check_rank_formula(d, N, M, get_sectors):
     expected = sym_dim(d, M - 1) * d ** (N - M)
-    # each signal is block-diagonal in the weight sectors: one eigh per block;
-    # the ensemble comes first, so that the dimension cap refuses it before
-    # the sectors' digit table is allocated
-    ensemble = get_ensemble()
-    _, sectors = weight_sectors((d,) * (N + 1), 1)
-    worst = 0
-    for signal in ensemble.values():
-        spectra = support_spectra([signal.entries[np.ix_(idx, idx)] for idx in sectors])
-        rank = sum(int(np.count_nonzero(keep)) for _, _, keep in spectra)
-        worst = max(worst, abs(rank - expected))
-    return worst, EXACT, f"expected rank {expected}"
+    ranks = [sum(int(np.count_nonzero(keep)) for _, _, keep in support_spectra(blocks))
+             for blocks in zip(*get_sectors()[1])]  # one signal, one eigh per sector
+    return max(abs(rank - expected) for rank in ranks), EXACT, f"expected rank {expected}"
 
 
 def _check_overlap_classes(get_overlaps):
@@ -337,7 +364,7 @@ def _check_disjoint_overlap(d, N, M, get_overlaps):
         return _skipped("no disjoint pair for these N, M")
     I, J = tuple(range(1, M + 1)), tuple(range(M + 1, 2 * M + 1))
     target = 1.0 / d ** (N + 1)
-    # the dense overlap and both exact routes, each against 1/d^(N+1)
+    # the overlap from the sector stacks and both exact routes, each against 1/d^(N+1)
     values = [get_overlaps()[I, J], *map(float, _disjoint_overlap_routes(d, M, N))]
     return max(abs(value - target) for value in values), FLOAT_TOL, ""
 
@@ -381,17 +408,20 @@ def run_suite(d: int, N: int, M: int, inject_fault: bool = False) -> list[CheckR
     # built on first use and shared; a build the dimension cap refuses raises
     # again in every check that asks for it, so each of them is skipped
     get_outcomes = cache(lambda: enumerate_unordered(N, M))
-    get_ensemble = cache(lambda: pbtc_ensemble(N, M, d))
-    get_eta_bar = cache(lambda: ensemble_average(get_ensemble()))
-    get_povm = cache(lambda: _pre_completion_pgm(get_ensemble(), get_eta_bar(), inject_fault))
-    get_overlaps = cache(lambda: _overlap_table(get_ensemble()))
+    get_sectors = cache(lambda: _signal_sectors(N, M, d))
+    get_eta_bar = cache(lambda: get_sectors()[2])
+    # not cached: each call is a fresh pass over the batches of Pi_I gathers
+    get_gathers = lambda: _projector_gathers(N, get_sectors()[0], get_outcomes())
+    get_povm = cache(lambda: _sector_pgm(*get_sectors()[1:], get_gathers, inject_fault))
+    get_overlaps = cache(lambda: _sector_overlaps(get_sectors()[1], get_outcomes()))
     checks = [
-        ("a-subgroup-conjugation", _check_subgroup_conjugation, (N, get_outcomes)),
+        ("a-subgroup-conjugation", _check_subgroup_conjugation,
+         (N, get_outcomes, subgroup_fixing_complement)),
         ("b-projector-conjugation", _check_projector_conjugation, (d, N, get_outcomes)),
-        ("c-pgm-support-invariance", _check_pgm_support_invariance, (get_povm,)),
+        ("c-pgm-support-invariance", _check_pgm_support_invariance, (get_povm, get_gathers)),
         ("c2-pgm-completeness", _check_pgm_completeness, (get_povm,)),
-        ("c3-projector-average-commutation", _check_commutation, (get_eta_bar, get_outcomes)),
-        ("d-rank-formula", _check_rank_formula, (d, N, M, get_ensemble)),
+        ("c3-projector-average-commutation", _check_commutation, (get_eta_bar, get_gathers)),
+        ("d-rank-formula", _check_rank_formula, (d, N, M, get_sectors)),
         ("e-overlap-class-equality", _check_overlap_classes, (get_overlaps,)),
         ("f-cauchy-schwarz-dominance", _check_cauchy_schwarz, (get_overlaps,)),
         ("g-purity-upper-bound", _check_purity_bound, (d, N, M, get_overlaps)),

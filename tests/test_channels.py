@@ -303,15 +303,23 @@ class TestProtocolDispatch:
                 r = protocol_fidelity("clone", d, 0, m)
                 assert abs(r.f - optimal_clone_fidelity(m, d)) < 1e-10
 
-    @pytest.mark.parametrize("M", [8, 9])
+    @pytest.mark.parametrize("M", [8, 9, 12, 13])
     def test_clone_refused_by_its_permutation_table(self, M):
         # the symmetrizer's table of M! basis maps is counted before any
         # permutation is listed; at M = 8 it holds 8! * 8 * 2^8 = 82.6 M
-        # entries, above the DIM_CAP**2 = 67.1 M of one cap-wide matrix
+        # entries, above the DIM_CAP**2 = 67.1 M of one cap-wide matrix. The
+        # count also comes before clone_map forms the 2^M-wide input (x)
+        # identity, which peaked at 317 MB at M = 12
+        tracemalloc.start()
         start = time.perf_counter()
-        with pytest.raises(DimensionCapError, match="basis-map table"):
-            protocol_fidelity("clone", 2, 0, M)
-        assert time.perf_counter() - start < 0.05
+        try:
+            with pytest.raises(DimensionCapError, match="basis-map table"):
+                protocol_fidelity("clone", 2, 0, M)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05 and peak < 2**20
 
     def test_mpbt_m1_equals_std_pbt(self):
         a = protocol_fidelity("mpbt", 2, 3, 1)
@@ -408,6 +416,31 @@ class TestBlockedEngine:
         assert (r.n_pieces, r.max_piece_dim) == (r.n_orbits, r.max_block_dim)
         assert r.to_json_dict()["n_pieces"] == 3
         assert r.to_json_dict()["max_piece_dim"] == 10
+
+    def test_cutoff_sits_in_a_wide_gap(self, monkeypatch):
+        # at clone-mpbt (2, 8, 4) the smallest kept eigenvalue of the average
+        # is 7.9e-3 of lambda_max and the largest dropped one 1.6e-16. The
+        # kept rank must be the orbit-weighted count above 1e-12 lambda_max,
+        # which the engine weighs when the wrapper keeps exactly those, and
+        # the cutoff must split the spectrum across a gap wider than 1e10: a
+        # PINV_CUTOFF moved into the kept spectrum fails both
+        point = ("clone-mpbt", 2, 8, 4)
+        reference = protocol_fidelity(*point)
+        spectra_of, margins = channels.support_spectra, []
+
+        def kept_above_1e_12(blocks):
+            spectra = spectra_of(blocks)
+            lam_max = max(vals.max() for vals, _, _ in spectra)
+            kept = min(vals[keep].min(initial=np.inf) for vals, _, keep in spectra)
+            dropped = max(np.abs(vals[~keep]).max(initial=0.0) for vals, _, keep in spectra)
+            margins.append((kept, dropped))
+            return [(vals, vecs, vals > 1e-12 * lam_max) for vals, vecs, _ in spectra]
+
+        monkeypatch.setattr(channels, "support_spectra", kept_above_1e_12)
+        weighted = protocol_fidelity(*point)
+        [(kept, dropped)] = margins
+        assert weighted.kept_rank == reference.kept_rank and weighted.F == reference.F
+        assert kept > 1e10 * dropped > 0
 
     def test_reports_its_pieces(self):
         # blocks of 462, 330 and 165 split into 5, 5 and 4 pieces, the 462

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from portclone import tensor_core, verification
+from portclone.measurements import complete, pgm
 from portclone.states import (
+    ensemble_average,
     max_entangled,
     maximally_mixed,
     pbt_layout,
@@ -24,10 +26,11 @@ from portclone.symmetry import (
     symmetric_projector,
 )
 from portclone.tensor_core import (
+    BlockGroup,
     LabeledOperator,
     SubsystemLayout,
-    identity,
     kron_compose,
+    sector_sizes,
     support_spectra,
     trace_product,
     weight_sectors,
@@ -128,11 +131,96 @@ class TestRankCheck:
         # a rank is only counted on the support of a PSD operator: a signal
         # with a negative eigenvalue is refused, not ranked by |eigenvalue|
         d, N, M = 2, 3, 2
-        ensemble = pbtc_ensemble(N, M, d)
-        first = next(iter(ensemble))
-        ensemble[first] = ensemble[first] + -0.01 * identity(ensemble[first].layout)
+        group, stacks, average = verification._signal_sectors(N, M, d)
+        stacks = [stack.copy() for stack in stacks]
+        for stack in stacks:
+            stack[0] += -0.01 * np.eye(stack.shape[-1])
         with pytest.raises(ValueError, match="operator is not PSD"):
-            verification._check_rank_formula(d, N, M, lambda: ensemble)
+            verification._check_rank_formula(d, N, M, lambda: (group, stacks, average))
+
+
+def scattered(group, blocks):
+    """The dense operator whose diagonal blocks on `group` are `blocks`."""
+    dense = np.zeros((len(group.idx),) * 2, dtype=np.result_type(*blocks))
+    for idx, block in zip(np.split(group.idx, group.starts[1:-1]), blocks):
+        dense[np.ix_(idx, idx)] = block
+    return dense
+
+
+class TestSectorStacks:
+    """The suite's shared objects, built on the weight sectors, against the
+    dense ensemble, PGM and completion they replace."""
+
+    @pytest.mark.parametrize("d,N,M", [(2, 3, 2), (2, 4, 2), (2, 5, 3), (3, 3, 2)])
+    def test_pgm_and_completion_equal_the_dense_povm(self, d, N, M):
+        group, stacks, average = verification._signal_sectors(N, M, d)
+        elements, _, deltas = verification._sector_pgm(stacks, average, None, False)
+        dense = complete(pgm(pbtc_ensemble(N, M, d)))
+        assert list(dense.outcomes) == enumerate_unordered(N, M)
+        for k, element in enumerate(dense.outcomes.values()):
+            blocks = [stack[k] + delta for stack, delta in zip(elements, deltas)]
+            assert np.abs(scattered(group, blocks) - element.entries).max() <= 1e-12
+        completion = scattered(group, deltas) - dense.completion_element.entries
+        assert np.abs(completion).max() <= 1e-12
+
+    @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (2, 5, 3), (3, 3, 2)])
+    def test_overlaps_and_purity_equal_the_dense_traces(self, d, N, M):
+        _, stacks, average = verification._signal_sectors(N, M, d)
+        outcomes = enumerate_unordered(N, M)
+        ensemble = pbtc_ensemble(N, M, d)
+        overlaps = verification._sector_overlaps(stacks, outcomes)
+        assert list(overlaps) == list(itertools.combinations_with_replacement(outcomes, 2))
+        for (I, J), overlap in overlaps.items():
+            dense = trace_product(ensemble[I].entries, ensemble[J].entries)
+            assert abs(overlap - dense) <= 1e-15
+        eta_bar = ensemble_average(ensemble).entries
+        assert abs(eta_bar_purity(N, M, d) - trace_product(eta_bar, eta_bar)) <= 1e-15
+
+    def test_signal_leaving_its_sector_refused_at_build(self, monkeypatch):
+        # on the sectors of [X, A1..AN] without X conjugated, Phi+ on (X, A_i)
+        # joins |00> to |11>, whose weights differ: the build must raise
+        monkeypatch.setattr(verification, "weight_sectors", lambda dims, _: weight_sectors(dims, 0))
+        with pytest.raises(ValueError, match="not closed under the basis map"):
+            verification._signal_sectors(3, 2, 2)
+
+    @pytest.mark.parametrize("fault", ["not Hermitian", "exceeds identity"])
+    def test_refused_completion_fails_c2_as_a_record(self, monkeypatch, fault):
+        # an element sum that the completion refuses makes c2 infinite, as the
+        # dense `complete` refused it, and the suite still returns every record
+        build = verification.square_root_blocks
+
+        def broken(stacks, roots):
+            elements = build(stacks, roots)
+            widest = max(elements, key=lambda stack: stack.shape[-1])
+            if fault == "not Hermitian":
+                widest[0, 0, -1] += 1e-3
+            else:
+                widest[0] += 0.5 * np.eye(widest.shape[-1])
+            return elements
+
+        monkeypatch.setattr(verification, "square_root_blocks", broken)
+        results = {r.name: r for r in run_suite(2, 4, 2)}
+        c2 = results["c2-pgm-completeness"]
+        assert c2.deviation == np.inf and not c2.passed
+        assert len(results) == 13 and results["d-rank-formula"].passed
+
+    def test_gathers_hold_one_outcome_table_at_a_time(self):
+        # at (2, 7, 5) one outcome's basis-map digits, 5! maps of 8 slots over
+        # 256 indices, take about 1.9 MiB, so each batch holds one outcome;
+        # the gathers of all 21 outcomes at once peaked at about 8 times that
+        d, N, M = 2, 7, 5
+        group = BlockGroup(weight_sectors((d,) * (N + 1), 1)[1], (d,) * (N + 1))
+        outcomes = enumerate_unordered(N, M)
+        counted = 8 * factorial(M) * (N + 1) * d ** (N + 1)
+        tracemalloc.start()
+        try:
+            sizes = [len(outcomes[batch]) for batch, _ in
+                     verification._projector_gathers(N, group, outcomes)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [1] * len(outcomes)
+        assert peak < 2 * counted
 
 
 class TestSuite:
@@ -178,7 +266,8 @@ class TestSuite:
         d, N, M = 2, 6, 2
         outcomes = enumerate_unordered(N, M)
         checks = [
-            (verification._check_subgroup_conjugation, (N, lambda: outcomes)),
+            (verification._check_subgroup_conjugation,
+             (N, lambda: outcomes, verification.subgroup_fixing_complement)),
             (verification._check_projector_conjugation, (d, N, lambda: outcomes)),
         ]
         whole = [check(*args) for check, args in checks]
@@ -218,35 +307,37 @@ class TestSuite:
         ]
 
     def test_commutation_check_sees_a_broken_average(self):
-        # entries (0, 2) and (2, 0) of the (2, 3, 2) average raised by 1e-3:
-        # Pi_I eta_bar and eta_bar Pi_I then differ by 5e-4
-        eta_bar = verification.ensemble_average(pbtc_ensemble(3, 2, 2))
-        entries = eta_bar.entries.copy()
-        entries[0, 2] += 1e-3
-        entries[2, 0] += 1e-3
-        broken = LabeledOperator(eta_bar.layout, entries)
+        # entries (1, 2) and (2, 1) of the (2, 3, 2) average, both in the
+        # sector of weight (1, 1), raised by 1e-3: Pi_I eta_bar and
+        # eta_bar Pi_I then differ by 5e-4, as the column-gather reference says
+        group, _, eta_bar = verification._signal_sectors(3, 2, 2)
         outcomes = enumerate_unordered(3, 2)
-        clean, threshold, _ = verification._check_commutation(lambda: eta_bar, lambda: outcomes)
-        deviation, _, _ = verification._check_commutation(lambda: broken, lambda: outcomes)
+        b = group.basis_block[1]
+        assert group.basis_block[2] == b
+        broken = [block.copy() for block in eta_bar]
+        (r, c) = group.basis_pos[[1, 2]]
+        broken[b][r, c] += 1e-3
+        broken[b][c, r] += 1e-3
+        gathers = lambda: verification._projector_gathers(3, group, outcomes)
+        clean, threshold, _ = verification._check_commutation(lambda: eta_bar, gathers)
+        deviation, _, _ = verification._check_commutation(lambda: broken, gathers)
+        reference = column_gather_commutation(scattered(group, broken), 3, outcomes)
         assert clean <= threshold < deviation
-        assert deviation == pytest.approx(5e-4, rel=1e-9)
+        assert deviation == pytest.approx(reference, rel=1e-9)
 
     def test_commutation_check_equals_column_gather_reference(self):
         # eta_bar Pi_I as the mean of the column gathers eta_bar[:, g], on a
-        # real average and on a complex non-Hermitian operator
+        # real average and on a complex non-Hermitian operator, block by block
         N, outcomes = 3, enumerate_unordered(3, 2)
-        eta_bar = verification.ensemble_average(pbtc_ensemble(N, 2, 2))
+        group, _, eta_bar = verification._signal_sectors(N, 2, 2)
+        gathers = lambda: verification._projector_gathers(N, group, outcomes)
         rng = np.random.default_rng(4)
-        noise = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        for op in (eta_bar, LabeledOperator(eta_bar.layout, eta_bar.entries + 1e-3 * noise)):
-            a, reference = op.entries, 0.0
-            for I in outcomes:
-                members = [[0, *(s + 1)] for s in subgroup_fixing_complement(I, N)]
-                gathers = permuted_basis_indices(np.array(members), op.layout.dims)
-                left = sum(a[g] for g in gathers) / len(gathers)
-                right = sum(a[:, g] for g in gathers) / len(gathers)
-                reference = max(reference, np.abs(left - right).max())
-            assert verification._check_commutation(lambda: op, lambda: outcomes)[0] == reference
+        noisy = [a + 1e-3 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
+                 for a in eta_bar]
+        for blocks in (eta_bar, noisy):
+            reference = column_gather_commutation(scattered(group, blocks), N, outcomes)
+            check = verification._check_commutation(lambda: blocks, gathers)
+            assert check[0] == reference
 
     def test_disjoint_check_skipped_when_impossible(self):
         results = run_suite(2, 3, 2)
@@ -267,44 +358,39 @@ class TestSuite:
 
     @pytest.mark.parametrize("fault", [False, True])
     def test_shared_objects_built_once(self, monkeypatch, fault):
-        # one ensemble at N (PGM, average, overlaps) and one at N - 1 (check i);
-        # the C(4, 2) projectors on [A1..A4] of check b and no others: checks
-        # c and c3 and the injected fault apply Pi_I by slot gathers
-        ensembles, projectors = [], []
-        build_ensemble = verification.pbtc_ensemble
+        # one set of sector stacks at N (PGM, average, overlaps) and one at
+        # N - 1 (check i); the C(4, 2) projectors on [A1..A4] of check b and
+        # no others: checks c and c3 and the injected fault apply Pi_I by
+        # sector gathers
+        sectors, projectors = [], []
+        build_sectors = verification._signal_sectors
         build_projector = verification.symmetric_projector
 
-        def counted_ensemble(N, M, d):
-            ensembles.append(N)
-            return build_ensemble(N, M, d)
+        def counted_sectors(N, M, d):
+            sectors.append(N)
+            return build_sectors(N, M, d)
 
         def counted_projector(*args):
             projectors.append(args)
             return build_projector(*args)
 
-        # one average state at N, decomposed once for the PGM and check c2,
-        # and one at N - 1 for check i
-        averages, decompositions = [], []
-        build_average = verification.ensemble_average
+        # the average at N decomposed once, all sectors in one call, for the
+        # PGM and check c2
+        decompositions = []
         decompose = verification.psd_inv_sqrt_blocks
-
-        def counted_average(e):
-            averages.append(len(e))
-            return build_average(e)
 
         def counted_decomposition(blocks):
             decompositions.append(len(blocks))
             return decompose(blocks)
 
-        monkeypatch.setattr(verification, "pbtc_ensemble", counted_ensemble)
+        monkeypatch.setattr(verification, "_signal_sectors", counted_sectors)
         monkeypatch.setattr(verification, "symmetric_projector", counted_projector)
-        monkeypatch.setattr(verification, "ensemble_average", counted_average)
         monkeypatch.setattr(verification, "psd_inv_sqrt_blocks", counted_decomposition)
         results = run_suite(2, 4, 2, inject_fault=fault)
         assert suite_passed(results) != fault
-        assert ensembles == [4, 3]
+        assert sectors == [4, 3]
         assert len(projectors) == 6
-        assert averages == [6, 3] and decompositions == [1]
+        assert decompositions == [len(sector_sizes((2,) * 5, 1))]
 
     def test_broken_stirling_row_fails_h_and_k_as_records(self, monkeypatch):
         # the Stirling route of check h and the row identity of check k read
@@ -394,16 +480,34 @@ class TestConjugationChecksDetectFaults:
         assert vanished and b.deviation == abs(vanished[0]) > 0
 
     def test_dropped_subgroup_member_fails_check_a(self, monkeypatch):
+        # check a is handed the subgroups it certifies; the Pi_I gathers of
+        # checks c and c3 build theirs apart from it
         original = verification.subgroup_fixing_complement
+        check_a = verification._check_subgroup_conjugation
 
         def dropped(I, N):
             members = original(I, N)
             return members[1:] if I == self.target else members
 
-        monkeypatch.setattr(verification, "subgroup_fixing_complement", dropped)
+        monkeypatch.setattr(
+            verification, "_check_subgroup_conjugation", lambda N, get, _: check_a(N, get, dropped)
+        )
         a = self._results()["a-subgroup-conjugation"]
         assert not a.passed
         assert a.deviation >= 1
+
+
+def column_gather_commutation(a, N, outcomes):
+    """Check c3 on the dense operator `a` on [X, A1..AN]: Pi_I a against
+    a Pi_I, the mean of the column gathers a[:, g], for every outcome I."""
+    worst = 0.0
+    for I in outcomes:
+        members = [[0, *(s + 1)] for s in subgroup_fixing_complement(I, N)]
+        gathers = permuted_basis_indices(np.array(members), (2,) * (N + 1))
+        left = sum(a[g] for g in gathers) / len(gathers)
+        right = sum(a[:, g] for g in gathers) / len(gathers)
+        worst = max(worst, np.abs(left - right).max())
+    return worst
 
 
 def sigma_image(s, I):
@@ -487,7 +591,9 @@ class TestBatchedConjugationChecks:
         outcomes = enumerate_unordered(N, M)
         self.corrupt(monkeypatch, fault, outcomes[-1])
         get_outcomes = lambda: outcomes
-        a_deviation, a_threshold, _ = verification._check_subgroup_conjugation(N, get_outcomes)
+        a_deviation, a_threshold, _ = verification._check_subgroup_conjugation(
+            N, get_outcomes, verification.subgroup_fixing_complement
+        )
         b_deviation, b_threshold, _ = verification._check_projector_conjugation(d, N, get_outcomes)
         subgroup_of, projector_of = (
             verification.subgroup_fixing_complement, verification.symmetric_projector
@@ -516,7 +622,9 @@ class TestBatchedConjugationChecks:
         self.corrupt(monkeypatch, fault, outcomes[-1])
         get_outcomes = lambda: outcomes
         if check == "a":
-            deviation, threshold, _ = verification._check_subgroup_conjugation(N, get_outcomes)
+            deviation, threshold, _ = verification._check_subgroup_conjugation(
+                N, get_outcomes, verification.subgroup_fixing_complement
+            )
             reference = reference_check_a(N, outcomes, verification.subgroup_fixing_complement)
         else:
             deviation, threshold, _ = verification._check_projector_conjugation(d, N, get_outcomes)
