@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from math import comb, prod
 
 import numpy as np
@@ -125,16 +125,14 @@ def _clone_channel(
     state-and-resource operator are never formed.
     """
     _check_povm(povm, N, d, clone_slot)
-    by_port: dict[int, np.ndarray] = {}
-    for I, element in povm.outcomes.items():
-        b = I[clone_slot - 1]
-        by_port[b] = by_port[b] + element.entries if b in by_port else element.entries
+    receiver = {I: I[clone_slot - 1] for I in povm.outcomes}
     kept = state.layout.restricted(state.layout.labels[1:])
     layout = SubsystemLayout(kept.labels + (OUTPUT_LABEL,), kept.dims + (d,))
     s = state.entries.reshape(d, kept.dim, d, kept.dim)
     phi = max_entangled(d, port_label(1), OUTPUT_LABEL).entries.reshape(d, d, d, d)
     out = 0
-    for b, e in by_port.items():
+    for b in dict.fromkeys(receiver.values()):  # in order of first use, one sum at a time
+        e = reduce(np.add, (el.entries for I, el in povm.outcomes.items() if receiver[I] == b))
         rest = [port_label(j) for j in range(1, N + 1) if j != b]
         m = partial_trace(LabeledOperator(povm.layout, e), rest).entries / d ** (N - 1)
         out = out + np.einsum("xayc,yPxQ,cBaC->PBQC", m.reshape(d, d, d, d), s, phi)

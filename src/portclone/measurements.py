@@ -26,6 +26,7 @@ from portclone.tensor_core import (
     check_family,
     hermitian_eig,
     psd_inv_sqrt,
+    support_spectra,
 )
 
 COMPLETENESS_TOL = 1e-9
@@ -100,12 +101,12 @@ def square_root_blocks(stacks: list[np.ndarray], roots: list[np.ndarray]) -> lis
     return [root @ (1.0 / len(stack) * stack) @ root for root, stack in zip(roots, stacks)]
 
 
-def split_complement(sums: list[np.ndarray], top: float, n: int) -> list[np.ndarray]:
+def split_complement(sums: list[np.ndarray], n: int) -> list[np.ndarray]:
     """The complement Delta = (1 - S) / n of the sum S of n elements, split
     uniformly, given by the diagonal blocks `sums` of S, one block or many.
-    `top` is the largest eigenvalue of S, by which an S that exceeds the
-    identity is refused."""
-    excess = top - 1.0
+    S is refused unless its checked spectrum (`support_spectra`) shows it
+    Hermitian, PSD and at most the identity."""
+    excess = max(vals.max() for vals, _, _ in support_spectra(sums)) - 1.0
     if excess > SUM_EXCESS_TOL:
         raise ValueError(
             f"element sum exceeds identity by {excess:.3e}; upstream PSD violation"
@@ -116,8 +117,7 @@ def split_complement(sums: list[np.ndarray], top: float, n: int) -> list[np.ndar
 def complete(p: Povm) -> Povm:
     """Add the uniformly split complement Delta = (1 - sum E) / n to each element."""
     total = p.element_sum()
-    top = hermitian_eig(total).eigenvalues.max()
-    [delta] = split_complement([total.entries], top, len(p.outcomes))
+    [delta] = split_complement([total.entries], len(p.outcomes))
     delta = LabeledOperator(p.layout, delta)
     outcomes = {key: el + delta for key, el in p.outcomes.items()}
     return Povm(outcomes=outcomes, layout=p.layout, completion_element=delta)

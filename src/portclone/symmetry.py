@@ -80,13 +80,23 @@ def subgroup_fixing_complement(I: Sequence[int], N: int) -> np.ndarray:
     return _slot_permutations(N, [i - 1 for i in check_ports(I, N)])
 
 
-def permuted_basis_indices(s: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+def permuted_basis_indices(
+    s: np.ndarray, dims: Sequence[int], digits: np.ndarray | None = None
+) -> np.ndarray:
     """Where each basis index c goes when slot j takes digit s[j] of c: the
     index of V_t |c> for t = s^-1, with V_t as in `permutation_unitary`. `s`
     holds 0-based images, one permutation or a stack of them with one result
-    row each."""
-    digits = np.array(np.unravel_index(np.arange(prod(dims)), dims))  # digit j of each index
-    return np.ravel_multi_index(tuple(digits[np.asarray(s).T]), dims)
+    row each. `digits`, one row per slot (as `BlockGroup.digits`), maps only
+    the indices it holds, one result column each; by default every index.
+    The maps are built slot by slot, so no temporary outgrows the result."""
+    if digits is None:
+        digits = np.array(np.unravel_index(np.arange(prod(dims)), dims))  # digit j of each index
+    s = np.asarray(s)
+    maps = digits[s[..., 0]]  # a copy: fancy indexing
+    for j in range(1, len(dims)):
+        maps *= dims[j]
+        maps += digits[s[..., j]]
+    return maps
 
 
 def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledOperator:
@@ -115,24 +125,42 @@ def check_slot_table(m: int, n_slots: int, dim: int) -> None:
     check_cap(perms * n_slots * dim, f"basis-map table of {perms} slot permutations")
 
 
+def _slot_gathers(layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
+    """The row gathers of the permutations of the slot positions `slots` on
+    `layout`, as a (1, m!, dim) table for `mean_row_gathers`. The table holds
+    a digit per slot, permutation and basis state while it is built; it is
+    refused from that count before any permutation is listed."""
+    check_slot_table(len(slots), len(layout.dims), layout.dim)
+    return permuted_basis_indices(_slot_permutations(len(layout.dims), slots), layout.dims)[None]
+
+
+def mean_row_gathers(stack: np.ndarray, gathers: np.ndarray) -> np.ndarray:
+    """The mean over the members of `gathers`, an (n, members, w) array of
+    row positions, of the row gathers A_k[g] of each matrix A_k of `stack`,
+    (n, w, w) or one matrix for all n as (1, w, w), summed member by member."""
+    at = np.arange(len(stack))[:, None]
+    return sum(stack[at, g] for g in gathers.swapaxes(0, 1)) / gathers.shape[1]
+
+
+def sandwich_row_gathers(stack: np.ndarray, gathers: np.ndarray) -> np.ndarray:
+    """Pi_k A_k Pi_k = (Pi_k (Pi_k A_k)^dag)^dag for each A_k, with Pi_k A_k
+    as in `mean_row_gathers`. The second pass gathers the rows of a
+    contiguous copy of (Pi_k A_k)^dag, not the strided columns of Pi_k A_k."""
+    rows = np.ascontiguousarray(mean_row_gathers(stack, gathers).conj().swapaxes(1, 2))
+    return mean_row_gathers(rows, gathers).conj().swapaxes(1, 2)
+
+
 def symmetrize_rows(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
     """Pi A, where A is given by its entries `a` on `layout` and Pi
     symmetrizes the slot positions `slots`. Pi is the average of the slot
     permutations, each of which maps basis states to basis states, so Pi A
-    is the average of the row gathers A[g]. The table of gathers holds a
-    digit per slot, permutation and basis state; it is refused from that
-    count before any permutation is listed."""
-    check_slot_table(len(slots), len(layout.dims), layout.dim)
-    gathers = permuted_basis_indices(_slot_permutations(len(layout.dims), slots), layout.dims)
-    return sum(a[g] for g in gathers) / len(gathers)
+    is the average of the row gathers A[g] (`_slot_gathers`)."""
+    return mean_row_gathers(a[None], _slot_gathers(layout, slots))[0]
 
 
 def symmetrize_slots(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
-    """Pi A Pi = (Pi (Pi A)^dag)^dag, with Pi as in `symmetrize_rows`. The
-    second pass gathers the rows of a contiguous copy of (Pi A)^dag, not the
-    strided columns of Pi A."""
-    rows = symmetrize_rows(a, layout, slots)
-    return symmetrize_rows(np.ascontiguousarray(rows.conj().T), layout, slots).conj().T
+    """Pi A Pi, with Pi as in `symmetrize_rows`, by `sandwich_row_gathers`."""
+    return sandwich_row_gathers(a[None], _slot_gathers(layout, slots))[0]
 
 
 def symmetric_projector(I: Sequence[int], full_layout: SubsystemLayout) -> LabeledOperator:

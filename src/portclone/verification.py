@@ -20,8 +20,10 @@ from portclone.symmetry import (
     check_slot_table,
     cycle_count,
     enumerate_unordered,
+    mean_row_gathers,
     permuted_basis_indices,
     port_label,
+    sandwich_row_gathers,
     stirling_first,
     subgroup_fixing_complement,
     sym_dim,
@@ -107,17 +109,27 @@ def combinatorial_disjoint_overlap(d: int, M: int, N: int) -> float:
     return float(enumerated)
 
 
-def _signal_sectors(N, M, d):
-    """The `BlockGroup` of the weight sectors of [X, A1..AN] and, per sector
-    of width w, the (C(N, M), w, w) stack of the signals' blocks in outcome
-    order and the block of their average. A column leaving its sector makes
-    `BlockGroup.positions` raise, so the build checks block-diagonality."""
+def _average_sectors(N, M, d):
+    """The `BlockGroup` of the weight sectors of [X, A1..AN] and the blocks on
+    it of the signals' average, counted over all port sets as the engine does."""
     check_family(comb(N, M), d ** (N + 1))
     group = BlockGroup(weight_sectors((d,) * (N + 1), 1)[1], (d,) * (N + 1))
-    signals = [counted_entries(pbtc_signal_nonzeros([I], group), group.widths)
-               for I in enumerate_unordered(N, M)]
-    stacks = [np.array(blocks) for blocks in zip(*signals)]
-    return group, stacks, [(1.0 / len(stack) * stack).sum(axis=0) for stack in stacks]
+    return group, counted_entries(pbtc_signal_nonzeros(enumerate_unordered(N, M), group),
+                                  group.widths)
+
+
+def _signal_sectors(N, M, d):
+    """The group and average of `_average_sectors` and, per sector of width w,
+    the (C(N, M), w, w) stack of the signals' blocks in outcome order, filled
+    one outcome at a time. A column leaving its sector makes
+    `BlockGroup.positions` raise, so the build checks block-diagonality."""
+    group, average = _average_sectors(N, M, d)
+    stacks = [np.empty((comb(N, M), w, w)) for w in group.widths]
+    for k, I in enumerate(enumerate_unordered(N, M)):
+        signal = counted_entries(pbtc_signal_nonzeros([I], group), group.widths)
+        for stack, block in zip(stacks, signal):
+            stack[k] = block
+    return group, stacks, average
 
 
 def _sector_overlaps(stacks, outcomes):
@@ -135,7 +147,7 @@ def purity(blocks) -> float:
 
 def eta_bar_purity(N: int, M: int, d: int) -> float:
     """Tr[eta_bar^2] for the uniform signal-state average, sector by sector."""
-    return purity(_signal_sectors(N, M, d)[2])
+    return purity(_average_sectors(N, M, d)[1])
 
 
 def purity_upper_bound(N: int, M: int, d: int) -> float:
@@ -260,18 +272,10 @@ def _projector_gathers(N, group, outcomes):
     check_slot_table(m, n_slots, dim)
     for batch in _batches(len(outcomes), 8 * factorial(m) * n_slots * dim):
         members = np.concatenate([subgroup_fixing_complement(I, N) + 1 for I in outcomes[batch]])
-        maps = permuted_basis_indices(np.insert(members, 0, 0, axis=1), group.dims)
-        maps = maps[:, group.idx].reshape(len(outcomes[batch]), -1, dim)
+        maps = permuted_basis_indices(np.insert(members, 0, 0, axis=1), group.dims, group.digits)
+        maps = maps.reshape(len(outcomes[batch]), -1, dim)
         positions = group.positions(group.entry_block, maps)
         yield batch, np.split(positions, group.starts[1:-1], axis=-1)
-
-
-def _symmetrized_rows(stack, gathers):
-    """Pi_I A_I on one sector for every I, from a stack of the A_I (or of one
-    A for all): one gather per member over all outcomes, summed as
-    `symmetrize_rows` sums."""
-    at = np.arange(len(stack))[:, None]
-    return sum(stack[at, g] for g in gathers.swapaxes(0, 1)) / gathers.shape[1]
 
 
 def _sector_pgm(stacks, average, get_gathers, inject_fault):
@@ -285,13 +289,9 @@ def _sector_pgm(stacks, average, get_gathers, inject_fault):
         _, first = next(get_gathers())
         for element, gathers in zip(elements, first):
             one = np.eye(element.shape[-1])[None]
-            element[0] = 1.01 * element[0] + 0.01 * (one - _symmetrized_rows(one, gathers[:1]))[0]
-    sums = [stack.sum(axis=0) for stack in elements]
+            element[0] = 1.01 * element[0] + 0.01 * (one - mean_row_gathers(one, gathers[:1]))[0]
     try:
-        # a checked spectrum, as `complete` takes: a sum that is not Hermitian,
-        # or not PSD, is refused too
-        top = max(vals.max() for vals, _, _ in support_spectra(sums))
-        return elements, supports, split_complement(sums, top, len(stacks[0]))
+        return elements, supports, split_complement([e.sum(0) for e in elements], len(stacks[0]))
     except ValueError:
         return elements, supports, None
 
@@ -301,9 +301,8 @@ def _check_pgm_support_invariance(get_povm, get_gathers):
     worst = 0.0
     for batch, sectors in get_gathers():
         for stack, gathers in zip(elements, sectors):
-            # Pi_I E_I Pi_I = (Pi_I (Pi_I E_I)^dag)^dag against E_I
-            rows = _symmetrized_rows(stack[batch], gathers).conj().swapaxes(1, 2)
-            sandwiched = _symmetrized_rows(rows, gathers).conj().swapaxes(1, 2)
+            # Pi_I E_I Pi_I against E_I
+            sandwiched = sandwich_row_gathers(stack[batch], gathers)
             worst = max(worst, np.abs(sandwiched - stack[batch]).max())
     return worst, FLOAT_TOL, ""
 
@@ -323,8 +322,8 @@ def _check_commutation(get_eta_bar, get_gathers):
     for _, sectors in get_gathers():
         for a, gathers in zip(get_eta_bar(), sectors):
             # Pi_I eta_bar, and eta_bar Pi_I as (Pi_I eta_bar^dag)^dag
-            right = _symmetrized_rows(a.conj().T[None], gathers).conj().swapaxes(1, 2)
-            worst = max(worst, np.abs(_symmetrized_rows(a[None], gathers) - right).max())
+            right = mean_row_gathers(a.conj().T[None], gathers).conj().swapaxes(1, 2)
+            worst = max(worst, np.abs(mean_row_gathers(a[None], gathers) - right).max())
     return worst, FLOAT_TOL, ""
 
 

@@ -224,6 +224,20 @@ class TestContractedChannel:
         tracemalloc.stop()
         assert peak <= 8 * povm.layout.dim**2 * 8
 
+    def test_choi_holds_one_summed_element_at_a_time(self):
+        # at std-pbtc (2, 6, 2) five receiving ports share the 15 outcomes:
+        # summing one port's elements at a time peaks at about 3 elements,
+        # where keeping every port's sum until the contraction took about 5.4
+        d, N, M = 2, 6, 2
+        povm = std_pbtc_povm(N, M, d)
+        tracemalloc.start()
+        try:
+            entanglement_fidelity_choi(povm, 1, N, M, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * povm.layout.dim**2 * 8
+
 
 class TestCloneSlotRange:
     @pytest.mark.parametrize("clone_slot", [0, -1, 3])

@@ -91,6 +91,18 @@ class TestComplete:
         with pytest.raises(ValueError, match="exceeds identity"):
             complete(bad)
 
+    @pytest.mark.parametrize("entries,message", [
+        ([[0.5, 0.1], [0.0, 0.5]], "not Hermitian"),
+        ([[0.5, 0.0], [0.0, -0.5]], "not PSD"),
+    ])
+    def test_non_hermitian_or_non_psd_sum_rejected(self, entries, message):
+        # the completion reads the checked spectrum of the sum, so a sum whose
+        # top eigenvalue stays below 1 is still refused
+        layout = SubsystemLayout(["a"], [2])
+        bad = Povm(outcomes={0: LabeledOperator(layout, np.array(entries))}, layout=layout)
+        with pytest.raises(ValueError, match=message):
+            complete(bad)
+
 
 class TestPovmLayout:
     # the sizes agree, so only the layout check tells the elements apart

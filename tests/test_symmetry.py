@@ -1,5 +1,6 @@
 import itertools
-from math import comb, factorial
+import tracemalloc
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from portclone.symmetry import (
     symmetrize_rows,
     symmetrize_slots,
 )
-from portclone.tensor_core import DimensionCapError, SubsystemLayout
+from portclone.tensor_core import BlockGroup, DimensionCapError, SubsystemLayout, weight_sectors
 
 
 class TestPortSets:
@@ -113,6 +114,50 @@ class TestPermutation:
             assert image_set(s, I) == I
             for j in (2, 4):
                 assert s[j - 1] == j - 1
+
+
+def whole_basis_maps(s, dims):
+    """The maps of every basis index, built at once: the (slots, perms, D)
+    table of the digits each slot takes, folded by `ravel_multi_index`."""
+    digits = np.array(np.unravel_index(np.arange(prod(dims)), dims))
+    return np.ravel_multi_index(tuple(digits[np.asarray(s).T]), dims)
+
+
+def outcome_members(I, N):
+    """The subgroup fixing the complement of I as images of the slots of
+    [X, A1..AN], X fixed."""
+    return np.insert(subgroup_fixing_complement(I, N) + 1, 0, 0, axis=1)
+
+
+class TestPermutedBasisIndices:
+    @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (3, 3, 2), (2, 6, 4)])
+    def test_group_digits_map_the_group_indices(self, d, N, M):
+        # the maps of a group's indices, built slot by slot from its digit
+        # table, are the whole-basis maps read at those indices
+        group = BlockGroup(weight_sectors((d,) * (N + 1), 1)[1], (d,) * (N + 1))
+        for I in enumerate_unordered(N, M):
+            members = outcome_members(I, N)
+            expected = whole_basis_maps(members, group.dims)
+            assert np.array_equal(permuted_basis_indices(members, group.dims), expected)
+            grouped = permuted_basis_indices(members, group.dims, group.digits)
+            assert np.array_equal(grouped, expected[:, group.idx])
+            one = permuted_basis_indices(members[-1], group.dims, group.digits)
+            assert np.array_equal(one, whole_basis_maps(members[-1], group.dims)[group.idx])
+
+    def test_one_outcome_maps_peak_at_a_few_tables(self):
+        # at (2, 8, 6) one outcome's 720 maps of 512 indices take 2.8 MiB; the
+        # digit table of every slot at once peaked at about 10 times that
+        d, N, M = 2, 8, 6
+        group = BlockGroup(weight_sectors((d,) * (N + 1), 1)[1], (d,) * (N + 1))
+        members = outcome_members(enumerate_unordered(N, M)[0], N)
+        tracemalloc.start()
+        try:
+            maps = permuted_basis_indices(members, group.dims, group.digits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert maps.shape == (factorial(M), d ** (N + 1))
+        assert peak < 4 * maps.nbytes
 
 
 class TestSymmetricProjector:
