@@ -172,6 +172,29 @@ def symmetric_projector(I: Sequence[int], full_layout: SubsystemLayout) -> Label
     )
 
 
+def port_type_classes(stack: np.ndarray, outcomes: Sequence, dims: Sequence[int]) -> tuple:
+    """The entries (I, r, c) of `stack`, one matrix per port set I of `outcomes`
+    on qudits of the equal dimensions `dims`, in S_N orbits (classes): V_s A V_s^dag
+    gathers A's rows and columns by one basis map, so s permutes an entry's ports,
+    port j of type (j in I, r_j, c_j), and a class is one multiset of types. Returns
+    the nonzero values sorted by class, then by value, the class of each (from 0) and
+    each class's size N!/prod n_t!, whole if `outcomes` lists every port set of its size."""
+    (N, d), (k, r, c) = (len(dims), dims[0]), np.nonzero(stack)
+    in_I = np.zeros((len(outcomes), N), dtype=np.int64)
+    in_I[np.arange(len(outcomes))[:, None], np.array(outcomes) - 1] = 1
+    digits = np.arange(len(stack[0]))[:, None] // d ** np.arange(N - 1, -1, -1) % d
+    # each entry's types, sorted, as the base-2d^2 digits of one code
+    types = np.sort((in_I[k] * d + digits[r]) * d + digits[c], axis=1)
+    codes, values = types @ (2 * d * d) ** np.arange(N), stack[k, r, c]
+    order = np.lexsort((values, codes))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = codes[order[1:]] != codes[order[:-1]]
+    rows = types[order[first]]
+    # prod n_t! as the product over ports j of the count of ports i <= j of j's type
+    place = ((rows[:, :, None] == rows[:, None, :]) & np.tri(N, dtype=bool)).sum(axis=2)
+    return values[order], np.cumsum(first) - 1, factorial(N) // place.prod(axis=1)
+
+
 @lru_cache(maxsize=None)
 def stirling_first(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind (permutations of n with k cycles)."""

@@ -23,6 +23,7 @@ from portclone.symmetry import (
     mean_row_gathers,
     permuted_basis_indices,
     port_label,
+    port_type_classes,
     sandwich_row_gathers,
     stirling_first,
     subgroup_fixing_complement,
@@ -92,10 +93,8 @@ def _disjoint_overlap_routes(d: int, M: int, N: int) -> tuple[Fraction, Fraction
     if 2 * M > N:
         raise ValueError(f"no disjoint pair of {M}-sets exists for N={N}")
     denom = (sym_dim(d, M) * factorial(M)) ** 2 * d**N * d
-    return (
-        Fraction(cycle_sum_by_enumeration(d, M), denom),
-        Fraction(cycle_sum_by_stirling(d, M), denom),
-    )
+    enumerated, closed_form = cycle_sum_by_enumeration(d, M), cycle_sum_by_stirling(d, M)
+    return Fraction(enumerated, denom), Fraction(closed_form, denom)
 
 
 def combinatorial_disjoint_overlap(d: int, M: int, N: int) -> float:
@@ -152,49 +151,36 @@ def eta_bar_purity(N: int, M: int, d: int) -> float:
 
 def purity_upper_bound(N: int, M: int, d: int) -> float:
     """Upper bound on Tr[(eta^I)^2]: (d^(M-N+2)/d[M]) M!(M-1)!/(d+M-1)."""
-    return (
-        d ** (M - N + 2)
-        / sym_dim(d, M)
-        * factorial(M)
-        * factorial(M - 1)
-        / (d + M - 1)
-    )
+    return d ** (M - N + 2) / sym_dim(d, M) * factorial(M) * factorial(M - 1) / (d + M - 1)
 
 
 def _cap_sn_table(N):
     """Refuse the table of `_permuted_outcomes`, N! rows of N images, by its
-    size; checks a and b call it before they build anything."""
+    size. Check a calls it before it builds anything; check b lists no sigma,
+    but calls it first too, so that both refuse the same points."""
     count = factorial(N)
     check_cap(count * N, f"table of the {count} permutations of {N} ports")
 
 
 def _permuted_outcomes(N, outcomes, bytes_per_sigma):
     """Every sigma in S_N as 0-based images, one per row, in the batches of
-    `_batches`, each with the position in `outcomes` of sigma(I) for every
-    sigma of the batch (row) and outcome I (column)."""
+    `_batches`, each with the position in `outcomes` of sigma(I), looked up by
+    the bit mask of its ports, for every sigma of the batch (row) and outcome
+    I (column)."""
     count = factorial(N)
     # one byte per image, with no tuple per sigma on the way;
     # `_cap_sn_table` keeps N at 10 or below
-    table = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(N))),
-        dtype=np.uint8, count=count * N,
-    ).reshape(count, N)
+    table = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(N))),
+                        dtype=np.uint8, count=count * N).reshape(count, N)
     ports = np.array(outcomes) - 1
     position = np.zeros(2**N, dtype=int)  # outcome position by bit mask of its ports
     position[(1 << ports).sum(axis=1)] = np.arange(len(outcomes))
     for batch in _batches(count, bytes_per_sigma):
         # as intp, so that 1 << sigma does not wrap from port 8 on
         sigmas = table[batch].astype(np.intp)
-        yield sigmas, _outcome_images(sigmas, ports, position)
-
-
-def _outcome_images(sigmas, ports, position):
-    """Position of sigma(I), looked up in `position` by the bit mask of its
-    ports, for each sigma (row) and each outcome I given by its 0-based ports
-    (row of `ports`, column of the result)."""
-    bits = 1 << sigmas
-    # one port of every outcome at a time, so no temporary is larger than the result
-    return position[sum(bits[:, column] for column in ports.T)]
+        bits = 1 << sigmas
+        # one port of every outcome at a time, so no temporary is larger than the result
+        yield sigmas, position[sum(bits[:, column] for column in ports.T)]
 
 
 def _batches(n, bytes_per_item):
@@ -241,23 +227,17 @@ def _check_projector_conjugation(d, N, get_outcomes):
     # the dimension cap refuses the family before any of it is built
     check_family(len(outcomes), layout.dim)
     stack = np.array([symmetric_projector(I, layout).entries for I in outcomes])
-    # V_sigma is a 0/1 permutation matrix, so V_sigma Pi_I V_sigma^dag is Pi_I
-    # with rows and columns gathered by the basis map g of sigma^-1: entry
-    # (r, c) of Pi_I lands on entry (g^-1[r], g^-1[c]), which Pi_sigma(I) is to
-    # hold. Only nonzero entries are moved. Where Pi_sigma(I) is nonzero but
-    # the conjugate is 0, sigma^-1 moves that entry of Pi_sigma(I) onto the 0
-    # of Pi_I, so the max over all of S_N is the max over every entry.
-    k, r, c = np.nonzero(stack)
-    values = stack[k, r, c]
-    D = layout.dim
-    worst = 0.0
-    # per sigma and nonzero entry: one int64 code of the entry of the stack
-    # it is compared with, image D^2 + g^-1[r] D + g^-1[c]
-    for sigmas, image in _permuted_outcomes(N, outcomes, 8 * len(k)):
-        # g^-1 is the basis map of the inverse images
-        g_inv = permuted_basis_indices(np.argsort(sigmas, axis=1), layout.dims)
-        codes = (image[:, k] * D + g_inv[:, r]) * D + g_inv[:, c]
-        worst = max(worst, np.abs(stack.ravel()[codes] - values).max())
+    values, cls, sizes = port_type_classes(stack, outcomes, layout.dims)
+    # a class with fewer nonzeros than entries also holds a 0, at |v| from each v
+    worst = np.max(np.abs(values[(sizes > np.bincount(cls))[cls]]), initial=0.0)
+    # then every pair of distinct values of one class, sorted neighbours first
+    distinct = np.ones(len(cls), dtype=bool)
+    distinct[1:] = (cls[1:] != cls[:-1]) | (values[1:] != values[:-1])
+    cls, values = cls[distinct], values[distinct]
+    offset = 1
+    while (same := cls[offset:] == cls[:-offset]).any():
+        worst = np.maximum(worst, np.abs(values[offset:] - values[:-offset])[same].max())
+        offset += 1
     return worst, FLOAT_TOL, ""
 
 
@@ -303,18 +283,18 @@ def _check_pgm_support_invariance(get_povm, get_gathers):
         for stack, gathers in zip(elements, sectors):
             # Pi_I E_I Pi_I against E_I
             sandwiched = sandwich_row_gathers(stack[batch], gathers)
-            worst = max(worst, np.abs(sandwiched - stack[batch]).max())
+            worst = np.maximum(worst, np.abs(sandwiched - stack[batch]).max())
     return worst, FLOAT_TOL, ""
 
 
 def _check_pgm_completeness(get_povm):
     elements, supports, deltas = get_povm()
-    dev_support = max(np.abs(e.sum(axis=0) - p).max() for e, p in zip(elements, supports))
+    dev_support = np.max([np.abs(e.sum(axis=0) - p).max() for e, p in zip(elements, supports)])
     # infinite where the element sum already exceeds identity: completion refused
-    dev_id = np.inf if deltas is None else max(
+    dev_id = np.inf if deltas is None else np.max([
         np.abs((e + delta).sum(axis=0) - np.eye(len(delta))).max()
-        for e, delta in zip(elements, deltas))
-    return max(dev_support, dev_id), COMPLETION_TOL, ""
+        for e, delta in zip(elements, deltas)])
+    return np.maximum(dev_support, dev_id), COMPLETION_TOL, ""
 
 
 def _check_commutation(get_eta_bar, get_gathers):
@@ -323,7 +303,7 @@ def _check_commutation(get_eta_bar, get_gathers):
         for a, gathers in zip(get_eta_bar(), sectors):
             # Pi_I eta_bar, and eta_bar Pi_I as (Pi_I eta_bar^dag)^dag
             right = mean_row_gathers(a.conj().T[None], gathers).conj().swapaxes(1, 2)
-            worst = max(worst, np.abs(mean_row_gathers(a[None], gathers) - right).max())
+            worst = np.maximum(worst, np.abs(mean_row_gathers(a[None], gathers) - right).max())
     return worst, FLOAT_TOL, ""
 
 
@@ -339,23 +319,20 @@ def _check_overlap_classes(get_overlaps):
     for (I, J), overlap in get_overlaps().items():
         k = len(set(I) & set(J))
         classes.setdefault(k, []).append(overlap)
-    return max(max(v) - min(v) for v in classes.values()), FLOAT_TOL, ""
+    return np.max([np.ptp(v) for v in classes.values()]), FLOAT_TOL, ""
 
 
 def _check_cauchy_schwarz(get_overlaps):
     overlaps = get_overlaps()
     self_overlap = next(iter(overlaps.values()))  # the first outcome with itself
-    worst = 0.0
-    for (I, J), overlap in overlaps.items():
-        if I != J:
-            worst = max(worst, overlap - self_overlap)
-    return max(0.0, worst), FLOAT_TOL, ""
+    cross = [overlap - self_overlap for (I, J), overlap in overlaps.items() if I != J]
+    return np.max(cross, initial=0.0), FLOAT_TOL, ""
 
 
 def _check_purity_bound(d, N, M, get_overlaps):
     bound = purity_upper_bound(N, M, d)
-    worst = max(overlap - bound for (I, J), overlap in get_overlaps().items() if I == J)
-    return max(0.0, worst), FLOAT_TOL, f"bound {bound:.6g}"
+    worst = [overlap - bound for (I, J), overlap in get_overlaps().items() if I == J]
+    return np.max(worst, initial=0.0), FLOAT_TOL, f"bound {bound:.6g}"
 
 
 def _check_disjoint_overlap(d, N, M, get_overlaps):
@@ -365,7 +342,7 @@ def _check_disjoint_overlap(d, N, M, get_overlaps):
     target = 1.0 / d ** (N + 1)
     # the overlap from the sector stacks and both exact routes, each against 1/d^(N+1)
     values = [get_overlaps()[I, J], *map(float, _disjoint_overlap_routes(d, M, N))]
-    return max(abs(value - target) for value in values), FLOAT_TOL, ""
+    return np.max(np.abs(np.subtract(values, target))), FLOAT_TOL, ""
 
 
 def _check_purity_trend(d, N, M, get_eta_bar):
@@ -374,13 +351,13 @@ def _check_purity_trend(d, N, M, get_eta_bar):
     # the point itself first, so that the cap refuses it before N - 1 is built
     curr = abs(d ** (N + 1) * purity(get_eta_bar()) - 1.0)
     prev = abs(d**N * eta_bar_purity(N - 1, M, d) - 1.0)
-    return max(0.0, curr - prev), EXACT, f"{TREND_NOTE}: |excess| {prev:.6g} -> {curr:.6g}"
+    return np.maximum(0.0, curr - prev), EXACT, f"{TREND_NOTE}: |excess| {prev:.6g} -> {curr:.6g}"
 
 
 def _check_fidelity_lower_bound(d, N, M, get_eta_bar):
     bound = ((d + M - 1) / (d * M)) / (d ** (N + 1) * purity(get_eta_bar()))
     F = protocol_fidelity("std-pbtc", d, N, M).F
-    return max(0.0, bound - F), FLOAT_TOL, f"{TREND_NOTE}: F={F:.8g}, bound={bound:.8g}"
+    return np.maximum(0.0, bound - F), FLOAT_TOL, f"{TREND_NOTE}: F={F:.8g}, bound={bound:.8g}"
 
 
 def _check_stirling():

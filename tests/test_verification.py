@@ -21,6 +21,7 @@ from portclone.symmetry import (
     enumerate_unordered,
     permuted_basis_indices,
     port_label,
+    port_type_classes,
     subgroup_fixing_complement,
     sym_dim,
     symmetric_projector,
@@ -215,6 +216,20 @@ class TestSectorStacks:
         assert c2.deviation == np.inf and not c2.passed
         assert len(results) == 13 and results["d-rank-formula"].passed
 
+    def test_nan_in_an_element_fails_check_c(self, monkeypatch):
+        # Pi_I E_I Pi_I - E_I is NaN where the element is: the check must
+        # fail, where a running max(worst, x) kept worst and passed
+        build = verification.square_root_blocks
+
+        def broken(stacks, roots):
+            elements = build(stacks, roots)
+            max(elements, key=lambda stack: stack.shape[-1])[0, 0, 0] = np.nan
+            return elements
+
+        monkeypatch.setattr(verification, "square_root_blocks", broken)
+        c = {r.name: r for r in run_suite(2, 4, 2)}["c-pgm-support-invariance"]
+        assert np.isnan(c.deviation) and not c.passed
+
     def test_gathers_hold_one_outcome_table_at_a_time(self):
         # at (2, 7, 5) one outcome's basis-map digits, 5! maps of 8 slots over
         # 256 indices, take about 1.9 MiB, so each batch holds one outcome;
@@ -274,28 +289,27 @@ class TestSuite:
         assert all(r.passed and r.notes.startswith("skipped") for r in refused)
 
     def test_sigma_images_built_per_batch(self, monkeypatch):
+        # check a lists S_N in batches; check b lists no sigma at all
         d, N, M = 2, 6, 2
         outcomes = enumerate_unordered(N, M)
-        checks = [
-            (verification._check_subgroup_conjugation,
-             (N, lambda: outcomes, verification.subgroup_fixing_complement)),
-            (verification._check_projector_conjugation, (d, N, lambda: outcomes)),
-        ]
-        whole = [check(*args) for check, args in checks]
+        args = (N, lambda: outcomes, verification.subgroup_fixing_complement)
+        whole = verification._check_subgroup_conjugation(*args)
         seen = []
-        images = verification._outcome_images
+        permuted = verification._permuted_outcomes
 
-        def spy(sigmas, *args):
-            seen.append(len(sigmas))
-            return images(sigmas, *args)
+        def spy(*args):
+            for sigmas, image in permuted(*args):
+                seen.append(len(sigmas))
+                yield sigmas, image
 
-        monkeypatch.setattr(verification, "_outcome_images", spy)
+        monkeypatch.setattr(verification, "_permuted_outcomes", spy)
         monkeypatch.setattr(
             verification, "_batches", lambda n, _: [slice(i, i + 7) for i in range(0, n, 7)]
         )
-        batched = [check(*args) for check, args in checks]
-        assert batched == whole
-        assert max(seen) == 7 and sum(seen) == 2 * factorial(N)
+        assert verification._check_subgroup_conjugation(*args) == whole
+        assert max(seen) == 7 and sum(seen) == factorial(N)
+        verification._check_projector_conjugation(d, N, lambda: outcomes)
+        assert sum(seen) == factorial(N)
 
     def test_permutation_table_is_compact(self):
         # S_9 as one byte per image; as a list of tuples the table peaked at
@@ -349,6 +363,18 @@ class TestSuite:
             reference = column_gather_commutation(scattered(group, blocks), N, outcomes)
             check = verification._check_commutation(lambda: blocks, gathers)
             assert check[0] == reference
+
+    def test_nan_fails_the_commutation_and_cauchy_schwarz_checks(self):
+        group, _, eta_bar = verification._signal_sectors(3, 2, 2)
+        outcomes = enumerate_unordered(3, 2)
+        broken = [block.copy() for block in eta_bar]
+        broken[-1][0, 0] = np.nan
+        gathers = lambda: verification._projector_gathers(3, group, outcomes)
+        c3 = verification._check_commutation(lambda: broken, gathers)[0]
+        overlaps = verification._sector_overlaps(verification._signal_sectors(3, 2, 2)[1], outcomes)
+        overlaps[outcomes[0], outcomes[1]] = np.nan
+        f = verification._check_cauchy_schwarz(lambda: overlaps)[0]
+        assert np.isnan(c3) and np.isnan(f)
 
     def test_disjoint_check_skipped_when_impossible(self):
         results = run_suite(2, 3, 2)
@@ -620,12 +646,10 @@ class TestBatchedConjugationChecks:
         assert (a_deviation <= a_threshold) == (fault != "subgroup")
         assert (b_deviation <= b_threshold) == (fault in ("clean", "subgroup"))
 
-    @pytest.mark.parametrize(
-        "check,d,N,M,fault", [("b", 2, 6, 2, "vanished-entry"), ("a", 2, 6, 3, "subgroup")]
-    )
-    def test_partial_last_batch(self, monkeypatch, check, d, N, M, fault):
-        # S_N splits into batches whose last one is shorter, and the
+    def test_partial_last_batch(self, monkeypatch):
+        # check a splits S_N into batches whose last one is shorter, and the
         # deviation still equals the reference
+        N, M = 6, 3
         batches = []
         split = verification._batches
 
@@ -636,16 +660,94 @@ class TestBatchedConjugationChecks:
 
         monkeypatch.setattr(verification, "_batches", recorded)
         outcomes = enumerate_unordered(N, M)
-        self.corrupt(monkeypatch, fault, outcomes[-1])
-        get_outcomes = lambda: outcomes
-        if check == "a":
-            deviation, threshold, _ = verification._check_subgroup_conjugation(
-                N, get_outcomes, verification.subgroup_fixing_complement
-            )
-            reference = reference_check_a(N, outcomes, verification.subgroup_fixing_complement)
-        else:
-            deviation, threshold, _ = verification._check_projector_conjugation(d, N, get_outcomes)
-            reference = reference_check_b(d, N, outcomes, verification.symmetric_projector)
+        self.corrupt(monkeypatch, "subgroup", outcomes[-1])
+        deviation, threshold, _ = verification._check_subgroup_conjugation(
+            N, lambda: outcomes, verification.subgroup_fixing_complement
+        )
+        reference = reference_check_a(N, outcomes, verification.subgroup_fixing_complement)
         assert deviation == reference and deviation > threshold
         [sizes] = batches
         assert sum(sizes) == factorial(N) and len(sizes) > 1 and sizes[-1] < sizes[0]
+
+    @pytest.mark.parametrize(
+        "d,N,M,fault", [(2, 6, 2, "clean"), (2, 6, 2, "vanished-entry"), (3, 4, 2, "clean")]
+    )
+    def test_class_route_equals_the_loop_reference(self, monkeypatch, d, N, M, fault):
+        # check b compares values within the port-type classes, not per sigma
+        outcomes = enumerate_unordered(N, M)
+        self.corrupt(monkeypatch, fault, outcomes[-1])
+        deviation, threshold, _ = verification._check_projector_conjugation(
+            d, N, lambda: outcomes
+        )
+        assert deviation == reference_check_b(d, N, outcomes, verification.symmetric_projector)
+        assert (deviation <= threshold) == (fault == "clean")
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (3, 3, 2), (2, 5, 3)])
+    def test_noisy_classes_equal_the_loop_reference(self, monkeypatch, d, N, M, dtype):
+        # every nonzero of every Pi_I moved by its own noise, so each class
+        # holds as many distinct values as nonzeros: all their pairs count
+        build_projector = verification.symmetric_projector
+        rng = np.random.default_rng(7)
+        noisy = {}
+
+        def projector(I, layout):
+            if I not in noisy:
+                entries = build_projector(I, layout).entries.astype(dtype)
+                nonzero = entries != 0
+                noise = rng.normal(size=(2, nonzero.sum())) * 1e-9
+                entries[nonzero] += noise[0] + (1j * noise[1] if dtype is complex else 0)
+                noisy[I] = LabeledOperator(layout, entries)
+            return noisy[I]
+
+        monkeypatch.setattr(verification, "symmetric_projector", projector)
+        outcomes = enumerate_unordered(N, M)
+        deviation, threshold, _ = verification._check_projector_conjugation(
+            d, N, lambda: outcomes
+        )
+        assert deviation == reference_check_b(d, N, outcomes, projector)
+        assert threshold < deviation < 1e-7
+
+    @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (3, 3, 2), (2, 5, 3), (2, 4, 4)])
+    def test_class_sizes_partition_the_entries(self, d, N, M):
+        # on a stack with no zero, every entry is in one class, each class is
+        # full, and the classes are the orbits of S_N found by moving every
+        # entry (I, r, c) to (sigma(I), g^-1 r, g^-1 c) for every sigma
+        outcomes = enumerate_unordered(N, M)
+        D = d**N
+        stack = np.arange(1, len(outcomes) * D * D + 1, dtype=float).reshape(-1, D, D)
+        values, classes, sizes = port_type_classes(stack, outcomes, (d,) * N)
+        assert sizes.sum() == len(outcomes) * D * D
+        assert np.bincount(classes).tolist() == sizes.tolist()
+        orbit = np.arange(stack.size)
+        for images in itertools.permutations(range(N)):
+            s = np.array(images)
+            g_inv = permuted_basis_indices(np.argsort(s), (d,) * N)
+            image = [outcomes.index(sigma_image(s, I)) for I in outcomes]
+            moved = (np.array(image)[:, None, None] * D + g_inv[:, None]) * D + g_inv
+            orbit = np.minimum(orbit, orbit[moved.ravel()])
+        # the pass visits every sigma, so each entry ends at the least index of
+        # its orbit; value v of the stack is entry v - 1, and classes and
+        # orbits pair up one to one
+        pairs = set(zip(classes.tolist(), orbit[values.astype(int) - 1].tolist()))
+        assert len(pairs) == len(sizes) == len(np.unique(orbit))
+
+    # (1, 2) is 0 in Pi_(1,3), so its class also holds 0s; (1, 1) is 1, in a
+    # class of 1s on the diagonal with no 0
+    @pytest.mark.parametrize("entry", [(1, 2), (1, 1)])
+    def test_nan_in_a_projector_fails_check_b(self, monkeypatch, entry):
+        # a NaN differs from every value, so the class that holds it fails;
+        # a running max(worst, x) would keep worst and pass
+        build_projector = verification.symmetric_projector
+
+        def projector(I, layout):
+            pi = build_projector(I, layout)
+            if I != (1, 3):
+                return pi
+            entries = pi.entries.copy()
+            entries[entry] = np.nan
+            return LabeledOperator(layout, entries)
+
+        monkeypatch.setattr(verification, "symmetric_projector", projector)
+        b = {r.name: r for r in run_suite(2, 4, 2)}["b-projector-conjugation"]
+        assert np.isnan(b.deviation) and not b.passed
