@@ -1,9 +1,9 @@
 """Numerical simulator for port-based telecloning protocols.
 
-Dense linear-algebra construction of pretty good measurements over
-partially symmetrized signal states, fidelity evaluation for the
-standard and clone-and-teleport style protocols, and a numerical
-certification suite for the identities the asymptotic analysis relies on.
+Exact fidelities of pretty good measurements over partially symmetrized
+signal states, block by block on the weight sectors with dense matrices as
+the independent route, for the standard and clone-and-teleport protocols,
+and a certification suite for the identities the asymptotics rely on.
 """
 
 from portclone.tensor_core import (

@@ -14,6 +14,7 @@ from portclone.symmetry import (
     check_ports,
     enumerate_ordered,
     enumerate_unordered,
+    permuted_positions,
     port_label,
     sym_dim,
 )
@@ -109,18 +110,6 @@ def _factor_parts(block: np.ndarray, pos: np.ndarray, n_blocks: int) -> list[np.
     return [pos[i:j].T for i, j in zip(bounds, bounds[1:])]
 
 
-def _permuted_positions(sets: np.ndarray, group: BlockGroup):
-    """For every permutation s of M slots but the identity, the
-    (n, len(group.idx)) positions in its block of each index of the group
-    with its digits on the slots of each set S in `sets`, an (n, M) array,
-    permuted by s."""
-    digits = group.digits[sets]  # (set, slot of S, index)
-    strides = group.strides[sets][..., None]
-    for s in itertools.islice(itertools.permutations(range(sets.shape[1])), 1, None):
-        moved = group.idx + ((digits[:, s] - digits) * strides).sum(axis=1)
-        yield group.positions(group.entry_block, moved)
-
-
 def _symmetrized_nonzeros(fixed: int, sets: np.ndarray, group: BlockGroup):
     """Nonzeros of the sum over the slot sets S in `sets`, an (n, M) array of
     positions of slots of one dimension d, of M M! Pi_S (P_{f,s1} (x) 1) Pi_S
@@ -143,7 +132,8 @@ def _symmetrized_nonzeros(fixed: int, sets: np.ndarray, group: BlockGroup):
     yield rows, cols, bounds  # the identity keeps every column
     # each column's ones in its set's flattened table of moved positions
     flat = (member // M * len(group.idx) + group.starts[block])[:, None] + pos
-    for moved in _permuted_positions(sets, group):
+    for p in np.array(list(itertools.permutations(range(M))))[1:, None]:
+        moved = permuted_positions(group, sets, p)
         yield rows, np.tile(np.take(moved, flat), pos.shape[1]).ravel(), bounds
 
 
@@ -169,10 +159,10 @@ def _symmetrized_factor(fixed: int, slots: Sequence[int], group: BlockGroup) -> 
     of S and F_P is the factor of P_{f,s1} (`_pattern_columns`). Returns F per
     block as an (M! d, columns) array of positions: F is the sum over its rows
     of the 0/1 matrices with a one at (row entry, column)."""
-    sets = np.array([slots])
     _, block, pos = _pattern_columns(np.array([[[fixed, slots[0]]]]), group)
     at = group.starts[block][:, None] + pos  # the ones' positions in the group
-    terms = [pos] + [moved[0][at] for moved in _permuted_positions(sets, group)]
+    perms = np.array(list(itertools.permutations(range(len(slots)))))[1:]  # (0, M) at M = 1
+    terms = [pos] + list(permuted_positions(group, np.array([slots]), perms)[:, 0, at])
     return _factor_parts(block, np.concatenate(terms, axis=1), len(group.widths))
 
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import Sequence
 
 import numpy as np
 
-from portclone.tensor_core import LabeledOperator, SubsystemLayout, check_cap
+from portclone.tensor_core import BlockGroup, LabeledOperator, SubsystemLayout, check_cap
 
 
 def port_label(i: int) -> str:
@@ -61,42 +61,31 @@ def cycle_count(s: Sequence[int]) -> int:
     return count
 
 
-def _slot_permutations(n: int, slots: Sequence[int]) -> np.ndarray:
-    """Every permutation of the positions `slots` among themselves, fixing the
-    other positions of 0..n-1, one per row as 0-based images in the order of
-    `itertools.permutations(slots)`."""
-    members = []
-    for images in itertools.permutations(slots):
-        row = list(range(n))
-        for j, i in zip(slots, images):
-            row[j] = i
-        members.append(row)
-    return np.array(members)
-
-
 def subgroup_fixing_complement(I: Sequence[int], N: int) -> np.ndarray:
     """All permutations of the ports 1..N that permute I and fix everything
-    else, one per row as 0-based images: row s maps port j + 1 to port s[j] + 1."""
-    return _slot_permutations(N, [i - 1 for i in check_ports(I, N)])
+    else, one per row as 0-based images in the order of
+    `itertools.permutations(I)`: row s maps port j + 1 to port s[j] + 1."""
+    slots = [i - 1 for i in check_ports(I, N)]
+    members = np.tile(np.arange(N), (factorial(len(slots)), 1))
+    members[:, slots] = list(itertools.permutations(slots))
+    return members
 
 
-def permuted_basis_indices(
-    s: np.ndarray, dims: Sequence[int], digits: np.ndarray | None = None
-) -> np.ndarray:
-    """Where each basis index c goes when slot j takes digit s[j] of c: the
-    index of V_t |c> for t = s^-1, with V_t as in `permutation_unitary`. `s`
-    holds 0-based images, one permutation or a stack of them with one result
-    row each. `digits`, one row per slot (as `BlockGroup.digits`), maps only
-    the indices it holds, one result column each; by default every index.
-    The maps are built slot by slot, so no temporary outgrows the result."""
-    if digits is None:
-        digits = np.array(np.unravel_index(np.arange(prod(dims)), dims))  # digit j of each index
-    s = np.asarray(s)
-    maps = digits[s[..., 0]]  # a copy: fancy indexing
-    for j in range(1, len(dims)):
-        maps *= dims[j]
-        maps += digits[s[..., j]]
-    return maps
+def permuted_positions(group: BlockGroup, sets: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The one map of slot permutations on basis indices: for each p in
+    `perms`, (P, M) 0-based images, and slot set S in `sets`, (n, M) slot
+    positions, the (P, n, len(group.idx)) positions in their blocks of the
+    `tensor_core.BlockGroup` `group` of its indices with the digit of slot
+    S[p[k]] moved to slot S[k] (V_s |c> for the s mapping S[p[k]] to S[k], as
+    in `permutation_unitary`). Built slot by slot, so no temporary outgrows
+    the result; an index mapped out of its block raises ValueError."""
+    # slot S[j]'s digit moves to S[q[j]], q = p^-1: a step of its stride difference
+    strides = group.strides[sets]
+    steps = (strides[:, np.argsort(perms)] - strides[:, None]).transpose(2, 1, 0)[..., None]
+    moved = np.full((len(perms), len(sets), len(group.idx)), group.idx)
+    for slot, step in zip(sets.T, steps):
+        moved += group.digits[slot] * step
+    return group.positions(group.entry_block, moved)
 
 
 def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledOperator:
@@ -107,8 +96,10 @@ def permutation_unitary(s: np.ndarray, d: int, slots: Sequence[str]) -> LabeledO
     if len(slots) != len(s):
         raise ValueError(f"permutation acts on {len(s)} slots but {len(slots)} labels given")
     layout = SubsystemLayout(slots, [d] * len(s))
+    group = BlockGroup([np.arange(layout.dim)], layout.dims)  # positions are indices
     entries = np.zeros((layout.dim, layout.dim))
-    entries[permuted_basis_indices(np.argsort(s), layout.dims), np.arange(layout.dim)] = 1.0
+    moved = permuted_positions(group, np.arange(len(s))[None], np.argsort(s)[None])[0, 0]
+    entries[moved, np.arange(layout.dim)] = 1.0
     return LabeledOperator(layout, entries)
 
 
@@ -127,11 +118,13 @@ def check_slot_table(m: int, n_slots: int, dim: int) -> None:
 
 def _slot_gathers(layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
     """The row gathers of the permutations of the slot positions `slots` on
-    `layout`, as a (1, m!, dim) table for `mean_row_gathers`. The table holds
-    a digit per slot, permutation and basis state while it is built; it is
-    refused from that count before any permutation is listed."""
+    `layout`, as a (1, m!, dim) table for `mean_row_gathers`: the maps of
+    `permuted_positions` on the whole basis as one block, refused by the count
+    of `check_slot_table` before any permutation is listed."""
     check_slot_table(len(slots), len(layout.dims), layout.dim)
-    return permuted_basis_indices(_slot_permutations(len(layout.dims), slots), layout.dims)[None]
+    group = BlockGroup([np.arange(layout.dim)], layout.dims)
+    perms = np.array(list(itertools.permutations(range(len(slots)))))
+    return permuted_positions(group, np.array([slots]), perms).swapaxes(0, 1)
 
 
 def mean_row_gathers(stack: np.ndarray, gathers: np.ndarray) -> np.ndarray:
@@ -150,16 +143,11 @@ def sandwich_row_gathers(stack: np.ndarray, gathers: np.ndarray) -> np.ndarray:
     return mean_row_gathers(rows, gathers).conj().swapaxes(1, 2)
 
 
-def symmetrize_rows(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
-    """Pi A, where A is given by its entries `a` on `layout` and Pi
-    symmetrizes the slot positions `slots`. Pi is the average of the slot
-    permutations, each of which maps basis states to basis states, so Pi A
-    is the average of the row gathers A[g] (`_slot_gathers`)."""
-    return mean_row_gathers(a[None], _slot_gathers(layout, slots))[0]
-
-
 def symmetrize_slots(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
-    """Pi A Pi, with Pi as in `symmetrize_rows`, by `sandwich_row_gathers`."""
+    """Pi A Pi, where A is given by its entries `a` on `layout` and Pi
+    symmetrizes the slot positions `slots`: Pi is the average of the slot
+    permutations, each a map of basis states (`_slot_gathers`), so both
+    passes of `sandwich_row_gathers` are means of row gathers."""
     return sandwich_row_gathers(a[None], _slot_gathers(layout, slots))[0]
 
 

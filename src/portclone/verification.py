@@ -21,7 +21,7 @@ from portclone.symmetry import (
     cycle_count,
     enumerate_unordered,
     mean_row_gathers,
-    permuted_basis_indices,
+    permuted_positions,
     port_label,
     port_type_classes,
     sandwich_row_gathers,
@@ -226,7 +226,11 @@ def _check_projector_conjugation(d, N, get_outcomes):
     layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
     # the dimension cap refuses the family before any of it is built
     check_family(len(outcomes), layout.dim)
-    stack = np.array([symmetric_projector(I, layout).entries for I in outcomes])
+    stack = np.empty((len(outcomes), layout.dim, layout.dim))
+    for k, I in enumerate(outcomes):  # one at a time; a complex projector makes it complex
+        entries = symmetric_projector(I, layout).entries
+        stack = stack.astype(np.result_type(stack, entries), copy=False)
+        stack[k] = entries
     values, cls, sizes = port_type_classes(stack, outcomes, layout.dims)
     # a class with fewer nonzeros than entries also holds a 0, at |v| from each v
     worst = np.max(np.abs(values[(sizes > np.bincount(cls))[cls]]), initial=0.0)
@@ -241,20 +245,18 @@ def _check_projector_conjugation(d, N, get_outcomes):
     return worst, FLOAT_TOL, ""
 
 
-def _projector_gathers(N, group, outcomes):
+def _projector_gathers(group, outcomes):
     """Pi_I as row gathers, over the outcomes I in the batches of `_batches`:
     per batch its slice of `outcomes` and, per sector of width w, the
-    (outcome, member, w) positions in the sector of the images of its indices
-    under each member of the subgroup fixing the complement of I (port j is
-    slot j of [X, A1..AN]). A batch holds about 1 MB of basis-map digits, or
-    one outcome's, whose count is refused as `symmetrize_rows` refuses it."""
+    (outcome, member, w) `permuted_positions` of its indices under the M!
+    permutations of I's slots (port j is slot j of [X, A1..AN]). A batch counts
+    about 1 MB of `check_slot_table`'s entries, or one outcome's, which are
+    refused as `symmetrize_slots` refuses them."""
     m, n_slots, dim = len(outcomes[0]), len(group.dims), len(group.idx)
     check_slot_table(m, n_slots, dim)
+    perms = np.array(list(itertools.permutations(range(m))))
     for batch in _batches(len(outcomes), 8 * factorial(m) * n_slots * dim):
-        members = np.concatenate([subgroup_fixing_complement(I, N) + 1 for I in outcomes[batch]])
-        maps = permuted_basis_indices(np.insert(members, 0, 0, axis=1), group.dims, group.digits)
-        maps = maps.reshape(len(outcomes[batch]), -1, dim)
-        positions = group.positions(group.entry_block, maps)
+        positions = permuted_positions(group, np.array(outcomes[batch]), perms).swapaxes(0, 1)
         yield batch, np.split(positions, group.starts[1:-1], axis=-1)
 
 
@@ -387,7 +389,7 @@ def run_suite(d: int, N: int, M: int, inject_fault: bool = False) -> list[CheckR
     get_sectors = cache(lambda: _signal_sectors(N, M, d))
     get_eta_bar = cache(lambda: get_sectors()[2])
     # not cached: each call is a fresh pass over the batches of Pi_I gathers
-    get_gathers = lambda: _projector_gathers(N, get_sectors()[0], get_outcomes())
+    get_gathers = lambda: _projector_gathers(get_sectors()[0], get_outcomes())
     get_povm = cache(lambda: _sector_pgm(*get_sectors()[1:], get_gathers, inject_fault))
     get_overlaps = cache(lambda: _sector_overlaps(get_sectors()[1], get_outcomes()))
     checks = [

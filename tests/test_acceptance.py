@@ -145,6 +145,30 @@ class TestCriterion2FidelityGap:
             worst = max(worst, abs(r.F - F), abs(r.f - f))
         _report("2", worst < FIXTURE_TOL, f"regression fixtures: worst dev {worst:.3e}")
 
+    # f(std-pbtc) - f(clone-mpbt) at d=2, per M: (N, gap) at the last N with a
+    # positive gap and at the next N
+    CROSSOVER = {
+        2: ((7, 4.828763042030837e-3), (8, -6.418765710090035e-3)),
+        3: ((8, 1.515787327497553e-2), (9, -1.3847323921885035e-3)),
+    }
+
+    @pytest.mark.parametrize("m", sorted(CROSSOVER))
+    def test_crossover_pinned(self, m):
+        """Telecloning is strictly better only in certain cases: the gap
+        changes sign between the two pinned N, each pinned to 1e-12."""
+        (last, _), (first, _) = points = self.CROSSOVER[m]
+        gaps = [
+            protocol_fidelity("std-pbtc", 2, n, m).f - protocol_fidelity("clone-mpbt", 2, n, m).f
+            for n, _ in points
+        ]
+        worst = max(abs(gap - pinned) for gap, (_, pinned) in zip(gaps, points))
+        _report(
+            "2",
+            worst <= 1e-12 and gaps[0] > 0 > gaps[1],
+            f"M={m}: gap {gaps[0]:+.6e} at N={last}, {gaps[1]:+.6e} at N={first}, "
+            f"worst dev {worst:.3e}",
+        )
+
 
 class TestCriterion3LimitConvergence:
     def test_gap_to_limit_decreases(self, sweep):

@@ -11,14 +11,14 @@ from portclone.symmetry import (
     cycle_count,
     enumerate_ordered,
     enumerate_unordered,
+    mean_row_gathers,
     permutation_unitary,
-    permuted_basis_indices,
+    permuted_positions,
     port_label,
     stirling_first,
     subgroup_fixing_complement,
     sym_dim,
     symmetric_projector,
-    symmetrize_rows,
     symmetrize_slots,
 )
 from portclone.tensor_core import BlockGroup, DimensionCapError, SubsystemLayout, weight_sectors
@@ -123,40 +123,79 @@ def whole_basis_maps(s, dims):
     return np.ravel_multi_index(tuple(digits[np.asarray(s).T]), dims)
 
 
-def outcome_members(I, N):
-    """The subgroup fixing the complement of I as images of the slots of
-    [X, A1..AN], X fixed."""
-    return np.insert(subgroup_fixing_complement(I, N) + 1, 0, 0, axis=1)
+def full_rows(sets, perms, n_slots):
+    """The (P, n, n_slots) images of every slot under each permutation p of
+    `perms` applied to each slot set S of `sets`: S[k] goes to S[p[k]], and
+    every other slot is fixed."""
+    rows = np.tile(np.arange(n_slots), (len(perms), len(sets), 1))
+    for k in range(sets.shape[1]):
+        rows[:, np.arange(len(sets)), sets[:, k]] = sets[:, perms[:, k]].T
+    return rows
 
 
-class TestPermutedBasisIndices:
+def sector_group(dims, n_conj):
+    return BlockGroup(weight_sectors(dims, n_conj)[1], dims)
+
+
+def all_perms(M):
+    return np.array(list(itertools.permutations(range(M))))
+
+
+class TestPermutedPositions:
+    @pytest.mark.parametrize(
+        "dims,n_conj,M",
+        [((2,) * 5, 1, 2), ((3,) * 4, 1, 2), ((2,) * 7, 1, 4), ((2, 3, 2, 3, 3), 0, 3)],
+    )
+    def test_maps_are_whole_basis_maps_read_in_the_sectors(self, dims, n_conj, M):
+        # every permutation of every set of M equal-dimension slots, after the
+        # conjugated ones, on the weight sectors: the map of each index of the
+        # group is the whole-basis map read at it, placed in its sector
+        group = sector_group(dims, n_conj)
+        assert len(group.widths) > 1
+        slots = [j for j in range(n_conj, len(dims)) if dims[j] == dims[-1]]
+        sets = np.array(list(itertools.combinations(slots, M)))
+        perms = all_perms(M)
+        positions = permuted_positions(group, sets, perms)
+        assert positions.shape == (len(perms), len(sets), len(group.idx))
+        rows = full_rows(sets, perms, len(dims)).reshape(-1, len(dims))
+        expected = group.basis_pos[whole_basis_maps(rows, dims)[:, group.idx]]
+        assert np.array_equal(positions.reshape(len(rows), -1), expected)
+        # one set and one permutation read the same maps out of the stack
+        one = permuted_positions(group, sets[-1:], perms[-1:])
+        assert np.array_equal(one, positions[-1:, -1:])
+
     @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (3, 3, 2), (2, 6, 4)])
-    def test_group_digits_map_the_group_indices(self, d, N, M):
-        # the maps of a group's indices, built slot by slot from its digit
-        # table, are the whole-basis maps read at those indices
-        group = BlockGroup(weight_sectors((d,) * (N + 1), 1)[1], (d,) * (N + 1))
-        for I in enumerate_unordered(N, M):
-            members = outcome_members(I, N)
-            expected = whole_basis_maps(members, group.dims)
-            assert np.array_equal(permuted_basis_indices(members, group.dims), expected)
-            grouped = permuted_basis_indices(members, group.dims, group.digits)
-            assert np.array_equal(grouped, expected[:, group.idx])
-            one = permuted_basis_indices(members[-1], group.dims, group.digits)
-            assert np.array_equal(one, whole_basis_maps(members[-1], group.dims)[group.idx])
+    def test_maps_are_those_of_the_subgroup_members(self, d, N, M):
+        # the Pi_I gathers of checks c and c3 map the indices by the members
+        # of the subgroup that check a certifies, in its order
+        group = sector_group((d,) * (N + 1), 1)
+        outcomes = enumerate_unordered(N, M)
+        positions = permuted_positions(group, np.array(outcomes), all_perms(M))
+        for k, I in enumerate(outcomes):
+            members = np.insert(subgroup_fixing_complement(I, N) + 1, 0, 0, axis=1)
+            expected = group.basis_pos[whole_basis_maps(members, group.dims)[:, group.idx]]
+            assert np.array_equal(positions[:, k], expected)
+
+    def test_image_leaving_its_block_raises(self):
+        # swapping X with a port changes an index's weight, so its sector
+        group = sector_group((2,) * 4, 1)
+        with pytest.raises(ValueError, match="not closed"):
+            permuted_positions(group, np.array([[0, 1]]), all_perms(2))
 
     def test_one_outcome_maps_peak_at_a_few_tables(self):
         # at (2, 8, 6) one outcome's 720 maps of 512 indices take 2.8 MiB; the
         # digit table of every slot at once peaked at about 10 times that
         d, N, M = 2, 8, 6
-        group = BlockGroup(weight_sectors((d,) * (N + 1), 1)[1], (d,) * (N + 1))
-        members = outcome_members(enumerate_unordered(N, M)[0], N)
+        group = sector_group((d,) * (N + 1), 1)
+        sets = np.array(enumerate_unordered(N, M)[:1])
+        perms = all_perms(M)
         tracemalloc.start()
         try:
-            maps = permuted_basis_indices(members, group.dims, group.digits)
+            maps = permuted_positions(group, sets, perms)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert maps.shape == (factorial(M), d ** (N + 1))
+        assert maps.shape == (factorial(M), 1, d ** (N + 1))
         assert peak < 4 * maps.nbytes
 
 
@@ -190,7 +229,7 @@ class TestSymmetricProjector:
             }
             for s in map(np.array, itertools.permutations(range(N))):
                 v = permutation_unitary(s, d, labels).entries
-                g = permuted_basis_indices(s, layout.dims)
+                g = whole_basis_maps(s, layout.dims)
                 flat = (g[:, None] * D + g).ravel()
                 for I, pi in projectors.items():
                     dense = v @ pi @ v.conj().T
@@ -207,7 +246,7 @@ def reference_symmetrize_slots(a, layout, slots):
         for j, i in zip(slots, images):
             row[j] = i
         members.append(row)
-    gathers = permuted_basis_indices(np.array(members), layout.dims)
+    gathers = whole_basis_maps(np.array(members), layout.dims)
     rows = sum(a[g] for g in gathers) / len(gathers)
     return sum(rows[:, g] for g in gathers) / len(gathers)
 
@@ -244,17 +283,18 @@ class TestSymmetrizeSlots:
             symmetrize_slots(a, layout, slots), reference_symmetrize_slots(a, layout, slots)
         )
         pi = symmetric_projector((1, 2, 3), layout).entries
-        assert np.abs(symmetrize_rows(a, layout, slots) - pi @ a).max() < 1e-14
+        rows = mean_row_gathers(a[None], symmetry._slot_gathers(layout, slots))[0]
+        assert np.abs(rows - pi @ a).max() < 1e-14
 
     def test_table_refused_before_permutations_are_listed(self, monkeypatch):
         # 8 slots of 2 levels: a table of 8! * 8 * 256 entries, above the cap
         def refuse(*args):
             raise AssertionError("permutations listed before the table was sized")
 
-        monkeypatch.setattr(symmetry, "_slot_permutations", refuse)
+        monkeypatch.setattr(symmetry, "permuted_positions", refuse)
         layout = SubsystemLayout([f"c{k}" for k in range(8)], [2] * 8)
         with pytest.raises(DimensionCapError, match="basis-map table"):
-            symmetrize_rows(np.zeros((layout.dim, layout.dim)), layout, range(8))
+            symmetrize_slots(np.zeros((layout.dim, layout.dim)), layout, range(8))
 
 
 class TestStirling:

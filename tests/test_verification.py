@@ -1,7 +1,7 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from portclone.states import (
 )
 from portclone.symmetry import (
     enumerate_unordered,
-    permuted_basis_indices,
     port_label,
     port_type_classes,
     subgroup_fixing_complement,
@@ -241,12 +240,29 @@ class TestSectorStacks:
         tracemalloc.start()
         try:
             sizes = [len(outcomes[batch]) for batch, _ in
-                     verification._projector_gathers(N, group, outcomes)]
+                     verification._projector_gathers(group, outcomes)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert sizes == [1] * len(outcomes)
         assert peak < 2 * counted
+
+    def test_projector_check_holds_its_stack_about_once(self):
+        # at (2, 8, 2) the stack of 28 projectors of 256^2 entries takes
+        # 14.7 MB; a list of them copied into one array peaked at twice that
+        d, N, M = 2, 8, 2
+        outcomes = enumerate_unordered(N, M)
+        stack_bytes = 8 * comb(N, M) * (d**N) ** 2
+        tracemalloc.start()
+        try:
+            deviation, threshold, _ = verification._check_projector_conjugation(
+                d, N, lambda: outcomes
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deviation <= threshold
+        assert peak < 1.5 * stack_bytes
 
 
 class TestSuite:
@@ -343,7 +359,7 @@ class TestSuite:
         (r, c) = group.basis_pos[[1, 2]]
         broken[b][r, c] += 1e-3
         broken[b][c, r] += 1e-3
-        gathers = lambda: verification._projector_gathers(3, group, outcomes)
+        gathers = lambda: verification._projector_gathers(group, outcomes)
         clean, threshold, _ = verification._check_commutation(lambda: eta_bar, gathers)
         deviation, _, _ = verification._check_commutation(lambda: broken, gathers)
         reference = column_gather_commutation(scattered(group, broken), 3, outcomes)
@@ -355,7 +371,7 @@ class TestSuite:
         # real average and on a complex non-Hermitian operator, block by block
         N, outcomes = 3, enumerate_unordered(3, 2)
         group, _, eta_bar = verification._signal_sectors(N, 2, 2)
-        gathers = lambda: verification._projector_gathers(N, group, outcomes)
+        gathers = lambda: verification._projector_gathers(group, outcomes)
         rng = np.random.default_rng(4)
         noisy = [a + 1e-3 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
                  for a in eta_bar]
@@ -369,7 +385,7 @@ class TestSuite:
         outcomes = enumerate_unordered(3, 2)
         broken = [block.copy() for block in eta_bar]
         broken[-1][0, 0] = np.nan
-        gathers = lambda: verification._projector_gathers(3, group, outcomes)
+        gathers = lambda: verification._projector_gathers(group, outcomes)
         c3 = verification._check_commutation(lambda: broken, gathers)[0]
         overlaps = verification._sector_overlaps(verification._signal_sectors(3, 2, 2)[1], outcomes)
         overlaps[outcomes[0], outcomes[1]] = np.nan
@@ -540,13 +556,20 @@ class TestConjugationChecksDetectFaults:
         assert a.deviation >= 1
 
 
+def basis_map(s, dims):
+    """Where each basis index goes when slot j takes digit s[j] of it, for one
+    permutation s or a stack of them, by `ravel_multi_index`."""
+    digits = np.array(np.unravel_index(np.arange(prod(dims)), dims))
+    return np.ravel_multi_index(tuple(digits[np.asarray(s).T]), dims)
+
+
 def column_gather_commutation(a, N, outcomes):
     """Check c3 on the dense operator `a` on [X, A1..AN]: Pi_I a against
     a Pi_I, the mean of the column gathers a[:, g], for every outcome I."""
     worst = 0.0
     for I in outcomes:
         members = [[0, *(s + 1)] for s in subgroup_fixing_complement(I, N)]
-        gathers = permuted_basis_indices(np.array(members), (2,) * (N + 1))
+        gathers = basis_map(members, (2,) * (N + 1))
         left = sum(a[g] for g in gathers) / len(gathers)
         right = sum(a[:, g] for g in gathers) / len(gathers)
         worst = max(worst, np.abs(left - right).max())
@@ -581,7 +604,7 @@ def reference_check_b(d, N, outcomes, projector_of):
     worst = 0.0
     for images in itertools.permutations(range(N)):
         s = np.array(images)
-        g = permuted_basis_indices(s, layout.dims)
+        g = basis_map(s, layout.dims)
         for I, pi in projectors.items():
             worst = max(worst, np.abs(pi[np.ix_(g, g)] - projectors[sigma_image(s, I)]).max())
     return worst
@@ -722,7 +745,7 @@ class TestBatchedConjugationChecks:
         orbit = np.arange(stack.size)
         for images in itertools.permutations(range(N)):
             s = np.array(images)
-            g_inv = permuted_basis_indices(np.argsort(s), (d,) * N)
+            g_inv = basis_map(np.argsort(s), (d,) * N)
             image = [outcomes.index(sigma_image(s, I)) for I in outcomes]
             moved = (np.array(image)[:, None, None] * D + g_inv[:, None]) * D + g_inv
             orbit = np.minimum(orbit, orbit[moved.ravel()])
