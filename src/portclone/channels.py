@@ -18,7 +18,7 @@ from math import comb, prod
 
 import numpy as np
 
-from portclone.cloning import clone_map
+from portclone.cloning import optimal_clone_fidelity
 from portclone.measurements import Povm
 from portclone.states import (
     cloned_signal_factor,
@@ -210,6 +210,7 @@ def haar_average_check(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    check_cap(samples * d * d, f"{samples} Haar samples of {d}^2 entries")  # before any draw
     rng = np.random.default_rng(seed)
     draws = rng.normal(size=(samples, 2, d))  # per sample: d real parts, then d imaginary
     vecs = draws[:, 0] + 1j * draws[:, 1]
@@ -483,16 +484,13 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
 
 
 def _clone_fields(M: int, d: int) -> dict:
-    """Pure optimal cloning with no teleportation: the `FidelityReport` fields
-    of the dense single-clone marginal, f read off it and F = (f (d + 1) - 1) / d."""
-    x_layout = SubsystemLayout([input_label()], [d])
-    basis0 = np.zeros((d, d))
-    basis0[0, 0] = 1.0
-    out_labels = [f"c{k}" for k in range(1, M + 1)]
-    cloned = clone_map(LabeledOperator(x_layout, basis0), M, d, out_labels)
-    f = float(np.real(partial_trace(cloned, out_labels[1:]).entries[0, 0]))
-    return dict(F=(f * (d + 1) - 1) / d, f=f, delta_contribution=0.0, n_blocks=1,
-                max_block_dim=cloned.dim, n_orbits=1, n_pieces=1, max_piece_dim=cloned.dim)
+    """Pure optimal cloning with no teleportation: f of `optimal_clone_fidelity`
+    (Werner's closed form) and F = (f (d + 1) - 1) / d; nothing is formed, so sizes read 0."""
+    if M < 1:
+        raise ValueError(f"need M >= 1, got M={M}")
+    check_dims([d])
+    f = optimal_clone_fidelity(M, d)
+    return dict(F=(f * (d + 1) - 1) / d, f=f, delta_contribution=0.0)
 
 
 def protocol_fidelity(protocol: str, d: int, N: int, M: int) -> FidelityReport:

@@ -79,6 +79,8 @@ def permuted_positions(group: BlockGroup, sets: np.ndarray, perms: np.ndarray) -
     S[p[k]] moved to slot S[k] (V_s |c> for the s mapping S[p[k]] to S[k], as
     in `permutation_unitary`). Built slot by slot, so no temporary outgrows
     the result; an index mapped out of its block raises ValueError."""
+    if not len(perms):  # as every M = 1 factor passes: nothing to map or look up
+        return np.empty((0, len(sets), len(group.idx)), dtype=np.intp)
     # slot S[j]'s digit moves to S[q[j]], q = p^-1: a step of its stride difference
     strides = group.strides[sets]
     steps = (strides[:, np.argsort(perms)] - strides[:, None]).transpose(2, 1, 0)[..., None]
@@ -116,15 +118,25 @@ def check_slot_table(m: int, n_slots: int, dim: int) -> None:
     check_cap(perms * n_slots * dim, f"basis-map table of {perms} slot permutations")
 
 
-def _slot_gathers(layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
-    """The row gathers of the permutations of the slot positions `slots` on
-    `layout`, as a (1, m!, dim) table for `mean_row_gathers`: the maps of
-    `permuted_positions` on the whole basis as one block, refused by the count
-    of `check_slot_table` before any permutation is listed."""
-    check_slot_table(len(slots), len(layout.dims), layout.dim)
-    group = BlockGroup([np.arange(layout.dim)], layout.dims)
-    perms = np.array(list(itertools.permutations(range(len(slots)))))
-    return permuted_positions(group, np.array([slots]), perms).swapaxes(0, 1)
+def batches(n: int, bytes_per_item: int) -> list[slice]:
+    """Consecutive slices of range(n) whose items take about 1 MB together."""
+    size = max(1, 2**20 // bytes_per_item)
+    return [slice(i, i + size) for i in range(0, n, size)]
+
+
+def slot_gathers(group: BlockGroup, sets: Sequence[Sequence[int]]):
+    """The one builder of symmetrizers as row gathers: over the slot sets S
+    of `sets`, all of one size m, in the batches of `batches`, per batch its
+    slice and, per block of w indices of `group`, the (set, member, w)
+    `permuted_positions` under the m! permutations of S, for
+    `mean_row_gathers`. A batch counts about 1 MB of `check_slot_table`'s
+    entries, or one set's, which are refused before any permutation is listed."""
+    m, n_slots, dim = len(sets[0]), len(group.dims), len(group.idx)
+    check_slot_table(m, n_slots, dim)
+    perms = np.array(list(itertools.permutations(range(m))))
+    for batch in batches(len(sets), 8 * factorial(m) * n_slots * dim):
+        positions = permuted_positions(group, np.array(sets[batch]), perms).swapaxes(0, 1)
+        yield batch, np.split(positions, group.starts[1:-1], axis=-1)
 
 
 def mean_row_gathers(stack: np.ndarray, gathers: np.ndarray) -> np.ndarray:
@@ -146,9 +158,10 @@ def sandwich_row_gathers(stack: np.ndarray, gathers: np.ndarray) -> np.ndarray:
 def symmetrize_slots(a: np.ndarray, layout: SubsystemLayout, slots: Sequence[int]) -> np.ndarray:
     """Pi A Pi, where A is given by its entries `a` on `layout` and Pi
     symmetrizes the slot positions `slots`: Pi is the average of the slot
-    permutations, each a map of basis states (`_slot_gathers`), so both
-    passes of `sandwich_row_gathers` are means of row gathers."""
-    return sandwich_row_gathers(a[None], _slot_gathers(layout, slots))[0]
+    permutations, each a map of basis states (`slot_gathers` on the basis as
+    one block), so both passes of `sandwich_row_gathers` are means of row gathers."""
+    [(_, [gathers])] = slot_gathers(BlockGroup([np.arange(layout.dim)], layout.dims), [slots])
+    return sandwich_row_gathers(a[None], gathers)[0]
 
 
 def symmetric_projector(I: Sequence[int], full_layout: SubsystemLayout) -> LabeledOperator:

@@ -17,14 +17,14 @@ from portclone.channels import protocol_fidelity
 from portclone.measurements import split_complement, square_root_blocks
 from portclone.states import counted_entries, pbtc_signal_nonzeros
 from portclone.symmetry import (
-    check_slot_table,
+    batches,
     cycle_count,
     enumerate_unordered,
     mean_row_gathers,
-    permuted_positions,
     port_label,
     port_type_classes,
     sandwich_row_gathers,
+    slot_gathers,
     stirling_first,
     subgroup_fixing_complement,
     sym_dim,
@@ -164,7 +164,7 @@ def _cap_sn_table(N):
 
 def _permuted_outcomes(N, outcomes, bytes_per_sigma):
     """Every sigma in S_N as 0-based images, one per row, in the batches of
-    `_batches`, each with the position in `outcomes` of sigma(I), looked up by
+    `batches`, each with the position in `outcomes` of sigma(I), looked up by
     the bit mask of its ports, for every sigma of the batch (row) and outcome
     I (column)."""
     count = factorial(N)
@@ -175,18 +175,12 @@ def _permuted_outcomes(N, outcomes, bytes_per_sigma):
     ports = np.array(outcomes) - 1
     position = np.zeros(2**N, dtype=int)  # outcome position by bit mask of its ports
     position[(1 << ports).sum(axis=1)] = np.arange(len(outcomes))
-    for batch in _batches(count, bytes_per_sigma):
+    for batch in batches(count, bytes_per_sigma):
         # as intp, so that 1 << sigma does not wrap from port 8 on
         sigmas = table[batch].astype(np.intp)
         bits = 1 << sigmas
         # one port of every outcome at a time, so no temporary is larger than the result
         yield sigmas, position[sum(bits[:, column] for column in ports.T)]
-
-
-def _batches(n, bytes_per_item):
-    """Consecutive slices of range(n) whose items take about 1 MB together."""
-    size = max(1, 2**20 // bytes_per_item)
-    return [slice(i, i + size) for i in range(0, n, size)]
 
 
 def _check_subgroup_conjugation(N, get_outcomes, subgroup_of):
@@ -243,21 +237,6 @@ def _check_projector_conjugation(d, N, get_outcomes):
         worst = np.maximum(worst, np.abs(values[offset:] - values[:-offset])[same].max())
         offset += 1
     return worst, FLOAT_TOL, ""
-
-
-def _projector_gathers(group, outcomes):
-    """Pi_I as row gathers, over the outcomes I in the batches of `_batches`:
-    per batch its slice of `outcomes` and, per sector of width w, the
-    (outcome, member, w) `permuted_positions` of its indices under the M!
-    permutations of I's slots (port j is slot j of [X, A1..AN]). A batch counts
-    about 1 MB of `check_slot_table`'s entries, or one outcome's, which are
-    refused as `symmetrize_slots` refuses them."""
-    m, n_slots, dim = len(outcomes[0]), len(group.dims), len(group.idx)
-    check_slot_table(m, n_slots, dim)
-    perms = np.array(list(itertools.permutations(range(m))))
-    for batch in _batches(len(outcomes), 8 * factorial(m) * n_slots * dim):
-        positions = permuted_positions(group, np.array(outcomes[batch]), perms).swapaxes(0, 1)
-        yield batch, np.split(positions, group.starts[1:-1], axis=-1)
 
 
 def _sector_pgm(stacks, average, get_gathers, inject_fault):
@@ -388,8 +367,9 @@ def run_suite(d: int, N: int, M: int, inject_fault: bool = False) -> list[CheckR
     get_outcomes = cache(lambda: enumerate_unordered(N, M))
     get_sectors = cache(lambda: _signal_sectors(N, M, d))
     get_eta_bar = cache(lambda: get_sectors()[2])
-    # not cached: each call is a fresh pass over the batches of Pi_I gathers
-    get_gathers = lambda: _projector_gathers(get_sectors()[0], get_outcomes())
+    # not cached: each call is a fresh pass over the batches of Pi_I gathers;
+    # port j is slot j of [X, A1..AN], so each port set is its slot set
+    get_gathers = lambda: slot_gathers(get_sectors()[0], get_outcomes())
     get_povm = cache(lambda: _sector_pgm(*get_sectors()[1:], get_gathers, inject_fault))
     get_overlaps = cache(lambda: _sector_overlaps(get_sectors()[1], get_outcomes()))
     checks = [

@@ -22,10 +22,10 @@ from portclone.channels import (
     protocol_fidelity,
     slot_signals,
 )
-from portclone.cloning import optimal_clone_fidelity
+from portclone.cloning import clone_map, optimal_clone_fidelity
 from portclone.measurements import clone_mpbt_povm, complete, pgm, std_pbtc_povm
-from portclone.states import pbtc_signal
-from portclone.tensor_core import trace_product
+from portclone.states import input_label, pbtc_signal
+from portclone.tensor_core import LabeledOperator, SubsystemLayout, partial_trace, trace_product
 from portclone.verification import (
     combinatorial_disjoint_overlap,
     eta_bar_purity,
@@ -74,13 +74,24 @@ def sweep():
     return reports
 
 
+def dense_clone_fidelity(d, m):
+    """f of the dense cloning map: <0| Tr_{c2..cm}[C(|0><0|)] |0>."""
+    basis0 = np.zeros((d, d))
+    basis0[0, 0] = 1.0
+    labels = [f"c{k}" for k in range(1, m + 1)]
+    x = LabeledOperator(SubsystemLayout([input_label()], [d]), basis0)
+    return float(np.real(partial_trace(clone_map(x, m, d, labels), labels[1:]).entries[0, 0]))
+
+
 class TestCriterion1OptimalCloning:
     def test_closed_form_and_runtime(self):
+        # the dense map against Werner's closed form, which `clone` reports
         start = time.perf_counter()
         worst = 0.0
         for d, m in itertools.product((2, 3), (1, 2, 3)):
-            got = protocol_fidelity("clone", d, 0, m).f
-            worst = max(worst, abs(got - optimal_clone_fidelity(m, d)))
+            closed = optimal_clone_fidelity(m, d)
+            reported = protocol_fidelity("clone", d, 0, m).f
+            worst = max(worst, abs(dense_clone_fidelity(d, m) - closed), abs(reported - closed))
         elapsed = time.perf_counter() - start
         _report(
             "1",

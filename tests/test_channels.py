@@ -25,7 +25,7 @@ from portclone.channels import (
     single_clone_output,
     slot_signals,
 )
-from portclone.cloning import optimal_clone_fidelity
+from portclone.cloning import clone_map, optimal_clone_fidelity
 from portclone.measurements import Povm, clone_mpbt_povm, complete, pgm, std_pbtc_povm
 from portclone.states import (
     cloned_signal_factor,
@@ -120,6 +120,13 @@ class TestRouteEquivalence:
             formula = entanglement_fidelity_formula(povm, slot_signals(povm, N, d, slot))
             choi = entanglement_fidelity_choi(povm, slot, N, M, d)
             assert abs(formula - choi) < 1e-10
+
+    def test_formula_refuses_a_missing_signal(self):
+        povm = std_pbtc_povm(3, 2, 2)
+        signals = slot_signals(povm, 3, 2)
+        del signals[(2, 3)]
+        with pytest.raises(KeyError, match=r"no signal state supplied for outcome \(2, 3\)"):
+            entanglement_fidelity_formula(povm, signals)
 
     def test_choi_matches_state_output(self):
         # the channel applied to |0><0| must agree with what the formula predicts
@@ -312,23 +319,40 @@ class TestProtocolDispatch:
             protocol_fidelity("std-pbtc", 2, 2, 3)
 
     def test_clone_matches_closed_form(self):
-        for d in (2, 3):
-            for m in (1, 2, 3):
-                r = protocol_fidelity("clone", d, 0, m)
-                assert abs(r.f - optimal_clone_fidelity(m, d)) < 1e-10
+        # Werner's closed form itself, with nothing formed: the dense cloning
+        # map took 83 s at (4, 6) and refused d=2, M >= 8 by its basis-map table
+        for d, m in [*itertools.product((2, 3), (1, 2, 3)), (4, 6), (2, 13), (5, 5)]:
+            start = time.perf_counter()
+            r = protocol_fidelity("clone", d, 0, m)
+            assert time.perf_counter() - start < 0.01
+            assert r.f == optimal_clone_fidelity(m, d)
+            assert r.F == (r.f * (d + 1) - 1) / d and r.per_clone_f == (r.f,) * m
+            sizes = (r.n_blocks, r.max_block_dim, r.n_orbits, r.kept_rank, r.n_pieces,
+                     r.max_piece_dim)
+            assert sizes == (0,) * 6 and r.delta_contribution == 0.0
+
+    @pytest.mark.parametrize("d,M,message", [
+        (2, 0, "need M >= 1, got M=0"),
+        (2, -1, "need M >= 1, got M=-1"),
+        (1, 2, r"local dimensions must be >= 2, got \(1,\)"),
+    ])
+    def test_clone_refuses_invalid_parameters(self, d, M, message):
+        with pytest.raises(ValueError, match=message):
+            protocol_fidelity("clone", d, 0, M)
 
     @pytest.mark.parametrize("M", [8, 9, 12, 13])
     def test_clone_refused_by_its_permutation_table(self, M):
-        # the symmetrizer's table of M! basis maps is counted before any
-        # permutation is listed; at M = 8 it holds 8! * 8 * 2^8 = 82.6 M
-        # entries, above the DIM_CAP**2 = 67.1 M of one cap-wide matrix. The
-        # count also comes before clone_map forms the 2^M-wide input (x)
-        # identity, which peaked at 317 MB at M = 12
+        # the dense reference map: the symmetrizer's table of M! basis maps is
+        # counted before any permutation is listed; at M = 8 it holds
+        # 8! * 8 * 2^8 = 82.6 M entries, above the DIM_CAP**2 = 67.1 M of one
+        # cap-wide matrix. The count also comes before clone_map forms the
+        # 2^M-wide input (x) identity, which peaked at 317 MB at M = 12
+        qubit = LabeledOperator(SubsystemLayout([input_label()], [2]), np.eye(2) / 2)
         tracemalloc.start()
         start = time.perf_counter()
         try:
             with pytest.raises(DimensionCapError, match="basis-map table"):
-                protocol_fidelity("clone", 2, 0, M)
+                clone_map(qubit, M, 2)
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -425,7 +449,7 @@ class TestBlockedEngine:
         assert r.kept_rank == r.to_json_dict()["kept_rank"] == dense_rank
         # at N=3 the sector of weight (1, 1) is its own orbit
         assert protocol_fidelity("std-pbtc", 2, 3, 2).n_orbits == 3
-        assert protocol_fidelity("clone", 2, 0, 2).n_orbits == 1
+        assert protocol_fidelity("clone", 2, 0, 2).n_orbits == 0  # nothing decomposed
         # no block is wider than SPLIT_MIN, so every block is one piece
         assert (r.n_pieces, r.max_piece_dim) == (r.n_orbits, r.max_block_dim)
         assert r.to_json_dict()["n_pieces"] == 3
@@ -988,6 +1012,24 @@ class TestLevelPermutationPremise:
 
 
 class TestHaarCheck:
+    def test_no_sample_refused(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            haar_average_check(std_pbtc_povm(3, 2, 2), 1, samples=0, seed=0, N=3, d=2)
+
+    def test_sample_count_refused_before_any_draw(self):
+        # one sample over the cap: its draws, states and outputs would each
+        # hold more than DIM_CAP**2 entries, gigabytes at the default cap
+        d, povm = 2, std_pbtc_povm(3, 2, 2)
+        samples = tensor_core.DIM_CAP**2 // (d * d) + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError, match=f"{samples} Haar samples"):
+                haar_average_check(povm, 1, samples=samples, seed=0, N=3, d=d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_reproducible(self):
         povm = std_pbtc_povm(3, 2, 2)
         a = haar_average_check(povm, 1, samples=20, seed=5, N=3, d=2)

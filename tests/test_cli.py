@@ -49,6 +49,16 @@ class TestFidelityCommand:
         assert res.exit_code != 0
         assert "M=3" in res.output
 
+    @pytest.mark.parametrize("args,message", [
+        (["--M", "0"], "need M >= 1, got M=0"),
+        (["--d", "1", "--M", "2"], "local dimensions must be >= 2"),
+    ])
+    def test_clone_refusals_reported(self, runner, args, message):
+        res = runner.invoke(main, ["fidelity", "--protocol", "clone"] + args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"Error: {message}" in res.output and "Traceback" not in res.output
+
 
 class TestSweepCommand:
     def test_csv_and_svg(self, runner, tmp_path):
@@ -172,6 +182,25 @@ class TestSweepCommand:
         assert message in res.output
         assert not any(p.exists() for p in paths)
 
+    @pytest.mark.parametrize("args,message", [
+        (["--M", "0"], "need 1 <= M <= N"),
+        (["--d", "1"], "local dimensions must be >= 2"),
+    ])
+    def test_bad_point_reported(self, runner, tmp_path, args, message):
+        csv_path = tmp_path / "x.csv"
+        res = runner.invoke(main, ["sweep", "--N-range", "2:3", "--csv", str(csv_path)] + args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"Error: {message}" in res.output and "Traceback" not in res.output
+        assert not csv_path.exists()
+
+    def test_unwritable_csv_reported(self, runner, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        res = runner.invoke(main, ["sweep", "--N-range", "2:3", "--csv", str(path)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: cannot write output" in res.output and "Traceback" not in res.output
+
     @pytest.mark.parametrize("spec", ["x", "3:", ":4", "2:y", "2.5"])
     def test_malformed_range_is_a_usage_error(self, runner, tmp_path, spec):
         csv_path = tmp_path / "x.csv"
@@ -292,6 +321,18 @@ class TestPovmDump:
         for dumped, element in zip(doc["outcomes"], povm.outcomes.values()):
             assert np.array_equal(matrix(dumped["entries"]), element.entries)
         assert np.array_equal(matrix(doc["completion_element"]), povm.completion_element.entries)
+
+    @pytest.mark.parametrize("args,message", [
+        (["--N", "2", "--M", "3"], "need 1 <= M <= N"),
+        (["--d", "1", "--N", "3", "--M", "2"], "local dimensions must be >= 2"),
+    ])
+    def test_bad_point_reported(self, runner, tmp_path, args, message):
+        path = tmp_path / "povm.json"
+        res = runner.invoke(main, ["povm-dump", "--protocol", "std-pbtc", "--out", str(path)] + args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"Error: {message}" in res.output and "Traceback" not in res.output
+        assert not path.exists()
 
     def test_unwritable_output_reported(self, runner, tmp_path):
         path = tmp_path / "missing" / "povm.json"

@@ -75,6 +75,15 @@ class TestCloneMap:
         with pytest.raises(ValueError, match="fewer"):
             clone_map(two, 1, 2)
 
+    def test_slot_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="input slots must all have dimension d"):
+            clone_map(pure_state([1, 0, 0]), 2, 2)
+
+    @pytest.mark.parametrize("out_labels", [["c1"], ["c1", "c2", "c3"]])
+    def test_output_label_count_rejected(self, out_labels):
+        with pytest.raises(ValueError, match=f"need 2 output labels, got {len(out_labels)}"):
+            clone_map(pure_state([1, 0]), 2, 2, out_labels)
+
 
 class TestCloneAdjoint:
     def test_trace_pairing(self):

@@ -58,6 +58,11 @@ class TestPgm:
         with pytest.raises(ValueError, match="layout"):
             pgm({0: s0, 1: s1})
 
+    def test_zero_average_refused(self):
+        zero = LabeledOperator(SubsystemLayout(["a"], [2]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="ensemble average is zero"):
+            pgm({0: zero, 1: zero})
+
     def test_keys_carried_through(self):
         povm = pgm(pbtc_ensemble(4, 2, 2))
         assert set(povm.outcomes) == set(enumerate_unordered(4, 2))
@@ -102,6 +107,22 @@ class TestComplete:
         bad = Povm(outcomes={0: LabeledOperator(layout, np.array(entries))}, layout=layout)
         with pytest.raises(ValueError, match=message):
             complete(bad)
+
+
+class TestValidate:
+    def test_negative_element_refused(self):
+        # the elements sum to the identity, but one of them is not PSD
+        layout = SubsystemLayout(["a"], [2])
+        outcomes = {0: LabeledOperator(layout, np.diag([1.5, 0.5])),
+                    1: LabeledOperator(layout, np.diag([-0.5, 0.5]))}
+        with pytest.raises(ValueError, match="POVM element 1 has negative eigenvalue"):
+            Povm(outcomes=outcomes, layout=layout).validate()
+
+    def test_incomplete_povm_refused(self):
+        layout = SubsystemLayout(["a"], [2])
+        half = Povm(outcomes={0: LabeledOperator(layout, np.eye(2) / 2)}, layout=layout)
+        with pytest.raises(ValueError, match="sum to identity only within 5.000e-01"):
+            half.validate()
 
 
 class TestPovmLayout:

@@ -15,6 +15,7 @@ from portclone.symmetry import (
     permutation_unitary,
     permuted_positions,
     port_label,
+    slot_gathers,
     stirling_first,
     subgroup_fixing_complement,
     sym_dim,
@@ -100,6 +101,10 @@ class TestPermutation:
         with pytest.raises(ValueError, match="bijection"):
             permutation_unitary(np.array([0, 0, 2]), 2, ["a", "b", "c"])
 
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="acts on 3 slots but 2 labels"):
+            permutation_unitary(np.array([1, 2, 0]), 2, ["a", "b"])
+
     def test_cycle_count(self):
         assert cycle_count((0, 1, 2)) == 3
         assert cycle_count((1, 0, 2)) == 2
@@ -175,6 +180,19 @@ class TestPermutedPositions:
             members = np.insert(subgroup_fixing_complement(I, N) + 1, 0, 0, axis=1)
             expected = group.basis_pos[whole_basis_maps(members, group.dims)[:, group.idx]]
             assert np.array_equal(positions[:, k], expected)
+
+    def test_empty_stack_skips_the_block_lookup(self, monkeypatch):
+        # every M = 1 caller passes no permutation; the result is an empty
+        # stack of positions, with no lookup of an empty image array
+        group = sector_group((2,) * 5, 1)
+
+        def refuse(*args):
+            raise AssertionError("positions looked up for an empty stack")
+
+        monkeypatch.setattr(group, "positions", refuse)
+        sets = np.array([[1], [2], [3]])
+        positions = permuted_positions(group, sets, np.empty((0, 1), dtype=int))
+        assert positions.shape == (0, 3, len(group.idx)) and positions.dtype == np.intp
 
     def test_image_leaving_its_block_raises(self):
         # swapping X with a port changes an index's weight, so its sector
@@ -283,7 +301,8 @@ class TestSymmetrizeSlots:
             symmetrize_slots(a, layout, slots), reference_symmetrize_slots(a, layout, slots)
         )
         pi = symmetric_projector((1, 2, 3), layout).entries
-        rows = mean_row_gathers(a[None], symmetry._slot_gathers(layout, slots))[0]
+        [(_, [gathers])] = slot_gathers(BlockGroup([np.arange(layout.dim)], layout.dims), [slots])
+        rows = mean_row_gathers(a[None], gathers)[0]
         assert np.abs(rows - pi @ a).max() < 1e-14
 
     def test_table_refused_before_permutations_are_listed(self, monkeypatch):
@@ -326,6 +345,11 @@ class TestStirling:
                 census[c] = census.get(c, 0) + 1
             for k, count in census.items():
                 assert count == stirling_first(n, k)
+
+    @pytest.mark.parametrize("d,M", [(1, 2), (0, 0), (2, -1)])
+    def test_sym_dim_rejects_invalid_arguments(self, d, M):
+        with pytest.raises(ValueError, match="need d >= 2 and M >= 0"):
+            sym_dim(d, M)
 
     def test_large_arguments_exact(self):
         # Python integers keep this exact far beyond float range

@@ -31,6 +31,7 @@ from portclone.tensor_core import (
     psd_inv_sqrt_blocks,
     sector_sizes,
     support_projector,
+    support_spectra,
     weight_sectors,
 )
 
@@ -52,6 +53,18 @@ class TestLayout:
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             SubsystemLayout([f"q{i}" for i in range(20)], [2] * 20)
+
+    def test_label_and_dimension_counts_must_agree(self):
+        with pytest.raises(ValueError, match="2 labels but 3 dimensions"):
+            SubsystemLayout(["a", "b"], [2, 2, 2])
+
+    def test_unknown_label_named(self):
+        with pytest.raises(KeyError, match="unknown subsystem label 'c'"):
+            SubsystemLayout(["a", "b"], [2, 2]).index("c")
+
+    def test_entries_of_another_shape_refused(self):
+        with pytest.raises(ValueError, match=r"entries shape \(2, 2\) does not match .* 4"):
+            LabeledOperator(SubsystemLayout(["a", "b"], [2, 2]), np.eye(2))
 
     def test_lowered_cap_refuses_layout(self, monkeypatch):
         monkeypatch.setattr(tensor_core, "DIM_CAP", 4)
@@ -105,6 +118,10 @@ class TestKronCompose:
     def test_duplicate_label_named(self):
         with pytest.raises(ValueError, match="'a'"):
             kron_compose([op(["a"], np.eye(2)), op(["a"], np.eye(2))])
+
+    def test_no_operator_refused(self):
+        with pytest.raises(ValueError, match="at least one operator"):
+            kron_compose([])
 
     def test_trace_multiplicative(self):
         rng = np.random.default_rng(7)
@@ -168,6 +185,11 @@ class TestPermuteSubsystems:
         ba = kron_compose([b, a]).permute_subsystems(["a", "b"])
         assert np.abs(ab.entries - ba.entries).max() < 1e-14
 
+    @pytest.mark.parametrize("labels", [["a", "c"], ["a"], ["a", "b", "b"]])
+    def test_labels_not_of_the_layout_refused(self, labels):
+        with pytest.raises(ValueError, match="is not over labels"):
+            op(["a", "b"], np.eye(4)).permute_subsystems(labels)
+
 
 class TestHermitianEig:
     def test_diagonal(self):
@@ -186,6 +208,12 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eig(op(["a"], np.array([[0, 1], [0, 0]], dtype=complex)))
+
+    def test_support_spectra_refuses_no_positive_part(self):
+        # the zero operator, and a negative block beside a zero block
+        for blocks in ([np.zeros((2, 2))], [-np.eye(2), np.zeros((1, 1))]):
+            with pytest.raises(ValueError, match="no positive part"):
+                support_spectra(blocks)
 
     # 600 rows are two slabs of the checks; the fault sits in the second
     def test_asymmetry_in_a_later_slab_rejected(self):

@@ -21,6 +21,7 @@ from portclone.symmetry import (
     enumerate_unordered,
     port_label,
     port_type_classes,
+    slot_gathers,
     subgroup_fixing_complement,
     sym_dim,
     symmetric_projector,
@@ -74,6 +75,13 @@ class TestDisjointOverlap:
     def test_no_disjoint_pair_rejected(self):
         with pytest.raises(ValueError):
             combinatorial_disjoint_overlap(2, 2, 3)
+
+    def test_routes_that_disagree_are_refused(self, monkeypatch):
+        # the Stirling route off by one count: no overlap is returned
+        stirling = verification.cycle_sum_by_stirling
+        monkeypatch.setattr(verification, "cycle_sum_by_stirling", lambda d, M: stirling(d, M) + 1)
+        with pytest.raises(ArithmeticError, match="cycle-sum mismatch"):
+            combinatorial_disjoint_overlap(2, 2, 4)
 
 
 class TestPurity:
@@ -239,8 +247,7 @@ class TestSectorStacks:
         counted = 8 * factorial(M) * (N + 1) * d ** (N + 1)
         tracemalloc.start()
         try:
-            sizes = [len(outcomes[batch]) for batch, _ in
-                     verification._projector_gathers(group, outcomes)]
+            sizes = [len(outcomes[batch]) for batch, _ in slot_gathers(group, outcomes)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -320,7 +327,7 @@ class TestSuite:
 
         monkeypatch.setattr(verification, "_permuted_outcomes", spy)
         monkeypatch.setattr(
-            verification, "_batches", lambda n, _: [slice(i, i + 7) for i in range(0, n, 7)]
+            verification, "batches", lambda n, _: [slice(i, i + 7) for i in range(0, n, 7)]
         )
         assert verification._check_subgroup_conjugation(*args) == whole
         assert max(seen) == 7 and sum(seen) == factorial(N)
@@ -359,7 +366,7 @@ class TestSuite:
         (r, c) = group.basis_pos[[1, 2]]
         broken[b][r, c] += 1e-3
         broken[b][c, r] += 1e-3
-        gathers = lambda: verification._projector_gathers(group, outcomes)
+        gathers = lambda: slot_gathers(group, outcomes)
         clean, threshold, _ = verification._check_commutation(lambda: eta_bar, gathers)
         deviation, _, _ = verification._check_commutation(lambda: broken, gathers)
         reference = column_gather_commutation(scattered(group, broken), 3, outcomes)
@@ -371,7 +378,7 @@ class TestSuite:
         # real average and on a complex non-Hermitian operator, block by block
         N, outcomes = 3, enumerate_unordered(3, 2)
         group, _, eta_bar = verification._signal_sectors(N, 2, 2)
-        gathers = lambda: verification._projector_gathers(group, outcomes)
+        gathers = lambda: slot_gathers(group, outcomes)
         rng = np.random.default_rng(4)
         noisy = [a + 1e-3 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
                  for a in eta_bar]
@@ -385,7 +392,7 @@ class TestSuite:
         outcomes = enumerate_unordered(3, 2)
         broken = [block.copy() for block in eta_bar]
         broken[-1][0, 0] = np.nan
-        gathers = lambda: verification._projector_gathers(group, outcomes)
+        gathers = lambda: slot_gathers(group, outcomes)
         c3 = verification._check_commutation(lambda: broken, gathers)[0]
         overlaps = verification._sector_overlaps(verification._signal_sectors(3, 2, 2)[1], outcomes)
         overlaps[outcomes[0], outcomes[1]] = np.nan
@@ -674,14 +681,14 @@ class TestBatchedConjugationChecks:
         # deviation still equals the reference
         N, M = 6, 3
         batches = []
-        split = verification._batches
+        split = verification.batches
 
         def recorded(n, bytes_per_item):
             slices = split(n, bytes_per_item)
             batches.append([len(range(n)[b]) for b in slices])
             return slices
 
-        monkeypatch.setattr(verification, "_batches", recorded)
+        monkeypatch.setattr(verification, "batches", recorded)
         outcomes = enumerate_unordered(N, M)
         self.corrupt(monkeypatch, "subgroup", outcomes[-1])
         deviation, threshold, _ = verification._check_subgroup_conjugation(
