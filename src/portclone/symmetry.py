@@ -173,20 +173,19 @@ def symmetric_projector(I: Sequence[int], full_layout: SubsystemLayout) -> Label
     )
 
 
-def port_type_classes(stack: np.ndarray, outcomes: Sequence, dims: Sequence[int]) -> tuple:
-    """The entries (I, r, c) of `stack`, one matrix per port set I of `outcomes`
-    on qudits of the equal dimensions `dims`, in S_N orbits (classes): V_s A V_s^dag
-    gathers A's rows and columns by one basis map, so s permutes an entry's ports,
-    port j of type (j in I, r_j, c_j), and a class is one multiset of types. Returns
-    the nonzero values sorted by class, then by value, the class of each (from 0) and
-    each class's size N!/prod n_t!, whole if `outcomes` lists every port set of its size."""
-    (N, d), (k, r, c) = (len(dims), dims[0]), np.nonzero(stack)
+def port_type_classes(nonzeros: tuple, outcomes: Sequence, group: BlockGroup) -> tuple:
+    """The nonzeros (k, r, c, values) of a stack, one matrix per port set outcomes[k]
+    on the basis `group.idx` of qudits of equal dimension, in S_N orbits (classes):
+    V_s A V_s^dag gathers A's rows and columns by one basis map, so s permutes an
+    entry's ports, port j of type (j in I, r_j, c_j), and a class is one multiset of
+    types. Returns the values sorted by class, then by value, the class of each (from
+    0) and each class's size N!/prod n_t!, whole if `outcomes` lists every port set."""
+    (k, r, c, values), (N, d) = nonzeros, (len(group.dims), group.dims[0])
     in_I = np.zeros((len(outcomes), N), dtype=np.int64)
     in_I[np.arange(len(outcomes))[:, None], np.array(outcomes) - 1] = 1
-    digits = np.arange(len(stack[0]))[:, None] // d ** np.arange(N - 1, -1, -1) % d
     # each entry's types, sorted, as the base-2d^2 digits of one code
-    types = np.sort((in_I[k] * d + digits[r]) * d + digits[c], axis=1)
-    codes, values = types @ (2 * d * d) ** np.arange(N), stack[k, r, c]
+    types = np.sort((in_I[k] * d + group.digits.T[r]) * d + group.digits.T[c], axis=1)
+    codes = types @ (2 * d * d) ** np.arange(N)
     order = np.lexsort((values, codes))
     first = np.ones(len(order), dtype=bool)
     first[1:] = codes[order[1:]] != codes[order[:-1]]

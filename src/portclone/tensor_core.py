@@ -88,7 +88,7 @@ class LabeledOperator:
     """
 
     def __init__(self, layout: SubsystemLayout, entries: np.ndarray):
-        entries = np.array(entries, dtype=np.result_type(entries, float))  # converts and copies
+        entries = np.array(entries, dtype=np.result_type(np.asarray(entries), float))  # copies
         if entries.shape != (layout.dim, layout.dim):
             raise ValueError(
                 f"entries shape {entries.shape} does not match layout dimension {layout.dim}"

@@ -21,19 +21,16 @@ from portclone.symmetry import (
     cycle_count,
     enumerate_unordered,
     mean_row_gathers,
-    port_label,
     port_type_classes,
     sandwich_row_gathers,
     slot_gathers,
     stirling_first,
     subgroup_fixing_complement,
     sym_dim,
-    symmetric_projector,
 )
 from portclone.tensor_core import (
     BlockGroup,
     DimensionCapError,
-    SubsystemLayout,
     check_cap,
     check_family,
     psd_inv_sqrt_blocks,
@@ -217,15 +214,19 @@ def _check_subgroup_conjugation(N, get_outcomes, subgroup_of):
 def _check_projector_conjugation(d, N, get_outcomes):
     _cap_sn_table(N)
     outcomes = get_outcomes()
-    layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
-    # the dimension cap refuses the family before any of it is built
-    check_family(len(outcomes), layout.dim)
-    stack = np.empty((len(outcomes), layout.dim, layout.dim))
-    for k, I in enumerate(outcomes):  # one at a time; a complex projector makes it complex
-        entries = symmetric_projector(I, layout).entries
-        stack = stack.astype(np.result_type(stack, entries), copy=False)
-        stack[k] = entries
-    values, cls, sizes = port_type_classes(stack, outcomes, layout.dims)
+    # refused by the count of the dense family, although only its nonzeros are held
+    check_family(len(outcomes), d**N)
+    group, shape = BlockGroup([np.arange(d**N)], (d,) * N), (len(outcomes), d**N, d**N)
+    nonzeros = []
+    # Pi_I[r, c] counts the M! permutations of I (slots I - 1 of [A1..AN]) that take c
+    # to r, one batch of keys (I, r, c) at a time, so no batch holds more than its nonzeros
+    for batch, [columns] in slot_gathers(group, np.array(outcomes) - 1):
+        keys = np.ravel_multi_index((np.arange(shape[0])[batch, None, None],
+                                     np.arange(shape[1]), columns), shape)
+        keys, counts = np.unique(keys, return_counts=True)
+        nonzeros.append((*np.unravel_index(keys, shape), counts / columns.shape[1]))
+    values, cls, sizes = port_type_classes(tuple(map(np.concatenate, zip(*nonzeros))),
+                                           outcomes, group)
     # a class with fewer nonzeros than entries also holds a 0, at |v| from each v
     worst = np.max(np.abs(values[(sizes > np.bincount(cls))[cls]]), initial=0.0)
     # then every pair of distinct values of one class, sorted neighbours first

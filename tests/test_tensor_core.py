@@ -469,6 +469,15 @@ class TestDtypeRule:
             assert out.entries.dtype == np.complex128, name
         assert hermitian_eig(a).eigenvectors.dtype == np.complex128
 
+    @pytest.mark.parametrize("entries,dtype", [([[1, 0], [0, 1]], np.float64),
+                                               ([[1, 1j], [-1j, 1]], np.complex128)],
+                             ids=["real", "complex"])
+    def test_nested_list_input(self, entries, dtype):
+        # a list is read as entries, not as a dtype spec for np.result_type
+        a = LabeledOperator(SubsystemLayout(["A"], [2]), entries)
+        assert a.entries.dtype == dtype
+        assert np.array_equal(a.entries, np.array(entries))
+
     def test_entries_are_a_read_only_copy(self):
         entries = np.eye(4)
         a = op(["x", "y"], entries)

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -6,7 +7,7 @@ from math import comb, factorial, prod
 import numpy as np
 import pytest
 
-from portclone import tensor_core, verification
+from portclone import cloning, symmetry, tensor_core, verification
 from portclone.measurements import complete, pgm
 from portclone.states import (
     ensemble_average,
@@ -28,7 +29,6 @@ from portclone.symmetry import (
 )
 from portclone.tensor_core import (
     BlockGroup,
-    LabeledOperator,
     SubsystemLayout,
     kron_compose,
     sector_sizes,
@@ -255,8 +255,9 @@ class TestSectorStacks:
         assert peak < 2 * counted
 
     def test_projector_check_holds_its_stack_about_once(self):
-        # at (2, 8, 2) the stack of 28 projectors of 256^2 entries takes
-        # 14.7 MB; a list of them copied into one array peaked at twice that
+        # at (2, 8, 2) a stack of 28 projectors of 256^2 entries takes
+        # 14.7 MB; a list of them copied into one array peaked at twice that,
+        # and check b holds only their nonzeros
         d, N, M = 2, 8, 2
         outcomes = enumerate_unordered(N, M)
         stack_bytes = 8 * comb(N, M) * (d**N) ** 2
@@ -270,6 +271,42 @@ class TestSectorStacks:
             tracemalloc.stop()
         assert deviation <= threshold
         assert peak < 1.5 * stack_bytes
+
+    def test_projector_check_holds_no_dense_stack(self):
+        # at (2, 9, 2) the stack of 36 projectors of 512^2 entries takes
+        # 75 MB, and building it peaked at 82 MiB; the counted nonzeros of
+        # check b, 36 x 1024 of them, peak at about 5.5 MiB
+        outcomes = enumerate_unordered(9, 2)
+        tracemalloc.start()
+        try:
+            deviation, threshold, _ = verification._check_projector_conjugation(
+                2, 9, lambda: outcomes
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deviation == 0 and threshold == verification.FLOAT_TOL
+        assert peak < 16 * 2**20
+
+    # each refusal in the order of check b: the family of C(N, M) projectors,
+    # then the slot table inside `slot_gathers`, with the S_N table first of all
+    @pytest.mark.parametrize("d,N,M,note", [
+        (2, 10, 3, "family of 120 operators of dimension 1024"),
+        (2, 8, 8, "basis-map table of 40320 slot permutations"),
+        (2, 11, 1, "table of the 39916800 permutations of 11 ports"),
+    ])
+    def test_projector_check_refused_before_it_allocates(self, d, N, M, note):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(tensor_core.DimensionCapError, match=note):
+                verification._check_projector_conjugation(
+                    d, N, lambda: enumerate_unordered(N, M)
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and time.perf_counter() - start < 0.05
 
 
 class TestSuite:
@@ -419,13 +456,13 @@ class TestSuite:
     @pytest.mark.parametrize("fault", [False, True])
     def test_shared_objects_built_once(self, monkeypatch, fault):
         # one set of sector stacks, at N (PGM, overlaps), and one average at N
-        # and at N - 1 (check i builds no stacks); the C(4, 2) projectors on
-        # [A1..A4] of check b and no others: checks c and c3 and the injected
-        # fault apply Pi_I by sector gathers
-        sectors, averages, projectors = [], [], []
+        # and at N - 1 (check i builds no stacks); no dense projector: check b
+        # counts the nonzeros of Pi_I on [A1..A4] from one pass of gathers,
+        # and checks c and c3 and the injected fault apply Pi_I by sector gathers
+        sectors, averages, passes = [], [], []
         build_sectors = verification._signal_sectors
         build_average = verification._average_sectors
-        build_projector = verification.symmetric_projector
+        build_gathers = verification.slot_gathers
 
         def counted_sectors(N, M, d):
             sectors.append(N)
@@ -435,9 +472,12 @@ class TestSuite:
             averages.append(N)
             return build_average(N, M, d)
 
-        def counted_projector(*args):
-            projectors.append(args)
-            return build_projector(*args)
+        def counted_gathers(group, sets):
+            passes.append(len(group.dims))
+            return build_gathers(group, sets)
+
+        def dense(*args):
+            raise AssertionError("the suite formed a dense projector")
 
         # the average at N decomposed once, all sectors in one call, for the
         # PGM and check c2
@@ -450,12 +490,17 @@ class TestSuite:
 
         monkeypatch.setattr(verification, "_signal_sectors", counted_sectors)
         monkeypatch.setattr(verification, "_average_sectors", counted_average)
-        monkeypatch.setattr(verification, "symmetric_projector", counted_projector)
+        monkeypatch.setattr(verification, "slot_gathers", counted_gathers)
+        for module, name in [(symmetry, "symmetric_projector"), (symmetry, "symmetrize_slots"),
+                             (cloning, "symmetrize_slots")]:
+            monkeypatch.setattr(module, name, dense)
         monkeypatch.setattr(verification, "psd_inv_sqrt_blocks", counted_decomposition)
         results = run_suite(2, 4, 2, inject_fault=fault)
         assert suite_passed(results) != fault
         assert sectors == [4] and averages == [4, 3]
-        assert len(projectors) == 6
+        # the one pass on the 4 slots [A1..A4] is check b's; the others are on [X, A1..A4]
+        assert passes.count(4) == 1 and set(passes) == {4, 5}
+        assert not hasattr(verification, "symmetric_projector")
         assert decompositions == [len(sector_sizes((2,) * 5, 1))]
 
     def test_broken_stirling_row_fails_h_and_k_as_records(self, monkeypatch):
@@ -509,17 +554,11 @@ class TestConjugationChecksDetectFaults:
         assert results["b-projector-conjugation"].deviation == 0
 
     def test_moved_projector_entry_fails_check_b(self, monkeypatch):
-        original = verification.symmetric_projector
+        def moved(stack, outcomes):
+            stack[outcomes.index(self.target), 1, 2] += 1e-8
+            return stack
 
-        def moved(I, layout):
-            pi = original(I, layout)
-            if I != self.target:
-                return pi
-            entries = pi.entries.copy()
-            entries[1, 2] += 1e-8
-            return LabeledOperator(layout, entries)
-
-        monkeypatch.setattr(verification, "symmetric_projector", moved)
+        route_check_b(monkeypatch, moved)
         b = self._results()["b-projector-conjugation"]
         assert not b.passed
         assert b.deviation == pytest.approx(1e-8, rel=1e-6)
@@ -527,20 +566,16 @@ class TestConjugationChecksDetectFaults:
     def test_vanished_projector_entry_fails_check_b(self, monkeypatch):
         # the other direction: a nonzero entry of Pi_I set to 0, which the
         # comparison over nonzero entries must still see
-        original = verification.symmetric_projector
         vanished = []
 
-        def zeroed(I, layout):
-            pi = original(I, layout)
-            if I != self.target:
-                return pi
-            entries = pi.entries.copy()
+        def zeroed(stack, outcomes):
+            entries = stack[outcomes.index(self.target)]
             r, c = np.argwhere((entries != 0) & ~np.eye(len(entries), dtype=bool))[0]
             vanished.append(entries[r, c])
             entries[r, c] = 0
-            return LabeledOperator(layout, entries)
+            return stack
 
-        monkeypatch.setattr(verification, "symmetric_projector", zeroed)
+        route_check_b(monkeypatch, zeroed)
         b = self._results()["b-projector-conjugation"]
         assert not b.passed
         assert vanished and b.deviation == abs(vanished[0]) > 0
@@ -603,15 +638,49 @@ def reference_check_a(N, outcomes, subgroup_of):
     return worst
 
 
-def reference_check_b(d, N, outcomes, projector_of):
+def dense_stack(nonzeros, count, dim):
+    """The (count, dim, dim) stack whose nonzeros are (k, r, c, values)."""
+    k, r, c, values = nonzeros
+    stack = np.zeros((count, dim, dim), dtype=values.dtype)
+    stack[k, r, c] = values
+    return stack
+
+
+def stack_nonzeros(stack):
+    """The nonzeros (k, r, c, values) of `stack`, in the order of np.nonzero."""
+    k, r, c = np.nonzero(stack)
+    return k, r, c, stack[k, r, c]
+
+
+def route_check_b(monkeypatch, edit=None):
+    """The list of the nonzeros (k, r, c, values) that check b hands to
+    `port_type_classes`, each recorded as the classes receive it. Given
+    `edit(stack, outcomes)`, the nonzeros pass through their dense stack,
+    which `edit` corrupts and returns, on the way."""
+    received = []
+    classes = verification.port_type_classes
+
+    def routed(nonzeros, outcomes, group):
+        if edit is not None:
+            stack = dense_stack(nonzeros, len(outcomes), len(group.idx))
+            nonzeros = stack_nonzeros(edit(stack, outcomes))
+        received.append(nonzeros)
+        return classes(nonzeros, outcomes, group)
+
+    monkeypatch.setattr(verification, "port_type_classes", routed)
+    return received
+
+
+def reference_check_b(d, N, outcomes, nonzeros):
     """Check b as the loop over sigma and outcome that the batched check
-    replaced: every entry of the gathered projector against Pi_sigma(I)."""
-    layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
-    projectors = {I: projector_of(I, layout).entries for I in outcomes}
+    replaced, on the dense stack of `nonzeros`: every entry of the gathered
+    projector against Pi_sigma(I)."""
+    dims = (d,) * N
+    projectors = dict(zip(outcomes, dense_stack(nonzeros, len(outcomes), d**N)))
     worst = 0.0
     for images in itertools.permutations(range(N)):
         s = np.array(images)
-        g = basis_map(s, layout.dims)
+        g = basis_map(s, dims)
         for I, pi in projectors.items():
             worst = max(worst, np.abs(pi[np.ix_(g, g)] - projectors[sigma_image(s, I)]).max())
     return worst
@@ -627,15 +696,14 @@ class TestBatchedConjugationChecks:
 
     @staticmethod
     def corrupt(monkeypatch, fault, target):
-        build_projector = verification.symmetric_projector
+        """Apply `fault` to the outcome `target`; returns the list of the
+        nonzeros check b's classes receive."""
         build_subgroup = verification.subgroup_fixing_complement
 
-        def projector(I, layout):
-            pi = build_projector(I, layout)
-            if I != target:
-                return pi
+        def projector(stack, outcomes):
             # complex, so that the injected imaginary entry fits; Pi_I is real
-            entries = pi.entries.astype(complex)
+            stack = stack.astype(complex)
+            entries = stack[outcomes.index(target)]
             if fault == "added-entry":
                 # imaginary, where Pi_I is 0
                 r, c = np.argwhere(entries == 0)[0]
@@ -644,7 +712,7 @@ class TestBatchedConjugationChecks:
                 # an off-diagonal entry: some transposition in I moves it
                 r, c = np.argwhere((entries != 0) & ~np.eye(len(entries), dtype=bool))[0]
                 entries[r, c] = 0
-            return LabeledOperator(layout, entries)
+            return stack
 
         def subgroup(I, N):
             members = build_subgroup(I, N)
@@ -655,24 +723,20 @@ class TestBatchedConjugationChecks:
 
         if fault == "subgroup":
             monkeypatch.setattr(verification, "subgroup_fixing_complement", subgroup)
-        elif fault != "clean":
-            monkeypatch.setattr(verification, "symmetric_projector", projector)
+        return route_check_b(monkeypatch, projector if fault.endswith("entry") else None)
 
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("d,N,M", REFERENCE_POINTS)
     def test_deviations_equal_the_loop_reference(self, monkeypatch, d, N, M, fault):
         outcomes = enumerate_unordered(N, M)
-        self.corrupt(monkeypatch, fault, outcomes[-1])
+        received = self.corrupt(monkeypatch, fault, outcomes[-1])
         get_outcomes = lambda: outcomes
         a_deviation, a_threshold, _ = verification._check_subgroup_conjugation(
             N, get_outcomes, verification.subgroup_fixing_complement
         )
         b_deviation, b_threshold, _ = verification._check_projector_conjugation(d, N, get_outcomes)
-        subgroup_of, projector_of = (
-            verification.subgroup_fixing_complement, verification.symmetric_projector
-        )
-        assert a_deviation == reference_check_a(N, outcomes, subgroup_of)
-        assert b_deviation == reference_check_b(d, N, outcomes, projector_of)
+        assert a_deviation == reference_check_a(N, outcomes, verification.subgroup_fixing_complement)
+        assert b_deviation == reference_check_b(d, N, outcomes, *received)
         assert (a_deviation <= a_threshold) == (fault != "subgroup")
         assert (b_deviation <= b_threshold) == (fault in ("clean", "subgroup"))
 
@@ -705,11 +769,11 @@ class TestBatchedConjugationChecks:
     def test_class_route_equals_the_loop_reference(self, monkeypatch, d, N, M, fault):
         # check b compares values within the port-type classes, not per sigma
         outcomes = enumerate_unordered(N, M)
-        self.corrupt(monkeypatch, fault, outcomes[-1])
+        received = self.corrupt(monkeypatch, fault, outcomes[-1])
         deviation, threshold, _ = verification._check_projector_conjugation(
             d, N, lambda: outcomes
         )
-        assert deviation == reference_check_b(d, N, outcomes, verification.symmetric_projector)
+        assert deviation == reference_check_b(d, N, outcomes, *received)
         assert (deviation <= threshold) == (fault == "clean")
 
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -717,25 +781,21 @@ class TestBatchedConjugationChecks:
     def test_noisy_classes_equal_the_loop_reference(self, monkeypatch, d, N, M, dtype):
         # every nonzero of every Pi_I moved by its own noise, so each class
         # holds as many distinct values as nonzeros: all their pairs count
-        build_projector = verification.symmetric_projector
         rng = np.random.default_rng(7)
-        noisy = {}
 
-        def projector(I, layout):
-            if I not in noisy:
-                entries = build_projector(I, layout).entries.astype(dtype)
-                nonzero = entries != 0
-                noise = rng.normal(size=(2, nonzero.sum())) * 1e-9
-                entries[nonzero] += noise[0] + (1j * noise[1] if dtype is complex else 0)
-                noisy[I] = LabeledOperator(layout, entries)
-            return noisy[I]
+        def noisy(stack, outcomes):
+            stack = stack.astype(dtype)
+            nonzero = stack != 0
+            noise = rng.normal(size=(2, nonzero.sum())) * 1e-9
+            stack[nonzero] += noise[0] + (1j * noise[1] if dtype is complex else 0)
+            return stack
 
-        monkeypatch.setattr(verification, "symmetric_projector", projector)
+        received = route_check_b(monkeypatch, noisy)
         outcomes = enumerate_unordered(N, M)
         deviation, threshold, _ = verification._check_projector_conjugation(
             d, N, lambda: outcomes
         )
-        assert deviation == reference_check_b(d, N, outcomes, projector)
+        assert deviation == reference_check_b(d, N, outcomes, *received)
         assert threshold < deviation < 1e-7
 
     @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (3, 3, 2), (2, 5, 3), (2, 4, 4)])
@@ -746,7 +806,8 @@ class TestBatchedConjugationChecks:
         outcomes = enumerate_unordered(N, M)
         D = d**N
         stack = np.arange(1, len(outcomes) * D * D + 1, dtype=float).reshape(-1, D, D)
-        values, classes, sizes = port_type_classes(stack, outcomes, (d,) * N)
+        group = BlockGroup([np.arange(D)], (d,) * N)
+        values, classes, sizes = port_type_classes(stack_nonzeros(stack), outcomes, group)
         assert sizes.sum() == len(outcomes) * D * D
         assert np.bincount(classes).tolist() == sizes.tolist()
         orbit = np.arange(stack.size)
@@ -768,16 +829,28 @@ class TestBatchedConjugationChecks:
     def test_nan_in_a_projector_fails_check_b(self, monkeypatch, entry):
         # a NaN differs from every value, so the class that holds it fails;
         # a running max(worst, x) would keep worst and pass
-        build_projector = verification.symmetric_projector
+        def with_nan(stack, outcomes):
+            stack[(outcomes.index((1, 3)), *entry)] = np.nan
+            return stack
 
-        def projector(I, layout):
-            pi = build_projector(I, layout)
-            if I != (1, 3):
-                return pi
-            entries = pi.entries.copy()
-            entries[entry] = np.nan
-            return LabeledOperator(layout, entries)
-
-        monkeypatch.setattr(verification, "symmetric_projector", projector)
+        route_check_b(monkeypatch, with_nan)
         b = {r.name: r for r in run_suite(2, 4, 2)}["b-projector-conjugation"]
         assert np.isnan(b.deviation) and not b.passed
+
+    @pytest.mark.parametrize("d,N,M", REFERENCE_POINTS + [(2, 6, 6)])
+    def test_counted_nonzeros_equal_the_dense_projectors(self, monkeypatch, d, N, M):
+        # the counts of the gathers against the Pi 1 Pi sandwiches of
+        # `symmetric_projector`: the same pattern, and the same values up to
+        # the sandwich's second rounding, which shows from M = 4 on
+        received = route_check_b(monkeypatch)
+        outcomes = enumerate_unordered(N, M)
+        verification._check_projector_conjugation(d, N, lambda: outcomes)
+        [(k, r, c, values)] = received
+        layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
+        dense = np.stack([symmetric_projector(I, layout).entries for I in outcomes])
+        pattern = np.nonzero(dense)
+        assert all(np.array_equal(a, b) for a, b in zip((k, r, c), pattern))
+        if M <= 3:
+            assert np.array_equal(values, dense[pattern])
+        else:
+            assert np.abs(values - dense[pattern]).max() <= 2e-15
