@@ -14,7 +14,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from portclone.tensor_core import (
     BlockGroup,
     LabeledOperator,
     SubsystemLayout,
+    check_basis_table,
     check_cap,
     check_dims,
     partial_trace,
@@ -425,10 +426,10 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     decomposed in one `support_spectra` call and their terms summed in
     sector order, block by block.
 
-    The dimension cap applies to the basis table of `weight_sectors` (a row
-    per basis state, a column per slot or level) and to the largest block,
-    which is formed only when it is not split; both are sized before the
-    table is built.
+    The dimension cap applies to the basis table of `weight_sectors`
+    (`tensor_core.check_basis_table`) and to the largest block, which is
+    formed only when it is not split; both are sized before the table is
+    built.
 
     Returns the `FidelityReport` fields of the point by name: F and f, F's
     completion part, d_in, the number and largest size of all sectors, the
@@ -437,8 +438,7 @@ def _sector_fidelities(dims, n_conj, n_free, signal, average, target, d_in):
     decomposed.
     """
     check_dims(dims)
-    rows, cols = prod(dims), max(len(dims), *dims)
-    check_cap(rows * cols, f"basis table {rows}x{cols}")
+    check_basis_table(dims)
     sizes = sector_sizes(dims, n_conj)
     check_cap(max(sizes) ** 2, f"largest block {max(sizes)}")
     weights, sectors = weight_sectors(dims, n_conj)

@@ -33,6 +33,15 @@ def check_cap(entries: int, what: str) -> None:
         raise DimensionCapError(f"{what} exceeds cap {DIM_CAP}")
 
 
+def check_basis_table(dims: Sequence[int]) -> None:
+    """Refuse the basis table of `weight_sectors(dims, n_conj)`, a row per basis
+    state and a column per slot or level, by its size before it is built. Its
+    callers ask this before `sector_sizes` too, whose weight vectors hold a
+    column per level."""
+    rows, cols = prod(dims), max(len(dims), *dims)
+    check_cap(rows * cols, f"basis table {rows}x{cols}")
+
+
 def check_family(count: int, dim: int) -> None:
     """Refuse a family of `count` operators of dimension `dim` whose entries
     together outnumber those of one DIM_CAP-wide matrix."""

@@ -31,9 +31,10 @@ from portclone.symmetry import (
 from portclone.tensor_core import (
     BlockGroup,
     DimensionCapError,
+    check_basis_table,
     check_cap,
-    check_family,
     psd_inv_sqrt_blocks,
+    sector_sizes,
     support_spectra,
     trace_product,
     weight_sectors,
@@ -105,10 +106,20 @@ def combinatorial_disjoint_overlap(d: int, M: int, N: int) -> float:
     return float(enumerated)
 
 
+def _sector_entries(N, d):
+    """Sum of w^2 over the widths w of the weight sectors of [X, A1..AN],
+    counted after the engine's refusal of their basis table."""
+    dims = (d,) * (N + 1)
+    check_basis_table(dims)
+    return sum(w * w for w in sector_sizes(dims, 1))
+
+
 def _average_sectors(N, M, d):
     """The `BlockGroup` of the weight sectors of [X, A1..AN] and the blocks on
-    it of the signals' average, counted over all port sets as the engine does."""
-    check_family(comb(N, M), d ** (N + 1))
+    it of the signals' average, counted over all port sets as the engine does.
+    Refused by the entries of its blocks before the basis table is built."""
+    entries = _sector_entries(N, d)
+    check_cap(entries, f"average's sector blocks of {entries} entries")
     group = BlockGroup(weight_sectors((d,) * (N + 1), 1)[1], (d,) * (N + 1))
     return group, counted_entries(pbtc_signal_nonzeros(enumerate_unordered(N, M), group),
                                   group.widths)
@@ -118,7 +129,10 @@ def _signal_sectors(N, M, d):
     """The group and average of `_average_sectors` and, per sector of width w,
     the (C(N, M), w, w) stack of the signals' blocks in outcome order, filled
     one outcome at a time. A column leaving its sector makes
-    `BlockGroup.positions` raise, so the build checks block-diagonality."""
+    `BlockGroup.positions` raise, so the build checks block-diagonality.
+    Refused by the entries of the stacks before anything is built."""
+    entries = comb(N, M) * _sector_entries(N, d)
+    check_cap(entries, f"sector stacks of {comb(N, M)} signals, {entries} entries")
     group, average = _average_sectors(N, M, d)
     stacks = [np.empty((comb(N, M), w, w)) for w in group.widths]
     for k, I in enumerate(enumerate_unordered(N, M)):
@@ -153,8 +167,7 @@ def purity_upper_bound(N: int, M: int, d: int) -> float:
 
 def _cap_sn_table(N):
     """Refuse the table of `_permuted_outcomes`, N! rows of N images, by its
-    size. Check a calls it before it builds anything; check b lists no sigma,
-    but calls it first too, so that both refuse the same points."""
+    size. Check a calls it before it builds anything."""
     count = factorial(N)
     check_cap(count * N, f"table of the {count} permutations of {N} ports")
 
@@ -211,11 +224,30 @@ def _check_subgroup_conjugation(N, get_outcomes, subgroup_of):
     return worst, EXACT, "set comparison, exact"
 
 
-def _check_projector_conjugation(d, N, get_outcomes):
-    _cap_sn_table(N)
+def _equal_content_pairs(d, M):
+    """The pairs of M-digit words over d levels with equal digit counts: the
+    zero-weight sector of `sector_sizes((d,) * (2 * M), M)`, its largest. Counted
+    by doubling the levels, Z_(a+b)(m) = sum_k C(m, k)^2 Z_a(k) Z_b(m - k), so no
+    weight vector of d entries is listed."""
+    def join(a, b):
+        return [sum(comb(m, k) ** 2 * a[k] * b[m - k] for k in range(m + 1))
+                for m in range(M + 1)]
+    pairs, power = [1] + [0] * M, [1] * (M + 1)  # over no level; over one level
+    while d:
+        if d & 1:
+            pairs = join(pairs, power)
+        power, d = join(power, power), d >> 1
+    return pairs[M]
+
+
+def _check_projector_conjugation(d, N, M, get_outcomes):
+    # Pi_I on [A1..AN] has a nonzero for each pair of words on I of equal
+    # content, times d^(N - M) on the other ports; refused by the largest
+    # array, the table of N port types per nonzero of `port_type_classes`,
+    # before the outcomes are listed or the group is built
+    count = comb(N, M) * d ** (N - M) * _equal_content_pairs(d, M)
+    check_cap(count * N, f"port-type table of {count} nonzeros x {N} ports")
     outcomes = get_outcomes()
-    # refused by the count of the dense family, although only its nonzeros are held
-    check_family(len(outcomes), d**N)
     group, shape = BlockGroup([np.arange(d**N)], (d,) * N), (len(outcomes), d**N, d**N)
     nonzeros = []
     # Pi_I[r, c] counts the M! permutations of I (slots I - 1 of [A1..AN]) that take c
@@ -354,10 +386,16 @@ def _check_stirling():
 def run_suite(d: int, N: int, M: int, inject_fault: bool = False) -> list[CheckResult]:
     """Run every certification check at one parameter point, in name order.
 
-    Checks that would exceed the dimension cap are reported as skipped
-    rather than failing the suite. `inject_fault` corrupts one PGM element
-    by 1% so the support-invariance and completeness checks must fail;
-    it exists to prove the harness can detect a broken measurement.
+    Each shared build, and checks a and b, refuse from counts before they
+    allocate, by the entries they hold: the table of S_N (a); Pi_I's nonzeros
+    times N (b); the sector stacks, C(N, M) sum w^2 (c-j, which read the
+    average from the same build); the average alone, sum w^2 (i at N - 1).
+    A refused check is reported as skipped by name rather than failing the
+    suite.
+
+    `inject_fault` corrupts one PGM element by 1% so the support-invariance
+    and completeness checks must fail; it exists to prove the harness can
+    detect a broken measurement.
     """
     if not 1 <= M <= N:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
@@ -376,7 +414,7 @@ def run_suite(d: int, N: int, M: int, inject_fault: bool = False) -> list[CheckR
     checks = [
         ("a-subgroup-conjugation", _check_subgroup_conjugation,
          (N, get_outcomes, subgroup_fixing_complement)),
-        ("b-projector-conjugation", _check_projector_conjugation, (d, N, get_outcomes)),
+        ("b-projector-conjugation", _check_projector_conjugation, (d, N, M, get_outcomes)),
         ("c-pgm-support-invariance", _check_pgm_support_invariance, (get_povm, get_gathers)),
         ("c2-pgm-completeness", _check_pgm_completeness, (get_povm,)),
         ("c3-projector-average-commutation", _check_commutation, (get_eta_bar, get_gathers)),

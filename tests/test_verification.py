@@ -1,6 +1,9 @@
 import itertools
+import json
 import time
 import tracemalloc
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 from portclone import cloning, symmetry, tensor_core, verification
+from portclone.channels import protocol_fidelity
 from portclone.measurements import complete, pgm
 from portclone.states import (
     ensemble_average,
@@ -264,7 +268,7 @@ class TestSectorStacks:
         tracemalloc.start()
         try:
             deviation, threshold, _ = verification._check_projector_conjugation(
-                d, N, lambda: outcomes
+                d, N, M, lambda: outcomes
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -280,7 +284,7 @@ class TestSectorStacks:
         tracemalloc.start()
         try:
             deviation, threshold, _ = verification._check_projector_conjugation(
-                2, 9, lambda: outcomes
+                2, 9, 2, lambda: outcomes
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -288,12 +292,14 @@ class TestSectorStacks:
         assert deviation == 0 and threshold == verification.FLOAT_TOL
         assert peak < 16 * 2**20
 
-    # each refusal in the order of check b: the family of C(N, M) projectors,
-    # then the slot table inside `slot_gathers`, with the S_N table first of all
+    # each refusal in the order of check b: the port-type table of Pi_I's
+    # nonzeros, from (d, N, M) alone, then the slot table inside
+    # `slot_gathers`; at d = 1000 the count lists no weight vector of d levels
     @pytest.mark.parametrize("d,N,M,note", [
-        (2, 10, 3, "family of 120 operators of dimension 1024"),
+        (2, 12, 4, "port-type table of 8870400 nonzeros x 12 ports"),
+        (2, 15, 2, "port-type table of 5160960 nonzeros x 15 ports"),
+        (1000, 3, 1, "port-type table of 3000000000 nonzeros x 3 ports"),
         (2, 8, 8, "basis-map table of 40320 slot permutations"),
-        (2, 11, 1, "table of the 39916800 permutations of 11 ports"),
     ])
     def test_projector_check_refused_before_it_allocates(self, d, N, M, note):
         start = time.perf_counter()
@@ -301,7 +307,7 @@ class TestSectorStacks:
         try:
             with pytest.raises(tensor_core.DimensionCapError, match=note):
                 verification._check_projector_conjugation(
-                    d, N, lambda: enumerate_unordered(N, M)
+                    d, N, M, lambda: enumerate_unordered(N, M)
                 )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -342,8 +348,8 @@ class TestSuite:
         monkeypatch.setattr(tensor_core, "DIM_CAP", 16)
         capped = run_suite(2, 4, 2)
         assert [r.name for r in capped] == full == sorted(full)
-        # all but a and k: check b's family of 6 projectors of 16 x 16 holds
-        # more entries than one 16 x 16 matrix
+        # all but a and k: check b's port-type table, 4 types for each of
+        # its 144 nonzeros, holds more entries than one 16 x 16 matrix
         refused = [r for r in capped if "exceeds cap" in r.notes]
         assert [r.name[0] for r in capped if r not in refused] == ["a", "k"]
         assert all(r.passed and r.notes.startswith("skipped") for r in refused)
@@ -368,7 +374,7 @@ class TestSuite:
         )
         assert verification._check_subgroup_conjugation(*args) == whole
         assert max(seen) == 7 and sum(seen) == factorial(N)
-        verification._check_projector_conjugation(d, N, lambda: outcomes)
+        verification._check_projector_conjugation(d, N, M, lambda: outcomes)
         assert sum(seen) == factorial(N)
 
     def test_permutation_table_is_compact(self):
@@ -515,13 +521,16 @@ class TestSuite:
         }
         assert not suite_passed(results)
 
-    @pytest.mark.parametrize("N,M", [(11, 2), (11, 1), (12, 6)])
-    def test_far_point_skips_dense_checks_by_name(self, N, M):
-        # from N=11 the ensemble at N and the table of S_N exceed the cap:
-        # each check but k is skipped under its own name, before it allocates
-        # (at M=1 check b's projectors and check i's ensemble at N - 1 would
-        # fit, and at M=6 check a's 924 subgroups, so each check must refuse
-        # by its other build first)
+    @pytest.mark.parametrize("N,M,ran", [
+        (11, 2, "bk"), (12, 1, "bk"), (12, 6, "k"),
+    ], ids=["11-2", "12-1", "12-6"])
+    def test_far_point_skips_dense_checks_by_name(self, N, M, ran):
+        # past the sector stacks and the table of S_N each check but b and k
+        # is skipped under its own name, before it allocates (at M=1 check i's
+        # average at N - 1 would fit, and at M=6 check a's 924 subgroups, so
+        # each check must refuse by its other build first); check b runs where
+        # its port-type table fits, and holds that table about 3 times at
+        # its peak (the types, their sort and one temporary)
         tracemalloc.start()
         try:
             results = run_suite(2, N, M)
@@ -529,8 +538,9 @@ class TestSuite:
         finally:
             tracemalloc.stop()
         skipped = [r.name for r in results if "exceeds cap" in r.notes]
-        assert [r.name for r in results if r.name not in skipped] == ["k-stirling-row-identity"]
-        assert all(r.passed for r in results) and peak < 2**20
+        assert [r.name[0] for r in results if r.name not in skipped] == list(ran)
+        table = 8 * N * comb(N, M) * 2 ** (N - M) * comb(2 * M, M) if "b" in ran else 0
+        assert all(r.passed for r in results) and peak < 2**20 + 4 * table
 
     def test_json_shape(self):
         doc = run_suite(2, 3, 2)[0].to_json_dict()
@@ -734,7 +744,7 @@ class TestBatchedConjugationChecks:
         a_deviation, a_threshold, _ = verification._check_subgroup_conjugation(
             N, get_outcomes, verification.subgroup_fixing_complement
         )
-        b_deviation, b_threshold, _ = verification._check_projector_conjugation(d, N, get_outcomes)
+        b_deviation, b_threshold, _ = verification._check_projector_conjugation(d, N, M, get_outcomes)
         assert a_deviation == reference_check_a(N, outcomes, verification.subgroup_fixing_complement)
         assert b_deviation == reference_check_b(d, N, outcomes, *received)
         assert (a_deviation <= a_threshold) == (fault != "subgroup")
@@ -771,7 +781,7 @@ class TestBatchedConjugationChecks:
         outcomes = enumerate_unordered(N, M)
         received = self.corrupt(monkeypatch, fault, outcomes[-1])
         deviation, threshold, _ = verification._check_projector_conjugation(
-            d, N, lambda: outcomes
+            d, N, M, lambda: outcomes
         )
         assert deviation == reference_check_b(d, N, outcomes, *received)
         assert (deviation <= threshold) == (fault == "clean")
@@ -793,7 +803,7 @@ class TestBatchedConjugationChecks:
         received = route_check_b(monkeypatch, noisy)
         outcomes = enumerate_unordered(N, M)
         deviation, threshold, _ = verification._check_projector_conjugation(
-            d, N, lambda: outcomes
+            d, N, M, lambda: outcomes
         )
         assert deviation == reference_check_b(d, N, outcomes, *received)
         assert threshold < deviation < 1e-7
@@ -844,7 +854,7 @@ class TestBatchedConjugationChecks:
         # the sandwich's second rounding, which shows from M = 4 on
         received = route_check_b(monkeypatch)
         outcomes = enumerate_unordered(N, M)
-        verification._check_projector_conjugation(d, N, lambda: outcomes)
+        verification._check_projector_conjugation(d, N, M, lambda: outcomes)
         [(k, r, c, values)] = received
         layout = SubsystemLayout([port_label(i) for i in range(1, N + 1)], [d] * N)
         dense = np.stack([symmetric_projector(I, layout).entries for I in outcomes])
@@ -854,3 +864,93 @@ class TestBatchedConjugationChecks:
             assert np.array_equal(values, dense[pattern])
         else:
             assert np.abs(values - dense[pattern]).max() <= 2e-15
+
+
+class Admitted(Exception):
+    """Raised in place of listing the outcomes, once every count has passed."""
+
+
+def admitted_by_count(d, N, M):
+    """Whether check b's count lets it list its outcomes at (d, N, M)."""
+    def stop():
+        raise Admitted
+    try:
+        verification._check_projector_conjugation(d, N, M, stop)
+    except Admitted:
+        return True
+    except tensor_core.DimensionCapError:
+        return False
+    raise AssertionError("check b listed no outcomes")
+
+
+class TestRefusalCounts:
+    """Each build is refused by the entries it holds, counted from (d, N, M)."""
+
+    @pytest.mark.parametrize("d,N,M", [
+        (2, 5, 2), (2, 6, 3), (3, 4, 2), (3, 5, 3), (4, 3, 2), (2, 7, 5), (3, 6, 4), (2, 8, 4),
+    ])
+    def test_projector_count_equals_the_collected_nonzeros(self, monkeypatch, d, N, M):
+        # the port-type table check b is refused by holds N types per nonzero
+        # that the gathers collect
+        received, counted = route_check_b(monkeypatch), []
+        check_cap = verification.check_cap
+        monkeypatch.setattr(verification, "check_cap",
+                            lambda entries, what: counted.append(entries) or check_cap(entries, what))
+        verification._check_projector_conjugation(d, N, M, lambda: enumerate_unordered(N, M))
+        [(k, r, c, values)] = received
+        assert counted == [N * len(values)] and np.all(values != 0)
+
+    @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (3, 3, 2), (2, 5, 3)])
+    def test_sector_counts_equal_the_entries_built(self, monkeypatch, d, N, M):
+        # the stacks' count first, then the average's, each what is allocated
+        counted = []
+        check_cap = verification.check_cap
+        monkeypatch.setattr(verification, "check_cap",
+                            lambda entries, what: counted.append(entries) or check_cap(entries, what))
+        _, stacks, average = verification._signal_sectors(N, M, d)
+        assert counted == [sum(s.size for s in stacks), sum(a.size for a in average)]
+
+    def test_equal_content_pairs_are_the_largest_sector(self):
+        # pairs of M-digit words of equal content: the sector of weight 0,
+        # whose size bounds every other's by Cauchy-Schwarz
+        for d, M in itertools.product(range(2, 7), range(1, 7)):
+            contents = Counter(tuple(sorted(w)) for w in itertools.product(range(d), repeat=M))
+            zero_weight = sum(n * n for n in contents.values())
+            assert verification._equal_content_pairs(d, M) == zero_weight
+            assert zero_weight == max(sector_sizes((d,) * (2 * M), M))
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_type_codes_fit_int64_wherever_check_b_is_admitted(self, d):
+        # `port_type_classes` codes N types as base-2d^2 digits of one int64;
+        # the table holds N nonzeros of Pi_I per port set at least, and more
+        # than d^N of them, so no N past this loop is admitted either
+        N, admitted = 1, []
+        while N * d**N <= tensor_core.DIM_CAP**2:
+            if any(admitted_by_count(d, N, M) for M in range(1, N + 1)):
+                admitted.append(N)
+                assert (2 * d * d) ** N < 2**63
+            N += 1
+        assert admitted == list(range(1, len(admitted) + 1)) and max(admitted) >= 6
+
+
+class TestConcurrentRuns:
+    def test_thread_pool_equals_the_serial_run(self):
+        # every report and record bit for bit, reports without runtime_ms;
+        # std-pbt (2, 9, 1) has blocks wider than SPLIT_MIN, so the character
+        # pieces run too
+        def fidelity(protocol, d, N, M):
+            doc = protocol_fidelity(protocol, d, N, M).to_json_dict()
+            del doc["runtime_ms"]
+            return json.dumps(doc)
+
+        def suite(d, N, M):
+            return json.dumps([r.to_json_dict() for r in run_suite(d, N, M)])
+
+        jobs = [(fidelity, ("std-pbt", 2, 9, 1)), (fidelity, ("std-pbtc", 2, 5, 2)),
+                (fidelity, ("clone-mpbt", 2, 5, 2)), (fidelity, ("mpbt", 2, 4, 2)),
+                (fidelity, ("std-pbtc", 3, 4, 2)), (fidelity, ("clone-mpbt", 2, 6, 3)),
+                (suite, (2, 4, 2)), (suite, (3, 3, 2))]
+        serial = [job(*args) for job, args in jobs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pooled = [pool.submit(job, *args) for job, args in jobs * 3]
+            assert [future.result() for future in pooled] == serial * 3
