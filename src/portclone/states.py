@@ -14,6 +14,7 @@ from portclone.symmetry import (
     check_ports,
     enumerate_ordered,
     enumerate_unordered,
+    permutation_table,
     permuted_positions,
     port_label,
     sym_dim,
@@ -132,7 +133,7 @@ def _symmetrized_nonzeros(fixed: int, sets: np.ndarray, group: BlockGroup):
     yield rows, cols, bounds  # the identity keeps every column
     # each column's ones in its set's flattened table of moved positions
     flat = (member // M * len(group.idx) + group.starts[block])[:, None] + pos
-    for p in np.array(list(itertools.permutations(range(M))))[1:, None]:
+    for p in permutation_table(M)[1:, None]:
         moved = permuted_positions(group, sets, p)
         yield rows, np.tile(np.take(moved, flat), pos.shape[1]).ravel(), bounds
 
@@ -161,7 +162,7 @@ def _symmetrized_factor(fixed: int, slots: Sequence[int], group: BlockGroup) -> 
     of the 0/1 matrices with a one at (row entry, column)."""
     _, block, pos = _pattern_columns(np.array([[[fixed, slots[0]]]]), group)
     at = group.starts[block][:, None] + pos  # the ones' positions in the group
-    perms = np.array(list(itertools.permutations(range(len(slots)))))[1:]  # (0, M) at M = 1
+    perms = permutation_table(len(slots))[1:]  # (0, M) at M = 1
     terms = [pos] + list(permuted_positions(group, np.array([slots]), perms)[:, 0, at])
     return _factor_parts(block, np.concatenate(terms, axis=1), len(group.widths))
 

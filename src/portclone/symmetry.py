@@ -71,6 +71,15 @@ def subgroup_fixing_complement(I: Sequence[int], N: int) -> np.ndarray:
     return members
 
 
+def permutation_table(n: int, dtype=np.intp) -> np.ndarray:
+    """The n! permutations of 0..n-1 as 0-based images, one per row in the
+    order of `itertools.permutations`, listed with no tuple per permutation,
+    so that the table holds only its n! x n entries."""
+    count = factorial(n)
+    return np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                       dtype=dtype, count=count * n).reshape(count, n)
+
+
 def permuted_positions(group: BlockGroup, sets: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """The one map of slot permutations on basis indices: for each p in
     `perms`, (P, M) 0-based images, and slot set S in `sets`, (n, M) slot
@@ -133,7 +142,7 @@ def slot_gathers(group: BlockGroup, sets: Sequence[Sequence[int]]):
     entries, or one set's, which are refused before any permutation is listed."""
     m, n_slots, dim = len(sets[0]), len(group.dims), len(group.idx)
     check_slot_table(m, n_slots, dim)
-    perms = np.array(list(itertools.permutations(range(m))))
+    perms = permutation_table(m)
     for batch in batches(len(sets), 8 * factorial(m) * n_slots * dim):
         positions = permuted_positions(group, np.array(sets[batch]), perms).swapaxes(0, 1)
         yield batch, np.split(positions, group.starts[1:-1], axis=-1)

@@ -21,6 +21,7 @@ from portclone.symmetry import (
     cycle_count,
     enumerate_unordered,
     mean_row_gathers,
+    permutation_table,
     port_type_classes,
     sandwich_row_gathers,
     slot_gathers,
@@ -106,20 +107,23 @@ def combinatorial_disjoint_overlap(d: int, M: int, N: int) -> float:
     return float(enumerated)
 
 
-def _sector_entries(N, d):
-    """Sum of w^2 over the widths w of the weight sectors of [X, A1..AN],
-    counted after the engine's refusal of their basis table."""
+def _cap_sector_build(N, M, d, copies):
+    """Refuse a build on the weight sectors of [X, A1..AN] before it
+    allocates: by the table of the M! permutations its signals are listed
+    under (`_symmetrized_nonzeros`), by the engine's rule for the basis table,
+    then by the `copies` of the sectors' blocks it holds, sum of w^2 entries
+    each."""
+    _cap_sn_table(M)
     dims = (d,) * (N + 1)
     check_basis_table(dims)
-    return sum(w * w for w in sector_sizes(dims, 1))
+    entries = copies * sum(w * w for w in sector_sizes(dims, 1))
+    check_cap(entries, f"{copies} copies of the sector blocks, {entries} entries")
 
 
 def _average_sectors(N, M, d):
     """The `BlockGroup` of the weight sectors of [X, A1..AN] and the blocks on
     it of the signals' average, counted over all port sets as the engine does.
-    Refused by the entries of its blocks before the basis table is built."""
-    entries = _sector_entries(N, d)
-    check_cap(entries, f"average's sector blocks of {entries} entries")
+    Its callers refuse it first (`_cap_sector_build`)."""
     group = BlockGroup(weight_sectors((d,) * (N + 1), 1)[1], (d,) * (N + 1))
     return group, counted_entries(pbtc_signal_nonzeros(enumerate_unordered(N, M), group),
                                   group.widths)
@@ -131,8 +135,7 @@ def _signal_sectors(N, M, d):
     one outcome at a time. A column leaving its sector makes
     `BlockGroup.positions` raise, so the build checks block-diagonality.
     Refused by the entries of the stacks before anything is built."""
-    entries = comb(N, M) * _sector_entries(N, d)
-    check_cap(entries, f"sector stacks of {comb(N, M)} signals, {entries} entries")
+    _cap_sector_build(N, M, d, comb(N, M))
     group, average = _average_sectors(N, M, d)
     stacks = [np.empty((comb(N, M), w, w)) for w in group.widths]
     for k, I in enumerate(enumerate_unordered(N, M)):
@@ -157,6 +160,7 @@ def purity(blocks) -> float:
 
 def eta_bar_purity(N: int, M: int, d: int) -> float:
     """Tr[eta_bar^2] for the uniform signal-state average, sector by sector."""
+    _cap_sector_build(N, M, d, 1)
     return purity(_average_sectors(N, M, d)[1])
 
 
@@ -165,11 +169,12 @@ def purity_upper_bound(N: int, M: int, d: int) -> float:
     return d ** (M - N + 2) / sym_dim(d, M) * factorial(M) * factorial(M - 1) / (d + M - 1)
 
 
-def _cap_sn_table(N):
-    """Refuse the table of `_permuted_outcomes`, N! rows of N images, by its
-    size. Check a calls it before it builds anything."""
-    count = factorial(N)
-    check_cap(count * N, f"table of the {count} permutations of {N} ports")
+def _cap_sn_table(n):
+    """Refuse a `permutation_table` of n ports, n! rows of n images, by its
+    size: S_N's in `_permuted_outcomes`, which check a asks before it builds
+    anything, and S_M's that the sector builds list their signals under."""
+    count = factorial(n)
+    check_cap(count * n, f"table of the {count} permutations of {n} ports")
 
 
 def _permuted_outcomes(N, outcomes, bytes_per_sigma):
@@ -177,15 +182,12 @@ def _permuted_outcomes(N, outcomes, bytes_per_sigma):
     `batches`, each with the position in `outcomes` of sigma(I), looked up by
     the bit mask of its ports, for every sigma of the batch (row) and outcome
     I (column)."""
-    count = factorial(N)
-    # one byte per image, with no tuple per sigma on the way;
-    # `_cap_sn_table` keeps N at 10 or below
-    table = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(N))),
-                        dtype=np.uint8, count=count * N).reshape(count, N)
+    # one byte per image; `_cap_sn_table` keeps N at 10 or below
+    table = permutation_table(N, np.uint8)
     ports = np.array(outcomes) - 1
     position = np.zeros(2**N, dtype=int)  # outcome position by bit mask of its ports
     position[(1 << ports).sum(axis=1)] = np.arange(len(outcomes))
-    for batch in batches(count, bytes_per_sigma):
+    for batch in batches(len(table), bytes_per_sigma):
         # as intp, so that 1 << sigma does not wrap from port 8 on
         sigmas = table[batch].astype(np.intp)
         bits = 1 << sigmas
@@ -388,10 +390,10 @@ def run_suite(d: int, N: int, M: int, inject_fault: bool = False) -> list[CheckR
 
     Each shared build, and checks a and b, refuse from counts before they
     allocate, by the entries they hold: the table of S_N (a); Pi_I's nonzeros
-    times N (b); the sector stacks, C(N, M) sum w^2 (c-j, which read the
-    average from the same build); the average alone, sum w^2 (i at N - 1).
-    A refused check is reported as skipped by name rather than failing the
-    suite.
+    times N (b); the table of S_M the signals are listed under, then the
+    sector stacks, C(N, M) sum w^2 (c-j, which read the average from the same
+    build), or the average alone, sum w^2 (i at N - 1). A refused check is
+    reported as skipped by name rather than failing the suite.
 
     `inject_fault` corrupts one PGM element by 1% so the support-invariance
     and completeness checks must fail; it exists to prove the harness can

@@ -12,6 +12,7 @@ from portclone.symmetry import (
     enumerate_ordered,
     enumerate_unordered,
     mean_row_gathers,
+    permutation_table,
     permutation_unitary,
     permuted_positions,
     port_label,
@@ -109,6 +110,21 @@ class TestPermutation:
         assert cycle_count((0, 1, 2)) == 3
         assert cycle_count((1, 0, 2)) == 2
         assert cycle_count((1, 2, 0)) == 1
+
+    def test_permutation_table_holds_only_its_entries(self):
+        # the rows of itertools.permutations, with no tuple per row on the
+        # way, so that the n! x n count its callers refuse it by is what it
+        # holds (a list of the 40320 tuples of S_8 took about 4.5 MB more)
+        for n in range(1, 6):
+            assert permutation_table(n).tolist() == [list(p) for p in itertools.permutations(range(n))]
+        tracemalloc.start()
+        try:
+            table = permutation_table(8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.dtype == np.intp and table.shape == (factorial(8), 8)
+        assert peak < table.nbytes + 2**16
 
     def test_subgroup_size(self):
         I, N = (1, 3), 4

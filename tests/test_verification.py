@@ -522,13 +522,16 @@ class TestSuite:
         assert not suite_passed(results)
 
     @pytest.mark.parametrize("N,M,ran", [
-        (11, 2, "bk"), (12, 1, "bk"), (12, 6, "k"),
-    ], ids=["11-2", "12-1", "12-6"])
+        (11, 2, "bk"), (12, 1, "bk"), (12, 6, "k"), (12, 12, "hik"), (13, 13, "hik"),
+    ], ids=["11-2", "12-1", "12-6", "12-12", "13-13"])
     def test_far_point_skips_dense_checks_by_name(self, N, M, ran):
         # past the sector stacks and the table of S_N each check but b and k
         # is skipped under its own name, before it allocates (at M=1 check i's
         # average at N - 1 would fit, and at M=6 check a's 924 subgroups, so
-        # each check must refuse by its other build first); check b runs where
+        # each check must refuse by its other build first); at M = N the
+        # stacks would fit, and checks c-g and j are refused by the table of
+        # S_M their signals are listed under (6.2e9 rows at M = 13), while h
+        # and i have no disjoint pair or smaller N to skip by; check b runs where
         # its port-type table fits, and holds that table about 3 times at
         # its peak (the types, their sort and one temporary)
         tracemalloc.start()
@@ -902,13 +905,18 @@ class TestRefusalCounts:
 
     @pytest.mark.parametrize("d,N,M", [(2, 4, 2), (3, 3, 2), (2, 5, 3)])
     def test_sector_counts_equal_the_entries_built(self, monkeypatch, d, N, M):
-        # the stacks' count first, then the average's, each what is allocated
+        # the table of S_M the signals are listed under first, then the
+        # stacks, or the average where it is built alone: each counted once,
+        # and each what is allocated
         counted = []
         check_cap = verification.check_cap
         monkeypatch.setattr(verification, "check_cap",
                             lambda entries, what: counted.append(entries) or check_cap(entries, what))
         _, stacks, average = verification._signal_sectors(N, M, d)
-        assert counted == [sum(s.size for s in stacks), sum(a.size for a in average)]
+        assert counted == [factorial(M) * M, sum(s.size for s in stacks)]
+        counted.clear()
+        verification.eta_bar_purity(N, M, d)
+        assert counted == [factorial(M) * M, sum(a.size for a in average)]
 
     def test_equal_content_pairs_are_the_largest_sector(self):
         # pairs of M-digit words of equal content: the sector of weight 0,
